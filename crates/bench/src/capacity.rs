@@ -26,8 +26,8 @@
 use crate::Scale;
 use rand::Rng;
 use roar_cluster::{
-    spawn_cluster, AdmissionController, CcUdpConfig, ClusterConfig, ClusterHandle, LossSpec,
-    QueryBody, SloConfig, TransportSpec, UdpConfig,
+    spawn_cluster, AdaptiveConfig, AdmissionController, ClusterConfig, ClusterHandle,
+    DatagramConfig, FixedRto, LossSpec, QueryBody, SloConfig, TransportSpec,
 };
 use roar_util::{det_rng, percentile};
 use roar_workload::OpenLoopGen;
@@ -56,21 +56,26 @@ fn spec_by_name(name: &str) -> TransportSpec {
         "tcp" => TransportSpec::Tcp,
         // the same liveness budgets the harness suite runs under
         "udp" => TransportSpec::Udp {
-            cfg: UdpConfig {
-                rto: Duration::from_millis(10),
+            cfg: DatagramConfig {
+                policy: FixedRto {
+                    rto: Duration::from_millis(10),
+                },
                 max_attempts: 50,
-                ..UdpConfig::default()
+                ..DatagramConfig::default()
             },
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,
         },
         "ccudp" => TransportSpec::CcUdp {
-            cfg: CcUdpConfig {
-                min_rto: Duration::from_millis(10),
-                init_rto: Duration::from_millis(20),
-                max_rto: Duration::from_millis(50),
+            cfg: DatagramConfig {
                 max_attempts: 8,
-                ..CcUdpConfig::default()
+                policy: AdaptiveConfig {
+                    min_rto: Duration::from_millis(10),
+                    init_rto: Duration::from_millis(20),
+                    max_rto: Duration::from_millis(50),
+                    ..AdaptiveConfig::default()
+                },
+                ..DatagramConfig::default()
             },
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,

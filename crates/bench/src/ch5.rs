@@ -1,6 +1,6 @@
 //! Chapter 5 reproductions: the PPS single-server evaluation.
 //!
-//! Calibration note (see EXPERIMENTS.md): our encrypted records are ~900 B
+//! Calibration note: our encrypted records are ~900 B
 //! (we index ~70 numeric reference points besides keywords; the paper's are
 //! ~230 B), so collection sizes are chosen to keep *scanned bytes*
 //! comparable — e.g. fig5_4 scans ~230 MB just like the paper's 1M-record

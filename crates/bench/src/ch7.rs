@@ -1,6 +1,6 @@
 //! Chapter 7 reproductions: the experimental (deployed-system) evaluation,
-//! run against the tokio cluster harness and the simulator (DESIGN.md's
-//! testbed substitution).
+//! run against the tokio cluster harness and the simulator (our stand-ins
+//! for the thesis's testbeds).
 
 use crate::Scale;
 use rand::Rng;

@@ -36,8 +36,8 @@ use crate::Scale;
 use rand::Rng;
 use roar_cluster::harness::spawn_extra_node_with;
 use roar_cluster::{
-    spawn_cluster, CcUdpConfig, ClusterConfig, DesiredTopology, FaultInjector, FaultSchedule,
-    LossSpec, QueryBody, Reconciler, SchedOpts, TransportSpec, UdpConfig,
+    spawn_cluster, AdaptiveConfig, ClusterConfig, DatagramConfig, DesiredTopology, FaultInjector,
+    FaultSchedule, FixedRto, LossSpec, QueryBody, Reconciler, SchedOpts, TransportSpec,
 };
 use roar_dr::rack::RackLayout;
 use roar_util::{det_rng, percentile};
@@ -101,10 +101,12 @@ fn tcp_spec() -> TransportSpec {
 /// false-positive the dead-peer detector.
 fn udp_spec() -> TransportSpec {
     TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto: Duration::from_millis(10),
+        cfg: DatagramConfig {
+            policy: FixedRto {
+                rto: Duration::from_millis(10),
+            },
             max_attempts: 50,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss: LossSpec::None,
@@ -116,12 +118,15 @@ fn udp_spec() -> TransportSpec {
 /// observation of a dead node to seconds.
 fn ccudp_spec() -> TransportSpec {
     TransportSpec::CcUdp {
-        cfg: CcUdpConfig {
-            min_rto: Duration::from_millis(10),
-            init_rto: Duration::from_millis(20),
-            max_rto: Duration::from_millis(50),
+        cfg: DatagramConfig {
             max_attempts: 8,
-            ..CcUdpConfig::default()
+            policy: AdaptiveConfig {
+                min_rto: Duration::from_millis(10),
+                init_rto: Duration::from_millis(20),
+                max_rto: Duration::from_millis(50),
+                ..AdaptiveConfig::default()
+            },
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss: LossSpec::None,

@@ -36,8 +36,8 @@
 use crate::Scale;
 use rand::Rng;
 use roar_cluster::{
-    spawn_cluster, CcUdpConfig, ClusterConfig, CrossTrafficSpec, LossSpec, QueryBody, SchedOpts,
-    TransportSpec, UdpConfig,
+    spawn_cluster, AdaptiveConfig, ClusterConfig, CrossTrafficSpec, DatagramConfig, FixedRto,
+    LossSpec, QueryBody, SchedOpts, TransportSpec,
 };
 use roar_util::{det_rng, percentile};
 use std::time::{Duration, Instant};
@@ -102,12 +102,12 @@ pub struct BenchCongestion {
 
 fn fixed_spec(server_loss: LossSpec) -> TransportSpec {
     TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto: FIXED_RTO,
+        cfg: DatagramConfig {
+            policy: FixedRto { rto: FIXED_RTO },
             // the same liveness budget the incast bench grants: 64
             // fixed-cadence windows = 320 ms of consecutive silence
             max_attempts: 64,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss,
@@ -116,13 +116,16 @@ fn fixed_spec(server_loss: LossSpec) -> TransportSpec {
 
 fn cc_spec(server_loss: LossSpec) -> TransportSpec {
     TransportSpec::CcUdp {
-        cfg: CcUdpConfig {
-            min_rto: FIXED_RTO, // same floor as the fixed path: a clean
-            // network costs ccudp nothing extra
-            init_rto: Duration::from_millis(10),
-            max_rto: Duration::from_millis(200),
+        cfg: DatagramConfig {
             max_attempts: 16,
-            ..CcUdpConfig::default()
+            policy: AdaptiveConfig {
+                min_rto: FIXED_RTO, // same floor as the fixed path: a clean
+                // network costs ccudp nothing extra
+                init_rto: Duration::from_millis(10),
+                max_rto: Duration::from_millis(200),
+                ..AdaptiveConfig::default()
+            },
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss,

@@ -26,7 +26,9 @@
 use crate::Scale;
 use rand::Rng;
 use roar_cluster::SchedOpts;
-use roar_cluster::{spawn_cluster, ClusterConfig, LossSpec, QueryBody, TransportSpec, UdpConfig};
+use roar_cluster::{
+    spawn_cluster, ClusterConfig, DatagramConfig, FixedRto, LossSpec, QueryBody, TransportSpec,
+};
 use roar_util::{det_rng, percentile};
 use std::time::{Duration, Instant};
 
@@ -67,8 +69,8 @@ pub struct BenchIncast {
 
 fn udp_spec(rto: Duration, jitter: f64, server_loss: LossSpec) -> TransportSpec {
     TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto,
+        cfg: DatagramConfig {
+            policy: FixedRto { rto },
             // liveness budget: never mistake a min-RTO stall for a dead
             // node (acks reset the counter either way)
             max_attempts: 64,
@@ -76,7 +78,7 @@ fn udp_spec(rto: Duration, jitter: f64, server_loss: LossSpec) -> TransportSpec 
             // the simulated-TCP mode pins 0 — a kernel's min-RTO timer
             // does not jitter, and neither may its stand-in
             jitter,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss,

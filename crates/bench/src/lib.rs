@@ -3,8 +3,8 @@
 //!
 //! Every experiment is a function from a [`Scale`] (full or quick) to a
 //! [`roar_util::Report`]; the `repro` binary runs them by id and saves the
-//! rendered tables under `results/`. EXPERIMENTS.md records the measured
-//! numbers next to the paper's and discusses shape agreement.
+//! rendered tables under `results/`. The committed `BENCH_*.json`
+//! measurements are indexed in the README's *Benchmarks* section.
 
 #![forbid(unsafe_code)]
 

@@ -23,7 +23,8 @@ use crate::Scale;
 use rand::Rng;
 use roar_cluster::harness::spawn_extra_node_with;
 use roar_cluster::{
-    connect_with, Backend, HedgePolicy, LossSpec, QueryBody, SchedOpts, TransportSpec, UdpConfig,
+    connect_with, Backend, DatagramConfig, FixedRto, HedgePolicy, LossSpec, QueryBody, SchedOpts,
+    TransportSpec,
 };
 use roar_util::{det_rng, percentile};
 use std::time::{Duration, Instant};
@@ -73,10 +74,12 @@ pub struct BenchTail {
 /// response-loss policy (the straggler drops every first reply).
 fn node_spec(server_loss: LossSpec) -> TransportSpec {
     TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto: Duration::from_millis(5),
+        cfg: DatagramConfig {
+            policy: FixedRto {
+                rto: Duration::from_millis(5),
+            },
             max_attempts: 200,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss,
@@ -86,10 +89,10 @@ fn node_spec(server_loss: LossSpec) -> TransportSpec {
 /// The front-end's UDP spec: the re-poll timer IS the straggler stall.
 fn frontend_spec() -> TransportSpec {
     TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto: CLIENT_RTO,
+        cfg: DatagramConfig {
+            policy: FixedRto { rto: CLIENT_RTO },
             max_attempts: 200,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss: LossSpec::None,

@@ -1,13 +1,13 @@
 //! In-process cluster harness: spawn `n` data nodes on loopback plus a
 //! connected front-end — the one-machine stand-in for the thesis's Hen
-//! testbed (DESIGN.md substitution). Heterogeneity comes from per-node
-//! synthetic speeds; everything else (framing, scheduling, failover,
-//! reconfiguration) is the real networked code path.
+//! testbed. Heterogeneity comes from per-node synthetic speeds; everything
+//! else (framing, scheduling, failover, reconfiguration) is the real
+//! networked code path.
 //!
 //! The transport is part of the configuration
 //! ([`ClusterConfig::transport`]): the same harness runs over TCP framing,
-//! the §4.8.4 UDP datagram path or the congestion-controlled `ccudp`
-//! path, and the tests below run every scenario under all three (see the
+//! the §4.8.4 datagram endpoint under either congestion policy (`udp`,
+//! `ccudp`), and the tests below run every scenario under all three (see the
 //! `per_transport!` macro) — the point of the [`crate::transport`] trait
 //! boundary. The front-end comes back as the
 //! typed handle pair: [`ClusterHandle::client`] for queries,
@@ -199,7 +199,7 @@ mod tests {
     use crate::frontend::SchedOpts;
     use crate::proto::QueryBody;
     use crate::reconcile::{DesiredTopology, Reconciler};
-    use crate::transport::{CcUdpConfig, LossSpec, RpcError, UdpConfig};
+    use crate::transport::{AdaptiveConfig, DatagramConfig, FixedRto, LossSpec, RpcError};
     use rand::Rng;
     use roar_util::det_rng;
     use std::time::Duration;
@@ -209,10 +209,12 @@ mod tests {
     /// machines do not false-positive the dead-peer detector.
     fn udp_spec() -> TransportSpec {
         TransportSpec::Udp {
-            cfg: UdpConfig {
-                rto: Duration::from_millis(10),
+            cfg: DatagramConfig {
+                policy: FixedRto {
+                    rto: Duration::from_millis(10),
+                },
                 max_attempts: 50,
-                ..UdpConfig::default()
+                ..DatagramConfig::default()
             },
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,
@@ -229,12 +231,15 @@ mod tests {
     /// the backoff path.
     fn ccudp_spec() -> TransportSpec {
         TransportSpec::CcUdp {
-            cfg: CcUdpConfig {
-                min_rto: Duration::from_millis(10),
-                init_rto: Duration::from_millis(20),
-                max_rto: Duration::from_millis(50),
+            cfg: DatagramConfig {
                 max_attempts: 8,
-                ..CcUdpConfig::default()
+                policy: AdaptiveConfig {
+                    min_rto: Duration::from_millis(10),
+                    init_rto: Duration::from_millis(20),
+                    max_rto: Duration::from_millis(50),
+                    ..AdaptiveConfig::default()
+                },
+                ..DatagramConfig::default()
             },
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,

@@ -39,20 +39,21 @@
 //!   idiom with a hand-rolled tagged codec; correlation ids multiplex
 //!   requests per connection, and per-sub-query application timers provide
 //!   the failure detection that matters for §4.4 failover.
-//! * **UDP** ([`transport::udp`]) — the thesis's §4.8.4 prescription for
-//!   TCP incast: application-level acknowledgements, millisecond
+//! * **UDP** ([`transport::datagram`]) — the thesis's §4.8.4 prescription
+//!   for TCP incast: application-level acknowledgements, millisecond
 //!   retransmission timers (instead of TCP's 200 ms+ min-RTO, ±jittered so
 //!   incast retries de-synchronize), at-most-once request execution, and
 //!   chunked reassembly for replies larger than one datagram — with
 //!   deterministic loss injection so the recovery paths are exercised on
 //!   loopback, where real loss never happens.
-//! * **ccudp** ([`transport::ccudp`]) — the same datagram protocol under
-//!   congestion control, answering §4.8.4's "avoid congestion collapse in
-//!   pathological cases" caveat: per-peer RFC 6298-style SRTT/RTTVAR
-//!   driving an adaptive RTO with exponential backoff, a CCID2-flavored
-//!   AIMD in-flight window, and token-paced sends. Collapse itself is
-//!   reproducible via [`transport::CrossTrafficSpec`], a shared bottleneck
-//!   queue with competing background flows (`repro bench_congestion`).
+//! * **ccudp** — the same endpoint under the [`transport::Adaptive`]
+//!   congestion policy ([`transport::congestion`]), answering §4.8.4's
+//!   "avoid congestion collapse in pathological cases" caveat: per-peer
+//!   RFC 6298-style SRTT/RTTVAR driving an adaptive RTO with exponential
+//!   backoff, a CCID2-flavored AIMD in-flight window, and token-paced
+//!   sends. Collapse itself is reproducible via
+//!   [`transport::CrossTrafficSpec`], a shared bottleneck queue with
+//!   competing background flows (`repro bench_congestion`).
 //!
 //! Two query execution modes keep experiments honest *and* fast:
 //! * **PPS** — real encrypted matching against the node's
@@ -89,7 +90,7 @@ pub use proto::{read_frame, write_frame, Frame, Msg, QueryBody, WireTrapdoor};
 pub use reconcile::{DesiredTopology, ObservedTopology, Plan, Reconciler, Step};
 pub use roar_crypto::sha1::Backend;
 pub use transport::{
-    AimdWindow, CcUdpConfig, CcUdpEndpoint, CrossTrafficSpec, LossPolicy, LossSpec, NetGate,
-    NodeConn, NodeLink, Pacer, RequestError, RpcError, RttEstimator, SharedBottleneck, Transport,
-    TransportSpec, UdpConfig, UdpEndpoint,
+    Adaptive, AdaptiveConfig, AimdWindow, CongestionPolicy, CrossTrafficSpec, DatagramConfig,
+    DatagramEndpoint, FixedRto, LossPolicy, LossSpec, NetGate, NodeConn, NodeLink, Pacer,
+    RequestError, RpcError, RttEstimator, SharedBottleneck, Transport, TransportSpec,
 };

@@ -14,7 +14,7 @@
 //!   persistent connection per node (the front-end keeps a
 //!   pending-response map, §4.8's outstanding-query table);
 //! * over UDP, the encoded bytes are split into numbered datagram
-//!   fragments and reassembled by [`crate::transport::udp`] (correlation
+//!   fragments and reassembled by [`crate::transport::datagram`] (correlation
 //!   and retransmission live in that module's datagram header instead).
 
 use tokio::io::{AsyncReadExt, AsyncWriteExt};

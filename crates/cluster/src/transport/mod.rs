@@ -13,19 +13,20 @@
 //! * [`BoundServer`] — a bound endpoint that can run a serve loop,
 //!   dispatching inbound messages to a [`Handler`] until shutdown.
 //!
-//! Three implementations exist:
+//! Two implementations exist, selectable three ways:
 //!
 //! * [`tcp`] — length-prefixed frames over persistent TCP connections
 //!   (the seed path): correlation ids multiplex requests over one stream.
-//! * [`udp`] — the §4.8.4 datagram path: application-level
-//!   acknowledgements, millisecond retransmission timers (±jittered),
-//!   at-most-once execution and chunked replies for payloads larger than
-//!   one datagram.
-//! * [`ccudp`] — the same datagram protocol under congestion control:
-//!   per-peer RFC 6298-style adaptive RTO with exponential backoff, a
-//!   CCID2-flavored AIMD in-flight window and token-paced sends — the
-//!   answer to §4.8.4's "avoid congestion collapse in pathological cases"
-//!   caveat.
+//! * [`datagram`] — the §4.8.4 datagram path, one endpoint:
+//!   application-level acknowledgements, millisecond retransmission
+//!   timers (±jittered), at-most-once execution and chunked replies for
+//!   payloads larger than one datagram. Its [`CongestionPolicy`]
+//!   ([`congestion`]) decides what the sender does about the path:
+//!   [`FixedRto`] (`"udp"`) is the thesis's constant timer; [`Adaptive`]
+//!   (`"ccudp"`) adds a per-peer RFC 6298-style adaptive RTO with
+//!   exponential backoff, a CCID2-flavored AIMD in-flight window and
+//!   token-paced sends — the answer to §4.8.4's "avoid congestion
+//!   collapse in pathological cases" caveat.
 //!
 //! Selection is data, not code: [`TransportSpec`] is a cloneable
 //! description that the harness threads through `ClusterConfig`, building
@@ -34,14 +35,16 @@
 //! with competing background flows, so congestion behaviour is actually
 //! reproducible on loopback.
 
-pub mod ccudp;
+pub mod congestion;
+pub mod datagram;
 pub mod tcp;
-pub mod udp;
 pub mod xtraffic;
 
-pub use ccudp::{AimdWindow, CcUdpConfig, CcUdpEndpoint, CcUdpTransport, Pacer, RttEstimator};
+pub use congestion::{
+    Adaptive, AdaptiveConfig, AimdWindow, CongestionPolicy, FixedRto, Pacer, RttEstimator,
+};
+pub use datagram::{DatagramConfig, DatagramEndpoint, DatagramTransport, LossPolicy, RequestError};
 pub use tcp::{NodeConn, TcpTransport};
-pub use udp::{LossPolicy, RequestError, UdpConfig, UdpEndpoint, UdpTransport};
 pub use xtraffic::{CrossTrafficSpec, NetGate, SharedBottleneck};
 
 use crate::proto::Msg;
@@ -108,7 +111,7 @@ pub trait BoundServer: Send + Sync + 'static {
 
 /// A transport implementation: binds servers, connects links.
 pub trait Transport: Send + Sync + 'static {
-    /// Short name for reports and logs (`"tcp"` / `"udp"`).
+    /// Short name for reports and logs (`"tcp"` / `"udp"` / `"ccudp"`).
     fn name(&self) -> &'static str;
     /// Bind a server endpoint on `addr` (port 0 for ephemeral).
     fn bind<'a>(&'a self, addr: &'a str) -> BoxFuture<'a, std::io::Result<Box<dyn BoundServer>>>;
@@ -185,7 +188,7 @@ pub enum TransportSpec {
     /// Datagrams with app-level acks, fixed (jittered) retransmission
     /// timers and chunking — no congestion control.
     Udp {
-        cfg: UdpConfig,
+        cfg: DatagramConfig<FixedRto>,
         /// Loss applied to datagrams the *client* endpoint sends (requests).
         client_loss: LossSpec,
         /// Loss applied to datagrams each *server* endpoint sends (acks,
@@ -195,7 +198,7 @@ pub enum TransportSpec {
     /// Congestion-controlled datagrams: RTT-adaptive RTO with exponential
     /// backoff, AIMD in-flight window, token-paced sends.
     CcUdp {
-        cfg: CcUdpConfig,
+        cfg: DatagramConfig<AdaptiveConfig>,
         /// Loss applied to datagrams the *client* endpoint sends (requests).
         client_loss: LossSpec,
         /// Loss applied to datagrams each *server* endpoint sends (acks,
@@ -208,7 +211,7 @@ impl TransportSpec {
     /// UDP with default retransmission parameters and no loss injection.
     pub fn udp() -> Self {
         TransportSpec::Udp {
-            cfg: UdpConfig::default(),
+            cfg: DatagramConfig::default(),
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,
         }
@@ -218,7 +221,7 @@ impl TransportSpec {
     /// injection.
     pub fn ccudp() -> Self {
         TransportSpec::CcUdp {
-            cfg: CcUdpConfig::default(),
+            cfg: DatagramConfig::default(),
             client_loss: LossSpec::None,
             server_loss: LossSpec::None,
         }
@@ -250,7 +253,7 @@ impl TransportSpec {
                 cfg,
                 client_loss,
                 server_loss,
-            } => Arc::new(UdpTransport::new(
+            } => Arc::new(DatagramTransport::<FixedRto>::new(
                 *cfg,
                 client_loss.clone(),
                 server_loss.clone(),
@@ -259,7 +262,7 @@ impl TransportSpec {
                 cfg,
                 client_loss,
                 server_loss,
-            } => Arc::new(CcUdpTransport::new(
+            } => Arc::new(DatagramTransport::<Adaptive>::new(
                 *cfg,
                 client_loss.clone(),
                 server_loss.clone(),

@@ -5,7 +5,7 @@
 //! (§4.8's outstanding-query table); the server accepts connections and
 //! serves each frame concurrently, correlating replies by frame id. The
 //! §4.8.4 caveat lives here: a lost segment on this path stalls behind
-//! TCP's conservative minimum RTO, which is why [`super::udp`] exists.
+//! TCP's conservative minimum RTO, which is why [`super::datagram`] exists.
 
 use super::{BoundServer, BoxFuture, Handler, NodeLink, RpcError, Transport};
 use crate::proto::{read_frame, write_frame, Frame, Msg};

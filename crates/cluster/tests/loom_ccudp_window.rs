@@ -1,7 +1,7 @@
-//! Model-checked port of the ccUDP window-slot protocol
-//! (`src/transport/ccudp.rs`): `acquire_window`'s claim-under-the-lock
-//! discipline, the signal-not-transfer wakeup, `nudge_waiters` on the
-//! cancellation path, and `WindowGuard`'s RAII release.
+//! Model-checked port of the `Adaptive` policy's window-slot protocol
+//! (`src/transport/congestion.rs`): `Adaptive::admit`'s
+//! claim-under-the-lock discipline, the signal-not-transfer wakeup, the
+//! re-wake on the cancellation path, and `WindowGuard`'s RAII release.
 //!
 //! The property under check is **no stranded slot**: a wake is only a
 //! permission to retry — the slot itself is claimed under the lock by a
@@ -52,8 +52,7 @@ fn wake_admissible(w: &mut Win) -> bool {
     false
 }
 
-/// `WindowGuard`: dropping it releases the slot and wakes the queue
-/// (`release_window`).
+/// `WindowGuard`: dropping it releases the slot and wakes the queue.
 struct Guard {
     win: Arc<Window>,
 }
@@ -78,7 +77,7 @@ fn nudge_waiters(win: &Window) {
     }
 }
 
-/// The post-queue half of `acquire_window` for waiter `me`: wait for the
+/// The post-queue half of `Adaptive::admit` for waiter `me`: wait for the
 /// wakeup, maybe get cancelled (deadline fired between wake and claim),
 /// else claim the slot under the lock. Returns whether a slot was
 /// acquired (and then released via the guard's Drop).

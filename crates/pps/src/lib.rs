@@ -34,7 +34,7 @@
 //!   pool drains resident sub-queries through shared PRF lane sweeps
 //!   packed across queries, over zero-copy `Arc` corpus snapshots.
 //! * [`simdisk`] — a rate-limited byte source standing in for the 66 MB/s
-//!   sequential disk of the paper's Dell 1950 (DESIGN.md substitution).
+//!   sequential disk of the paper's Dell 1950.
 //! * [`bandwidth`] — the §5.3.1 analytic bandwidth model behind Fig 5.1.
 
 pub mod bandwidth;

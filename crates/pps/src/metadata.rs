@@ -290,7 +290,7 @@ mod tests {
         let mut rng = det_rng(156);
         let m = enc.encrypt(&mut rng, &file());
         // paper budgets ~500 B/record; our 300-word filter at 1e-5 is ~900 B
-        // (documented in EXPERIMENTS.md — we index every reference point)
+        // (we index every reference point)
         assert!(
             m.size_bytes() > 300 && m.size_bytes() < 1500,
             "{} bytes",

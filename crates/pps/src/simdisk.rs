@@ -1,4 +1,4 @@
-//! Rate-limited byte source — the simulated disk (DESIGN.md substitution).
+//! Rate-limited byte source — the simulated disk.
 //!
 //! The paper's disk-bound experiments stream metadata from a sequential
 //! read at ~66 MB/s (75% of the drive's 85 MB/s raw speed, §5.7). We model

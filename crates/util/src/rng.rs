@@ -1,7 +1,7 @@
 //! Deterministic RNG construction.
 //!
-//! Every experiment in the reproduction harness is seeded so the tables in
-//! EXPERIMENTS.md are exactly re-derivable. We use `rand`'s `StdRng` seeded
+//! Every experiment in the reproduction harness is seeded so the tables
+//! `repro` renders under `results/` are exactly re-derivable. We use `rand`'s `StdRng` seeded
 //! from a 64-bit value expanded with SplitMix64 — the standard way to turn a
 //! small seed into a full 32-byte seed without bias.
 

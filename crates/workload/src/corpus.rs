@@ -12,8 +12,7 @@
 //!   real padded record, and the per-probe PRF cost is identical. The
 //!   paper's scaling queries deliberately match zero records (§5.7 "we ran
 //!   our tests using queries that did not match any metadata"), so miss-path
-//!   behaviour is exactly what the experiments measure. Recorded as a
-//!   substitution in DESIGN.md.
+//!   behaviour is exactly what the experiments measure.
 
 use rand::Rng;
 use roar_crypto::bloom::{BloomFilter, BloomParams};

@@ -5,7 +5,7 @@
 //! server models (Table 7.1) and data-center load traces with 2–4× diurnal
 //! swings (§4.9.1). None of those artifacts are available, so this crate
 //! generates the closest synthetic equivalents; every generator is seeded
-//! and deterministic so EXPERIMENTS.md numbers are reproducible.
+//! and deterministic so the numbers `repro` reports are reproducible.
 //!
 //! Two load-side entry points matter for capacity work:
 //!

@@ -11,8 +11,8 @@
 
 use rand::Rng;
 use roar::cluster::{
-    spawn_cluster, CcUdpConfig, ClusterConfig, CrossTrafficSpec, LossSpec, QueryBody, SchedOpts,
-    TransportSpec, UdpConfig,
+    spawn_cluster, ClusterConfig, CrossTrafficSpec, DatagramConfig, FixedRto, LossSpec, QueryBody,
+    SchedOpts, TransportSpec,
 };
 use roar::util::det_rng;
 use std::time::{Duration, Instant};
@@ -71,17 +71,19 @@ async fn main() {
         CROSS_FRAC * 100.0
     );
     run_one("udp_fixed_rto", |loss| TransportSpec::Udp {
-        cfg: UdpConfig {
-            rto: Duration::from_millis(5),
+        cfg: DatagramConfig {
+            policy: FixedRto {
+                rto: Duration::from_millis(5),
+            },
             max_attempts: 64,
-            ..UdpConfig::default()
+            ..DatagramConfig::default()
         },
         client_loss: LossSpec::None,
         server_loss: loss,
     })
     .await;
     run_one("ccudp", |loss| TransportSpec::CcUdp {
-        cfg: CcUdpConfig::default(),
+        cfg: DatagramConfig::default(),
         client_loss: LossSpec::None,
         server_loss: loss,
     })

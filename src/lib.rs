@@ -48,8 +48,8 @@
 //! ```
 //!
 //! See `examples/` for PPS search, elastic repartitioning, failure handling
-//! and heterogeneous scheduling, and DESIGN.md / EXPERIMENTS.md for the
-//! paper-reproduction index.
+//! and heterogeneous scheduling, `docs/architecture.md` for the crate map
+//! and the README's *Benchmarks* section for the committed measurements.
 
 pub use roar_cluster as cluster;
 pub use roar_core as core;
