@@ -1,515 +1,269 @@
-//! `repro` — regenerate any table or figure of the ROAR evaluation.
+//! `repro` — regenerate any table or figure of the ROAR evaluation, and
+//! every committed `BENCH_*.json`.
 //!
 //! Usage:
-//!   repro list                     list experiment ids
-//!   repro `<id>` ...                 run specific experiments (e.g. fig6_1)
-//!   repro all                      run everything
-//!   repro bench_pps [--append N] [--backend scalar|sse2|avx2|auto]
-//!                                  scalar-vs-batched matching baseline;
-//!                                  with --append, add a PR-N entry to the
-//!                                  BENCH_pps.json trajectory; --backend pins
-//!                                  the batched path's SHA-1 lane engine
-//!   repro bench_pps_backends       batched throughput per available SHA-1
-//!                                  backend → results/bench_pps_backends.txt
-//!   repro check_pps_trajectory     CI gate: fail on > 20% regression
-//!                                  between consecutive BENCH_pps.json entries
-//!   repro bench_incast             §4.8.4 incast comparison → BENCH_incast.json
-//!   repro bench_tail               hedged vs unhedged tail latency under a
-//!                                  deterministic straggler → BENCH_tail.json;
-//!                                  exits non-zero if hedged p99 > unhedged
-//!   repro bench_congestion         fixed-RTO UDP vs ccudp under ramped
-//!                                  cross traffic → BENCH_congestion.json;
-//!                                  exits non-zero if ccudp loses on p99 or
-//!                                  goodput at the top of the ramp
-//!   repro bench_churn [--scenario S] [--transport T]
-//!                                  reconciler convergence under churn
-//!                                  (rolling restart / flash crowd / rack
-//!                                  failure × tcp/udp/ccudp) → BENCH_churn.json;
-//!                                  exits non-zero if any cell fails to
-//!                                  converge or rolling restart drops the
-//!                                  harvest floor; the flags select one
-//!                                  cell (CI's chaos-smoke invocation)
-//!   repro bench_scale [--transport T]
-//!                                  queries/s and tail latency vs cluster
-//!                                  size {16,64,128,512} per transport on
-//!                                  the reactor runtime → BENCH_scale.json;
-//!                                  exits non-zero if harvest slips or
-//!                                  512-node throughput is under 4x the
-//!                                  16-node figure on every transport; the
-//!                                  flag selects one transport column
-//!                                  (CI's scale-smoke invocation)
-//!   repro bench_node_concurrency   cross-query batched node execution vs
-//!                                  thread-per-query clone-under-lock
-//!                                  baseline at 1/8/64 resident sub-queries
-//!                                  per backend → BENCH_node_concurrency.json;
-//!                                  exits non-zero if 64-query throughput
-//!                                  falls below 1-query throughput, or (full
-//!                                  scale) if batched beats baseline by
-//!                                  < 1.5x at 64 resident
-//!   repro bench_capacity [--transport T]
-//!                                  open-loop capacity sweep (Poisson
-//!                                  arrivals past saturation, per
-//!                                  transport) plus SLO admission control
-//!                                  at 2x the knee → BENCH_capacity.json;
-//!                                  exits non-zero if the admission door
-//!                                  loses to the bare cluster on overload
-//!                                  p99, trades harvest, or (full scale)
-//!                                  misses the SLO while the baseline
-//!                                  blows past 3x; the flag selects one
-//!                                  transport column (CI's smoke
-//!                                  invocation)
-//!   repro check_bench_schema       CI gate: every committed BENCH_*.json
-//!                                  parses and carries its required fields
-//!   repro --quick <...>            reduced workloads (smoke/CI)
+//!   repro list                     list experiment ids and benches
+//!   repro `<name>` ...               run specific experiments (e.g. fig6_1)
+//!                                  and/or benches (e.g. bench_tail)
+//!   repro all                      run every paper experiment
+//!   repro benches                  run every row of the bench table —
+//!                                  the one command that regenerates every
+//!                                  BENCH_*.json and then checks them
+//!   --quick                        reduced workloads (smoke/CI); leaves
+//!                                  committed artifacts untouched
+//!   --scenario S / --transport T   run one slice of a bench's matrix
+//!                                  (bench_churn; bench_churn, bench_scale,
+//!                                  bench_capacity) — CI's smoke legs
+//!   --backend scalar|sse2|avx2|auto
+//!                                  pin bench_pps' batched path to one SHA-1
+//!                                  lane engine
+//!   --append N                     add bench_pps' measurement to the
+//!                                  BENCH_pps.json trajectory as PR N's entry
 //!
-//! Rendered reports are printed and saved under `results/<id>.txt`.
+//! Paper experiments print their report and save it under
+//! `results/<id>.txt`. A bench prints its JSON document on stdout and one
+//! verdict line on stderr; the [`benches`] table says what each measures,
+//! which artifact a full, unsliced run rewrites, and which gate makes the
+//! process exit non-zero (after the remaining rows have run).
 
-use roar_bench::{registry, trajectory, Scale};
+use roar_bench::{
+    capacity, churn, congestion, incast, node_concurrency, pps_bench, registry, scale, schema,
+    tail, trajectory, ungated, Filters, Scale,
+};
 use roar_crypto::sha1::Backend;
+use roar_util::Json;
 use std::path::Path;
 
-const PPS_TRAJECTORY: &str = "BENCH_pps.json";
-
-fn bench_pps(scale: Scale, append_pr: Option<u32>, backend: Option<Backend>) {
-    if append_pr.is_some() && scale == Scale::Quick {
-        // a quick-workload measurement is not comparable to the full-scale
-        // entries the regression gate diffs; appending one would either
-        // trip the gate forever or silently re-baseline it
-        eprintln!("bench_pps: --append requires a full run (drop --quick)");
-        std::process::exit(2);
-    }
-    if append_pr.is_some() && backend.is_some() {
-        // same incomparability as --quick: a pinned-backend entry (e.g.
-        // scalar at ~1/4 the auto throughput) sitting next to auto-backend
-        // entries would trip the >20% regression gate on the next CI run
-        eprintln!("bench_pps: --append measures the auto-detected backend (drop --backend)");
-        std::process::exit(2);
-    }
-    let backend = backend.unwrap_or_else(Backend::auto);
-    let b = roar_bench::pps_bench::run_with(scale, backend);
-    print!("{}", b.to_json());
-    eprintln!(
-        "bench_pps: scalar {:.0} rec/s, batched[{}] {:.0} rec/s, speedup {:.2}x",
-        b.scalar.records_per_s,
-        backend.name(),
-        b.batched.records_per_s,
-        b.speedup
-    );
-    if let Some(pr) = append_pr {
-        let entry = b.to_json_entry(pr);
-        let updated = match std::fs::read_to_string(PPS_TRAJECTORY) {
-            // a malformed trajectory is a hard error: the gate's history
-            // must never be silently replaced by a one-entry file
-            Ok(text) => trajectory::append_entry(&text, &entry).unwrap_or_else(|e| {
-                eprintln!("bench_pps: cannot append to {PPS_TRAJECTORY}: {e}");
-                std::process::exit(1);
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => trajectory::new_file(&entry),
-            Err(e) => {
-                eprintln!("bench_pps: cannot read {PPS_TRAJECTORY}: {e}");
-                std::process::exit(1);
-            }
-        };
-        std::fs::write(PPS_TRAJECTORY, updated).expect("write trajectory");
-        eprintln!("bench_pps: appended PR {pr} entry to {PPS_TRAJECTORY}");
-    }
+/// How a bench's document reaches a committed file.
+#[derive(Clone, Copy)]
+enum Artifact {
+    /// Rewritten by a full-scale run of the whole matrix; quick smokes and
+    /// sliced runs must not overwrite it with a partial document.
+    Snapshot(&'static str),
+    /// Grows by one entry per `--append <pr>`.
+    Trajectory(&'static str),
+    /// Nothing committed: a check over other rows' artifacts, or a table
+    /// under `results/`.
+    None,
 }
 
-fn bench_pps_backends(scale: Scale) {
-    let table = roar_bench::pps_bench::run_backends(scale);
-    let rendered = table.render();
-    print!("{rendered}");
-    // the committed artifact is the full-scale run; a quick smoke must not
-    // overwrite it
-    if scale == Scale::Full {
-        std::fs::create_dir_all("results").expect("create results/");
-        std::fs::write("results/bench_pps_backends.txt", &rendered)
-            .expect("write results/bench_pps_backends.txt");
-        eprintln!("bench_pps_backends: wrote results/bench_pps_backends.txt");
-    } else {
-        eprintln!("bench_pps_backends: quick smoke, results/ left untouched");
-    }
+/// One row of the bench table.
+struct Bench {
+    name: &'static str,
+    artifact: Artifact,
+    /// What the row measures and what its gate enforces, in one line.
+    headline: &'static str,
+    run: fn(Scale, &Filters) -> Result<Json, String>,
+    gate: fn(&Json, Scale) -> Result<(), String>,
 }
 
-fn check_pps_trajectory() {
-    let text = std::fs::read_to_string(PPS_TRAJECTORY)
-        .unwrap_or_else(|e| panic!("read {PPS_TRAJECTORY}: {e}"));
-    match trajectory::check(&text) {
-        Ok(tp) => {
-            let per_pr: Vec<String> = tp.iter().map(|v| format!("{v:.0}")).collect();
-            eprintln!(
-                "check_pps_trajectory: {} entries ok (batched rec/s: {})",
-                tp.len(),
-                per_pr.join(" -> ")
-            );
+/// The bench table: measuring rows first, then the checks over what they
+/// wrote. README's *Benchmarks* table mirrors it row for row.
+fn benches() -> Vec<Bench> {
+    use Artifact::{Snapshot, Trajectory};
+    let row = |name, artifact, headline, run, gate| Bench {
+        name,
+        artifact,
+        headline,
+        run,
+        gate,
+    };
+    vec![
+        row(
+            "bench_pps",
+            Trajectory(trajectory::FILE),
+            "scalar vs batched PPS matching throughput (§5.7 setup); measures only",
+            pps_bench::run,
+            ungated,
+        ),
+        row(
+            "bench_pps_backends",
+            Artifact::None,
+            "batched throughput per available SHA-1 backend -> results/bench_pps_backends.txt",
+            pps_bench::run_backends,
+            ungated,
+        ),
+        row(
+            "bench_incast",
+            Snapshot("BENCH_incast.json"),
+            "UDP app-RTO vs TCP-min-RTO fan-in under synchronized reply loss (§4.8.4); measures only",
+            incast::run,
+            ungated,
+        ),
+        row(
+            "bench_tail",
+            Snapshot("BENCH_tail.json"),
+            "hedged vs unhedged tail under an invisible straggler; fails if hedged p99 > unhedged",
+            tail::run,
+            tail::gate,
+        ),
+        row(
+            "bench_congestion",
+            Snapshot("BENCH_congestion.json"),
+            "fixed-RTO UDP vs ccudp under ramped cross traffic; fails if ccudp loses on p99 or goodput at the top of the ramp",
+            congestion::run,
+            congestion::gate,
+        ),
+        row(
+            "bench_churn",
+            Snapshot("BENCH_churn.json"),
+            "reconciler under rolling restart / flash crowd / rack failure per transport; fails if a cell does not converge or rolling restart drops windowed harvest below 0.9",
+            churn::run,
+            churn::gate,
+        ),
+        row(
+            "bench_scale",
+            Snapshot("BENCH_scale.json"),
+            "closed-loop qps and tails at 16..512 nodes per transport; fails if harvest slips or best scaling is under 4x (quick: 1.5x)",
+            scale::run,
+            scale::gate,
+        ),
+        row(
+            "bench_node_concurrency",
+            Snapshot("BENCH_node_concurrency.json"),
+            "cross-query batched node execution vs thread-per-query at 1/8/64 resident; fails if 64-resident < 1-resident throughput, or (full) < 1.5x the baseline",
+            node_concurrency::run,
+            node_concurrency::gate,
+        ),
+        row(
+            "bench_capacity",
+            Snapshot("BENCH_capacity.json"),
+            "open-loop capacity curve, knee, and SLO admission at 2x the knee per transport; fails if the door loses to the bare cluster or trades harvest, or (full) misses the SLO",
+            capacity::run,
+            capacity::gate,
+        ),
+        row(
+            "check_pps_trajectory",
+            Artifact::None,
+            "fails on a > 20% batched-throughput regression between consecutive BENCH_pps.json entries",
+            trajectory::read,
+            trajectory::gate,
+        ),
+        row(
+            "check_bench_schema",
+            Artifact::None,
+            "fails unless every BENCH_*.json here is strict JSON carrying its required keys",
+            schema::check_committed,
+            ungated,
+        ),
+    ]
+}
+
+/// Put `doc` where `row` keeps it; returns the note for the verdict line.
+fn persist(
+    row: &Bench,
+    doc: &Json,
+    full_matrix: bool,
+    append: Option<u32>,
+) -> Result<String, String> {
+    let write = |file: &str, doc: &Json| {
+        std::fs::write(file, doc.render()?).map_err(|e| format!("write {file}: {e}"))
+    };
+    match (row.artifact, append) {
+        (Artifact::Snapshot(file), _) if full_matrix => {
+            write(file, doc)?;
+            Ok(format!(" -> {file}"))
         }
-        Err(e) => {
-            eprintln!("check_pps_trajectory: FAIL — {e}");
-            std::process::exit(1);
+        (Artifact::Snapshot(file), _) => Ok(format!(" (partial/quick run: {file} left untouched)")),
+        (Artifact::Trajectory(file), Some(pr)) => {
+            let existing = match std::fs::read_to_string(file) {
+                Ok(text) => Some(text),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                Err(e) => return Err(format!("read {file}: {e}")),
+            };
+            write(file, &trajectory::append(existing.as_deref(), pr, doc)?)?;
+            Ok(format!(" -> appended PR {pr} entry to {file}"))
         }
+        _ => Ok(String::new()),
     }
 }
 
-fn bench_incast(scale: Scale) {
-    let b = roar_bench::incast::run(scale);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full-scale run; a quick smoke (CI's
-    // invocation) must not overwrite it
-    let wrote = if scale == Scale::Full {
-        std::fs::write("BENCH_incast.json", &json).expect("write BENCH_incast.json");
-        " -> BENCH_incast.json"
-    } else {
-        " (quick smoke: BENCH_incast.json left untouched)"
-    };
-    let mode = |name: &str| b.modes.iter().find(|m| m.name == name).expect("mode");
-    eprintln!(
-        "bench_incast: p99 udp {:.1} ms vs tcp-min-RTO {:.1} ms ({:.1}x){wrote}",
-        mode("udp_app_rto").p99_ms,
-        mode("tcp_min_rto_sim").p99_ms,
-        b.p99_speedup_udp_vs_tcp
-    );
+/// Run one row end to end: measure, print, persist, judge.
+fn run_bench(
+    row: &Bench,
+    scale: Scale,
+    filters: &Filters,
+    append: Option<u32>,
+) -> Result<String, String> {
+    let doc = (row.run)(scale, filters)?;
+    print!("{}", doc.render()?);
+    let full_matrix = scale == Scale::Full && *filters == Filters::default();
+    let note = persist(row, &doc, full_matrix, append)?;
+    (row.gate)(&doc, scale)?;
+    Ok(note)
 }
 
-fn bench_tail(scale: Scale) {
-    let b = roar_bench::tail::run(scale);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full-scale run; a quick smoke (CI's
-    // invocation) must not overwrite it
-    let wrote = if scale == Scale::Full {
-        std::fs::write("BENCH_tail.json", &json).expect("write BENCH_tail.json");
-        " -> BENCH_tail.json"
-    } else {
-        " (quick smoke: BENCH_tail.json left untouched)"
-    };
-    let mode = |name: &str| b.modes.iter().find(|m| m.name == name).expect("mode");
-    let (unhedged, hedged) = (mode("unhedged"), mode("hedged"));
-    eprintln!(
-        "bench_tail: p99 hedged {:.1} ms vs unhedged {:.1} ms ({:.1}x), \
-         fan-out overhead {:.1}%{wrote}",
-        hedged.p99_ms,
-        unhedged.p99_ms,
-        b.p99_speedup_hedged,
-        b.fanout_overhead * 100.0
-    );
-    // the CI gate: hedging must never make the tail worse
-    if hedged.p99_ms > unhedged.p99_ms {
-        eprintln!("bench_tail: FAIL — hedged p99 exceeds unhedged p99");
-        std::process::exit(1);
-    }
+/// The value after `flag`, if the flag is present.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let at = args.iter().position(|a| a == flag)?;
+    Some(
+        args.get(at + 1)
+            .unwrap_or_else(|| usage(&format!("{flag} needs a value"))),
+    )
 }
 
-fn bench_congestion(scale: Scale) {
-    let b = roar_bench::congestion::run(scale);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full-scale run; a quick smoke (CI's
-    // invocation) must not overwrite it
-    let wrote = if scale == Scale::Full {
-        std::fs::write("BENCH_congestion.json", &json).expect("write BENCH_congestion.json");
-        " -> BENCH_congestion.json"
-    } else {
-        " (quick smoke: BENCH_congestion.json left untouched)"
-    };
-    let fixed = b.top_point("udp_fixed_rto");
-    let cc = b.top_point("ccudp");
-    eprintln!(
-        "bench_congestion: at {:.0}% cross traffic — p99 ccudp {:.1} ms vs fixed-RTO {:.1} ms \
-         ({:.1}x), goodput {:.0} vs {:.0} rec/s ({:.1}x), harvest {:.2} vs {:.2}{wrote}",
-        fixed.cross_frac * 100.0,
-        cc.p99_ms,
-        fixed.p99_ms,
-        b.p99_speedup_ccudp_vs_fixed,
-        cc.goodput_records_per_s,
-        fixed.goodput_records_per_s,
-        b.goodput_ratio_ccudp_vs_fixed,
-        cc.mean_harvest,
-        fixed.mean_harvest,
-    );
-    // the CI gate: congestion control must win where it matters — under
-    // cross traffic, on both the tail and the goodput axis
-    if !b.ccudp_beats_fixed() {
-        eprintln!(
-            "bench_congestion: FAIL — ccudp must beat fixed-RTO p99 and sustain goodput \
-             under cross traffic"
-        );
-        std::process::exit(1);
-    }
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}; try `repro list`");
+    std::process::exit(2);
 }
 
-fn bench_churn(scale: Scale, scenario: Option<&str>, transport: Option<&str>) {
-    let b = roar_bench::churn::run_filtered(scale, scenario, transport);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full matrix at full scale; quick
-    // smokes and filtered cells (CI's chaos-smoke invocation) must not
-    // overwrite it with a partial document
-    let full_matrix = scenario.is_none() && transport.is_none();
-    let wrote = if scale == Scale::Full && full_matrix {
-        std::fs::write("BENCH_churn.json", &json).expect("write BENCH_churn.json");
-        " -> BENCH_churn.json"
-    } else {
-        " (partial/quick run: BENCH_churn.json left untouched)"
-    };
-    for t in &b.transports {
-        for s in &t.scenarios {
-            eprintln!(
-                "bench_churn: {}/{} — harvest floor {:.3} (target {:.2}), p99 {:.1} ms, \
-                 converged {} (n={}, p={})",
-                t.name,
-                s.scenario,
-                s.harvest_floor,
-                b.harvest_target,
-                s.p99_ms,
-                s.converged,
-                s.final_n,
-                s.final_p,
-            );
-        }
+/// `--scenario` / `--transport`: the value, checked against the axis' names.
+fn axis(args: &[String], flag: &str, names: &[&str]) -> Option<String> {
+    let value = flag_value(args, flag)?;
+    if !names.contains(&value) {
+        usage(&format!(
+            "{flag} {value:?} not recognised ({})",
+            names.join("|")
+        ));
     }
-    eprintln!("bench_churn: done{wrote}");
-    // the CI gate: every cell converges, and cycling the whole fleet
-    // under live load never drops the harvest floor
-    if !b.churn_holds_harvest() {
-        eprintln!(
-            "bench_churn: FAIL — a cell failed to converge or rolling restart \
-             dropped windowed harvest below {:.2}",
-            b.harvest_target
-        );
-        std::process::exit(1);
-    }
-}
-
-fn bench_node_concurrency(scale: Scale) {
-    let b = roar_bench::node_concurrency::run(scale);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full-scale run; a quick smoke (CI's
-    // invocation) must not overwrite it
-    let wrote = if scale == Scale::Full {
-        std::fs::write("BENCH_node_concurrency.json", &json)
-            .expect("write BENCH_node_concurrency.json");
-        " -> BENCH_node_concurrency.json"
-    } else {
-        " (quick smoke: BENCH_node_concurrency.json left untouched)"
-    };
-    eprintln!(
-        "bench_node_concurrency: [{}] 64 resident — batched {:.0} rec/s vs baseline {:.0} rec/s \
-         ({:.2}x), 64q/1q batched scaling {:.2}x{wrote}",
-        b.best_backend,
-        b.backends
-            .iter()
-            .find(|r| r.backend.name() == b.best_backend)
-            .and_then(|r| r.points.last())
-            .map_or(0.0, |p| p.batched_rps),
-        b.backends
-            .iter()
-            .find(|r| r.backend.name() == b.best_backend)
-            .and_then(|r| r.points.last())
-            .map_or(0.0, |p| p.baseline_rps),
-        b.speedup_64,
-        b.batched_scaling_64_vs_1,
-    );
-    // the CI smoke gate: a loaded engine (64 resident sub-queries) must
-    // never yield less aggregate throughput than a single resident query
-    if !b.scales_with_residency() {
-        eprintln!(
-            "bench_node_concurrency: FAIL — 64-query batched throughput fell below the \
-             1-query rate ({:.2}x)",
-            b.batched_scaling_64_vs_1
-        );
-        std::process::exit(1);
-    }
-    // the full-scale acceptance floor: batching must beat the old
-    // thread-per-query clone-under-lock path by >= 1.5x at 64 resident
-    if scale == Scale::Full && !b.meets_speedup_floor() {
-        eprintln!(
-            "bench_node_concurrency: FAIL — batched/baseline speedup {:.2}x at 64 resident \
-             is below the 1.5x floor",
-            b.speedup_64
-        );
-        std::process::exit(1);
-    }
-}
-
-fn bench_scale(scale: Scale, transport: Option<&str>) {
-    let b = roar_bench::scale::run_filtered(scale, transport);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full matrix at full scale; quick
-    // smokes and single-transport columns (CI's scale-smoke invocation)
-    // must not overwrite it with a partial document
-    let wrote = if scale == Scale::Full && transport.is_none() {
-        std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
-        " -> BENCH_scale.json"
-    } else {
-        " (partial/quick run: BENCH_scale.json left untouched)"
-    };
-    for t in &b.transports {
-        for pt in &t.points {
-            eprintln!(
-                "bench_scale: {} n={} (p={}) — {:.1} q/s, p50 {:.1} ms, p99 {:.1} ms, \
-                 harvest {:.3}",
-                t.name, pt.nodes, pt.p, pt.qps, pt.p50_ms, pt.p99_ms, pt.mean_harvest,
-            );
-        }
-        eprintln!("bench_scale: {} scaling {:.2}x", t.name, t.scaling);
-    }
-    eprintln!("bench_scale: done{wrote}");
-    // the gate: exact harvest at every size, and throughput must grow
-    // with the fleet — 4x at full depth {16..512}, a looser floor for the
-    // quick {16,128} smoke on a shared CI core
-    let floor = match scale {
-        Scale::Full => roar_bench::scale::SCALING_FLOOR,
-        Scale::Quick => 1.5,
-    };
-    if !b.scaling_holds(floor) {
-        eprintln!(
-            "bench_scale: FAIL — harvest dropped below 1.0 or best scaling {:.2}x \
-             is under the {floor:.1}x floor",
-            b.best_scaling
-        );
-        std::process::exit(1);
-    }
-}
-
-fn bench_capacity(scale: Scale, transport: Option<&str>) {
-    let b = roar_bench::capacity::run_filtered(scale, transport);
-    let json = b.to_json();
-    print!("{json}");
-    // the committed artifact is the full matrix at full scale; quick
-    // smokes and single-transport columns must not overwrite it with a
-    // partial document
-    let wrote = if scale == Scale::Full && transport.is_none() {
-        std::fs::write("BENCH_capacity.json", &json).expect("write BENCH_capacity.json");
-        " -> BENCH_capacity.json"
-    } else {
-        " (partial/quick run: BENCH_capacity.json left untouched)"
-    };
-    for t in &b.transports {
-        for pt in &t.points {
-            eprintln!(
-                "bench_capacity: {} offered {:.0} q/s — goodput {:.0} q/s, p50 {:.1} ms, \
-                 p99 {:.1} ms, full-harvest {:.2}",
-                t.name, pt.offered_qps, pt.goodput_qps, pt.p50_ms, pt.p99_ms, pt.full_harvest_frac,
-            );
-        }
-        let a = &t.admission;
-        eprintln!(
-            "bench_capacity: {} knee {:.0} q/s; at {:.0} q/s — admitted p99 {:.1} ms \
-             (SLO {:.0} ms, yield {:.2}, min harvest {:.2}) vs bare p99 {:.1} ms",
-            t.name,
-            t.knee_qps,
-            a.offered_qps,
-            a.admitted_p99_ms,
-            b.slo_ms,
-            a.yield_frac,
-            a.admitted_min_harvest,
-            a.baseline_p99_ms,
-        );
-    }
-    eprintln!("bench_capacity: done{wrote}");
-    // the CI smoke gate: shedding at the door must beat the bare cluster
-    // on overload p99 and never cost an admitted query harvest
-    if !b.admission_beats_baseline() {
-        eprintln!(
-            "bench_capacity: FAIL — admission must shed, keep full harvest on admitted \
-             queries and beat the bare overload p99"
-        );
-        std::process::exit(1);
-    }
-    // the full-scale acceptance floor: admitted p99 within the SLO while
-    // the bare run blows past 3x, with graceful yield
-    if scale == Scale::Full && !b.slo_holds() {
-        eprintln!(
-            "bench_capacity: FAIL — admitted p99 must hold within the {:.0} ms SLO while \
-             the bare baseline exceeds {:.0}x it",
-            b.slo_ms,
-            roar_bench::capacity::BASELINE_BLOWUP
-        );
-        std::process::exit(1);
-    }
-}
-
-fn check_bench_schema() {
-    match roar_bench::schema::check_dir(std::path::Path::new(".")) {
-        Ok(checked) => {
-            eprintln!(
-                "check_bench_schema: {} artifact(s) ok ({})",
-                checked.len(),
-                checked.join(", ")
-            );
-        }
-        Err(e) => {
-            eprintln!("check_bench_schema: FAIL — {e}");
-            std::process::exit(1);
-        }
-    }
+    Some(value.to_string())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    let append_pr: Option<u32> = args.iter().position(|a| a == "--append").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--append needs a PR number")
+    let append: Option<u32> = flag_value(&args, "--append").map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| usage("--append needs a PR number"))
     });
-    // `None` = auto-detect; a pinned backend is rejected alongside --append
-    let backend: Option<Backend> = match args.iter().position(|a| a == "--backend") {
-        None => None,
-        Some(i) => {
-            let name = args.get(i + 1).expect("--backend needs a name").as_str();
-            if name == "auto" {
-                None
-            } else {
-                let b = Backend::from_name(name).unwrap_or_else(|| {
-                    eprintln!("--backend {name:?} not recognised (scalar|sse2|avx2|auto)");
-                    std::process::exit(2);
-                });
-                if !b.available() {
-                    eprintln!("--backend {name} is not available on this CPU");
-                    std::process::exit(2);
-                }
-                Some(b)
+    // `None` = auto-detect
+    let backend = flag_value(&args, "--backend")
+        .filter(|&name| name != "auto")
+        .map(|name| {
+            let b = Backend::from_name(name).unwrap_or_else(|| {
+                usage(&format!(
+                    "--backend {name:?} not recognised (scalar|sse2|avx2|auto)"
+                ))
+            });
+            if !b.available() {
+                usage(&format!("--backend {name} is not available on this CPU"));
             }
-        }
+            b
+        });
+    let filters = Filters {
+        scenario: axis(&args, "--scenario", &churn::SCENARIOS),
+        transport: axis(&args, "--transport", &roar_bench::driver::TRANSPORTS),
+        backend,
     };
-    let churn_scenario: Option<String> = args.iter().position(|a| a == "--scenario").map(|i| {
-        let s = args.get(i + 1).expect("--scenario needs a name").clone();
-        if !roar_bench::churn::SCENARIOS.contains(&s.as_str()) {
-            eprintln!(
-                "--scenario {s:?} not recognised ({})",
-                roar_bench::churn::SCENARIOS.join("|")
-            );
-            std::process::exit(2);
-        }
-        s
-    });
-    let churn_transport: Option<String> = args.iter().position(|a| a == "--transport").map(|i| {
-        let t = args.get(i + 1).expect("--transport needs a name").clone();
-        if !roar_bench::churn::TRANSPORTS.contains(&t.as_str()) {
-            eprintln!(
-                "--transport {t:?} not recognised ({})",
-                roar_bench::churn::TRANSPORTS.join("|")
-            );
-            std::process::exit(2);
-        }
-        t
-    });
+    // a quick-workload or pinned-backend measurement (e.g. scalar at ~1/4
+    // the auto throughput) is not comparable to the full-scale auto-backend
+    // entries the regression gate diffs; appending one would either trip
+    // the gate forever or silently re-baseline it
+    if append.is_some() && (quick || filters.backend.is_some()) {
+        usage(
+            "--append records a full run on the auto-detected backend (drop --quick / --backend)",
+        );
+    }
     let value_flags = ["--append", "--backend", "--scenario", "--transport"];
-    let wanted: Vec<&String> = args
+    let wanted: Vec<&str> = args
         .iter()
         .enumerate()
-        .filter(|(i, a)| {
-            a.as_str() != "--quick"
-                && !value_flags.contains(&a.as_str())
-                && !matches!(args.get(i.wrapping_sub(1)),
-                             Some(prev) if value_flags.contains(&prev.as_str()))
+        .filter(|&(i, a)| {
+            let follows_flag = i > 0 && value_flags.contains(&args[i - 1].as_str());
+            a != "--quick" && !value_flags.contains(&a.as_str()) && !follows_flag
         })
-        .map(|(_, a)| a)
+        .map(|(_, a)| a.as_str())
         .collect();
 
     if wanted.is_empty() || wanted[0] == "list" {
@@ -518,85 +272,126 @@ fn main() {
         for e in registry() {
             println!("{:<10} {:<10} {}", e.id, e.paper_ref, e.title);
         }
+        println!("\n{:<23} measures / enforces", "bench");
+        println!("{}", "-".repeat(70));
+        for b in benches() {
+            println!("{:<23} {}", b.name, b.headline);
+        }
         println!(
-            "\nrun: repro <id> | repro all [--quick] \
-             | repro bench_pps [--append N] [--backend scalar|sse2|avx2|auto] \
-             | repro bench_pps_backends | repro check_pps_trajectory \
-             | repro bench_incast | repro bench_tail | repro bench_congestion \
-             | repro bench_churn [--scenario S] [--transport T] \
-             | repro bench_scale [--transport T] \
-             | repro bench_capacity [--transport T] \
-             | repro bench_node_concurrency | repro check_bench_schema"
+            "\nrun: repro <id|bench> ... | repro all | repro benches   \
+             [--quick] [--scenario S] [--transport T] [--backend B] [--append N]"
         );
         return;
     }
 
+    // the same lookup serves both tables: a name selects its row,
+    // `benches` every bench row, `all` every paper experiment
     let mut ran = 0usize;
-    if wanted.iter().any(|w| w.as_str() == "bench_pps") {
-        bench_pps(scale, append_pr, backend);
+    let mut failed: Vec<&str> = Vec::new();
+    for row in benches() {
+        if !wanted.iter().any(|&w| w == row.name || w == "benches") {
+            continue;
+        }
         ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_pps_backends") {
-        bench_pps_backends(scale);
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "check_pps_trajectory") {
-        check_pps_trajectory();
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_incast") {
-        bench_incast(scale);
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_tail") {
-        bench_tail(scale);
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_congestion") {
-        bench_congestion(scale);
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_churn") {
-        bench_churn(scale, churn_scenario.as_deref(), churn_transport.as_deref());
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_capacity") {
-        bench_capacity(scale, churn_transport.as_deref());
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "bench_scale") {
-        bench_scale(scale, churn_transport.as_deref());
-        ran += 1;
-    }
-    if wanted
-        .iter()
-        .any(|w| w.as_str() == "bench_node_concurrency")
-    {
-        bench_node_concurrency(scale);
-        ran += 1;
-    }
-    if wanted.iter().any(|w| w.as_str() == "check_bench_schema") {
-        check_bench_schema();
-        ran += 1;
-    }
-
-    let run_all = wanted.iter().any(|w| w.as_str() == "all");
-    let results_dir = Path::new("results");
-    for e in registry() {
-        if run_all || wanted.iter().any(|w| w.as_str() == e.id) {
-            eprintln!(">>> {} ({}) — {}", e.id, e.paper_ref, e.title);
-            let t0 = std::time::Instant::now();
-            let report = (e.run)(scale);
-            report
-                .save_and_print(results_dir, e.id)
-                .expect("write result");
-            eprintln!("<<< {} done in {:.1}s\n", e.id, t0.elapsed().as_secs_f64());
-            ran += 1;
+        let t0 = std::time::Instant::now();
+        match run_bench(&row, scale, &filters, append) {
+            Ok(note) => {
+                let took = t0.elapsed().as_secs_f64();
+                eprintln!("{}: ok in {took:.1}s{note}", row.name);
+            }
+            Err(why) => {
+                eprintln!("{}: FAIL — {why} [{}]", row.name, row.headline);
+                failed.push(row.name);
+            }
         }
     }
+    for e in registry() {
+        if !wanted.iter().any(|&w| w == e.id || w == "all") {
+            continue;
+        }
+        ran += 1;
+        eprintln!(">>> {} ({}) — {}", e.id, e.paper_ref, e.title);
+        let t0 = std::time::Instant::now();
+        let report = (e.run)(scale);
+        report
+            .save_and_print(Path::new("results"), e.id)
+            .expect("write result");
+        eprintln!("<<< {} done in {:.1}s\n", e.id, t0.elapsed().as_secs_f64());
+    }
     if ran == 0 {
-        eprintln!("no experiment matched {wanted:?}; try `repro list`");
-        std::process::exit(2);
+        usage(&format!("no experiment or bench matched {wanted:?}"));
+    }
+    if !failed.is_empty() {
+        eprintln!("{ran} run, FAILED: {}", failed.join(", "));
+        std::process::exit(1);
     }
     eprintln!("{ran} experiment(s) done");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn workspace_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .canonicalize()
+            .expect("workspace root")
+    }
+
+    /// Every row, run for real at quick scale on the one-cell slice CI's
+    /// smoke legs use, renders and satisfies its own artifact's schema.
+    #[test]
+    fn every_row_renders_a_document_its_schema_accepts() {
+        // the check rows read the committed artifacts relative to the
+        // working directory (this is the only test here that depends on it)
+        std::env::set_current_dir(workspace_root()).expect("chdir to workspace root");
+        let slice = Filters {
+            scenario: Some("rolling_restart".into()),
+            transport: Some("tcp".into()),
+            backend: None,
+        };
+        for row in benches() {
+            let doc =
+                (row.run)(Scale::Quick, &slice).unwrap_or_else(|e| panic!("{}: {e}", row.name));
+            let (file, doc) = match row.artifact {
+                Artifact::Snapshot(file) => (file, doc),
+                // a trajectory row's document is one entry of its file
+                Artifact::Trajectory(file) => {
+                    (file, trajectory::append(None, 0, &doc).expect("entry"))
+                }
+                Artifact::None => ("", doc),
+            };
+            let text = doc.render().unwrap_or_else(|e| panic!("{}: {e}", row.name));
+            schema::check_artifact(file, &text).unwrap_or_else(|e| panic!("{}: {e}", row.name));
+            assert_eq!(Json::parse(&text).as_ref(), Ok(&doc), "{}", row.name);
+            // a quick smoke never writes, whatever the row
+            assert!(
+                !persist(&row, &doc, false, None)
+                    .expect("persist")
+                    .contains("->"),
+                "{}",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn readme_benchmarks_table_matches_the_bench_table() {
+        let readme = std::fs::read_to_string(workspace_root().join("README.md")).expect("README");
+        for row in benches() {
+            let artifact = match row.artifact {
+                Artifact::Snapshot(file) | Artifact::Trajectory(file) => file,
+                Artifact::None => "—",
+            };
+            let line = format!("| `repro {}` | `{artifact}` |", row.name).replace("`—`", "—");
+            assert!(readme.contains(&line), "README lacks the row {line:?}");
+        }
+        let names: Vec<&str> = benches().iter().map(|b| b.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "bench names are unique");
+        assert!(registry().iter().all(|e| !names.contains(&e.id)));
+    }
 }

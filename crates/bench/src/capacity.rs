@@ -23,13 +23,13 @@
 //! sweep point gets a **fresh cluster** — backlog must not leak between
 //! points.
 
-use crate::Scale;
-use rand::Rng;
+use crate::driver::{block_on, synthetic_ids, transport_by_name};
+use crate::{number, Filters, Scale};
 use roar_cluster::{
-    spawn_cluster, AdaptiveConfig, AdmissionController, ClusterConfig, ClusterHandle,
-    DatagramConfig, FixedRto, LossSpec, QueryBody, SloConfig, TransportSpec,
+    spawn_cluster, AdmissionController, ClusterConfig, ClusterHandle, QueryBody, SloConfig,
+    TransportSpec,
 };
-use roar_util::{det_rng, percentile};
+use roar_util::{Json, Summary};
 use roar_workload::OpenLoopGen;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,118 +47,6 @@ pub const OVERLOAD_FACTOR: f64 = 2.0;
 /// Full-scale gate: the bare cluster's overload p99 must exceed this many
 /// multiples of the SLO (the admission run must stay within 1×).
 pub const BASELINE_BLOWUP: f64 = 3.0;
-
-/// Transport names, in artifact order.
-pub const TRANSPORTS: [&str; 3] = ["tcp", "udp", "ccudp"];
-
-fn spec_by_name(name: &str) -> TransportSpec {
-    match name {
-        "tcp" => TransportSpec::Tcp,
-        // the same liveness budgets the harness suite runs under
-        "udp" => TransportSpec::Udp {
-            cfg: DatagramConfig {
-                policy: FixedRto {
-                    rto: Duration::from_millis(10),
-                },
-                max_attempts: 50,
-                ..DatagramConfig::default()
-            },
-            client_loss: LossSpec::None,
-            server_loss: LossSpec::None,
-        },
-        "ccudp" => TransportSpec::CcUdp {
-            cfg: DatagramConfig {
-                max_attempts: 8,
-                policy: AdaptiveConfig {
-                    min_rto: Duration::from_millis(10),
-                    init_rto: Duration::from_millis(20),
-                    max_rto: Duration::from_millis(50),
-                    ..AdaptiveConfig::default()
-                },
-                ..DatagramConfig::default()
-            },
-            client_loss: LossSpec::None,
-            server_loss: LossSpec::None,
-        },
-        other => panic!("unknown transport {other:?} (tcp|udp|ccudp)"),
-    }
-}
-
-/// One offered-load point on the capacity curve.
-#[derive(Debug, Clone)]
-pub struct LoadPoint {
-    /// Target offered arrival rate, queries/second.
-    pub offered_qps: f64,
-    /// Arrivals actually generated (Poisson draw).
-    pub arrivals: usize,
-    /// The Poisson realization's actual rate: `arrivals / duration` —
-    /// what the knee test compares goodput against.
-    pub realized_qps: f64,
-    /// Queries that completed with full harvest **inside the offered
-    /// window** (post-window backlog drain does not count).
-    pub completed_full: usize,
-    /// In-window full-harvest completions per second — the axis that
-    /// flatlines at capacity.
-    pub goodput_qps: f64,
-    /// Fraction of arrivals that eventually completed with full harvest
-    /// (any time, including the drain).
-    pub full_harvest_frac: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-}
-
-/// The bare-vs-admission overload comparison at ~2× the knee.
-#[derive(Debug, Clone)]
-pub struct AdmissionComparison {
-    /// Offered rate both runs were driven at, queries/second.
-    pub offered_qps: f64,
-    pub arrivals: usize,
-    /// End-to-end p50/p99 over **admitted** queries.
-    pub admitted_p50_ms: f64,
-    pub admitted_p99_ms: f64,
-    /// End-to-end p50/p99 of the bare run (every query dispatched).
-    pub baseline_p50_ms: f64,
-    pub baseline_p99_ms: f64,
-    /// Brewer's yield of the admission run: admitted / offered.
-    pub yield_frac: f64,
-    pub admitted: usize,
-    pub shed: usize,
-    /// Minimum harvest over admitted queries — must be 1.0 (§2.1:
-    /// admission trades yield, never harvest).
-    pub admitted_min_harvest: f64,
-    /// Full-harvest completions per second, admission run.
-    pub admitted_goodput_qps: f64,
-    /// Full-harvest completions per second, bare run.
-    pub baseline_goodput_qps: f64,
-}
-
-/// One transport's sweep plus its overload comparison.
-#[derive(Debug, Clone)]
-pub struct TransportCapacity {
-    pub name: &'static str,
-    pub points: Vec<LoadPoint>,
-    /// Highest offered rate whose goodput stayed within
-    /// [`KNEE_GOODPUT_FRAC`] of offered (falls back to the max-goodput
-    /// point when even the lightest load saturated).
-    pub knee_qps: f64,
-    pub admission: AdmissionComparison,
-}
-
-/// The whole artifact.
-#[derive(Debug, Clone)]
-pub struct BenchCapacity {
-    pub nodes: usize,
-    pub p: usize,
-    pub ids: usize,
-    /// Node scan speed, records/second.
-    pub speed: f64,
-    /// Offered window per sweep point, seconds.
-    pub duration_s: f64,
-    /// The admission run's SLO target p99, milliseconds.
-    pub slo_ms: f64,
-    pub transports: Vec<TransportCapacity>,
-}
 
 struct Params {
     nodes: usize,
@@ -284,70 +172,77 @@ async fn drive(
     obs
 }
 
-fn pctls_ms(walls: &mut [f64]) -> (f64, f64, f64) {
-    if walls.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (
-        percentile(walls, 50.0) * 1e3,
-        percentile(walls, 99.0) * 1e3,
-        walls.last().copied().unwrap_or(0.0) * 1e3,
-    )
+/// Wall-time summary of `obs`, in milliseconds.
+fn walls_ms<'a>(obs: impl IntoIterator<Item = &'a Obs>) -> Summary {
+    let walls: Vec<f64> = obs.into_iter().map(|o| o.wall_s * 1e3).collect();
+    Summary::from(&walls)
 }
 
-async fn run_point(p: &Params, ids: &[u64], spec: TransportSpec, offered: f64) -> LoadPoint {
+/// Queries that completed with full harvest **inside the offered window**
+/// (post-window backlog drain does not count). Per second of window this
+/// is goodput — the axis that flatlines at capacity.
+fn full_in_window<'a>(obs: impl IntoIterator<Item = &'a Obs>, duration_s: f64) -> usize {
+    obs.into_iter()
+        .filter(|o| o.harvest >= 1.0 && o.done_s <= duration_s)
+        .count()
+}
+
+/// One offered-load point on the capacity curve.
+async fn run_point(p: &Params, ids: &[u64], spec: TransportSpec, offered: f64) -> Json {
     let h = fresh_cluster(p, ids, spec).await;
     let arrivals =
         OpenLoopGen::constant(offered, CAPACITY_SEED ^ offered.to_bits()).schedule(p.duration_s);
     let obs = drive(&h, &arrivals, Some(p.sweep_deadline), None).await;
-    let completed_full = obs
-        .iter()
-        .filter(|o| o.harvest >= 1.0 && o.done_s <= p.duration_s)
-        .count();
+    let completed_full = full_in_window(&obs, p.duration_s);
     let full_ever = obs.iter().filter(|o| o.harvest >= 1.0).count();
-    let mut walls: Vec<f64> = obs.iter().map(|o| o.wall_s).collect();
-    let (p50_ms, p99_ms, max_ms) = pctls_ms(&mut walls);
-    LoadPoint {
-        offered_qps: offered,
-        arrivals: arrivals.len(),
-        realized_qps: arrivals.len() as f64 / p.duration_s,
-        completed_full,
-        goodput_qps: completed_full as f64 / p.duration_s,
-        full_harvest_frac: full_ever as f64 / arrivals.len().max(1) as f64,
-        p50_ms,
-        p99_ms,
-        max_ms,
-    }
+    Json::obj([
+        // target offered arrival rate, queries/second
+        ("offered_qps", Json::rounded(offered, 1)),
+        // arrivals actually generated (Poisson draw), and the realization's
+        // actual rate — what the knee test compares goodput against
+        ("arrivals", arrivals.len().into()),
+        (
+            "realized_qps",
+            Json::rounded(arrivals.len() as f64 / p.duration_s, 1),
+        ),
+        ("completed_full", completed_full.into()),
+        (
+            "goodput_qps",
+            Json::rounded(completed_full as f64 / p.duration_s, 1),
+        ),
+        // fraction of arrivals that eventually completed with full harvest
+        // (any time, including the drain)
+        (
+            "full_harvest_frac",
+            Json::rounded(full_ever as f64 / arrivals.len().max(1) as f64, 3),
+        ),
+    ])
+    .merge(walls_ms(&obs).to_json("ms"))
 }
 
 /// Knee: highest realized rate still delivering [`KNEE_GOODPUT_FRAC`] of
 /// itself as in-window goodput; if every point saturated, the max-goodput
 /// point (≈ measured capacity).
-fn knee_of(points: &[LoadPoint]) -> f64 {
-    points
-        .iter()
-        .filter(|pt| pt.goodput_qps >= KNEE_GOODPUT_FRAC * pt.realized_qps)
-        .map(|pt| pt.realized_qps)
-        .fold(f64::NAN, f64::max)
-        .max(
-            points
-                .iter()
-                .map(|pt| pt.goodput_qps)
-                .fold(0.0f64, f64::max),
-        )
+fn knee_of(points: &[Json]) -> Result<f64, String> {
+    let mut knee = f64::NAN;
+    let mut max_goodput = 0.0f64;
+    for pt in points {
+        // goodput ≥ frac · realized, on the exact counts behind both rates
+        if number(pt, &["completed_full"])? >= KNEE_GOODPUT_FRAC * number(pt, &["arrivals"])? {
+            knee = knee.max(number(pt, &["realized_qps"])?);
+        }
+        max_goodput = max_goodput.max(number(pt, &["goodput_qps"])?);
+    }
+    Ok(knee.max(max_goodput))
 }
 
-async fn run_overload(
-    p: &Params,
-    ids: &[u64],
-    name: &'static str,
-    offered: f64,
-) -> AdmissionComparison {
+/// The bare-vs-admission overload comparison at ~2× the knee: the same
+/// arrival schedule on two fresh clusters.
+async fn run_overload(p: &Params, ids: &[u64], name: &str, offered: f64) -> Json {
     let arrivals = OpenLoopGen::constant(offered, CAPACITY_SEED ^ 0xC0FFEE).schedule(p.duration_s);
 
     // bare run: every query dispatched, uncensored latency
-    let bare = fresh_cluster(p, ids, spec_by_name(name)).await;
+    let bare = fresh_cluster(p, ids, transport_by_name(name)).await;
     let base_obs = drive(&bare, &arrivals, None, None).await;
     drop(bare);
 
@@ -355,197 +250,126 @@ async fn run_overload(
     let ctrl = Arc::new(AdmissionController::new(
         SloConfig::new(p.slo).yield_floor(0.05),
     ));
-    let door = fresh_cluster(p, ids, spec_by_name(name)).await;
+    let door = fresh_cluster(p, ids, transport_by_name(name)).await;
     let adm_obs = drive(&door, &arrivals, None, Some(Arc::clone(&ctrl))).await;
 
-    let in_window_full = |obs: &[Obs]| {
-        obs.iter()
-            .filter(|o| o.harvest >= 1.0 && o.done_s <= p.duration_s)
-            .count()
-    };
-    let mut base_walls: Vec<f64> = base_obs.iter().map(|o| o.wall_s).collect();
-    let (baseline_p50_ms, baseline_p99_ms, _) = pctls_ms(&mut base_walls);
-    let baseline_full = in_window_full(&base_obs);
-
-    let admitted_obs: Vec<&Obs> = adm_obs.iter().filter(|o| o.admitted).collect();
-    let mut adm_walls: Vec<f64> = admitted_obs.iter().map(|o| o.wall_s).collect();
-    let (admitted_p50_ms, admitted_p99_ms, _) = pctls_ms(&mut adm_walls);
-    let admitted_full = admitted_obs
-        .iter()
-        .filter(|o| o.harvest >= 1.0 && o.done_s <= p.duration_s)
-        .count();
-
-    AdmissionComparison {
-        offered_qps: offered,
-        arrivals: arrivals.len(),
-        admitted_p50_ms,
-        admitted_p99_ms,
-        baseline_p50_ms,
-        baseline_p99_ms,
-        yield_frac: admitted_obs.len() as f64 / adm_obs.len().max(1) as f64,
-        admitted: admitted_obs.len(),
-        shed: adm_obs.len() - admitted_obs.len(),
-        admitted_min_harvest: admitted_obs
-            .iter()
-            .map(|o| o.harvest)
-            .fold(1.0f64, f64::min),
-        admitted_goodput_qps: admitted_full as f64 / p.duration_s,
-        baseline_goodput_qps: baseline_full as f64 / p.duration_s,
-    }
+    let admitted: Vec<&Obs> = adm_obs.iter().filter(|o| o.admitted).collect();
+    let (admitted_ms, baseline_ms) = (walls_ms(admitted.iter().copied()), walls_ms(&base_obs));
+    // minimum harvest over admitted queries — must be 1.0 (§2.1: admission
+    // trades yield, never harvest)
+    let min_harvest = admitted.iter().map(|o| o.harvest).fold(1.0f64, f64::min);
+    let qps = |full: usize| Json::rounded(full as f64 / p.duration_s, 1);
+    Json::obj([
+        ("offered_qps", Json::rounded(offered, 1)),
+        ("arrivals", arrivals.len().into()),
+        ("admitted", admitted.len().into()),
+        ("shed", (adm_obs.len() - admitted.len()).into()),
+        // Brewer's yield of the admission run: admitted / offered
+        (
+            "yield_frac",
+            Json::rounded(admitted.len() as f64 / adm_obs.len().max(1) as f64, 3),
+        ),
+        ("admitted_min_harvest", Json::rounded(min_harvest, 3)),
+        // end-to-end p50/p99 over admitted queries, and of the bare run
+        ("admitted_p50_ms", Json::rounded(admitted_ms.p50, 2)),
+        ("admitted_p99_ms", Json::rounded(admitted_ms.p99, 2)),
+        ("baseline_p50_ms", Json::rounded(baseline_ms.p50, 2)),
+        ("baseline_p99_ms", Json::rounded(baseline_ms.p99, 2)),
+        (
+            "admitted_goodput_qps",
+            qps(full_in_window(admitted.iter().copied(), p.duration_s)),
+        ),
+        (
+            "baseline_goodput_qps",
+            qps(full_in_window(&base_obs, p.duration_s)),
+        ),
+    ])
 }
 
-/// Run the full matrix (every offered load × every transport).
-pub fn run(scale: Scale) -> BenchCapacity {
-    run_filtered(scale, None)
-}
-
-/// Run one transport's column (`None` = all).
-pub fn run_filtered(scale: Scale, transport: Option<&str>) -> BenchCapacity {
+/// Run every offered load × every transport `filters` selects. Per
+/// transport: the sweep `points`, `knee_qps` — the highest offered rate
+/// whose goodput stayed within [`KNEE_GOODPUT_FRAC`] of offered — and the
+/// overload `admission` comparison at [`OVERLOAD_FACTOR`]× that knee.
+pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
     let p = Params::of(scale);
     let capacity = p.capacity_qps();
-
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    runtime.block_on(async {
-        let mut rng = det_rng(CAPACITY_SEED);
-        let ids: Vec<u64> = (0..p.ids).map(|_| rng.gen()).collect();
+    let ids = synthetic_ids(CAPACITY_SEED, p.ids);
+    block_on(async {
         let mut transports = Vec::new();
-        for t_name in TRANSPORTS {
-            if transport.is_some_and(|t| t != t_name) {
-                continue;
-            }
+        for name in filters.transports() {
             let mut points = Vec::new();
             for &m in p.multipliers {
-                points.push(run_point(&p, &ids, spec_by_name(t_name), m * capacity).await);
+                points.push(run_point(&p, &ids, transport_by_name(name), m * capacity).await);
             }
-            let knee_qps = knee_of(&points);
-            let admission = run_overload(&p, &ids, t_name, OVERLOAD_FACTOR * knee_qps).await;
-            transports.push(TransportCapacity {
-                name: t_name,
-                points,
-                knee_qps,
-                admission,
-            });
+            let knee_qps = knee_of(&points)?;
+            let admission = run_overload(&p, &ids, name, OVERLOAD_FACTOR * knee_qps).await;
+            transports.push(Json::obj([
+                ("name", name.into()),
+                ("points", Json::Arr(points)),
+                ("knee_qps", Json::rounded(knee_qps, 1)),
+                ("admission", admission),
+            ]));
         }
-        BenchCapacity {
-            nodes: p.nodes,
-            p: p.p,
-            ids: p.ids,
-            speed: p.speed,
-            duration_s: p.duration_s,
-            slo_ms: p.slo.as_secs_f64() * 1e3,
-            transports,
-        }
+        Ok(Json::obj([
+            ("benchmark", "capacity".into()),
+            (
+                "config",
+                Json::obj([
+                    ("nodes", p.nodes.into()),
+                    ("p", p.p.into()),
+                    ("ids", p.ids.into()),
+                    ("speed_records_per_s", p.speed.into()),
+                    ("duration_s", p.duration_s.into()),
+                    ("seed", CAPACITY_SEED.into()),
+                    ("knee_goodput_frac", KNEE_GOODPUT_FRAC.into()),
+                    ("overload_factor", OVERLOAD_FACTOR.into()),
+                ]),
+            ),
+            // the admission run's SLO target p99
+            ("slo_ms", Json::rounded(p.slo.as_secs_f64() * 1e3, 1)),
+            ("transports", Json::Arr(transports)),
+        ]))
     })
 }
 
-impl BenchCapacity {
-    /// The named transport's column, if it ran.
-    pub fn column(&self, transport: &str) -> Option<&TransportCapacity> {
-        self.transports.iter().find(|t| t.name == transport)
-    }
-
-    /// The smoke gate (every scale): on every transport that ran, the
-    /// admission door must beat the bare cluster's overload p99, keep full
-    /// harvest on every admitted query, and actually shed something.
-    pub fn admission_beats_baseline(&self) -> bool {
-        !self.transports.is_empty()
-            && self.transports.iter().all(|t| {
-                let a = &t.admission;
-                a.admitted_p99_ms < a.baseline_p99_ms
-                    && a.admitted_min_harvest >= 1.0
-                    && a.shed > 0
-                    && a.admitted > 0
-            })
-    }
-
-    /// The full-scale acceptance gate: admitted p99 within the SLO while
-    /// the bare run blows past [`BASELINE_BLOWUP`]× it, with graceful
-    /// (non-collapsed) yield.
-    pub fn slo_holds(&self) -> bool {
-        self.admission_beats_baseline()
-            && self.transports.iter().all(|t| {
-                let a = &t.admission;
-                a.admitted_p99_ms <= self.slo_ms
-                    && a.baseline_p99_ms > BASELINE_BLOWUP * self.slo_ms
-                    && (0.05..0.98).contains(&a.yield_frac)
-            })
-    }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"capacity\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"nodes\": {}, \"p\": {}, \"ids\": {}, \
-             \"speed_records_per_s\": {}, \"duration_s\": {}, \"seed\": {}, \
-             \"knee_goodput_frac\": {}, \"overload_factor\": {}}},\n",
-            self.nodes,
-            self.p,
-            self.ids,
-            self.speed,
-            self.duration_s,
-            CAPACITY_SEED,
-            KNEE_GOODPUT_FRAC,
-            OVERLOAD_FACTOR,
-        ));
-        s.push_str(&format!("  \"slo_ms\": {:.1},\n", self.slo_ms));
-        s.push_str("  \"transports\": [\n");
-        for (i, t) in self.transports.iter().enumerate() {
-            s.push_str(&format!("    {{\"name\": \"{}\", \"points\": [\n", t.name));
-            for (j, pt) in t.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"offered_qps\": {:.1}, \"arrivals\": {}, \
-                     \"realized_qps\": {:.1}, \
-                     \"completed_full\": {}, \"goodput_qps\": {:.1}, \
-                     \"full_harvest_frac\": {:.3}, \"p50_ms\": {:.2}, \
-                     \"p99_ms\": {:.2}, \"max_ms\": {:.2}}}{}\n",
-                    pt.offered_qps,
-                    pt.arrivals,
-                    pt.realized_qps,
-                    pt.completed_full,
-                    pt.goodput_qps,
-                    pt.full_harvest_frac,
-                    pt.p50_ms,
-                    pt.p99_ms,
-                    pt.max_ms,
-                    if j + 1 < t.points.len() { "," } else { "" }
-                ));
-            }
-            let a = &t.admission;
-            s.push_str(&format!("    ], \"knee_qps\": {:.1},\n", t.knee_qps));
-            s.push_str(&format!(
-                "    \"admission\": {{\"offered_qps\": {:.1}, \"arrivals\": {}, \
-                 \"admitted\": {}, \"shed\": {}, \"yield_frac\": {:.3}, \
-                 \"admitted_min_harvest\": {:.3}, \"admitted_p50_ms\": {:.2}, \
-                 \"admitted_p99_ms\": {:.2}, \"baseline_p50_ms\": {:.2}, \
-                 \"baseline_p99_ms\": {:.2}, \"admitted_goodput_qps\": {:.1}, \
-                 \"baseline_goodput_qps\": {:.1}}}}}{}\n",
-                a.offered_qps,
-                a.arrivals,
-                a.admitted,
-                a.shed,
-                a.yield_frac,
-                a.admitted_min_harvest,
-                a.admitted_p50_ms,
-                a.admitted_p99_ms,
-                a.baseline_p50_ms,
-                a.baseline_p99_ms,
-                a.admitted_goodput_qps,
-                a.baseline_goodput_qps,
-                if i + 1 < self.transports.len() {
-                    ","
-                } else {
-                    ""
-                }
+/// Two gates over every transport that ran. The smoke gate (every scale):
+/// the admission door must beat the bare cluster's overload p99, keep full
+/// harvest on every admitted query, and actually shed something without
+/// collapsing. The full-scale acceptance gate adds: admitted p99 within
+/// the SLO while the bare run blows past [`BASELINE_BLOWUP`]× it, with
+/// graceful (non-collapsed) yield.
+pub fn gate(doc: &Json, scale: Scale) -> Result<(), String> {
+    let slo_ms = number(doc, &["slo_ms"])?;
+    let transports = doc.get("transports").and_then(Json::as_array);
+    let transports = transports
+        .filter(|t| !t.is_empty())
+        .ok_or("no transport ran")?;
+    for t in transports {
+        let name = t.get("name").and_then(Json::as_str).unwrap_or("?");
+        let a = |key: &str| number(t, &["admission", key]);
+        let (admitted_p99, baseline_p99) = (a("admitted_p99_ms")?, a("baseline_p99_ms")?);
+        if admitted_p99 >= baseline_p99
+            || a("admitted_min_harvest")? < 1.0
+            || a("shed")? == 0.0
+            || a("admitted")? == 0.0
+        {
+            return Err(format!(
+                "{name}: admission must shed, keep full harvest on admitted queries \
+                 and beat the bare overload p99"
             ));
         }
-        s.push_str("  ]\n}\n");
-        s
+        if scale == Scale::Full
+            && (admitted_p99 > slo_ms
+                || baseline_p99 <= BASELINE_BLOWUP * slo_ms
+                || !(0.05..0.98).contains(&a("yield_frac")?))
+        {
+            return Err(format!(
+                "{name}: admitted p99 must hold within the {slo_ms:.0} ms SLO while the \
+                 bare baseline exceeds {BASELINE_BLOWUP:.0}x it"
+            ));
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -557,29 +381,66 @@ mod tests {
         // the CI smoke's shape, one transport: the under-load point keeps
         // goodput near offered, and at 2x the knee the admission door
         // beats the bare cluster's p99 without ever trading harvest
-        let b = run_filtered(Scale::Quick, Some("tcp"));
-        let col = b.column("tcp").expect("tcp column ran");
-        assert_eq!(col.points.len(), 2);
-        let light = &col.points[0];
+        let filters = Filters {
+            transport: Some("tcp".into()),
+            ..Filters::default()
+        };
+        let b = run(Scale::Quick, &filters).unwrap();
+        let col = b.get("transports").unwrap().find("name", "tcp").unwrap();
+        let points = col.get("points").unwrap().as_array().unwrap();
+        assert_eq!(points.len(), 2);
+        let light = &points[0];
         assert!(
-            light.goodput_qps >= 0.8 * light.realized_qps,
+            number(light, &["goodput_qps"]).unwrap()
+                >= 0.8 * number(light, &["realized_qps"]).unwrap(),
             "under-load goodput must track offered: {light:?}"
         );
-        assert!(col.knee_qps > 0.0);
-        let a = &col.admission;
-        assert!(a.shed > 0, "overload must shed: {a:?}");
-        assert!(a.admitted > 0, "but not collapse: {a:?}");
-        assert_eq!(
-            a.admitted_min_harvest, 1.0,
-            "admission trades yield, never harvest: {a:?}"
+        assert!(number(col, &["knee_qps"]).unwrap() > 0.0);
+        // shed > 0 but no collapse, harvest never traded, door beats bare p99
+        gate(&b, Scale::Quick).unwrap_or_else(|e| panic!("{e}: {col:?}"));
+    }
+
+    #[test]
+    fn gates_separate_the_smoke_bar_from_the_slo_bar() {
+        let doc = |admitted_p99: f64, baseline_p99: f64, shed: usize, yield_frac: f64| {
+            let admission = Json::obj([
+                ("admitted_p99_ms", admitted_p99.into()),
+                ("baseline_p99_ms", baseline_p99.into()),
+                ("admitted_min_harvest", Json::Num(1.0)),
+                ("shed", shed.into()),
+                ("admitted", 10usize.into()),
+                ("yield_frac", yield_frac.into()),
+            ]);
+            let tcp = Json::obj([("name", "tcp".into()), ("admission", admission)]);
+            Json::obj([
+                ("slo_ms", Json::Num(150.0)),
+                ("transports", Json::Arr(vec![tcp])),
+            ])
+        };
+        assert!(gate(&doc(120.0, 900.0, 40, 0.5), Scale::Full).is_ok());
+        // beats the baseline but misses the SLO: smoke passes, full fails
+        assert!(gate(&doc(200.0, 900.0, 40, 0.5), Scale::Quick).is_ok());
+        assert!(gate(&doc(200.0, 900.0, 40, 0.5), Scale::Full)
+            .unwrap_err()
+            .contains("SLO"));
+        // baseline never blew up: nothing was demonstrated at full scale
+        assert!(gate(&doc(120.0, 300.0, 40, 0.5), Scale::Full).is_err());
+        assert!(
+            gate(&doc(120.0, 900.0, 40, 0.99), Scale::Full).is_err(),
+            "yield must be graceful"
         );
         assert!(
-            a.admitted_p99_ms < a.baseline_p99_ms,
-            "door must beat bare overload p99: {a:?}"
+            gate(&doc(120.0, 900.0, 0, 0.5), Scale::Quick).is_err(),
+            "must shed"
         );
-        let json = b.to_json();
-        assert!(json.contains("\"benchmark\": \"capacity\""));
-        crate::schema::check_artifact("BENCH_capacity.json", &json)
-            .expect("writer output must satisfy its own schema");
+        assert!(
+            gate(&doc(950.0, 900.0, 40, 0.5), Scale::Quick).is_err(),
+            "must beat bare p99"
+        );
+        let none = Json::obj([
+            ("slo_ms", Json::Num(150.0)),
+            ("transports", Json::Arr(vec![])),
+        ]);
+        assert!(gate(&none, Scale::Quick).is_err());
     }
 }

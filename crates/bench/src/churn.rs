@@ -32,15 +32,15 @@
 //! --quick` re-checks the rolling-restart harvest floor per transport as
 //! the CI `chaos-smoke` gate.
 
-use crate::Scale;
-use rand::Rng;
+use crate::driver::{block_on, synthetic_ids, transport_by_name};
+use crate::{number, Filters, Scale};
 use roar_cluster::harness::spawn_extra_node_with;
 use roar_cluster::{
-    spawn_cluster, AdaptiveConfig, ClusterConfig, DatagramConfig, DesiredTopology, FaultInjector,
-    FaultSchedule, FixedRto, LossSpec, QueryBody, Reconciler, SchedOpts, TransportSpec,
+    spawn_cluster, ClusterConfig, DesiredTopology, FaultInjector, FaultSchedule, QueryBody,
+    Reconciler, SchedOpts, TransportSpec,
 };
 use roar_dr::rack::RackLayout;
-use roar_util::{det_rng, percentile};
+use roar_util::{Json, Summary};
 use std::time::{Duration, Instant};
 
 /// Windowed harvest must never drop below this during rolling restart —
@@ -54,99 +54,8 @@ pub const WINDOW: usize = 8;
 /// Seed for every schedule and workload in this bench.
 pub const CHURN_SEED: u64 = 4309;
 
-/// One scenario under one transport.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    pub scenario: &'static str,
-    /// Queries issued across the scenario (fault phase + settle tail).
-    pub queries: usize,
-    pub windows: usize,
-    /// Minimum over windows of the window's mean harvest — the
-    /// availability floor the scenario held while churning.
-    pub harvest_floor: f64,
-    pub mean_harvest: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-    /// Did the reconciler reach the declared topology within budget?
-    pub converged: bool,
-    /// Ring size and partitioning level after convergence.
-    pub final_n: usize,
-    pub final_p: usize,
-}
-
-/// All scenarios under one transport.
-#[derive(Debug, Clone)]
-pub struct TransportRun {
-    pub name: &'static str,
-    pub scenarios: Vec<ScenarioResult>,
-}
-
-/// The whole matrix.
-#[derive(Debug, Clone)]
-pub struct BenchChurn {
-    pub nodes: usize,
-    pub p: usize,
-    pub ids: usize,
-    pub harvest_target: f64,
-    pub transports: Vec<TransportRun>,
-}
-
-fn tcp_spec() -> TransportSpec {
-    TransportSpec::Tcp
-}
-
-/// §4.8.4 UDP with the suite's liveness budget: RTO well under TCP's
-/// min-RTO, enough attempts that a loaded CI machine does not
-/// false-positive the dead-peer detector.
-fn udp_spec() -> TransportSpec {
-    TransportSpec::Udp {
-        cfg: DatagramConfig {
-            policy: FixedRto {
-                rto: Duration::from_millis(10),
-            },
-            max_attempts: 50,
-            ..DatagramConfig::default()
-        },
-        client_loss: LossSpec::None,
-        server_loss: LossSpec::None,
-    }
-}
-
-/// ccudp with a tight dead-peer budget: churn scenarios probe corpses
-/// constantly, and a patient production budget would stretch every
-/// observation of a dead node to seconds.
-fn ccudp_spec() -> TransportSpec {
-    TransportSpec::CcUdp {
-        cfg: DatagramConfig {
-            max_attempts: 8,
-            policy: AdaptiveConfig {
-                min_rto: Duration::from_millis(10),
-                init_rto: Duration::from_millis(20),
-                max_rto: Duration::from_millis(50),
-                ..AdaptiveConfig::default()
-            },
-            ..DatagramConfig::default()
-        },
-        client_loss: LossSpec::None,
-        server_loss: LossSpec::None,
-    }
-}
-
 /// Scenario names, in artifact order.
 pub const SCENARIOS: [&str; 3] = ["rolling_restart", "flash_crowd", "rack_failure"];
-
-/// Transport names, in artifact order.
-pub const TRANSPORTS: [&str; 3] = ["tcp", "udp", "ccudp"];
-
-fn spec_by_name(name: &str) -> TransportSpec {
-    match name {
-        "tcp" => tcp_spec(),
-        "udp" => udp_spec(),
-        "ccudp" => ccudp_spec(),
-        other => panic!("unknown transport {other:?} (tcp|udp|ccudp)"),
-    }
-}
 
 /// The scale-derived knobs shared by every cell of the matrix.
 #[derive(Clone, Copy)]
@@ -235,7 +144,7 @@ async fn run_scenario(
     params: ChurnParams,
     spec: TransportSpec,
     ids: &[u64],
-) -> ScenarioResult {
+) -> Json {
     let ChurnParams {
         n,
         p,
@@ -298,38 +207,36 @@ async fn run_scenario(
     }
     let converged = driver.await.unwrap_or(false);
 
+    // the availability floor the scenario held while churning: the
+    // minimum over windows of the window's mean harvest
     let window_means: Vec<f64> = harvests.chunks(WINDOW).map(roar_util::mean).collect();
     let harvest_floor = window_means
         .iter()
         .copied()
         .fold(f64::INFINITY, f64::min)
         .min(1.0);
-    delays_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ScenarioResult {
-        scenario,
-        queries: harvests.len(),
-        windows: window_means.len(),
-        harvest_floor,
-        mean_harvest: roar_util::mean(&harvests),
-        p50_ms: percentile(&delays_ms, 50.0),
-        p99_ms: percentile(&delays_ms, 99.0),
-        max_ms: delays_ms.last().copied().unwrap_or(0.0),
-        converged,
+    Json::obj([
+        ("scenario", scenario.into()),
+        // queries issued across the scenario (fault phase + settle tail)
+        ("queries", harvests.len().into()),
+        ("windows", window_means.len().into()),
+        ("harvest_floor", Json::rounded(harvest_floor, 3)),
+        ("mean_harvest", Json::rounded(roar_util::mean(&harvests), 3)),
+    ])
+    .merge(Summary::from(&delays_ms).to_json("ms"))
+    .merge(Json::obj([
+        // did the reconciler reach the declared topology within budget?
+        ("converged", converged.into()),
         // the serving ring, not the node table (which keeps corpses'
         // slots so their ids stay stable)
-        final_n: h.admin.ring().n(),
-        final_p: h.admin.p(),
-    }
+        ("final_n", h.admin.ring().n().into()),
+        ("final_p", h.admin.p().into()),
+    ]))
 }
 
-/// Run the full matrix (every scenario × every transport).
-pub fn run(scale: Scale) -> BenchChurn {
-    run_filtered(scale, None, None)
-}
-
-/// Run a slice of the matrix: `scenario`/`transport` of `None` means all.
-/// CI's `chaos-smoke` runs one (scenario, transport) cell per job.
-pub fn run_filtered(scale: Scale, scenario: Option<&str>, transport: Option<&str>) -> BenchChurn {
+/// Run the slice of the matrix (scenario × transport) that `filters`
+/// selects — CI's `chaos-smoke` runs one cell per job.
+pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
     let params = ChurnParams {
         n: scale.pick(6, 4),
         p: 2,
@@ -338,121 +245,74 @@ pub fn run_filtered(scale: Scale, scenario: Option<&str>, transport: Option<&str
         tail_queries: scale.pick(24, 12),
         max_queries: scale.pick(4000, 2000),
     };
-    let n_ids = scale.pick(600, 300);
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    runtime.block_on(async {
-        let mut rng = det_rng(CHURN_SEED);
-        let ids: Vec<u64> = (0..n_ids).map(|_| rng.gen()).collect();
+    let ids = synthetic_ids(CHURN_SEED, scale.pick(600, 300));
+    block_on(async {
         let mut transports = Vec::new();
-        for t_name in TRANSPORTS {
-            if transport.is_some_and(|t| t != t_name) {
-                continue;
-            }
+        for t_name in filters.transports() {
             let mut scenarios = Vec::new();
             for s_name in SCENARIOS {
-                if scenario.is_some_and(|s| s != s_name) {
-                    continue;
+                if Filters::selects(&filters.scenario, s_name) {
+                    let spec = transport_by_name(t_name);
+                    scenarios.push(run_scenario(s_name, params, spec, &ids).await);
                 }
-                scenarios.push(run_scenario(s_name, params, spec_by_name(t_name), &ids).await);
             }
-            transports.push(TransportRun {
-                name: t_name,
-                scenarios,
-            });
+            transports.push(Json::obj([
+                ("name", t_name.into()),
+                ("scenarios", Json::Arr(scenarios)),
+            ]));
         }
-        BenchChurn {
-            nodes: params.n,
-            p: params.p,
-            ids: n_ids,
-            harvest_target: HARVEST_TARGET,
-            transports,
-        }
+        Ok(Json::obj([
+            ("benchmark", "churn_reconciler".into()),
+            (
+                "config",
+                Json::obj([
+                    ("nodes", params.n.into()),
+                    ("p", params.p.into()),
+                    ("ids", ids.len().into()),
+                    ("seed", CHURN_SEED.into()),
+                    ("harvest_target", HARVEST_TARGET.into()),
+                    ("window_queries", WINDOW.into()),
+                    (
+                        "faults",
+                        "seeded schedule: rolling restart, flash-crowd scale-out, rack failure"
+                            .into(),
+                    ),
+                ]),
+            ),
+            ("transports", Json::Arr(transports)),
+        ]))
     })
 }
 
-impl BenchChurn {
-    /// The named scenario under the named transport, if that cell ran.
-    pub fn cell(&self, transport: &str, scenario: &str) -> Option<&ScenarioResult> {
-        self.transports
-            .iter()
-            .find(|t| t.name == transport)?
-            .scenarios
-            .iter()
-            .find(|s| s.scenario == scenario)
-    }
-
-    /// The CI gate: every cell that ran must have converged, and every
-    /// rolling-restart cell must have held the harvest floor — under
-    /// live load, cycling the whole fleet costs no availability.
-    pub fn churn_holds_harvest(&self) -> bool {
-        let mut saw_any = false;
-        for t in &self.transports {
-            for s in &t.scenarios {
-                saw_any = true;
-                if !s.converged {
-                    return false;
-                }
-                if s.scenario == "rolling_restart" && s.harvest_floor < self.harvest_target {
-                    return false;
-                }
+/// The CI gate: every cell that ran must have converged, and every
+/// rolling-restart cell must have held the harvest floor — under live
+/// load, cycling the whole fleet costs no availability.
+pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
+    let target = number(doc, &["config", "harvest_target"])?;
+    let transports = doc.get("transports").and_then(Json::as_array);
+    let mut cells = 0;
+    for transport in transports.into_iter().flatten() {
+        let name = transport.get("name").and_then(Json::as_str).unwrap_or("?");
+        let scenarios = transport.get("scenarios").and_then(Json::as_array);
+        for cell in scenarios.into_iter().flatten() {
+            cells += 1;
+            let scenario = cell.get("scenario").and_then(Json::as_str).unwrap_or("?");
+            if cell.get("converged").and_then(Json::as_bool) != Some(true) {
+                return Err(format!("{name}/{scenario} failed to converge"));
             }
-        }
-        saw_any
-    }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"churn_reconciler\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"nodes\": {}, \"p\": {}, \"ids\": {}, \"seed\": {}, \
-             \"harvest_target\": {:.2}, \"window_queries\": {}, \
-             \"faults\": \"seeded schedule: rolling restart, flash-crowd scale-out, rack failure\"}},\n",
-            self.nodes, self.p, self.ids, CHURN_SEED, self.harvest_target, WINDOW,
-        ));
-        s.push_str("  \"transports\": [\n");
-        for (i, t) in self.transports.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"scenarios\": [\n",
-                t.name
-            ));
-            for (j, sc) in t.scenarios.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"scenario\": \"{}\", \"queries\": {}, \"windows\": {}, \
-                     \"harvest_floor\": {:.3}, \"mean_harvest\": {:.3}, \
-                     \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \"max_ms\": {:.2}, \
-                     \"converged\": {}, \"final_n\": {}, \"final_p\": {}}}{}\n",
-                    sc.scenario,
-                    sc.queries,
-                    sc.windows,
-                    sc.harvest_floor,
-                    sc.mean_harvest,
-                    sc.p50_ms,
-                    sc.p99_ms,
-                    sc.max_ms,
-                    sc.converged,
-                    sc.final_n,
-                    sc.final_p,
-                    if j + 1 < t.scenarios.len() { "," } else { "" }
+            let floor = number(cell, &["harvest_floor"])?;
+            if scenario == "rolling_restart" && floor < target {
+                return Err(format!(
+                    "{name}/rolling_restart dropped windowed harvest to {floor:.3}, \
+                     below {target:.2}"
                 ));
             }
-            s.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.transports.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
         }
-        s.push_str("  ]\n}\n");
-        s
     }
+    if cells == 0 {
+        return Err("no cell ran".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -467,20 +327,72 @@ mod tests {
         // tests share the cores and a contention-stretched RPC can cost one
         // window a sub-query, so allow that while still failing loudly on
         // real regressions (the coverage-truncation bug floored at ~0.0).
-        let b = run_filtered(Scale::Quick, Some("rolling_restart"), Some("tcp"));
-        let cell = b.cell("tcp", "rolling_restart").expect("cell ran");
-        assert!(cell.converged, "reconciler must converge: {cell:?}");
+        let filters = Filters {
+            scenario: Some("rolling_restart".into()),
+            transport: Some("tcp".into()),
+            ..Filters::default()
+        };
+        let b = run(Scale::Quick, &filters).unwrap();
+        let tcp = b.get("transports").unwrap().find("name", "tcp").unwrap();
+        let scenarios = tcp.get("scenarios").unwrap();
+        assert_eq!(scenarios.as_array().unwrap().len(), 1, "one cell ran");
+        let cell = scenarios
+            .find("scenario", "rolling_restart")
+            .expect("cell ran");
+        assert_eq!(
+            cell.get("converged").and_then(Json::as_bool),
+            Some(true),
+            "reconciler must converge: {cell:?}"
+        );
         assert!(
-            cell.harvest_floor >= 0.7,
+            number(cell, &["harvest_floor"]).unwrap() >= 0.7,
             "rolling restart must hold harvest through churn: {cell:?}"
         );
         assert!(
-            cell.mean_harvest >= HARVEST_TARGET,
+            number(cell, &["mean_harvest"]).unwrap() >= HARVEST_TARGET,
             "mean harvest must meet the target: {cell:?}"
         );
-        assert_eq!(cell.final_n, b.nodes, "fleet size restored");
-        let json = b.to_json();
-        assert!(json.contains("churn_reconciler"));
-        assert!(json.contains("harvest_floor"));
+        assert_eq!(
+            number(cell, &["final_n"]),
+            number(&b, &["config", "nodes"]),
+            "fleet size restored"
+        );
+    }
+
+    #[test]
+    fn gate_wants_convergence_everywhere_and_the_floor_on_rolling_restart() {
+        let doc = |scenario: &str, floor: f64, converged: bool| {
+            let cell = Json::obj([
+                ("scenario", scenario.into()),
+                ("harvest_floor", floor.into()),
+                ("converged", converged.into()),
+            ]);
+            let tcp = Json::obj([("name", "tcp".into()), ("scenarios", Json::Arr(vec![cell]))]);
+            Json::obj([
+                (
+                    "config",
+                    Json::obj([("harvest_target", HARVEST_TARGET.into())]),
+                ),
+                ("transports", Json::Arr(vec![tcp])),
+            ])
+        };
+        assert!(gate(&doc("rolling_restart", 0.95, true), Scale::Quick).is_ok());
+        assert!(gate(&doc("rolling_restart", 0.85, true), Scale::Quick).is_err());
+        assert!(
+            gate(&doc("rack_failure", 0.5, true), Scale::Quick).is_ok(),
+            "only rolling restart pins the floor"
+        );
+        assert!(gate(&doc("flash_crowd", 1.0, false), Scale::Quick).is_err());
+        let empty = Json::obj([
+            (
+                "config",
+                Json::obj([("harvest_target", HARVEST_TARGET.into())]),
+            ),
+            ("transports", Json::Arr(vec![])),
+        ]);
+        assert!(
+            gate(&empty, Scale::Quick).is_err(),
+            "an empty matrix proves nothing"
+        );
     }
 }

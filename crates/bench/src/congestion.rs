@@ -33,13 +33,13 @@
 //! sustains goodput and beats the fixed-RTO p99. `repro bench_congestion
 //! --quick` re-checks that inequality as a CI gate.
 
-use crate::Scale;
-use rand::Rng;
+use crate::driver::{block_on, closed_loop, synthetic_ids};
+use crate::{millis, number, Filters, Scale};
 use roar_cluster::{
     spawn_cluster, AdaptiveConfig, ClusterConfig, CrossTrafficSpec, DatagramConfig, FixedRto,
-    LossSpec, QueryBody, SchedOpts, TransportSpec,
+    LossSpec, TransportSpec,
 };
-use roar_util::{det_rng, percentile};
+use roar_util::{Json, Summary};
 use std::time::{Duration, Instant};
 
 /// The fixed app-level RTO of the §4.8.4 UDP path.
@@ -54,51 +54,6 @@ pub const DRAIN_DGRAMS_PER_S: f64 = 600.0;
 /// rate — deep enough that a fixed 5 ms timer re-offers each reply ~20
 /// times before the first copy delivers.
 pub const QUEUE_CAP: f64 = 64.0;
-
-/// One measurement at one offered cross-traffic level.
-#[derive(Debug, Clone)]
-pub struct PointResult {
-    /// Cross traffic as a fraction of the drain rate.
-    pub cross_frac: f64,
-    pub queries: usize,
-    /// Queries that achieved full harvest.
-    pub completed: usize,
-    pub mean_harvest: f64,
-    /// Scanned records per wall second across the whole point — the
-    /// goodput axis (lost windows scan nothing).
-    pub goodput_records_per_s: f64,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-    /// Datagrams the shared bottleneck forwarded / tail-dropped during
-    /// the measurement (admission pressure, for the report).
-    pub bottleneck_admitted: u64,
-    pub bottleneck_dropped: u64,
-}
-
-/// One transport across the whole ramp.
-#[derive(Debug, Clone)]
-pub struct ModeRun {
-    pub name: &'static str,
-    pub points: Vec<PointResult>,
-}
-
-/// The whole comparison.
-#[derive(Debug, Clone)]
-pub struct BenchCongestion {
-    pub nodes: usize,
-    pub p: usize,
-    pub ids: usize,
-    pub queries_per_point: usize,
-    pub cross_fracs: Vec<f64>,
-    pub modes: Vec<ModeRun>,
-    /// p99(udp_fixed_rto) / p99(ccudp) at the top of the ramp (> 1 means
-    /// ccudp wins).
-    pub p99_speedup_ccudp_vs_fixed: f64,
-    /// goodput(ccudp) / goodput(udp_fixed_rto) at the top of the ramp.
-    pub goodput_ratio_ccudp_vs_fixed: f64,
-}
 
 fn fixed_spec(server_loss: LossSpec) -> TransportSpec {
     TransportSpec::Udp {
@@ -132,14 +87,15 @@ fn cc_spec(server_loss: LossSpec) -> TransportSpec {
     }
 }
 
+/// One measurement at one offered cross-traffic level (`cross_frac` of the
+/// drain rate).
 async fn run_point(
     spec_for: fn(LossSpec) -> TransportSpec,
     cross_frac: f64,
-    n: usize,
-    p: usize,
+    (n, p): (usize, usize),
     ids: &[u64],
     queries: usize,
-) -> PointResult {
+) -> Json {
     // quiet while the cluster boots and stores (control traffic must not
     // skew the measurement), then ramp the background flow
     let bottleneck = CrossTrafficSpec::quiet(DRAIN_DGRAMS_PER_S, QUEUE_CAP).build();
@@ -152,162 +108,136 @@ async fn run_point(
     let admitted0 = bottleneck.admitted();
     let dropped0 = bottleneck.dropped();
 
-    let mut delays_ms = Vec::with_capacity(queries);
-    let mut harvests = Vec::with_capacity(queries);
-    let mut completed = 0usize;
-    let mut scanned_total = 0u64;
-    let t_all = Instant::now();
-    for _ in 0..queries {
-        let t0 = Instant::now();
-        let out = h
-            .client
-            .query(QueryBody::Synthetic)
-            .sched(SchedOpts::default())
-            .run()
-            .await;
-        delays_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        harvests.push(out.harvest);
-        scanned_total += out.scanned;
-        if out.harvest >= 1.0 {
-            completed += 1;
-        }
-    }
-    let elapsed_s = t_all.elapsed().as_secs_f64();
-    delays_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    PointResult {
-        cross_frac,
-        queries,
-        completed,
-        mean_harvest: roar_util::mean(&harvests),
-        goodput_records_per_s: scanned_total as f64 / elapsed_s,
-        mean_ms: roar_util::mean(&delays_ms),
-        p50_ms: percentile(&delays_ms, 50.0),
-        p99_ms: percentile(&delays_ms, 99.0),
-        max_ms: delays_ms.last().copied().unwrap_or(0.0),
-        bottleneck_admitted: bottleneck.admitted() - admitted0,
-        bottleneck_dropped: bottleneck.dropped() - dropped0,
-    }
+    let t0 = Instant::now();
+    let (delays_ms, outputs) = closed_loop(&h.client, queries, |q| q).await;
+    let elapsed_s = t0.elapsed().as_secs_f64();
+
+    let harvests: Vec<f64> = outputs.iter().map(|o| o.harvest).collect();
+    let scanned: u64 = outputs.iter().map(|o| o.scanned).sum();
+    Json::obj([
+        ("cross_frac", cross_frac.into()),
+        ("queries", queries.into()),
+        // queries that achieved full harvest
+        (
+            "completed",
+            harvests.iter().filter(|&&h| h >= 1.0).count().into(),
+        ),
+        ("mean_harvest", Json::rounded(roar_util::mean(&harvests), 3)),
+        // scanned records per wall second across the whole point — the
+        // goodput axis (lost windows scan nothing)
+        (
+            "goodput_records_per_s",
+            Json::rounded(scanned as f64 / elapsed_s, 0),
+        ),
+    ])
+    .merge(Summary::from(&delays_ms).to_json("ms"))
+    // datagrams the shared bottleneck forwarded / tail-dropped during the
+    // measurement (admission pressure, for the report)
+    .merge(Json::obj([
+        (
+            "bottleneck_admitted",
+            (bottleneck.admitted() - admitted0).into(),
+        ),
+        (
+            "bottleneck_dropped",
+            (bottleneck.dropped() - dropped0).into(),
+        ),
+    ]))
 }
 
 /// Run the comparison. `Quick` shrinks the cluster, the ramp and the query
-/// count for CI smoke runs.
-pub fn run(scale: Scale) -> BenchCongestion {
+/// count for CI smoke runs. Headline members, both at the top of the ramp
+/// (> 1 means ccudp wins): `p99_speedup_ccudp_vs_fixed` = p99(udp_fixed_rto)
+/// / p99(ccudp), `goodput_ratio_ccudp_vs_fixed` = goodput(ccudp) /
+/// goodput(udp_fixed_rto).
+pub fn run(scale: Scale, _: &Filters) -> Result<Json, String> {
     let n = scale.pick(8, 4);
     let p = n / 2;
     let queries = scale.pick(30, 10);
-    let n_ids = scale.pick(800, 300);
-    let cross_fracs: Vec<f64> = match scale {
-        Scale::Full => vec![0.0, 0.5, 0.8, 0.95],
-        Scale::Quick => vec![0.0, 0.8],
+    let ids = synthetic_ids(585, scale.pick(800, 300));
+    let cross_fracs: &[f64] = match scale {
+        Scale::Full => &[0.0, 0.5, 0.8, 0.95],
+        Scale::Quick => &[0.0, 0.8],
     };
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    runtime.block_on(async {
-        let mut rng = det_rng(585);
-        let ids: Vec<u64> = (0..n_ids).map(|_| rng.gen()).collect();
+    block_on(async {
         let mut modes = Vec::new();
         for (name, spec_for) in [
             ("udp_fixed_rto", fixed_spec as fn(LossSpec) -> TransportSpec),
-            ("ccudp", cc_spec as fn(LossSpec) -> TransportSpec),
+            ("ccudp", cc_spec),
         ] {
             let mut points = Vec::new();
-            for &frac in &cross_fracs {
-                points.push(run_point(spec_for, frac, n, p, &ids, queries).await);
+            for &frac in cross_fracs {
+                points.push(run_point(spec_for, frac, (n, p), &ids, queries).await);
             }
-            modes.push(ModeRun { name, points });
+            modes.push(Json::obj([
+                ("name", name.into()),
+                ("points", Json::Arr(points)),
+            ]));
         }
-        let top_fixed = modes[0].points.last().expect("ramp non-empty").clone();
-        let top_cc = modes[1].points.last().expect("ramp non-empty").clone();
-        BenchCongestion {
-            nodes: n,
-            p,
-            ids: n_ids,
-            queries_per_point: queries,
-            cross_fracs,
-            modes,
-            p99_speedup_ccudp_vs_fixed: top_fixed.p99_ms / top_cc.p99_ms,
-            goodput_ratio_ccudp_vs_fixed: top_cc.goodput_records_per_s
-                / top_fixed.goodput_records_per_s,
-        }
+        let modes = Json::Arr(modes);
+        let (fixed, cc) = (
+            top_point(&modes, "udp_fixed_rto")?,
+            top_point(&modes, "ccudp")?,
+        );
+        let p99_speedup = number(fixed, &["p99_ms"])? / number(cc, &["p99_ms"])?;
+        let goodput_ratio =
+            number(cc, &["goodput_records_per_s"])? / number(fixed, &["goodput_records_per_s"])?;
+        Ok(Json::obj([
+            ("benchmark", "congestion_cross_traffic".into()),
+            (
+                "config",
+                Json::obj([
+                    ("nodes", n.into()),
+                    ("p", p.into()),
+                    ("ids", ids.len().into()),
+                    ("queries_per_point", queries.into()),
+                    ("drain_dgrams_per_s", DRAIN_DGRAMS_PER_S.into()),
+                    ("queue_cap", QUEUE_CAP.into()),
+                    ("fixed_rto_ms", millis(FIXED_RTO)),
+                    (
+                        "loss",
+                        "all server datagrams share one bottleneck queue with ramped cross traffic"
+                            .into(),
+                    ),
+                ]),
+            ),
+            ("modes", modes),
+            ("p99_speedup_ccudp_vs_fixed", Json::rounded(p99_speedup, 2)),
+            (
+                "goodput_ratio_ccudp_vs_fixed",
+                Json::rounded(goodput_ratio, 2),
+            ),
+        ]))
     })
 }
 
-impl BenchCongestion {
-    /// The measurement at the top of the ramp for `mode`.
-    pub fn top_point(&self, mode: &str) -> &PointResult {
-        self.modes
-            .iter()
-            .find(|m| m.name == mode)
-            .expect("mode exists")
-            .points
-            .last()
-            .expect("ramp non-empty")
-    }
+/// `mode`'s measurement at the top of the ramp, from the `modes` array.
+fn top_point<'a>(modes: &'a Json, mode: &str) -> Result<&'a Json, String> {
+    let points = modes.find("name", mode).and_then(|m| m.get("points"));
+    points
+        .and_then(|p| p.as_array()?.last())
+        .ok_or_else(|| format!("mode {mode} has no points"))
+}
 
-    /// The CI gate: under the heaviest cross traffic, ccudp must beat the
-    /// fixed-RTO path's p99 and sustain at least its goodput.
-    pub fn ccudp_beats_fixed(&self) -> bool {
-        let fixed = self.top_point("udp_fixed_rto");
-        let cc = self.top_point("ccudp");
-        cc.p99_ms <= fixed.p99_ms && cc.goodput_records_per_s >= fixed.goodput_records_per_s
-    }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"congestion_cross_traffic\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"nodes\": {}, \"p\": {}, \"ids\": {}, \"queries_per_point\": {}, \
-             \"drain_dgrams_per_s\": {}, \"queue_cap\": {}, \"fixed_rto_ms\": {}, \
-             \"loss\": \"all server datagrams share one bottleneck queue with ramped cross traffic\"}},\n",
-            self.nodes,
-            self.p,
-            self.ids,
-            self.queries_per_point,
-            DRAIN_DGRAMS_PER_S,
-            QUEUE_CAP,
-            FIXED_RTO.as_millis(),
+/// The CI gate: congestion control must win where it matters — under the
+/// heaviest cross traffic, ccudp must beat the fixed-RTO path's p99 and
+/// sustain at least its goodput.
+pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
+    let modes = doc.get("modes").ok_or("no modes")?;
+    let (fixed, cc) = (
+        top_point(modes, "udp_fixed_rto")?,
+        top_point(modes, "ccudp")?,
+    );
+    let (cc_p99, fixed_p99) = (number(cc, &["p99_ms"])?, number(fixed, &["p99_ms"])?);
+    let goodput = |point| number(point, &["goodput_records_per_s"]);
+    let (cc_goodput, fixed_goodput) = (goodput(cc)?, goodput(fixed)?);
+    if cc_p99 > fixed_p99 || cc_goodput < fixed_goodput {
+        return Err(format!(
+            "ccudp must beat fixed-RTO p99 and sustain goodput under cross traffic: \
+             p99 {cc_p99:.1} vs {fixed_p99:.1} ms, goodput {cc_goodput:.0} vs {fixed_goodput:.0} rec/s"
         ));
-        s.push_str("  \"modes\": [\n");
-        for (i, m) in self.modes.iter().enumerate() {
-            s.push_str(&format!("    {{\"name\": \"{}\", \"points\": [\n", m.name));
-            for (j, pt) in m.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"cross_frac\": {:.2}, \"queries\": {}, \"completed\": {}, \
-                     \"mean_harvest\": {:.3}, \"goodput_records_per_s\": {:.0}, \
-                     \"mean_ms\": {:.2}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
-                     \"max_ms\": {:.2}, \"bottleneck_admitted\": {}, \
-                     \"bottleneck_dropped\": {}}}{}\n",
-                    pt.cross_frac,
-                    pt.queries,
-                    pt.completed,
-                    pt.mean_harvest,
-                    pt.goodput_records_per_s,
-                    pt.mean_ms,
-                    pt.p50_ms,
-                    pt.p99_ms,
-                    pt.max_ms,
-                    pt.bottleneck_admitted,
-                    pt.bottleneck_dropped,
-                    if j + 1 < m.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.modes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"p99_speedup_ccudp_vs_fixed\": {:.2},\n  \"goodput_ratio_ccudp_vs_fixed\": {:.2}\n}}\n",
-            self.p99_speedup_ccudp_vs_fixed, self.goodput_ratio_ccudp_vs_fixed
-        ));
-        s
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -316,33 +246,49 @@ mod tests {
 
     #[test]
     fn quick_congestion_shows_the_484_direction() {
-        let b = run(Scale::Quick);
-        let fixed = b.top_point("udp_fixed_rto");
-        let cc = b.top_point("ccudp");
+        let b = run(Scale::Quick, &Filters::default()).unwrap();
         // the acceptance criterion: under cross traffic the adaptive path
         // must not lose on the tail, and must sustain goodput
-        assert!(
-            b.ccudp_beats_fixed(),
-            "ccudp must beat fixed-RTO under cross traffic: \
-             p99 {:.1} vs {:.1} ms, goodput {:.0} vs {:.0} rec/s",
-            cc.p99_ms,
-            fixed.p99_ms,
-            cc.goodput_records_per_s,
-            fixed.goodput_records_per_s,
-        );
+        gate(&b, Scale::Quick).expect("ccudp must beat fixed-RTO under cross traffic");
         // the quiet points must be healthy for both (no cross traffic, no
         // collapse): congestion control must cost ~nothing when idle
-        for m in &b.modes {
-            let quiet = &m.points[0];
-            assert_eq!(quiet.cross_frac, 0.0);
+        for mode in b.get("modes").unwrap().as_array().unwrap() {
+            let quiet = &mode.get("points").unwrap().as_array().unwrap()[0];
+            assert_eq!(number(quiet, &["cross_frac"]), Ok(0.0));
             assert!(
-                quiet.mean_harvest > 0.99,
-                "{}: quiet network must not lose windows",
-                m.name
+                number(quiet, &["mean_harvest"]).unwrap() > 0.99,
+                "{mode:?}: quiet network must not lose windows"
             );
         }
-        let json = b.to_json();
-        assert!(json.contains("congestion_cross_traffic"));
-        assert!(json.contains("p99_speedup_ccudp_vs_fixed"));
+    }
+
+    #[test]
+    fn gate_needs_both_the_tail_and_the_goodput() {
+        let mode = |name: &str, p99: f64, goodput: f64| {
+            let top = Json::obj([
+                ("p99_ms", p99.into()),
+                ("goodput_records_per_s", goodput.into()),
+            ]);
+            Json::obj([
+                ("name", name.into()),
+                ("points", Json::Arr(vec![Json::Null, top])),
+            ])
+        };
+        let doc = |cc_p99, cc_goodput| {
+            let modes = vec![
+                mode("udp_fixed_rto", 100.0, 500.0),
+                mode("ccudp", cc_p99, cc_goodput),
+            ];
+            Json::obj([("modes", Json::Arr(modes))])
+        };
+        assert!(gate(&doc(30.0, 900.0), Scale::Quick).is_ok());
+        assert!(
+            gate(&doc(130.0, 900.0), Scale::Quick).is_err(),
+            "lost on the tail"
+        );
+        assert!(
+            gate(&doc(30.0, 400.0), Scale::Quick).is_err(),
+            "lost on goodput"
+        );
     }
 }

@@ -3,8 +3,14 @@
 //!
 //! Every experiment is a function from a [`Scale`] (full or quick) to a
 //! [`roar_util::Report`]; the `repro` binary runs them by id and saves the
-//! rendered tables under `results/`. The committed `BENCH_*.json`
-//! measurements are indexed in the README's *Benchmarks* section.
+//! rendered tables under `results/`.
+//!
+//! The committed `BENCH_*.json` measurements share one result model: each
+//! bench module's `run(scale, filters)` returns a [`roar_util::Json`]
+//! document (latency columns from [`roar_util::Summary`]), its `gate`
+//! judges that document, and the bench table in `bin/repro.rs` — indexed
+//! in the README's *Benchmarks* section — is the only place that renders,
+//! writes or dispatches them.
 
 #![forbid(unsafe_code)]
 
@@ -16,6 +22,7 @@ pub mod ch6;
 pub mod ch7;
 pub mod churn;
 pub mod congestion;
+pub mod driver;
 pub mod incast;
 pub mod node_concurrency;
 pub mod pps_bench;
@@ -24,7 +31,8 @@ pub mod schema;
 pub mod tail;
 pub mod trajectory;
 
-use roar_util::Report;
+use roar_crypto::sha1::Backend;
+use roar_util::{Json, Report};
 
 /// Experiment scale: `Full` reproduces the documented numbers; `Quick`
 /// shrinks workloads ~4–10× for smoke runs and CI.
@@ -42,6 +50,47 @@ impl Scale {
             Scale::Quick => quick,
         }
     }
+}
+
+/// The slice of a bench's matrix one `repro` invocation selects
+/// (`--scenario`, `--transport`, `--backend`); the default selects
+/// everything. A bench ignores the axes it does not have.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Filters {
+    pub scenario: Option<String>,
+    pub transport: Option<String>,
+    pub backend: Option<Backend>,
+}
+
+impl Filters {
+    /// Does `name` pass an axis' selection (`None` selects everything)?
+    pub fn selects(axis: &Option<String>, name: &str) -> bool {
+        axis.as_deref().is_none_or(|wanted| wanted == name)
+    }
+
+    /// The transports selected, in artifact order.
+    pub fn transports(&self) -> impl Iterator<Item = &'static str> + '_ {
+        let selected = |name: &&str| Filters::selects(&self.transport, name);
+        driver::TRANSPORTS.into_iter().filter(selected)
+    }
+}
+
+/// The number at `path` in a bench document — how gates read what they
+/// judge. A missing member is an error naming the path, never a default.
+pub fn number(doc: &Json, path: &[&str]) -> Result<f64, String> {
+    doc.path(path)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("no number at {:?}", path.join(".")))
+}
+
+/// A duration as whole milliseconds (how configs report their timers).
+pub fn millis(d: std::time::Duration) -> Json {
+    Json::Num(d.as_millis() as f64)
+}
+
+/// The gate of a bench that only measures.
+pub fn ungated(_: &Json, _: Scale) -> Result<(), String> {
+    Ok(())
 }
 
 /// One registered experiment.

@@ -22,7 +22,7 @@
 //! enforces the ≥ 1.5× batched-vs-baseline floor at 64 resident queries
 //! on the best available backend.
 
-use crate::Scale;
+use crate::{number, Filters, Scale};
 use roar_core::ring::Window;
 use roar_crypto::bloom::BloomParams;
 use roar_crypto::sha1::Backend;
@@ -30,7 +30,7 @@ use roar_pps::engine::match_corpus_with;
 use roar_pps::metadata::MetaEncryptor;
 use roar_pps::query::CompiledQuery;
 use roar_pps::{BatchEngine, EncryptedMetadata, MetadataStore, QueryTask, TaskCorpus};
-use roar_util::det_rng;
+use roar_util::{det_rng, Json};
 use roar_workload::{fast_random_metadata_with, QueryGenerator};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,42 +38,8 @@ use std::time::Instant;
 /// Resident sub-query counts measured (the ISSUE's 1 / 8 / 64 ladder).
 pub const RESIDENT: [usize; 3] = [1, 8, 64];
 
-/// One (backend, resident-count) measurement: aggregate rec/s through
-/// both paths and their ratio.
-#[derive(Debug, Clone)]
-pub struct Point {
-    pub resident: usize,
-    pub baseline_rps: f64,
-    pub batched_rps: f64,
-    pub speedup: f64,
-}
-
-/// The resident ladder under one SHA-1 backend.
-#[derive(Debug, Clone)]
-pub struct BackendRun {
-    pub backend: Backend,
-    pub lanes: usize,
-    pub points: Vec<Point>,
-}
-
-/// The whole comparison.
-#[derive(Debug, Clone)]
-pub struct BenchNodeConcurrency {
-    pub records: usize,
-    pub repeats: usize,
-    /// Matcher pool width (mirrors the node's pool sizing, capped at 4).
-    pub workers: usize,
-    pub backends: Vec<BackendRun>,
-    /// The auto-detected (widest available) backend's name.
-    pub best_backend: String,
-    /// Batched vs baseline aggregate rec/s at 64 resident sub-queries on
-    /// the best backend — the artifact's headline number.
-    pub speedup_64: f64,
-    /// Batched aggregate rec/s at 64 resident vs 1 resident on the best
-    /// backend: > 1 means residency adds throughput (lane packing,
-    /// worker-pool parallelism) instead of costing it.
-    pub batched_scaling_64_vs_1: f64,
-}
+/// The full-scale acceptance floor: batched over baseline at 64 resident.
+pub const SPEEDUP_FLOOR: f64 = 1.5;
 
 /// The shared fixture: the paper's measurement corpus (50-keyword docs at
 /// fp = 1e-5, r = 17) and 64 distinct zero-match queries so every resident
@@ -161,118 +127,93 @@ impl Fixture {
         (resident * self.n) as f64 / best
     }
 
-    fn run_backend(&self, backend: Backend) -> BackendRun {
-        let points = RESIDENT
-            .iter()
-            .map(|&resident| {
-                let baseline_rps = self.measure_baseline(backend, resident);
-                let batched_rps = self.measure_batched(backend, resident);
-                Point {
-                    resident,
-                    baseline_rps,
-                    batched_rps,
-                    speedup: batched_rps / baseline_rps,
-                }
-            })
-            .collect();
-        BackendRun {
-            backend,
-            lanes: backend.engine().lanes(),
-            points,
-        }
+    /// The resident ladder under one SHA-1 backend: aggregate rec/s
+    /// through both paths and their ratio, per resident count.
+    fn run_backend(&self, backend: Backend) -> Json {
+        let points = RESIDENT.iter().map(|&resident| {
+            let baseline_rps = self.measure_baseline(backend, resident);
+            let batched_rps = self.measure_batched(backend, resident);
+            Json::obj([
+                ("resident", resident.into()),
+                ("baseline_rps", Json::rounded(baseline_rps, 0)),
+                ("batched_rps", Json::rounded(batched_rps, 0)),
+                ("speedup", Json::rounded(batched_rps / baseline_rps, 3)),
+            ])
+        });
+        Json::obj([
+            ("backend", backend.name().into()),
+            ("lanes", backend.engine().lanes().into()),
+            ("points", points.collect()),
+        ])
     }
 }
 
 /// Run the comparison. `Full` sweeps every available backend; `Quick`
 /// (CI's smoke invocation) measures only the auto-detected backend.
-pub fn run(scale: Scale) -> BenchNodeConcurrency {
+///
+/// Headline members, both on the auto-detected (widest available) backend
+/// `best_backend`: `speedup_64` — batched vs baseline aggregate rec/s at 64
+/// resident sub-queries — and `batched_scaling_64_vs_1` — batched rec/s at
+/// 64 resident vs 1 resident; > 1 means residency adds throughput (lane
+/// packing, worker-pool parallelism) instead of costing it.
+pub fn run(scale: Scale, _: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
     let backends: Vec<Backend> = match scale {
         Scale::Full => Backend::ALL.into_iter().filter(|b| b.available()).collect(),
         Scale::Quick => vec![Backend::auto()],
     };
-    let runs: Vec<BackendRun> = backends.into_iter().map(|b| fx.run_backend(b)).collect();
-    let best_name = Backend::auto().name().to_string();
+    let runs: Json = backends.into_iter().map(|b| fx.run_backend(b)).collect();
+    let best_name = Backend::auto().name();
     let best = runs
-        .iter()
-        .find(|r| r.backend.name() == best_name)
-        .expect("auto backend always measured");
-    let at = |resident: usize| {
-        best.points
-            .iter()
-            .find(|p| p.resident == resident)
-            .expect("resident point")
-    };
-    let top = *RESIDENT.last().unwrap();
-    BenchNodeConcurrency {
-        records: fx.n,
-        repeats: fx.repeats,
-        workers: fx.workers,
-        speedup_64: at(top).speedup,
-        batched_scaling_64_vs_1: at(top).batched_rps / at(1).batched_rps,
-        best_backend: best_name,
-        backends: runs,
-    }
+        .find("backend", best_name)
+        .and_then(|r| r.get("points"));
+    let points = best
+        .and_then(Json::as_array)
+        .ok_or("auto backend not measured")?;
+    let (first, top) = (&points[0], &points[points.len() - 1]);
+    let scaling = number(top, &["batched_rps"])? / number(first, &["batched_rps"])?;
+    let speedup_64 = top.get("speedup").cloned().ok_or("no speedup")?;
+    Ok(Json::obj([
+        ("benchmark", "node_concurrency".into()),
+        (
+            "config",
+            Json::obj([
+                ("records", fx.n.into()),
+                ("keywords_per_doc", 50usize.into()),
+                ("fp_rate", Json::Num(1e-5)),
+                ("repeats", fx.repeats.into()),
+                // matcher pool width (mirrors the node's pool sizing)
+                ("workers", fx.workers.into()),
+                ("resident", RESIDENT.into_iter().collect()),
+            ]),
+        ),
+        ("backends", runs),
+        ("best_backend", best_name.into()),
+        ("speedup_64", speedup_64),
+        ("batched_scaling_64_vs_1", Json::rounded(scaling, 3)),
+    ]))
 }
 
-impl BenchNodeConcurrency {
-    /// The smoke gate: piling 64 resident sub-queries onto the engine must
-    /// not reduce aggregate throughput below the single-query rate.
-    pub fn scales_with_residency(&self) -> bool {
-        self.batched_scaling_64_vs_1 >= 1.0
-    }
-
-    /// The acceptance floor: at 64 resident sub-queries on the best
-    /// backend, the batched path must be ≥ 1.5× the thread-per-query
-    /// clone-under-lock baseline.
-    pub fn meets_speedup_floor(&self) -> bool {
-        self.speedup_64 >= 1.5
-    }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"node_concurrency\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"records\": {}, \"keywords_per_doc\": 50, \"fp_rate\": 1e-5, \
-             \"repeats\": {}, \"workers\": {}, \"resident\": [{}]}},\n",
-            self.records,
-            self.repeats,
-            self.workers,
-            RESIDENT.map(|r| r.to_string()).join(", ")
+/// The smoke gate (every scale): piling 64 resident sub-queries onto the
+/// engine must not reduce aggregate throughput below the single-query
+/// rate. The full-scale acceptance floor adds: at 64 resident on the best
+/// backend, batching must beat the old thread-per-query clone-under-lock
+/// path by [`SPEEDUP_FLOOR`].
+pub fn gate(doc: &Json, scale: Scale) -> Result<(), String> {
+    let scaling = number(doc, &["batched_scaling_64_vs_1"])?;
+    if scaling < 1.0 {
+        return Err(format!(
+            "64-query batched throughput fell below the 1-query rate ({scaling:.2}x)"
         ));
-        s.push_str("  \"backends\": [\n");
-        for (i, run) in self.backends.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"backend\": \"{}\", \"lanes\": {}, \"points\": [\n",
-                run.backend.name(),
-                run.lanes
-            ));
-            for (j, p) in run.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"resident\": {}, \"baseline_rps\": {:.0}, \"batched_rps\": {:.0}, \
-                     \"speedup\": {:.3}}}{}\n",
-                    p.resident,
-                    p.baseline_rps,
-                    p.batched_rps,
-                    p.speedup,
-                    if j + 1 < run.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.backends.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"best_backend\": \"{}\",\n  \"speedup_64\": {:.3},\n  \
-             \"batched_scaling_64_vs_1\": {:.3}\n}}\n",
-            self.best_backend, self.speedup_64, self.batched_scaling_64_vs_1
-        ));
-        s
     }
+    let speedup = number(doc, &["speedup_64"])?;
+    if scale == Scale::Full && speedup < SPEEDUP_FLOOR {
+        return Err(format!(
+            "batched/baseline speedup {speedup:.2}x at 64 resident is below the \
+             {SPEEDUP_FLOOR}x floor"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -281,15 +222,33 @@ mod tests {
 
     #[test]
     fn quick_bench_runs_and_scales() {
-        let b = run(Scale::Quick);
-        assert_eq!(b.backends.len(), 1, "quick measures the auto backend only");
-        for p in &b.backends[0].points {
-            assert!(p.baseline_rps > 0.0 && p.batched_rps > 0.0);
+        let b = run(Scale::Quick, &Filters::default()).unwrap();
+        let backends = b.get("backends").unwrap().as_array().unwrap();
+        assert_eq!(backends.len(), 1, "quick measures the auto backend only");
+        let points = backends[0].get("points").unwrap().as_array().unwrap();
+        assert_eq!(points.len(), RESIDENT.len());
+        for p in points {
+            assert!(number(p, &["baseline_rps"]).unwrap() > 0.0);
+            assert!(number(p, &["batched_rps"]).unwrap() > 0.0);
         }
-        let json = b.to_json();
-        assert!(json.contains("\"benchmark\": \"node_concurrency\""));
-        assert!(json.contains("\"speedup_64\""));
-        crate::schema::check_artifact("BENCH_node_concurrency.json", &json)
-            .expect("writer output must satisfy its own schema");
+        assert!(number(&b, &["speedup_64"]).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn gate_applies_the_speedup_floor_at_full_scale_only() {
+        let doc = |scaling: f64, speedup: f64| {
+            Json::obj([
+                ("batched_scaling_64_vs_1", scaling.into()),
+                ("speedup_64", speedup.into()),
+            ])
+        };
+        assert!(gate(&doc(1.3, 2.0), Scale::Full).is_ok());
+        assert!(gate(&doc(0.9, 2.0), Scale::Quick)
+            .unwrap_err()
+            .contains("1-query"));
+        assert!(gate(&doc(1.3, 1.2), Scale::Quick).is_ok());
+        assert!(gate(&doc(1.3, 1.2), Scale::Full)
+            .unwrap_err()
+            .contains("floor"));
     }
 }

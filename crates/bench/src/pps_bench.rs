@@ -17,37 +17,37 @@
 //! `repro bench_pps_backends` runs the batched path once per available
 //! backend and renders the comparison table committed under `results/`.
 
-use crate::Scale;
+use crate::{Filters, Scale};
 use roar_crypto::bloom::BloomParams;
 use roar_crypto::sha1::Backend;
 use roar_pps::bloom_kw::BloomKeywordScheme;
 use roar_pps::bloom_kw::PrfCounter;
 use roar_pps::metadata::MetaEncryptor;
 use roar_pps::query::{CompiledQuery, MatchScratch, Matcher};
-use roar_util::det_rng;
+use roar_util::{det_rng, Json};
 use roar_workload::{fast_random_metadata_with, QueryGenerator};
 use std::time::Instant;
 
 /// One measured path.
-#[derive(Debug, Clone)]
-pub struct PathResult {
-    pub name: String,
-    pub records_per_s: f64,
-    pub prf_calls_per_record: f64,
-    pub hits: usize,
+struct PathResult {
+    name: String,
+    records_per_s: f64,
+    prf_calls_per_record: f64,
+    hits: usize,
 }
 
-/// The whole comparison.
-#[derive(Debug, Clone)]
-pub struct BenchPps {
-    pub records: usize,
-    pub keywords_per_doc: usize,
-    pub fp_rate: f64,
-    pub r_hashes: usize,
-    pub repeats: usize,
-    pub scalar: PathResult,
-    pub batched: PathResult,
-    pub speedup: f64,
+impl PathResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", self.name.as_str().into()),
+            ("records_per_s", Json::rounded(self.records_per_s, 0)),
+            (
+                "prf_calls_per_record",
+                Json::rounded(self.prf_calls_per_record, 3),
+            ),
+            ("hits", self.hits.into()),
+        ])
+    }
 }
 
 fn best_of<F: FnMut() -> (usize, u64)>(
@@ -148,167 +148,133 @@ impl Fixture {
             hits,
         }
     }
+
+    /// The fixture's geometry, as every artifact's `config` member.
+    fn config(&self) -> Json {
+        Json::obj([
+            ("records", self.n.into()),
+            ("keywords_per_doc", 50usize.into()),
+            ("fp_rate", Json::Num(1e-5)),
+            ("r_hashes", self.query.trapdoors[0].parts.len().into()),
+            ("repeats", self.repeats.into()),
+        ])
+    }
 }
 
-/// Run the comparison on the process-default backend. `Quick` shrinks the
-/// corpus ~8× for CI smoke runs.
-pub fn run(scale: Scale) -> BenchPps {
-    run_with(scale, Backend::auto())
-}
-
-/// Run the comparison with the batched path pinned to `backend` (the
-/// scalar reference path is backend-independent by construction).
-pub fn run_with(scale: Scale, backend: Backend) -> BenchPps {
+/// Run the comparison with the batched path on `filters.backend` (default:
+/// the auto-detected one; the scalar reference path is backend-independent
+/// by construction). `Quick` shrinks the corpus ~8× for CI smoke runs.
+/// The document minus `benchmark` is one `BENCH_pps.json` trajectory entry
+/// (see [`crate::trajectory`]).
+pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
     let scalar = fx.measure_reference();
-    let batched = fx.measure_batched(backend);
-    assert_eq!(
-        scalar.hits, batched.hits,
-        "scalar and batched paths disagree on the match set"
-    );
-    let speedup = batched.records_per_s / scalar.records_per_s;
-    BenchPps {
-        records: fx.n,
-        keywords_per_doc: 50,
-        fp_rate: 1e-5,
-        r_hashes: fx.query.trapdoors[0].parts.len(),
-        repeats: fx.repeats,
-        scalar,
-        batched,
-        speedup,
+    let batched = fx.measure_batched(filters.backend.unwrap_or_else(Backend::auto));
+    if scalar.hits != batched.hits {
+        return Err("scalar and batched paths disagree on the match set".into());
     }
-}
-
-fn json_path(out: &mut String, p: &PathResult) {
-    out.push_str(&format!(
-        "{{\"name\": \"{}\", \"records_per_s\": {:.0}, \"prf_calls_per_record\": {:.3}, \"hits\": {}}}",
-        p.name, p.records_per_s, p.prf_calls_per_record, p.hits
-    ));
-}
-
-impl BenchPps {
-    /// Render as a single-line trajectory entry (`BENCH_pps.json` holds one
-    /// of these per PR; see [`crate::trajectory`]).
-    pub fn to_json_entry(&self, pr: u32) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("{{\"pr\": {pr}, \"config\": {{"));
-        s.push_str(&format!(
-            "\"records\": {}, \"keywords_per_doc\": {}, \"fp_rate\": {:e}, \"r_hashes\": {}, \"repeats\": {}",
-            self.records, self.keywords_per_doc, self.fp_rate, self.r_hashes, self.repeats
-        ));
-        s.push_str("}, \"scalar\": ");
-        json_path(&mut s, &self.scalar);
-        s.push_str(", \"batched\": ");
-        json_path(&mut s, &self.batched);
-        s.push_str(&format!(", \"speedup\": {:.3}}}", self.speedup));
-        s
-    }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"pps_match_throughput\",\n");
-        s.push_str("  \"config\": {");
-        s.push_str(&format!(
-            "\"records\": {}, \"keywords_per_doc\": {}, \"fp_rate\": {:e}, \"r_hashes\": {}, \"repeats\": {}",
-            self.records, self.keywords_per_doc, self.fp_rate, self.r_hashes, self.repeats
-        ));
-        s.push_str("},\n");
-        s.push_str("  \"scalar\": ");
-        json_path(&mut s, &self.scalar);
-        s.push_str(",\n  \"batched\": ");
-        json_path(&mut s, &self.batched);
-        s.push_str(&format!(",\n  \"speedup\": {:.3}\n}}\n", self.speedup));
-        s
-    }
+    Ok(Json::obj([
+        ("benchmark", "pps_match_throughput".into()),
+        ("config", fx.config()),
+        ("scalar", scalar.to_json()),
+        ("batched", batched.to_json()),
+        (
+            "speedup",
+            Json::rounded(batched.records_per_s / scalar.records_per_s, 3),
+        ),
+    ]))
 }
 
 /// The per-backend comparison (`repro bench_pps_backends`): the batched
-/// survivor sweep once per available SHA-1 lane engine, against one shared
-/// scalar-reference measurement.
-#[derive(Debug, Clone)]
-pub struct BackendTable {
-    pub records: usize,
-    pub repeats: usize,
-    /// The seed path (one-shot HMAC per probe), backend-independent.
-    pub reference_rps: f64,
-    /// `(backend, lanes, batched records/s)`, narrowest backend first.
-    pub rows: Vec<(Backend, usize, f64)>,
-}
-
-/// Measure the batched path under every backend this CPU supports — one
-/// shared corpus and one reference measurement (the one-shot path is
-/// backend-independent, and it is the slowest leg of the sweep).
-pub fn run_backends(scale: Scale) -> BackendTable {
+/// survivor sweep once per SHA-1 lane engine this CPU supports, narrowest
+/// first, against one shared corpus and one scalar-reference measurement
+/// (the one-shot path is backend-independent, and it is the slowest leg of
+/// the sweep). A full-scale run also saves the comparison as the text
+/// table `results/bench_pps_backends.txt`; a quick smoke must not
+/// overwrite it.
+pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
-    let reference = fx.measure_reference();
-    let rows = Backend::ALL
+    let reference_rps = fx.measure_reference().records_per_s;
+    let rows: Vec<(Backend, f64)> = Backend::ALL
         .into_iter()
         .filter(|b| b.available())
-        .map(|b| (b, b.engine().lanes(), fx.measure_batched(b).records_per_s))
+        .map(|b| (b, fx.measure_batched(b).records_per_s))
         .collect();
-    BackendTable {
-        records: fx.n,
-        repeats: fx.repeats,
-        reference_rps: reference.records_per_s,
-        rows,
+    if scale == Scale::Full {
+        let table = render_backends(&fx, reference_rps, &rows);
+        std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write("results/bench_pps_backends.txt", table))
+            .map_err(|e| format!("write results/bench_pps_backends.txt: {e}"))?;
     }
+    let backends = rows.iter().map(|&(backend, rps)| {
+        Json::obj([
+            ("backend", backend.name().into()),
+            ("lanes", backend.engine().lanes().into()),
+            ("batched_rps", Json::rounded(rps, 0)),
+            ("vs_reference", Json::rounded(rps / reference_rps, 2)),
+        ])
+    });
+    Ok(Json::obj([
+        ("benchmark", "pps_match_throughput_by_backend".into()),
+        ("config", fx.config()),
+        ("reference_rps", Json::rounded(reference_rps, 0)),
+        ("backends", backends.collect()),
+    ]))
 }
 
-impl BackendTable {
-    /// Render the comparison as the text table committed under `results/`.
-    pub fn render(&self) -> String {
-        let mut t = roar_util::Table::new([
-            "backend",
-            "lanes",
-            "batched rec/s",
-            "vs scalar backend",
-            "vs one-shot reference",
+/// The comparison as the text table kept under `results/`.
+fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[(Backend, f64)]) -> String {
+    let mut t = roar_util::Table::new([
+        "backend",
+        "lanes",
+        "batched rec/s",
+        "vs scalar backend",
+        "vs one-shot reference",
+    ]);
+    let base = rows.first().map_or(f64::NAN, |&(_, rps)| rps);
+    for &(backend, rps) in rows {
+        t.row([
+            backend.name().to_string(),
+            backend.engine().lanes().to_string(),
+            format!("{rps:.0}"),
+            format!("{:.2}x", rps / base),
+            format!("{:.2}x", rps / reference_rps),
         ]);
-        let base = self
-            .rows
-            .first()
-            .map(|&(_, _, rps)| rps)
-            .unwrap_or(f64::NAN);
-        for &(backend, lanes, rps) in &self.rows {
-            t.row([
-                backend.name().to_string(),
-                lanes.to_string(),
-                format!("{rps:.0}"),
-                format!("{:.2}x", rps / base),
-                format!("{:.2}x", rps / self.reference_rps),
-            ]);
-        }
-        format!(
-            "PPS batched matching throughput by SHA-1 backend\n\
-             ({} records, 50 keywords/doc, fp 1e-5, r = 17, best of {}; \
-             one-shot reference {:.0} rec/s)\n\n{}",
-            self.records,
-            self.repeats,
-            self.reference_rps,
-            t.render()
-        )
     }
+    format!(
+        "PPS batched matching throughput by SHA-1 backend\n\
+         ({} records, 50 keywords/doc, fp 1e-5, r = 17, best of {}; \
+         one-shot reference {:.0} rec/s)\n\n{}",
+        fx.n,
+        fx.repeats,
+        reference_rps,
+        t.render()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::number;
 
     #[test]
     fn quick_bench_runs_and_reports_speedup() {
-        let b = run(Scale::Quick);
-        assert_eq!(b.scalar.hits, b.batched.hits);
-        assert!(b.scalar.records_per_s > 0.0 && b.batched.records_per_s > 0.0);
+        let b = run(Scale::Quick, &Filters::default()).unwrap();
+        assert_eq!(
+            number(&b, &["scalar", "hits"]),
+            number(&b, &["batched", "hits"])
+        );
+        assert!(number(&b, &["scalar", "records_per_s"]).unwrap() > 0.0);
+        assert!(number(&b, &["batched", "records_per_s"]).unwrap() > 0.0);
         // PRF accounting agrees across paths (the prepared path's
         // cheapest-miss-first reordering may shift individual probe counts
         // by a fraction of a percent; the expectation is unchanged)
-        let rel = (b.scalar.prf_calls_per_record - b.batched.prf_calls_per_record).abs()
-            / b.scalar.prf_calls_per_record;
+        let scalar_prf = number(&b, &["scalar", "prf_calls_per_record"]).unwrap();
+        let batched_prf = number(&b, &["batched", "prf_calls_per_record"]).unwrap();
+        let rel = (scalar_prf - batched_prf).abs() / scalar_prf;
         assert!(rel < 0.02, "PRF accounting diverged: {rel:.4}");
-        let json = b.to_json();
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("batched_midstate"));
+        assert!(number(&b, &["speedup"]).unwrap() > 0.0);
+        let name = b.path(&["batched", "name"]).and_then(Json::as_str).unwrap();
+        assert!(name.starts_with("batched_midstate"), "{name}");
     }
 }

@@ -19,14 +19,11 @@
 //! noise. The headline gate: 512-node throughput ≥ 4× the 16-node figure
 //! on at least one transport.
 
-use crate::Scale;
-use rand::Rng;
-use roar_cluster::{
-    spawn_cluster, AdaptiveConfig, ClusterConfig, DatagramConfig, FixedRto, LossSpec, QueryBody,
-    SchedOpts, TransportSpec,
-};
-use roar_util::{det_rng, percentile};
-use std::time::{Duration, Instant};
+use crate::driver::{block_on, closed_loop, synthetic_ids, transport_by_name};
+use crate::{number, Filters, Scale};
+use roar_cluster::{spawn_cluster, ClusterConfig, TransportSpec};
+use roar_util::{Json, Summary};
+use std::time::Instant;
 
 /// Seed for the synthetic corpus.
 pub const SCALE_SEED: u64 = 8117;
@@ -35,266 +32,121 @@ pub const SCALE_SEED: u64 = 8117;
 /// qps must reach this on at least one transport.
 pub const SCALING_FLOOR: f64 = 4.0;
 
-/// One cluster size under one transport.
-#[derive(Debug, Clone)]
-pub struct SizePoint {
-    pub nodes: usize,
-    pub p: usize,
-    pub queries: usize,
-    pub qps: f64,
-    pub mean_harvest: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-}
+/// The looser floor for the quick {16,128} smoke on a shared CI core.
+pub const QUICK_SCALING_FLOOR: f64 = 1.5;
 
-/// All sizes under one transport.
-#[derive(Debug, Clone)]
-pub struct TransportScaling {
-    pub name: &'static str,
-    pub points: Vec<SizePoint>,
-    /// qps at the largest size over qps at the smallest.
-    pub scaling: f64,
-}
+/// Node scan speed, records/s: slow enough that the per-partition scan
+/// dominates loopback RPC cost at the small end — the scaling ratio then
+/// measures partitioning.
+const SPEED: f64 = 5e3;
 
-/// The whole matrix.
-#[derive(Debug, Clone)]
-pub struct BenchScale {
-    pub sizes: Vec<usize>,
-    pub ids: usize,
-    pub speed: f64,
-    pub queries_per_size: usize,
-    pub transports: Vec<TransportScaling>,
-    /// Best `scaling` across transports — the gated figure.
-    pub best_scaling: f64,
-}
-
-/// Transport names, in artifact order.
-pub const TRANSPORTS: [&str; 3] = ["tcp", "udp", "ccudp"];
-
-fn spec_by_name(name: &str) -> TransportSpec {
-    match name {
-        "tcp" => TransportSpec::Tcp,
-        // the same liveness budgets the harness suite runs under
-        "udp" => TransportSpec::Udp {
-            cfg: DatagramConfig {
-                policy: FixedRto {
-                    rto: Duration::from_millis(10),
-                },
-                max_attempts: 50,
-                ..DatagramConfig::default()
-            },
-            client_loss: LossSpec::None,
-            server_loss: LossSpec::None,
-        },
-        "ccudp" => TransportSpec::CcUdp {
-            cfg: DatagramConfig {
-                max_attempts: 8,
-                policy: AdaptiveConfig {
-                    min_rto: Duration::from_millis(10),
-                    init_rto: Duration::from_millis(20),
-                    max_rto: Duration::from_millis(50),
-                    ..AdaptiveConfig::default()
-                },
-                ..DatagramConfig::default()
-            },
-            client_loss: LossSpec::None,
-            server_loss: LossSpec::None,
-        },
-        other => panic!("unknown transport {other:?} (tcp|udp|ccudp)"),
-    }
-}
-
-/// Partitioning level at each size: `n/4` keeps replication at a constant
-/// r = 4 while the per-partition scan shrinks with the fleet.
-fn p_for(n: usize) -> usize {
-    (n / 4).max(1)
-}
-
-async fn run_size(
-    n: usize,
-    speed: f64,
-    ids: &[u64],
-    queries: usize,
-    warmup: usize,
-    spec: TransportSpec,
-) -> SizePoint {
-    let p = p_for(n);
-    let h = spawn_cluster(ClusterConfig::uniform(n, speed, p).with_transport(spec))
+/// One cluster size under one transport. Partitioning is `n/4`: replication
+/// stays at a constant r = 4 while the per-partition scan shrinks with the
+/// fleet.
+async fn run_size(n: usize, ids: &[u64], queries: usize, spec: TransportSpec) -> Json {
+    let p = (n / 4).max(1);
+    let h = spawn_cluster(ClusterConfig::uniform(n, SPEED, p).with_transport(spec))
         .await
         .expect("cluster");
     h.admin.store_synthetic(ids).await.expect("store");
 
-    for _ in 0..warmup {
-        h.client
-            .query(QueryBody::Synthetic)
-            .sched(SchedOpts::default())
-            .run()
-            .await;
-    }
-
-    let mut delays_ms = Vec::with_capacity(queries);
-    let mut harvests = Vec::with_capacity(queries);
+    closed_loop(&h.client, 2, |q| q).await; // warm-up
     let t0 = Instant::now();
-    for _ in 0..queries {
-        let q0 = Instant::now();
-        let out = h
-            .client
-            .query(QueryBody::Synthetic)
-            .sched(SchedOpts::default())
-            .run()
-            .await;
-        delays_ms.push(q0.elapsed().as_secs_f64() * 1e3);
-        harvests.push(out.harvest);
-    }
+    let (delays_ms, outputs) = closed_loop(&h.client, queries, |q| q).await;
     let elapsed = t0.elapsed().as_secs_f64();
 
-    delays_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    SizePoint {
-        nodes: n,
-        p,
-        queries,
-        qps: queries as f64 / elapsed,
-        mean_harvest: roar_util::mean(&harvests),
-        p50_ms: percentile(&delays_ms, 50.0),
-        p99_ms: percentile(&delays_ms, 99.0),
-        max_ms: delays_ms.last().copied().unwrap_or(0.0),
-    }
+    let harvests: Vec<f64> = outputs.iter().map(|o| o.harvest).collect();
+    Json::obj([
+        ("nodes", n.into()),
+        ("p", p.into()),
+        ("queries", queries.into()),
+        ("qps", Json::rounded(queries as f64 / elapsed, 2)),
+        // six decimals: one lost window in a 512-node run (1/3840 of the
+        // point's harvest) must still read as < 1 to the gate
+        ("mean_harvest", Json::rounded(roar_util::mean(&harvests), 6)),
+    ])
+    .merge(Summary::from(&delays_ms).to_json("ms"))
 }
 
-/// Run the full matrix (every size × every transport).
-pub fn run(scale: Scale) -> BenchScale {
-    run_filtered(scale, None)
-}
-
-/// Run one transport's column (`None` = all). CI's `scale-smoke` job runs
-/// one transport per leg.
-pub fn run_filtered(scale: Scale, transport: Option<&str>) -> BenchScale {
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => vec![16, 64, 128, 512],
-        Scale::Quick => vec![16, 128],
+/// Run the matrix: every size × every transport `filters` selects (CI's
+/// `scale-smoke` job runs one transport per leg). A transport's `scaling`
+/// is its qps at the largest size over qps at the smallest; `best_scaling`
+/// is the best across transports — the gated figure.
+pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
+    let sizes: &[usize] = match scale {
+        Scale::Full => &[16, 64, 128, 512],
+        Scale::Quick => &[16, 128],
     };
-    let n_ids = scale.pick(4000, 1500);
+    let ids = synthetic_ids(SCALE_SEED, scale.pick(4000, 1500));
     let queries = scale.pick(30, 8);
-    let warmup = 2;
-    // slow enough that the per-partition scan dominates loopback RPC cost
-    // at the small end — the scaling ratio then measures partitioning
-    let speed = 5e3;
-
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    runtime.block_on(async {
-        let mut rng = det_rng(SCALE_SEED);
-        let ids: Vec<u64> = (0..n_ids).map(|_| rng.gen()).collect();
+    block_on(async {
         let mut transports = Vec::new();
-        for t_name in TRANSPORTS {
-            if transport.is_some_and(|t| t != t_name) {
-                continue;
-            }
+        let mut best_scaling = 0.0f64;
+        for name in filters.transports() {
             let mut points = Vec::new();
-            for &n in &sizes {
-                points.push(run_size(n, speed, &ids, queries, warmup, spec_by_name(t_name)).await);
+            for &n in sizes {
+                points.push(run_size(n, &ids, queries, transport_by_name(name)).await);
             }
-            let scaling = match (points.first(), points.last()) {
-                (Some(a), Some(b)) if a.qps > 0.0 => b.qps / a.qps,
-                _ => 0.0,
-            };
-            transports.push(TransportScaling {
-                name: t_name,
-                points,
-                scaling,
-            });
+            let qps = |point: &Json| number(point, &["qps"]);
+            let (small, large) = (qps(&points[0])?, qps(&points[points.len() - 1])?);
+            let scaling = if small > 0.0 { large / small } else { 0.0 };
+            best_scaling = best_scaling.max(scaling);
+            transports.push(Json::obj([
+                ("name", name.into()),
+                ("sizes", Json::Arr(points)),
+                ("scaling", Json::rounded(scaling, 2)),
+            ]));
         }
-        let best_scaling = transports.iter().map(|t| t.scaling).fold(0.0f64, f64::max);
-        BenchScale {
-            sizes,
-            ids: n_ids,
-            speed,
-            queries_per_size: queries,
-            transports,
-            best_scaling,
-        }
+        Ok(Json::obj([
+            ("benchmark", "scale".into()),
+            (
+                "config",
+                Json::obj([
+                    ("sizes", sizes.iter().copied().collect()),
+                    ("ids", ids.len().into()),
+                    ("speed_records_per_s", SPEED.into()),
+                    ("queries_per_size", queries.into()),
+                    ("seed", SCALE_SEED.into()),
+                    ("p_rule", "n/4".into()),
+                ]),
+            ),
+            ("transports", Json::Arr(transports)),
+            ("best_scaling", Json::rounded(best_scaling, 2)),
+            ("scaling_floor", SCALING_FLOOR.into()),
+        ]))
     })
 }
 
-impl BenchScale {
-    /// The named transport's column, if it ran.
-    pub fn column(&self, transport: &str) -> Option<&TransportScaling> {
-        self.transports.iter().find(|t| t.name == transport)
+/// The gate: every point must be full-harvest — scaling up the fleet must
+/// not cost correctness — and throughput must grow with cluster size by
+/// the scale's floor on at least one transport.
+pub fn gate(doc: &Json, scale: Scale) -> Result<(), String> {
+    let floor = match scale {
+        Scale::Full => SCALING_FLOOR,
+        Scale::Quick => QUICK_SCALING_FLOOR,
+    };
+    let transports = doc.get("transports").and_then(Json::as_array);
+    let points: Vec<&Json> = transports
+        .into_iter()
+        .flatten()
+        .filter_map(|t| t.get("sizes")?.as_array())
+        .flatten()
+        .collect();
+    if points.is_empty() {
+        return Err("no point ran".into());
     }
-
-    /// Every point must be full-harvest — scaling up the fleet must not
-    /// cost correctness — and throughput must grow with cluster size by
-    /// at least `floor` on one transport.
-    pub fn scaling_holds(&self, floor: f64) -> bool {
-        let mut saw_any = false;
-        for t in &self.transports {
-            for pt in &t.points {
-                saw_any = true;
-                if pt.mean_harvest < 1.0 {
-                    return false;
-                }
-            }
+    for point in points {
+        if number(point, &["mean_harvest"])? < 1.0 {
+            return Err(format!("harvest dropped below 1.0 at {point:?}"));
         }
-        saw_any && self.best_scaling >= floor
     }
-
-    /// Render as JSON (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"scale\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"sizes\": [{}], \"ids\": {}, \"speed_records_per_s\": {}, \
-             \"queries_per_size\": {}, \"seed\": {}, \"p_rule\": \"n/4\"}},\n",
-            self.sizes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.ids,
-            self.speed,
-            self.queries_per_size,
-            SCALE_SEED,
+    let best = number(doc, &["best_scaling"])?;
+    if best < floor {
+        return Err(format!(
+            "best scaling {best:.2}x is under the {floor:.1}x floor"
         ));
-        s.push_str("  \"transports\": [\n");
-        for (i, t) in self.transports.iter().enumerate() {
-            s.push_str(&format!("    {{\"name\": \"{}\", \"sizes\": [\n", t.name));
-            for (j, pt) in t.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"nodes\": {}, \"p\": {}, \"queries\": {}, \"qps\": {:.2}, \
-                     \"mean_harvest\": {:.3}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
-                     \"max_ms\": {:.2}}}{}\n",
-                    pt.nodes,
-                    pt.p,
-                    pt.queries,
-                    pt.qps,
-                    pt.mean_harvest,
-                    pt.p50_ms,
-                    pt.p99_ms,
-                    pt.max_ms,
-                    if j + 1 < t.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!(
-                "    ], \"scaling\": {:.2}}}{}\n",
-                t.scaling,
-                if i + 1 < self.transports.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"best_scaling\": {:.2},\n  \"scaling_floor\": {:.2}\n}}\n",
-            self.best_scaling, SCALING_FLOOR
-        ));
-        s
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -307,20 +159,46 @@ mod tests {
         // sizes, one transport. The full 4x floor is the nightly gate's
         // job at {16..512}; a quick {16,128} run on a loaded CI core must
         // still show clear improvement and exact harvest
-        let b = run_filtered(Scale::Quick, Some("tcp"));
-        let col = b.column("tcp").expect("tcp column ran");
-        assert_eq!(col.points.len(), 2);
-        for pt in &col.points {
-            assert_eq!(pt.mean_harvest, 1.0, "scaling must not cost harvest");
-        }
+        let filters = Filters {
+            transport: Some("tcp".into()),
+            ..Filters::default()
+        };
+        let b = run(Scale::Quick, &filters).unwrap();
+        let transports = b.get("transports").unwrap();
+        assert_eq!(transports.as_array().unwrap().len(), 1, "one column ran");
+        let col = transports.find("name", "tcp").expect("tcp column ran");
+        assert_eq!(col.get("sizes").unwrap().as_array().unwrap().len(), 2);
+        gate(&b, Scale::Quick).expect("128-node qps must clearly beat 16-node at full harvest");
+    }
+
+    #[test]
+    fn gate_judges_harvest_and_floor() {
+        let doc = |harvest: f64, best: f64| {
+            let point = Json::obj([("mean_harvest", harvest.into())]);
+            let col = Json::obj([("name", "tcp".into()), ("sizes", Json::Arr(vec![point]))]);
+            Json::obj([
+                ("transports", Json::Arr(vec![col])),
+                ("best_scaling", best.into()),
+            ])
+        };
+        assert!(gate(&doc(1.0, 4.0), Scale::Full).is_ok());
+        assert!(gate(&doc(1.0, 3.9), Scale::Full)
+            .unwrap_err()
+            .contains("floor"));
         assert!(
-            col.scaling >= 1.5,
-            "128-node qps must clearly beat 16-node: {col:?}"
+            gate(&doc(1.0, 3.9), Scale::Quick).is_ok(),
+            "quick floor is 1.5x"
         );
-        let json = b.to_json();
-        assert!(json.contains("\"benchmark\": \"scale\""));
-        assert!(json.contains("best_scaling"));
-        crate::schema::check_artifact("BENCH_scale.json", &json)
-            .expect("writer output must satisfy its own schema");
+        assert!(gate(&doc(0.999_74, 9.0), Scale::Full)
+            .unwrap_err()
+            .contains("harvest"));
+        let empty = Json::obj([
+            ("transports", Json::Arr(vec![])),
+            ("best_scaling", Json::Num(9.0)),
+        ]);
+        assert!(
+            gate(&empty, Scale::Full).is_err(),
+            "an empty matrix proves nothing"
+        );
     }
 }

@@ -1,16 +1,18 @@
 //! `repro check_bench_schema` — validate every committed `BENCH_*.json`.
 //!
-//! The benchmark artifacts are hand-rolled JSON (the workspace has no
-//! serde), written by four different modules and consumed by CI gates,
-//! the scheduled bench job and human readers. A formatting slip in one
-//! writer would silently ship a corrupt artifact and break whoever parses
-//! it next. This module is the cheap insurance: a strict little JSON
-//! well-formedness parser (objects, arrays, strings, numbers, booleans,
-//! null — the subset our writers emit) plus a per-file list of required
-//! key names that must appear somewhere in the document.
+//! Every artifact is a [`roar_util::Json`] document rendered by the one
+//! renderer, so a fresh one cannot be malformed; what can still go wrong
+//! is a hand-edited or stale committed file, or a writer that drops a
+//! member a consumer (a CI gate, the scheduled bench job, a human reader)
+//! relies on. This module is the cheap insurance: the strict
+//! [`Json::parse`] plus a per-file list of required key names that must
+//! appear somewhere in the document.
 //!
-//! It validates *shape*, not values: the trajectory gate, the tail gate
-//! and the congestion gate judge the numbers.
+//! It validates *shape*, not values: each bench's own gate judges the
+//! numbers.
+
+use crate::{Filters, Scale};
+use roar_util::Json;
 
 /// Keys that must appear (as JSON object keys) in the named artifact.
 /// Unknown `BENCH_*.json` files fall back to requiring only `benchmark` —
@@ -100,238 +102,31 @@ pub fn required_keys(file_name: &str) -> &'static [&'static str] {
 /// Validate one artifact's text: parse it fully, then check every
 /// required key occurs as an object key somewhere in the document.
 pub fn check_artifact(file_name: &str, text: &str) -> Result<(), String> {
-    let keys = parse_collecting_keys(text)?;
-    for required in required_keys(file_name) {
-        if !keys.iter().any(|k| k == required) {
-            return Err(format!("missing required key {required:?}"));
-        }
+    let doc = Json::parse(text)?;
+    let mut keys = Vec::new();
+    collect_keys(&doc, &mut keys);
+    match required_keys(file_name).iter().find(|k| !keys.contains(k)) {
+        Some(missing) => Err(format!("missing required key {missing:?}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Parse the document, returning every object key encountered.
-fn parse_collecting_keys(text: &str) -> Result<Vec<String>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        at: 0,
-        keys: Vec::new(),
-        depth: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.at));
-    }
-    Ok(p.keys)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    keys: Vec<String>,
-    depth: usize,
-}
-
-/// Our writers never nest deeper than ~4; anything past this is a bug.
-const MAX_DEPTH: usize = 64;
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        let r = match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        };
-        self.depth -= 1;
-        r
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.keys.push(key);
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+/// Every object key in `doc`, in document order.
+fn collect_keys<'a>(doc: &'a Json, keys: &mut Vec<&'a str>) {
+    match doc {
+        Json::Obj(members) => {
+            for (key, value) in members {
+                keys.push(key);
+                collect_keys(value, keys);
             }
         }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.at;
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    let s = String::from_utf8_lossy(&self.bytes[start..self.at]).into_owned();
-                    self.at += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.at += 1; // the escape introducer
-                    match self.peek() {
-                        Some(b'u') => {
-                            self.at += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.at += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.at += 1
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                // strict JSON forbids raw control characters in strings;
-                // the consumers this gate protects all reject them
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => self.at += 1,
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        let int_start = self.at;
-        let mut digits = 0;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.at += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(self.err("number without digits"));
-        }
-        // strict JSON forbids leading zeros ("01"): the consumers this
-        // gate protects (jq, serde_json, python json) all reject them
-        if digits > 1 && self.bytes[int_start] == b'0' {
-            return Err(self.err("leading zero in number"));
-        }
-        if self.peek() == Some(b'.') {
-            self.at += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(self.err("decimal point without digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.at += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.at += 1;
-            }
-            let mut exp = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(self.err("exponent without digits"));
-            }
-        }
-        // a parseable f64 is what every consumer ultimately needs
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(|_| ())
-            .ok_or_else(|| self.err("unparseable number"))
+        Json::Arr(items) => items.iter().for_each(|item| collect_keys(item, keys)),
+        _ => {}
     }
 }
 
 /// Check every `BENCH_*.json` in `dir`; returns the validated file names.
 pub fn check_dir(dir: &std::path::Path) -> Result<Vec<String>, String> {
-    let mut checked = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read {dir:?}: {e}"))?;
     let mut names: Vec<String> = entries
         .filter_map(|e| e.ok())
@@ -342,13 +137,22 @@ pub fn check_dir(dir: &std::path::Path) -> Result<Vec<String>, String> {
     if names.is_empty() {
         return Err(format!("no BENCH_*.json artifacts found in {dir:?}"));
     }
-    for name in names {
-        let text = std::fs::read_to_string(dir.join(&name))
+    for name in &names {
+        let text = std::fs::read_to_string(dir.join(name))
             .map_err(|e| format!("{name}: read failed: {e}"))?;
-        check_artifact(&name, &text).map_err(|e| format!("{name}: {e}"))?;
-        checked.push(name);
+        check_artifact(name, &text).map_err(|e| format!("{name}: {e}"))?;
     }
-    Ok(checked)
+    Ok(names)
+}
+
+/// `repro check_bench_schema`'s measurement: the artifacts of the working
+/// directory that validated (the first that does not is the error).
+pub fn check_committed(_: Scale, _: &Filters) -> Result<Json, String> {
+    let checked = check_dir(std::path::Path::new("."))?;
+    Ok(Json::obj([
+        ("benchmark", "bench_schema".into()),
+        ("checked", checked.into_iter().collect()),
+    ]))
 }
 
 #[cfg(test)]
@@ -356,87 +160,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accepts_the_artifact_shapes_our_writers_emit() {
-        let congestion = crate::congestion::BenchCongestion {
-            nodes: 4,
-            p: 2,
-            ids: 10,
-            queries_per_point: 2,
-            cross_fracs: vec![0.0],
-            modes: vec![crate::congestion::ModeRun {
-                name: "ccudp",
-                points: vec![crate::congestion::PointResult {
-                    cross_frac: 0.0,
-                    queries: 2,
-                    completed: 2,
-                    mean_harvest: 1.0,
-                    goodput_records_per_s: 100.0,
-                    mean_ms: 1.0,
-                    p50_ms: 1.0,
-                    p99_ms: 2.0,
-                    max_ms: 2.0,
-                    bottleneck_admitted: 10,
-                    bottleneck_dropped: 0,
-                }],
-            }],
-            p99_speedup_ccudp_vs_fixed: 1.0,
-            goodput_ratio_ccudp_vs_fixed: 1.0,
-        };
-        // one mode only: the schema check cares about shape, not the pair
-        check_artifact("BENCH_congestion.json", &congestion.to_json())
-            .expect("writer output must satisfy its own schema");
-        let churn = crate::churn::BenchChurn {
-            nodes: 4,
-            p: 2,
-            ids: 10,
-            harvest_target: 0.9,
-            transports: vec![crate::churn::TransportRun {
-                name: "tcp",
-                scenarios: vec![crate::churn::ScenarioResult {
-                    scenario: "rolling_restart",
-                    queries: 8,
-                    windows: 1,
-                    harvest_floor: 1.0,
-                    mean_harvest: 1.0,
-                    p50_ms: 1.0,
-                    p99_ms: 2.0,
-                    max_ms: 2.0,
-                    converged: true,
-                    final_n: 4,
-                    final_p: 2,
-                }],
-            }],
-        };
-        check_artifact("BENCH_churn.json", &churn.to_json())
-            .expect("churn writer output must satisfy its own schema");
-        // a trajectory file exactly as trajectory::new_file produces it
-        let pps = crate::trajectory::new_file(
-            "{\"pr\": 1, \"scalar\": {\"records_per_s\": 1}, \
-             \"batched\": {\"records_per_s\": 2, \"hits\": 0}, \"speedup\": 2.0}",
-        );
-        check_artifact("BENCH_pps.json", &pps).expect("trajectory schema");
-    }
-
-    #[test]
     fn rejects_malformed_json() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\": }",
-            "{\"a\": 1,}",
-            "{\"a\": 1} trailing",
-            "{\"a\": 01}",
-            "{\"a\": -012.5}",
-            "{\"a\": \"line\nbreak\"}",
-            "{\"a\": \"tab\there\"}",
-            "{\"a\": \"unterminated}",
-            "{\"a\": nul}",
-            "[1, 2,]",
-            "{\"a\": 1e}",
-            "{\"a\": 1.}",
-        ] {
-            assert!(parse_collecting_keys(bad).is_err(), "must reject {bad:?}");
-        }
+        // the malformed-input table lives with the parser
+        // (`roar_util::json`); here: a parse failure fails the artifact
+        let err = check_artifact("BENCH_future.json", "{\"benchmark\": 1,}").unwrap_err();
+        assert!(err.contains("at byte"), "{err}");
     }
 
     #[test]
@@ -451,8 +179,9 @@ mod tests {
 
     #[test]
     fn collects_nested_keys() {
-        let keys =
-            parse_collecting_keys("{\"a\": [{\"b\": {\"c\": [1, true, null, \"s\"]}}]}").unwrap();
+        let doc = Json::parse("{\"a\": [{\"b\": {\"c\": [1, true, null, \"s\"]}}]}").unwrap();
+        let mut keys = Vec::new();
+        collect_keys(&doc, &mut keys);
         assert_eq!(keys, vec!["a", "b", "c"]);
     }
 
@@ -466,8 +195,8 @@ mod tests {
             .expect("workspace root");
         let checked = check_dir(&root).expect("all committed artifacts validate");
         assert!(
-            checked.len() >= 3,
-            "expected at least pps/incast/tail artifacts, got {checked:?}"
+            checked.len() >= 8,
+            "expected every bench's artifact, got {checked:?}"
         );
     }
 }

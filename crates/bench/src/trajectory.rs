@@ -1,70 +1,71 @@
 //! `BENCH_pps.json` as a tracked per-PR trajectory.
 //!
-//! The file holds one JSON object with a `trajectory` array, one line per
-//! PR (PR 1's baseline is point zero). `repro bench_pps --append <pr>`
-//! appends a freshly measured entry; `repro check_pps_trajectory` is the CI
-//! gate: it fails when any entry's batched throughput regresses more than
-//! [`MAX_REGRESSION`] versus the entry before it.
-//!
-//! The workspace has no serde, and the file is produced exclusively by this
-//! module, so reading is a purpose-built scan of our own format rather than
-//! a general JSON parser.
+//! The file holds one JSON object with a `trajectory` array, one entry —
+//! one line — per PR (PR 1's baseline is point zero). `repro bench_pps
+//! --append <pr>` appends a freshly measured entry; `repro
+//! check_pps_trajectory` is the CI gate: it fails when any entry's batched
+//! throughput regresses more than [`MAX_REGRESSION`] versus the entry
+//! before it. Reading and writing both go through [`roar_util::Json`]:
+//! append is parse → push → render, the gate a path lookup per entry.
+
+use crate::{number, Filters, Scale};
+use roar_util::Json;
+
+/// The committed trajectory, relative to the working directory.
+pub const FILE: &str = "BENCH_pps.json";
 
 /// Largest tolerated drop in `batched.records_per_s` between consecutive
 /// trajectory entries (0.20 = 20%).
 pub const MAX_REGRESSION: f64 = 0.20;
 
-const ARRAY_OPEN: &str = "\"trajectory\": [\n";
-const ARRAY_CLOSE: &str = "\n  ]";
-
-/// Wrap a first entry line into a complete trajectory file.
-pub fn new_file(entry_line: &str) -> String {
-    format!(
-        "{{\n  \"benchmark\": \"pps_match_throughput\",\n  {}    {}{}\n}}\n",
-        ARRAY_OPEN, entry_line, ARRAY_CLOSE
-    )
-}
-
-/// Append one entry line to an existing trajectory file's text.
-pub fn append_entry(file_text: &str, entry_line: &str) -> Result<String, String> {
-    let close = file_text
-        .rfind(ARRAY_CLOSE)
-        .ok_or_else(|| "no trajectory array found — regenerate the file".to_string())?;
-    let mut out = String::with_capacity(file_text.len() + entry_line.len() + 8);
-    out.push_str(&file_text[..close]);
-    out.push_str(",\n    ");
-    out.push_str(entry_line);
-    out.push_str(&file_text[close..]);
-    Ok(out)
+/// The trajectory in `file_text` (`None` starts a new one) with `doc` — a
+/// [`crate::pps_bench::run`] document — appended as PR `pr`'s entry. A
+/// malformed file is an error: the gate's history must never be silently
+/// replaced by a one-entry file.
+pub fn append(file_text: Option<&str>, pr: u32, doc: &Json) -> Result<Json, String> {
+    let mut file = match file_text {
+        Some(text) => Json::parse(text)?,
+        None => Json::obj([
+            ("benchmark", "pps_match_throughput".into()),
+            ("trajectory", Json::Arr(Vec::new())),
+        ]),
+    };
+    // an entry is the measured document with `pr` in place of `benchmark`
+    let Json::Obj(measured) = doc else {
+        return Err("a trajectory entry must be an object".into());
+    };
+    let measured = measured.iter().filter(|(key, _)| key != "benchmark");
+    let entry = Json::obj([("pr", pr.into())]).merge(Json::Obj(measured.cloned().collect()));
+    let Json::Obj(members) = &mut file else {
+        return Err("no trajectory array found — regenerate the file".into());
+    };
+    match members.iter_mut().find(|(key, _)| key == "trajectory") {
+        Some((_, Json::Arr(entries))) => entries.push(entry),
+        _ => return Err("no trajectory array found — regenerate the file".into()),
+    }
+    Ok(file)
 }
 
 /// The `batched.records_per_s` of every entry, in file order.
-pub fn batched_throughputs(file_text: &str) -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut rest = file_text;
-    while let Some(at) = rest.find("\"batched\":") {
-        rest = &rest[at + "\"batched\":".len()..];
-        let Some(key) = rest.find("\"records_per_s\":") else {
-            break;
-        };
-        let after = &rest[key + "\"records_per_s\":".len()..];
-        let num: String = after
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push(v);
-        }
-        rest = after;
-    }
-    out
+pub fn batched_throughputs(file: &Json) -> Result<Vec<f64>, String> {
+    let entries = file.get("trajectory").and_then(Json::as_array);
+    let entries = entries.ok_or("no trajectory array found")?;
+    entries
+        .iter()
+        .map(|entry| number(entry, &["batched", "records_per_s"]))
+        .collect()
+}
+
+/// `repro check_pps_trajectory`'s measurement: the committed file, parsed.
+pub fn read(_: Scale, _: &Filters) -> Result<Json, String> {
+    let text = std::fs::read_to_string(FILE).map_err(|e| format!("read {FILE}: {e}"))?;
+    Json::parse(&text)
 }
 
 /// The CI gate: every consecutive pair of entries must not regress by more
 /// than [`MAX_REGRESSION`].
-pub fn check(file_text: &str) -> Result<Vec<f64>, String> {
-    let tp = batched_throughputs(file_text);
+pub fn gate(file: &Json, _: Scale) -> Result<(), String> {
+    let tp = batched_throughputs(file)?;
     if tp.is_empty() {
         return Err("trajectory has no entries".into());
     }
@@ -83,45 +84,90 @@ pub fn check(file_text: &str) -> Result<Vec<f64>, String> {
             ));
         }
     }
-    Ok(tp)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(pr: u32, rps: f64) -> String {
-        format!(
-            "{{\"pr\": {pr}, \"scalar\": {{\"records_per_s\": 1}}, \
-             \"batched\": {{\"records_per_s\": {rps:.0}, \"hits\": 0}}, \"speedup\": 2.0}}"
-        )
+    fn measured(rps: f64) -> Json {
+        Json::obj([
+            ("benchmark", "pps_match_throughput".into()),
+            ("scalar", Json::obj([("records_per_s", Json::Num(1.0))])),
+            (
+                "batched",
+                Json::obj([("records_per_s", rps.into()), ("hits", 0usize.into())]),
+            ),
+            ("speedup", Json::Num(2.0)),
+        ])
+    }
+
+    fn trajectory(rps: &[f64]) -> Json {
+        let mut text: Option<String> = None;
+        for (i, &v) in rps.iter().enumerate() {
+            let file = append(text.as_deref(), i as u32 + 1, &measured(v)).unwrap();
+            text = Some(file.render().unwrap());
+        }
+        Json::parse(&text.expect("at least one entry")).unwrap()
     }
 
     #[test]
     fn roundtrip_new_append_extract() {
-        let f1 = new_file(&entry(1, 1_000_000.0));
-        let f2 = append_entry(&f1, &entry(2, 1_100_000.0)).unwrap();
-        let f3 = append_entry(&f2, &entry(3, 950_000.0)).unwrap();
+        let file = trajectory(&[1_000_000.0, 1_100_000.0, 950_000.0]);
         assert_eq!(
-            batched_throughputs(&f3),
+            batched_throughputs(&file).unwrap(),
             vec![1_000_000.0, 1_100_000.0, 950_000.0]
         );
         // one line per entry keeps diffs reviewable
-        assert_eq!(f3.matches("\"pr\":").count(), 3);
+        let text = file.render().unwrap();
+        assert_eq!(text.matches("\"pr\":").count(), 3);
+        assert_eq!(text.lines().filter(|l| l.contains("\"pr\":")).count(), 3);
+        assert!(!text.contains("\"benchmark\": \"pps_match_throughput\", \"scalar\""));
+        crate::schema::check_artifact(FILE, &text).expect("trajectory schema");
     }
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_beyond() {
-        let ok = append_entry(&new_file(&entry(1, 1_000_000.0)), &entry(2, 850_000.0)).unwrap();
-        assert!(check(&ok).is_ok(), "15% down is within the 20% budget");
-        let bad = append_entry(&new_file(&entry(1, 1_000_000.0)), &entry(2, 700_000.0)).unwrap();
-        let err = check(&bad).expect_err("30% down must fail");
+        let ok = trajectory(&[1_000_000.0, 850_000.0]);
+        assert!(
+            gate(&ok, Scale::Full).is_ok(),
+            "15% down is within the 20% budget"
+        );
+        let bad = trajectory(&[1_000_000.0, 700_000.0]);
+        let err = gate(&bad, Scale::Full).expect_err("30% down must fail");
         assert!(err.contains("regressed"), "{err}");
     }
 
     #[test]
     fn gate_rejects_empty_or_alien_files() {
-        assert!(check("{}").is_err());
-        assert!(append_entry("{}", &entry(1, 1.0)).is_err());
+        assert!(gate(&Json::parse("{}").unwrap(), Scale::Full).is_err());
+        assert!(gate(&Json::parse("{\"trajectory\": []}").unwrap(), Scale::Full).is_err());
+        assert!(append(Some("{}"), 1, &measured(1.0)).is_err());
+        assert!(append(Some("{\"trajectory\": ["), 1, &measured(1.0)).is_err());
+    }
+
+    #[test]
+    fn appending_to_the_committed_file_preserves_every_entry() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(FILE);
+        let text = std::fs::read_to_string(path).expect("committed trajectory");
+        let before = Json::parse(&text).unwrap();
+        let old = before.get("trajectory").and_then(Json::as_array).unwrap();
+        gate(&before, Scale::Full).expect("committed trajectory passes its gate");
+
+        let after = append(Some(&text), 99, &measured(7_000_000.0)).unwrap();
+        // through the renderer and back: what a later run would read
+        let after = Json::parse(&after.render().unwrap()).unwrap();
+        let new = after.get("trajectory").and_then(Json::as_array).unwrap();
+        assert_eq!(new.len(), old.len() + 1);
+        assert_eq!(
+            &new[..old.len()],
+            old,
+            "existing entries keep values and order"
+        );
+        assert_eq!(number(&new[old.len()], &["pr"]), Ok(99.0));
+        assert_eq!(after.get("benchmark"), before.get("benchmark"));
     }
 }

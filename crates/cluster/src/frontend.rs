@@ -218,10 +218,13 @@ impl ClusterCore {
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_mul(0x9E3779B97F4A7C15);
         let ring = self.ring_snapshot();
-        let pq = opts
-            .pq
-            .unwrap_or_else(|| self.safe_pq())
-            .max(self.safe_pq());
+        // the ring and the safe pq live under separate locks, and a §4.5
+        // decrease lowers the safe pq (last node confirmed) before it
+        // commits the smaller p to the ring: a plan is made against *this*
+        // snapshot, so its own p is a floor too (a larger pq is always
+        // correct)
+        let safe_pq = self.safe_pq();
+        let pq = opts.pq.unwrap_or(safe_pq).max(safe_pq).max(ring.p());
         let mut plan = {
             let mut st = self.stats.write();
             st.set_now(self.now());
@@ -693,5 +696,57 @@ impl Drop for ClusterCore {
     fn drop(&mut self) {
         // stop any shared client receive loop (UDP) the transport runs
         self.transport.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::MemoryBackend;
+    use crate::transport::TransportSpec;
+
+    /// `Admin::set_p`'s decrease path, frozen between its last
+    /// `reconfig.confirm(node)` and `ring.write().set_p(new_p)`: every
+    /// node has confirmed (so the safe pq already dropped to the new p)
+    /// but the ring still carries the old one. A query planned in that
+    /// gap must plan against the snapshot's own p, not die on
+    /// `schedule_sweep`'s `pq ≥ p` assertion.
+    #[tokio::test]
+    async fn plan_query_survives_the_confirmed_but_uncommitted_gap() {
+        // datagram links need no live peer to connect: no node is spawned
+        // and nothing is sent — planning is pure front-end state
+        let addrs: Vec<SocketAddr> = (0..4)
+            .map(|i| SocketAddr::from(([127, 0, 0, 1], 40_000 + i)))
+            .collect();
+        let core = ClusterCore::connect_with(
+            &addrs,
+            3,
+            1e6,
+            TransportSpec::udp().build(),
+            Arc::new(MemoryBackend::new()),
+        )
+        .await
+        .expect("connect");
+        {
+            let mut reconfig = core.reconfig.lock();
+            reconfig.begin(2, 0..addrs.len());
+            for node in 0..addrs.len() {
+                reconfig.confirm(node);
+            }
+        }
+        assert_eq!((core.safe_pq(), core.ring_snapshot().p()), (2, 3));
+
+        let (ring, plan) = core.plan_query(&SchedOpts::default());
+        assert_eq!(ring.p(), 3, "the plan's own snapshot");
+        assert_eq!(plan.subs.len(), 3, "pq clamped up to the snapshot's p");
+        // an explicit smaller override is clamped the same way
+        let opts = SchedOpts {
+            pq: Some(1),
+            ..SchedOpts::default()
+        };
+        assert_eq!(core.plan_query(&opts).1.subs.len(), 3);
+        // once the ring commits, the smaller p takes effect
+        core.ring.write().set_p(2);
+        assert_eq!(core.plan_query(&SchedOpts::default()).1.subs.len(), 2);
     }
 }

@@ -560,8 +560,8 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
         &self.policy
     }
 
-    /// Stop the receive loop (idempotent). In-flight `request` calls fail
-    /// at their deadlines.
+    /// Stop a [`Self::serve_fn`] receive loop (idempotent). In-flight
+    /// `request` calls fail at their deadlines.
     pub fn shutdown(&self) {
         let _ = self.shutdown_tx.send(true);
     }
@@ -669,11 +669,15 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
     }
 
     /// Spawn the receive loop with `handler` serving inbound requests.
-    /// Returns the join handle; the loop exits on [`Self::shutdown`].
-    pub fn serve(self: &Arc<Self>, handler: Arc<dyn Handler>) -> tokio::task::JoinHandle<()> {
+    /// Returns the join handle; the loop exits when `shutdown_rx` flips to
+    /// `true` or its sender is dropped (the owner is gone: stop serving).
+    pub fn serve(
+        self: &Arc<Self>,
+        handler: Arc<dyn Handler>,
+        mut shutdown_rx: tokio::sync::watch::Receiver<bool>,
+    ) -> tokio::task::JoinHandle<()> {
         let ep = Arc::clone(self);
         tokio::spawn(async move {
-            let mut shutdown_rx = ep.shutdown_tx.subscribe();
             // sized at the UDP maximum, not our own send budget: a peer
             // configured with a larger max_datagram must not have its
             // fragments silently truncated (truncation would make every
@@ -685,7 +689,10 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
                 }
                 let recvd = tokio::select! {
                     r = ep.sock.recv_from(&mut buf) => r,
-                    _ = shutdown_rx.changed() => { continue; }
+                    changed = shutdown_rx.changed() => match changed {
+                        Ok(()) => continue,
+                        Err(_) => return,
+                    },
                 };
                 let (len, peer) = match recvd {
                     Ok(x) => x,
@@ -751,12 +758,13 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
         })
     }
 
-    /// Convenience: serve with a synchronous closure (tests, probes).
+    /// Convenience: serve with a synchronous closure until
+    /// [`Self::shutdown`] (tests, probes, the client endpoint).
     pub fn serve_fn<F>(self: &Arc<Self>, f: F) -> tokio::task::JoinHandle<()>
     where
         F: Fn(Msg) -> Msg + Send + Sync + 'static,
     {
-        self.serve(Arc::new(FnHandler(f)))
+        self.serve(Arc::new(FnHandler(f)), self.shutdown_tx.subscribe())
     }
 
     /// Answer a request the at-most-once table already knows: re-send the
@@ -947,8 +955,8 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
     }
 }
 
-/// [`BoundServer`] over a [`DatagramEndpoint`]: bridges the harness's
-/// shutdown watch into the endpoint's own stop signal.
+/// [`BoundServer`] over a [`DatagramEndpoint`]: the receive loop watches
+/// the harness's shutdown signal directly.
 struct DatagramServer<P: CongestionPolicy> {
     ep: Arc<DatagramEndpoint<P>>,
 }
@@ -961,20 +969,9 @@ impl<P: CongestionPolicy> BoundServer for DatagramServer<P> {
     fn serve(
         self: Box<Self>,
         handler: Arc<dyn Handler>,
-        mut shutdown: tokio::sync::watch::Receiver<bool>,
+        shutdown: tokio::sync::watch::Receiver<bool>,
     ) -> tokio::task::JoinHandle<()> {
-        let bridge_ep = Arc::clone(&self.ep);
-        tokio::spawn(async move {
-            loop {
-                let stop = *shutdown.borrow();
-                // a closed channel means the owner was dropped: stop serving
-                if stop || shutdown.changed().await.is_err() {
-                    bridge_ep.shutdown();
-                    return;
-                }
-            }
-        });
-        self.ep.serve(handler)
+        self.ep.serve(handler, shutdown)
     }
 }
 
@@ -1171,7 +1168,7 @@ mod tests {
         handler: Arc<dyn Handler>,
     ) -> (Endpoint<P>, SocketAddr) {
         let server = bind::<P>(cfg, server_loss).await;
-        server.serve(handler);
+        server.serve(handler, server.shutdown_tx.subscribe());
         let client = bind::<P>(cfg, client_loss).await;
         client.serve_fn(echo);
         (client, server.local_addr().expect("addr"))

@@ -122,6 +122,9 @@ impl BoundServer for TcpBoundServer {
                 tokio::select! {
                     accepted = self.listener.accept() => {
                         let Ok((stream, _)) = accepted else { return };
+                        // several small replies may be owed at once: without
+                        // this the second waits out the peer's delayed ACK
+                        let _ = stream.set_nodelay(true);
                         let h = Arc::clone(&handler);
                         let sd = shutdown.clone();
                         tokio::spawn(async move {

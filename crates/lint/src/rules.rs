@@ -11,6 +11,7 @@
 //! | `no-thread-spawn` | `thread::spawn` only inside `crates/shims` (PR 8 thread-budget invariant; fixed named pools use `thread::Builder`, model tests use `loom::thread::spawn`) |
 //! | `no-wall-clock-in-reconcile` | no `SystemTime` / `Instant::now` in `reconcile.rs` planning (PR 6 determinism invariant) |
 //! | `no-unwrap-in-request-path` | `unwrap()`/`expect()` banned in `cluster/src/transport/*` and `client.rs`, ratcheted by a checked-in allowlist |
+//! | `no-json-by-hand` | no `push_str(&format!(…))` and no `format!("{{…")` in `crates/bench/src`: artifacts are built as a `roar_util::Json` and rendered once |
 //!
 //! Code under `#[cfg(test)]` / `#[test]` is exempt from every rule except
 //! `unsafe-needs-safety` (an unsound test is still unsound).
@@ -74,6 +75,7 @@ pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
     rule_no_thread_spawn(file, &test_mask, &mut findings);
     rule_no_wall_clock_in_reconcile(file, &test_mask, &mut findings);
     rule_no_unwrap_in_request_path(file, &test_mask, cfg, &mut findings);
+    rule_no_json_by_hand(file, &test_mask, &mut findings);
     findings
 }
 
@@ -513,5 +515,71 @@ fn rule_no_unwrap_in_request_path(
                 budget, actual
             ),
         });
+    }
+}
+
+// ---- rule: no-json-by-hand --------------------------------------------------
+
+/// The `N` code tokens following token `i` (comments skipped).
+fn following<const N: usize>(toks: &[Token], i: usize) -> Option<[usize; N]> {
+    let mut found = [0; N];
+    let mut at = i;
+    for slot in &mut found {
+        at = next_code(toks, at + 1)?;
+        *slot = at;
+    }
+    Some(found)
+}
+
+/// `crates/bench/src` once held nine JSON writers made of `format!` calls
+/// with hand-placed braces and commas (and a parser to catch their
+/// slips). Artifacts are now a `roar_util::Json` rendered in one place;
+/// this rule keeps a tenth writer from appearing. It flags the two shapes
+/// every one of the nine had: a formatted piece appended to a buffer
+/// (`push_str(&format!(`), and a format string that opens an object
+/// (`format!("{{`).
+fn rule_no_json_by_hand(file: &SourceFile, test_mask: &[bool], findings: &mut Vec<Finding>) {
+    if !file.path.starts_with("crates/bench/src/") {
+        return;
+    }
+    let toks = &file.tokens;
+    for i in 0..toks.len() {
+        if test_mask[i] {
+            continue;
+        }
+        let what = if toks[i].is_ident(&file.src, "push_str") {
+            following::<4>(toks, i)
+                .is_some_and(|[open, amp, name, bang]| {
+                    toks[open].is_punct('(')
+                        && toks[amp].is_punct('&')
+                        && toks[name].is_ident(&file.src, "format")
+                        && toks[bang].is_punct('!')
+                })
+                .then_some("`push_str(&format!(…))`")
+        } else if toks[i].is_ident(&file.src, "format") {
+            following::<3>(toks, i)
+                .is_some_and(|[bang, open, literal]| {
+                    let text = toks[literal].text(&file.src);
+                    toks[bang].is_punct('!')
+                        && toks[open].is_punct('(')
+                        && toks[literal].kind == TokenKind::Str
+                        && text.trim_start_matches(['r', '#']).starts_with("\"{{")
+                })
+                .then_some("`format!(\"{{…\")`")
+        } else {
+            None
+        };
+        if let Some(what) = what {
+            findings.push(Finding {
+                rule: "no-json-by-hand",
+                path: file.path.clone(),
+                line: toks[i].line,
+                col: toks[i].col,
+                message: format!(
+                    "{what} in crates/bench/src: build a `roar_util::Json` and let its one \
+                     renderer place the braces and commas"
+                ),
+            });
+        }
     }
 }

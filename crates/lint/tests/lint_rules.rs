@@ -114,6 +114,26 @@ fn unwrap_rule_is_scoped_to_request_paths() {
 }
 
 #[test]
+fn json_by_hand_in_the_bench_crate_is_reported() {
+    let file = fixture("json_by_hand.rs", "crates/bench/src/fixture.rs");
+    let findings = check_file(&file, &Config::default());
+    // the literal push_str, the plain-text format! and the test are exempt
+    assert_eq!(
+        spans(&findings),
+        vec![
+            ("no-json-by-hand", 8, 7),   // push_str(&format!(
+            ("no-json-by-hand", 9, 17),  // format!("{{
+            ("no-json-by-hand", 10, 15), // format!(r#"{{
+        ]
+    );
+    assert!(findings[0].message.contains("roar_util::Json"));
+    // the same source anywhere else (e.g. the benchmark/ report writer's
+    // neighbours, a text table in util) is outside the rule's scope
+    let file = fixture("json_by_hand.rs", "crates/util/src/report.rs");
+    assert!(check_file(&file, &Config::default()).is_empty());
+}
+
+#[test]
 fn shims_are_exempt_from_ordering_and_spawn_rules() {
     let src = "pub fn park(s: &AtomicU8) {\n    s.store(1, Ordering::SeqCst);\n    \
                std::thread::spawn(|| {});\n}\n";

@@ -24,7 +24,6 @@ use crate::query::{CompiledQuery, MatchScratch, Matcher};
 use crate::simdisk::{DiskProfile, SimDisk};
 use crossbeam::channel::bounded;
 use roar_crypto::sha1::Backend;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -270,64 +269,6 @@ pub fn match_corpus_with(
     (matches, scratch.prf_calls)
 }
 
-/// LRU cache of user metadata collections (§5.6.1): "a user's metadata is
-/// cached as long as memory is available … the cache policy is least
-/// recently used".
-pub struct UserCache {
-    capacity_records: usize,
-    /// Most recent at the back.
-    entries: VecDeque<(u64, Arc<Vec<EncryptedMetadata>>)>,
-}
-
-impl UserCache {
-    pub fn new(capacity_records: usize) -> Self {
-        assert!(capacity_records > 0);
-        UserCache {
-            capacity_records,
-            entries: VecDeque::new(),
-        }
-    }
-
-    fn used(&self) -> usize {
-        self.entries.iter().map(|(_, v)| v.len()).sum()
-    }
-
-    /// Look up a user's collection, marking it most-recently-used.
-    pub fn get(&mut self, user: u64) -> Option<Arc<Vec<EncryptedMetadata>>> {
-        let idx = self.entries.iter().position(|&(u, _)| u == user)?;
-        let entry = self.entries.remove(idx).expect("index valid");
-        self.entries.push_back(entry.clone());
-        Some(entry.1)
-    }
-
-    /// Insert (or replace) a user's collection, evicting LRU entries until
-    /// it fits. Collections larger than the whole cache are not cached.
-    pub fn put(&mut self, user: u64, data: Arc<Vec<EncryptedMetadata>>) {
-        if let Some(idx) = self.entries.iter().position(|&(u, _)| u == user) {
-            self.entries.remove(idx);
-        }
-        if data.len() > self.capacity_records {
-            return;
-        }
-        while self.used() + data.len() > self.capacity_records {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((user, data));
-    }
-
-    pub fn contains(&self, user: u64) -> bool {
-        self.entries.iter().any(|&(u, _)| u == user)
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,34 +377,6 @@ mod tests {
             lm.wall_s,
             lc.wall_s
         );
-    }
-
-    #[test]
-    fn lru_cache_evicts_oldest() {
-        let enc = test_encryptor();
-        let recs = Arc::new(corpus(&enc, 10));
-        let mut cache = UserCache::new(25);
-        cache.put(1, recs.clone());
-        cache.put(2, recs.clone());
-        assert!(cache.contains(1) && cache.contains(2));
-        // inserting a third 10-record set must evict user 1 (LRU)
-        cache.put(3, recs.clone());
-        assert!(!cache.contains(1));
-        assert!(cache.contains(2) && cache.contains(3));
-        // touching 2 makes 3 the LRU
-        assert!(cache.get(2).is_some());
-        cache.put(4, recs.clone());
-        assert!(!cache.contains(3));
-        assert!(cache.contains(2));
-    }
-
-    #[test]
-    fn oversized_collection_not_cached() {
-        let enc = test_encryptor();
-        let recs = Arc::new(corpus(&enc, 10));
-        let mut cache = UserCache::new(5);
-        cache.put(1, recs);
-        assert!(!cache.contains(1));
     }
 
     /// The optimized engine (prepared trapdoors, batch pipeline, sharded

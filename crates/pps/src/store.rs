@@ -1,10 +1,15 @@
-//! The metadata store with pointer-segmented partial loading (§5.6.2).
+//! The metadata store with partial loading (§5.6.2).
 //!
 //! "The data structure is based on an array of user metadata sorted by id …
 //! we maintain an array of 'pointers' to these basic lists, to allow fast
 //! and partial access. Partial loading is used when a single query is split
 //! across many servers, and each server only matches a subset of their
 //! local data (i.e. when increasing pQ with ROAR)."
+//!
+//! The paper's pointer file exists to seek into an on-disk array; this
+//! store is one sorted in-memory array, where binary search over the
+//! records themselves *is* the partial-load index — O(log n) to either end
+//! of a window, nothing to rebuild on insert.
 //!
 //! Ids are `u64` ring positions, so a ROAR sub-query's match window
 //! `(start, end]` maps directly to a contiguous id range here (with at most
@@ -13,20 +18,12 @@
 use crate::metadata::EncryptedMetadata;
 use roar_core::ring::Window;
 
-/// Byte granularity of one pointer segment (the paper uses segment pointers
-/// into `sm.dat`); we segment by record count instead, which is equivalent
-/// for fixed-size records.
-pub const SEGMENT_RECORDS: usize = 1024;
-
-/// A user's metadata collection, sorted by id, with segment pointers.
+/// A user's metadata collection, sorted by id.
 #[derive(Debug, Clone, Default)]
 pub struct MetadataStore {
     /// Records sorted by id (ties allowed but ids are 64-bit random —
     /// collisions are negligible).
     records: Vec<EncryptedMetadata>,
-    /// `pointers[k]` = index of the first record of segment `k`; the
-    /// on-disk analogue is the small pointer file loaded before the data.
-    pointers: Vec<usize>,
 }
 
 impl MetadataStore {
@@ -37,16 +34,7 @@ impl MetadataStore {
     /// Build from unsorted records.
     pub fn from_records(mut records: Vec<EncryptedMetadata>) -> Self {
         records.sort_by_key(|r| r.id);
-        let mut store = MetadataStore {
-            records,
-            pointers: Vec::new(),
-        };
-        store.rebuild_pointers();
-        store
-    }
-
-    fn rebuild_pointers(&mut self) {
-        self.pointers = (0..self.records.len()).step_by(SEGMENT_RECORDS).collect();
+        MetadataStore { records }
     }
 
     pub fn len(&self) -> usize {
@@ -73,7 +61,6 @@ impl MetadataStore {
             return;
         }
         self.records.insert(pos, rec);
-        self.rebuild_pointers();
     }
 
     /// Remove a record by id; returns whether it existed.
@@ -81,7 +68,6 @@ impl MetadataStore {
         match self.records.binary_search_by_key(&id, |r| r.id) {
             Ok(i) => {
                 self.records.remove(i);
-                self.rebuild_pointers();
                 true
             }
             Err(_) => false,
@@ -149,18 +135,12 @@ impl MetadataStore {
         }
     }
 
-    /// Number of pointer segments (the index the server loads first).
-    pub fn segments(&self) -> usize {
-        self.pointers.len()
-    }
-
     /// Drop every record outside the coverage window — the "drop data items
     /// in the overlapping range" step when a ROAR node's range shrinks or r
     /// decreases (§4.3, §4.5). Returns how many records were dropped.
     pub fn retain_window(&mut self, keep: &Window) -> usize {
         let before = self.records.len();
         self.records.retain(|r| keep.contains(r.id));
-        self.rebuild_pointers();
         before - self.records.len()
     }
 }
@@ -283,14 +263,5 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "window {w:?}");
         }
-    }
-
-    #[test]
-    fn segments_scale_with_size() {
-        let ids: Vec<u64> = (0..3000u64).collect();
-        let s = store(&ids);
-        assert_eq!(s.segments(), 3);
-        assert_eq!(store(&[1]).segments(), 1);
-        assert_eq!(MetadataStore::new().segments(), 0);
     }
 }

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ewma;
+pub mod json;
 pub mod linreg;
 pub mod report;
 pub mod rng;
@@ -19,6 +20,7 @@ pub mod sample;
 pub mod stats;
 
 pub use ewma::Ewma;
+pub use json::Json;
 pub use linreg::LinearFit;
 pub use report::{Report, Table};
 pub use rng::det_rng;

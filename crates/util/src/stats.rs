@@ -4,6 +4,8 @@
 //! percentiles (Fig 7.8's delay distribution), standard deviations for the
 //! heterogeneity experiments, and load-imbalance summaries.
 
+use crate::Json;
+
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -99,6 +101,26 @@ impl Summary {
             p99: percentile_sorted(&v, 99.0),
             max: v[v.len() - 1],
         }
+    }
+
+    /// The latency columns of a benchmark artifact: every statistic as a
+    /// `<name>_<unit>` member (`mean_ms`, `p99_ms`, …), three decimals —
+    /// microsecond resolution at the `ms` unit the benches report in.
+    pub fn to_json(&self, unit: &str) -> Json {
+        let columns = [
+            ("mean", self.mean),
+            ("stddev", self.stddev),
+            ("min", self.min),
+            ("p50", self.p50),
+            ("p90", self.p90),
+            ("p99", self.p99),
+            ("max", self.max),
+        ];
+        Json::obj(
+            columns
+                .into_iter()
+                .map(|(name, v)| (format!("{name}_{unit}"), Json::rounded(v, 3))),
+        )
     }
 }
 
@@ -197,6 +219,17 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!(s.p90 > s.p50 && s.p99 > s.p90);
+    }
+
+    #[test]
+    fn summary_json_columns_carry_the_unit() {
+        let s = Summary::from(&[1.0, 2.0, 3.0004]);
+        let j = s.to_json("ms");
+        assert_eq!(j.get("p50_ms").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(j.get("max_ms").and_then(Json::as_f64), Some(3.0));
+        for key in ["mean_ms", "stddev_ms", "min_ms", "p90_ms", "p99_ms"] {
+            assert!(j.get(key).is_some(), "{key}");
+        }
     }
 
     #[test]
