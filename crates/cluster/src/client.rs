@@ -340,7 +340,7 @@ impl QueryBuilder {
             }
         }
         let sched_s = t0.elapsed().as_secs_f64();
-        self.core.note_dispatch(&plan);
+        self.core.note_dispatch(&plan.subs);
         let hedges = Arc::new(AtomicUsize::new(0));
         let planned: Vec<(usize, f64)> = plan.subs.iter().map(|s| (s.node, s.work())).collect();
         let ctx = Arc::new(SubRunCtx {

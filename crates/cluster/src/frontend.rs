@@ -269,16 +269,71 @@ impl ClusterCore {
         roar_dr::sched::predicted_completion(&*st, &tasks, now) - now
     }
 
-    /// Record the dispatch of every sub-query of a committed plan.
-    pub(crate) fn note_dispatch(&self, plan: &QueryPlan) {
+    /// Record the dispatch of sub-queries the front-end has committed to
+    /// sending: a plan's, or the pieces a fall-back split a failed one
+    /// into. Each is released exactly once, by [`Self::dispatch_once`] when
+    /// its node replies or by the failure path when it does not.
+    pub(crate) fn note_dispatch(&self, subs: &[SubQuery]) {
         let mut st = self.stats.write();
         st.set_now(self.now());
-        for sub in &plan.subs {
+        for sub in subs {
             st.on_dispatch(sub.node, sub.work());
         }
     }
 
-    /// Execute one sub-query, applying the §4.4 fall-back on timeout or
+    /// Send `sub` to its node once and settle that node's books for it.
+    /// The caller has charged the dispatch ([`Self::note_dispatch`]); every reply
+    /// releases that charge: a result with the node's own processing time,
+    /// anything else the node says — a §4.8.3 coverage refusal, a
+    /// request-validation `Msg::Error`, a protocol violation — as work that
+    /// was never done (`proc_time` 0 leaves the speed EWMA alone). `Err` is
+    /// a transport failure: no reply came, the charge still stands, and
+    /// what that means for the node is the caller's call.
+    async fn dispatch_once(
+        &self,
+        sub: &SubQuery,
+        body: QueryBody,
+        crypto: Option<Backend>,
+    ) -> Result<SubOutcome, RpcError> {
+        let msg = Msg::SubQuery {
+            query_id: sub.point,
+            window_start: sub.window.start,
+            window_end: sub.window.end,
+            body,
+            backend: crypto,
+        };
+        let reply = self.conn(sub.node).rpc(msg, self.timeout).await?;
+        let (outcome, proc_s) = match reply {
+            Msg::SubQueryResult {
+                matches,
+                scanned,
+                proc_s,
+                ..
+            } => (
+                SubOutcome::Done {
+                    matches,
+                    scanned,
+                    proc_s,
+                    extra_subs: 0,
+                    responder: Some(sub.node),
+                    hedged: false,
+                },
+                proc_s,
+            ),
+            // no fall-back for either: a refusal means the data is there
+            // and the front-end's p is wrong; an invalid request can never
+            // succeed, and failover would just replay it elsewhere
+            Msg::Refused { .. } => (SubOutcome::Refused, 0.0),
+            _ => (SubOutcome::Lost(RpcError::Disconnected), 0.0),
+        };
+        let mut st = self.stats.write();
+        st.set_now(self.now());
+        st.on_complete(sub.node, sub.work(), proc_s);
+        Ok(outcome)
+    }
+
+    /// Execute one sub-query whose dispatch is already on its node's books
+    /// ([`Self::note_dispatch`]), applying the §4.4 fall-back on timeout or
     /// disconnect: mark dead, split the window across the failed node's
     /// neighbours, recurse (bounded depth).
     pub(crate) fn run_subquery<'a>(
@@ -290,102 +345,58 @@ impl ClusterCore {
         crypto: Option<Backend>,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = SubOutcome> + Send + 'a>> {
         Box::pin(async move {
-            let msg = Msg::SubQuery {
-                query_id: sub.point,
-                window_start: sub.window.start,
-                window_end: sub.window.end,
-                body: body.clone(),
-                backend: crypto,
+            let err = match self.dispatch_once(&sub, body.clone(), crypto).await {
+                Ok(outcome) => return outcome,
+                Err(err) => err,
             };
-            let reply = self.conn(sub.node).rpc(msg, self.timeout).await;
-            match reply {
-                Ok(Msg::SubQueryResult {
-                    matches,
-                    scanned,
-                    proc_s,
-                    ..
-                }) => {
-                    let mut st = self.stats.write();
-                    st.set_now(self.now());
-                    st.on_complete(sub.node, sub.work(), proc_s);
+            // failure path: mark dead — which drops the node's whole queue
+            // estimate, this sub-query's charge included — then split and
+            // re-dispatch (§4.4) while depth allows
+            self.stats.write().on_timeout(sub.node);
+            if depth >= 4 {
+                return SubOutcome::Lost(err);
+            }
+            // snapshot liveness so no lock guard crosses an await
+            let alive_vec = self.alive_snapshot();
+            let alive = move |n: usize| alive_vec[n];
+            let Ok(subs) = failover::reroute(ring, &sub, &alive) else {
+                return SubOutcome::Lost(err);
+            };
+            let mut matches = Vec::new();
+            let mut scanned = 0;
+            let mut proc = 0.0f64;
+            let mut extra = subs.len().saturating_sub(1);
+            for s in subs {
+                // charged piece by piece, as each is sent: an early failure
+                // leaves the unsent rest off the books
+                self.note_dispatch(std::slice::from_ref(&s));
+                match self
+                    .run_subquery(ring, s, body.clone(), depth + 1, crypto)
+                    .await
+                {
                     SubOutcome::Done {
-                        matches,
-                        scanned,
+                        matches: m,
+                        scanned: sc,
                         proc_s,
-                        extra_subs: 0,
-                        responder: Some(sub.node),
-                        hedged: false,
+                        extra_subs,
+                        ..
+                    } => {
+                        matches.extend(m);
+                        scanned += sc;
+                        proc = proc.max(proc_s);
+                        extra += extra_subs;
                     }
+                    SubOutcome::Refused => return SubOutcome::Lost(err),
+                    SubOutcome::Lost(e) => return SubOutcome::Lost(e),
                 }
-                Ok(Msg::Refused { .. }) => {
-                    // the node answered but cannot serve this window —
-                    // §4.8.3's refusal. No fall-back: the data is there, the
-                    // front-end's p is wrong. The node did no work, so clear
-                    // the dispatched estimate (proc 0 leaves the EWMA alone).
-                    let mut st = self.stats.write();
-                    st.set_now(self.now());
-                    st.on_complete(sub.node, sub.work(), 0.0);
-                    SubOutcome::Refused
-                }
-                Ok(_) => {
-                    // request-validation error (`Msg::Error`) or protocol
-                    // violation: the node is alive but this request can
-                    // never succeed — not a coverage refusal, and failover
-                    // would just replay it elsewhere
-                    SubOutcome::Lost(RpcError::Disconnected)
-                }
-                Err(err) if depth < 4 => {
-                    // failure path: mark dead, split, re-dispatch (§4.4)
-                    {
-                        let mut st = self.stats.write();
-                        st.on_timeout(sub.node);
-                    }
-                    // snapshot liveness so no lock guard crosses an await
-                    let alive_vec = self.alive_snapshot();
-                    let alive = move |n: usize| alive_vec[n];
-                    match failover::reroute(ring, &sub, &alive) {
-                        Ok(subs) => {
-                            let n_extra = subs.len();
-                            let mut matches = Vec::new();
-                            let mut scanned = 0;
-                            let mut proc = 0.0f64;
-                            let mut extra = n_extra.saturating_sub(1);
-                            for s in subs {
-                                match self
-                                    .run_subquery(ring, s, body.clone(), depth + 1, crypto)
-                                    .await
-                                {
-                                    SubOutcome::Done {
-                                        matches: m,
-                                        scanned: sc,
-                                        proc_s,
-                                        extra_subs,
-                                        ..
-                                    } => {
-                                        matches.extend(m);
-                                        scanned += sc;
-                                        proc = proc.max(proc_s);
-                                        extra += extra_subs;
-                                    }
-                                    SubOutcome::Refused => {
-                                        return SubOutcome::Lost(err);
-                                    }
-                                    SubOutcome::Lost(e) => return SubOutcome::Lost(e),
-                                }
-                            }
-                            SubOutcome::Done {
-                                matches,
-                                scanned,
-                                proc_s: proc,
-                                extra_subs: extra,
-                                responder: None,
-                                hedged: false,
-                            }
-                        }
-                        Err(_) => SubOutcome::Lost(err),
-                    }
-                }
-                Err(err) => SubOutcome::Lost(err),
+            }
+            SubOutcome::Done {
+                matches,
+                scanned,
+                proc_s: proc,
+                extra_subs: extra,
+                responder: None,
+                hedged: false,
             }
         })
     }
@@ -421,8 +432,9 @@ impl ClusterCore {
         };
         if let Some(spare) = best {
             // whole-window spare: first reply wins
+            let aimed = SubQuery { node: spare, ..sub };
             let (matches, scanned, proc_s) = self
-                .hedge_dispatch_once(spare, &sub, body, crypto, hedges_sent)
+                .hedge_dispatch_once(&aimed, body, crypto, hedges_sent)
                 .await?;
             return Some(SubOutcome::Done {
                 matches,
@@ -446,7 +458,7 @@ impl ClusterCore {
                 let body = body.clone();
                 let hedges_sent = Arc::clone(hedges_sent);
                 tokio::spawn(async move {
-                    this.hedge_dispatch_once(piece.node, &piece, body, crypto, &hedges_sent)
+                    this.hedge_dispatch_once(&piece, body, crypto, &hedges_sent)
                         .await
                 })
             })
@@ -480,52 +492,38 @@ impl ClusterCore {
         })
     }
 
-    /// One one-shot hedge dispatch of `sub`'s window to `node`: counted as
-    /// hedge fan-out at send time (never for pieces that were planned but
-    /// not sent), completion recorded in the stats on success. `None` on
-    /// failure or refusal — hedges never recurse into the fall-back.
+    /// One one-shot hedge dispatch of `sub` (already aimed at the hedge's
+    /// node): counted as hedge fan-out at send time (never for pieces that
+    /// were planned but not sent). `None` on failure or refusal — hedges
+    /// never recurse into the fall-back.
     async fn hedge_dispatch_once(
         &self,
-        node: usize,
         sub: &SubQuery,
         body: QueryBody,
         crypto: Option<Backend>,
         hedges_sent: &std::sync::atomic::AtomicUsize,
     ) -> Option<(Vec<u64>, u64, f64)> {
-        let msg = Msg::SubQuery {
-            query_id: sub.point,
-            window_start: sub.window.start,
-            window_end: sub.window.end,
-            body,
-            backend: crypto,
-        };
         // ORDERING: Relaxed — stats counter; no other memory is
         // synchronised through it
         hedges_sent.fetch_add(1, Ordering::Relaxed);
-        // keep the stats books balanced: charge the dispatch so the
-        // completion's decrement cannot eat some other query's outstanding
-        // work, and clear it ourselves if no completion will ever come
-        {
-            let mut st = self.stats.write();
-            st.set_now(self.now());
-            st.on_dispatch(node, sub.work());
-        }
-        match self.conn(node).rpc(msg, self.timeout).await {
-            Ok(Msg::SubQueryResult {
+        // a hedge is unplanned work: charge it, so the completion's
+        // decrement cannot eat some other query's outstanding work
+        self.note_dispatch(std::slice::from_ref(sub));
+        match self.dispatch_once(sub, body, crypto).await {
+            Ok(SubOutcome::Done {
                 matches,
                 scanned,
                 proc_s,
                 ..
-            }) => {
+            }) => Some((matches, scanned, proc_s)),
+            Ok(_) => None,
+            Err(_) => {
+                // no completion will ever come: clear the charge ourselves
+                // (a silent hedge target is not declared dead — the
+                // primary's own timeout does that)
                 let mut st = self.stats.write();
                 st.set_now(self.now());
-                st.on_complete(node, sub.work(), proc_s);
-                Some((matches, scanned, proc_s))
-            }
-            _ => {
-                let mut st = self.stats.write();
-                st.set_now(self.now());
-                st.on_complete(node, sub.work(), 0.0);
+                st.on_complete(sub.node, sub.work(), 0.0);
                 None
             }
         }

@@ -472,6 +472,37 @@ mod tests {
         assert_eq!(out2.scanned, 40);
     }
 
+    async fn invalid_request_leaves_no_outstanding_work(spec: TransportSpec) {
+        // every node refuses a 65-predicate PPS query with `Msg::Error`:
+        // each window is lost, and the dispatch charged for it must come
+        // off the node's books — a node that validates requests is not a
+        // busy node, and Algorithm 1 must not steer away from it
+        use crate::proto::WireTrapdoor;
+        let h = spawn_cluster(ClusterConfig::uniform(4, 1e6, 2).with_transport(spec))
+            .await
+            .unwrap();
+        let mut rng = det_rng(216);
+        let ids: Vec<u64> = (0..200).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        let body = QueryBody::Pps {
+            trapdoors: vec![
+                WireTrapdoor {
+                    parts: vec![vec![0u8; 20]],
+                };
+                65
+            ],
+            conjunctive: true,
+        };
+        let out = h.client.query(body).run().await;
+        assert!(out.subqueries >= 2);
+        assert_eq!(out.lost, out.subqueries, "every window is refused as invalid");
+        assert_eq!(out.harvest, 0.0);
+        let st = h.client.core.stats.read();
+        for n in 0..4 {
+            assert_eq!(st.outstanding(n), 0.0, "node {n} still charged");
+        }
+    }
+
     async fn pq_above_p_still_exact(spec: TransportSpec) {
         let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 2).with_transport(spec))
             .await

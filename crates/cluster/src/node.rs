@@ -667,6 +667,62 @@ mod tests {
         assert_eq!(rpc(&mut s, 2, Msg::Ping).await, Msg::Pong);
     }
 
+    /// A zero-bit Bloom filter from the wire must be refused at the door:
+    /// once stored, the next PPS sub-query over it takes a remainder by zero
+    /// on a matcher worker, which kills that worker for good.
+    #[tokio::test]
+    async fn zero_bit_filter_refused_and_matchers_survive() {
+        use roar_pps::metadata::MetaEncryptor;
+        use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+        let (addr, _node) = start_node(1e6).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let reply = rpc(
+            &mut s,
+            1,
+            Msg::Store {
+                records: vec![WireRecord {
+                    id: 7,
+                    nonce: 1,
+                    filter: vec![],
+                    filter_bits: 0,
+                }],
+                synthetic_ids: vec![],
+            },
+        )
+        .await;
+        match reply {
+            Msg::Error { what } => assert_eq!(what, "corrupt record"),
+            other => panic!("a zero-bit filter was accepted: {other:?}"),
+        }
+        let enc = MetaEncryptor::with_points(b"z", vec![1], vec![1]);
+        let q =
+            QueryCompiler::new(&enc).compile(&[Predicate::Keyword("any".into())], Combiner::And);
+        let reply = rpc(
+            &mut s,
+            2,
+            Msg::SubQuery {
+                query_id: 1,
+                window_start: 0,
+                window_end: 0,
+                body: QueryBody::Pps {
+                    trapdoors: q
+                        .trapdoors
+                        .iter()
+                        .map(crate::proto::WireTrapdoor::from_trapdoor)
+                        .collect(),
+                    conjunctive: true,
+                },
+                backend: None,
+            },
+        )
+        .await;
+        match reply {
+            Msg::SubQueryResult { matches, .. } => assert!(matches.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(rpc(&mut s, 3, Msg::Ping).await, Msg::Pong);
+    }
+
     #[tokio::test]
     async fn set_coverage_drops_outside() {
         let (addr, _node) = start_node(1e6).await;

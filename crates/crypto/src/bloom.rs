@@ -91,10 +91,12 @@ impl BloomFilter {
 
     /// Deserialise from [`BloomFilter::to_bytes`] output.
     ///
-    /// Returns `None` when the byte length does not match `n_bits`.
+    /// Returns `None` when `n_bits` is zero (as [`BloomFilter::new`]
+    /// refuses it: positions are reduced modulo `n_bits`) or the byte
+    /// length does not match `n_bits`.
     pub fn from_bytes(bytes: &[u8], n_bits: usize) -> Option<Self> {
         let words = n_bits.div_ceil(64);
-        if bytes.len() != words * 8 {
+        if n_bits == 0 || bytes.len() != words * 8 {
             return None;
         }
         let bits = bytes
@@ -210,6 +212,8 @@ mod tests {
                 || 301usize.div_ceil(64) == 300usize.div_ceil(64)
         );
         assert!(BloomFilter::from_bytes(&bytes[1..], 300).is_none());
+        // a zero-bit filter would divide by zero on its first probe
+        assert!(BloomFilter::from_bytes(&[], 0).is_none());
     }
 
     fn roar_util_test_rng() -> impl Rng {

@@ -22,22 +22,72 @@
 //! randomized cross-checks including block-boundary and > 64-byte keys).
 //!
 //! **Multi-lane batching.** On top of the midstate cache, the batch entry
-//! points ([`HmacKey::mac_batch_with`], [`HmacKey::mac_u64_nonces_with`])
-//! resume `lanes()` copies of the cached midstates at once through a
+//! points resume `lanes()` copies of cached midstates at once through a
 //! [`Sha1Lanes`] engine: the messages of one lane group are padded into a
 //! transposed block set (lane `l` = vector element `l`, the engine's SoA
 //! layout) and every group costs 2 multi-lane compressions total — the
-//! per-message cost divides by the lane width. Lane groups with messages of
-//! unequal block counts still work: each lane's chaining value is captured
-//! at that lane's own final block, and shorter lanes churn dummy zero
-//! blocks afterwards (their output is never read). Ragged batches (size not
-//! a multiple of the lane width) pad the last group with a repeat of the
-//! final message and discard the duplicate lanes. All of this is pinned
-//! bit-identical to the scalar reference by `tests/sha1_lanes_props.rs`.
+//! per-message cost divides by the lane width. Two loops, one per message
+//! shape:
+//!
+//! * **The nonce sweep** — the PPS scan path's only MAC loop: `u64` MAC
+//!   prefixes of fixed 8-byte record nonces, both finishing blocks stamped
+//!   from constant templates. It is written once, over "the key of lane
+//!   *i*", and monomorphised into its two entry points:
+//!   [`HmacKey::mac_u64_nonces_with`] (every lane the same key — the inline
+//!   drivers of the survivor pipeline) and [`mac_u64_nonces_keyed_with`]
+//!   (one key per lane — a node's matcher workers, packing sub-queries'
+//!   sweeps into shared lane groups).
+//! * **The general batch** ([`HmacKey::mac_batch_with`]) — arbitrary-length
+//!   messages under one key. Lane groups with messages of unequal block
+//!   counts still work: each lane's chaining value is captured at that
+//!   lane's own final block, and shorter lanes churn dummy zero blocks
+//!   afterwards (their output is never read).
+//!
+//! Ragged batches (size not a multiple of the lane width) pad the last
+//! group with a repeat of the final message and discard the duplicate
+//! lanes. All of this is pinned bit-identical to the scalar reference by
+//! `tests/sha1_lanes_props.rs`.
 
 use crate::sha1::{compress_block, sha1, Backend, Sha1, Sha1Lanes, MAX_LANES};
 
 const BLOCK: usize = 64;
+
+/// The finishing block of a hash that has already absorbed one 64-byte pad
+/// block, for a `len ≤ 55`-byte message, with the message bytes left zero:
+/// `0^len ‖ 0x80 ‖ zeros ‖ bitlen(64 + len)`.
+#[inline(always)]
+fn finishing_block(len: usize) -> [u8; BLOCK] {
+    let mut block = [0u8; BLOCK];
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(((BLOCK + len) as u64) * 8).to_be_bytes());
+    block
+}
+
+/// Write a chaining value big-endian over the first 20 bytes of `out`.
+#[inline(always)]
+fn put_state(out: &mut [u8], state: &[u32; 5]) {
+    for (i, w) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+    }
+}
+
+/// The `u64` prefix of a digest held as chaining-value words.
+#[inline(always)]
+fn state_prefix(state: &[u32; 5]) -> u64 {
+    ((state[0] as u64) << 32) | state[1] as u64
+}
+
+/// The `K ⊕ ipad` and `K ⊕ opad` blocks of RFC 2104 (a key longer than one
+/// block is hashed first).
+fn pad_blocks(key: &[u8]) -> ([u8; BLOCK], [u8; BLOCK]) {
+    let mut k = [0u8; BLOCK];
+    if key.len() > BLOCK {
+        k[..20].copy_from_slice(&sha1(key));
+    } else {
+        k[..key.len()].copy_from_slice(key);
+    }
+    (k.map(|b| b ^ 0x36), k.map(|b| b ^ 0x5c))
+}
 
 /// Compute HMAC-SHA1 of `msg` under `key`. Returns the 20-byte MAC.
 ///
@@ -45,18 +95,7 @@ const BLOCK: usize = 64;
 /// but without midstate caching; use [`HmacKey`] when evaluating many
 /// messages under one key.
 pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> [u8; 20] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..20].copy_from_slice(&sha1(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
+    let (ipad, opad) = pad_blocks(key);
     let mut inner = Sha1::new();
     inner.update(&ipad);
     inner.update(msg);
@@ -83,18 +122,7 @@ impl HmacKey {
     /// Derive the midstates for `key` (any length; longer than 64 bytes is
     /// pre-hashed per RFC 2104).
     pub fn new(key: &[u8]) -> Self {
-        let mut k = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            k[..20].copy_from_slice(&sha1(key));
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0x36u8; BLOCK];
-        let mut opad = [0x5cu8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] ^= k[i];
-            opad[i] ^= k[i];
-        }
+        let (ipad, opad) = pad_blocks(key);
         let mut inner = Sha1::new();
         inner.update(&ipad);
         let mut outer = Sha1::new();
@@ -114,12 +142,8 @@ impl HmacKey {
     fn mac_state(&self, msg: &[u8]) -> [u32; 5] {
         let mut inner = self.inner_mid;
         if msg.len() <= 55 {
-            // single final block: msg ‖ 0x80 ‖ zeros ‖ bitlen(64 + |msg|)
-            let mut block = [0u8; BLOCK];
+            let mut block = finishing_block(msg.len());
             block[..msg.len()].copy_from_slice(msg);
-            block[msg.len()] = 0x80;
-            let bit_len = ((BLOCK + msg.len()) as u64) * 8;
-            block[56..].copy_from_slice(&bit_len.to_be_bytes());
             compress_block(&mut inner, &block);
         } else {
             let mut h = Sha1::from_midstate(self.inner_mid, BLOCK as u64);
@@ -129,13 +153,8 @@ impl HmacKey {
                 *w = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
             }
         }
-        // outer final block: digest(20) ‖ 0x80 ‖ zeros ‖ bitlen(64 + 20)
-        let mut block = [0u8; BLOCK];
-        for (i, w) in inner.iter().enumerate() {
-            block[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        block[20] = 0x80;
-        block[56..].copy_from_slice(&(((BLOCK + 20) as u64) * 8).to_be_bytes());
+        let mut block = finishing_block(20);
+        put_state(&mut block, &inner);
         let mut outer = self.outer_mid;
         compress_block(&mut outer, &block);
         outer
@@ -144,11 +163,8 @@ impl HmacKey {
     /// MAC one message from the cached midstates.
     #[inline]
     pub fn mac(&self, msg: &[u8]) -> [u8; 20] {
-        let state = self.mac_state(msg);
         let mut out = [0u8; 20];
-        for (i, w) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
+        put_state(&mut out, &self.mac_state(msg));
         out
     }
 
@@ -158,8 +174,7 @@ impl HmacKey {
     /// 20-byte digest.
     #[inline]
     pub fn mac_u64(&self, msg: &[u8]) -> u64 {
-        let state = self.mac_state(msg);
-        ((state[0] as u64) << 32) | state[1] as u64
+        state_prefix(&self.mac_state(msg))
     }
 
     /// Batch entry point: MAC `msgs.len()` messages under this key into
@@ -193,58 +208,21 @@ impl HmacKey {
         {
             self.mac_states_group(engine, group, &mut states);
             for (state, slot) in states.iter().zip(slots.iter_mut()) {
-                for (i, w) in state.iter().enumerate() {
-                    slot[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-                }
+                put_state(slot, state);
             }
         }
     }
 
-    /// The PPS survivor-sweep hot path: `u64` MAC prefixes of fixed 8-byte
-    /// messages (record nonces) under this key. Every message fits one
-    /// padded block, so the inner and outer finishing blocks are assembled
-    /// from a constant template and each full lane group costs exactly 2
-    /// multi-lane compressions — the §5.7 "2 compressions per codeword"
-    /// arithmetic divided by the lane width.
+    /// The nonce sweep with this key in every lane: `u64` MAC prefixes of
+    /// fixed 8-byte messages (record nonces). What the survivor pipeline's
+    /// inline drivers call once per trapdoor component; each full lane
+    /// group costs exactly 2 multi-lane compressions — the §5.7
+    /// "2 compressions per codeword" arithmetic divided by the lane width.
     ///
     /// # Panics
     /// Panics when `out` is shorter than `nonces`.
     pub fn mac_u64_nonces_with(&self, backend: Backend, nonces: &[[u8; 8]], out: &mut [u64]) {
-        assert!(out.len() >= nonces.len(), "output buffer too small");
-        let engine = backend.engine();
-        let lanes = engine.lanes();
-        // inner finishing block template: nonce ‖ 0x80 ‖ zeros ‖ bitlen(64+8)
-        let mut inner_tmpl = [0u8; BLOCK];
-        inner_tmpl[8] = 0x80;
-        inner_tmpl[56..].copy_from_slice(&(((BLOCK + 8) as u64) * 8).to_be_bytes());
-        // outer finishing block template: digest(20) ‖ 0x80 ‖ zeros ‖ bitlen(64+20)
-        let mut outer_tmpl = [0u8; BLOCK];
-        outer_tmpl[20] = 0x80;
-        outer_tmpl[56..].copy_from_slice(&(((BLOCK + 20) as u64) * 8).to_be_bytes());
-
-        let mut blocks = [[0u8; BLOCK]; MAX_LANES];
-        let mut states = [[0u32; 5]; MAX_LANES];
-        for (group, slots) in nonces.chunks(lanes).zip(out.chunks_mut(lanes)) {
-            for lane in 0..lanes {
-                // ragged tail: unused lanes repeat the last real nonce
-                let nonce = &group[lane.min(group.len() - 1)];
-                blocks[lane] = inner_tmpl;
-                blocks[lane][..8].copy_from_slice(nonce);
-                states[lane] = self.inner_mid;
-            }
-            engine.compress(&mut states[..lanes], &blocks[..lanes]);
-            for lane in 0..lanes {
-                blocks[lane] = outer_tmpl;
-                for (i, w) in states[lane].iter().enumerate() {
-                    blocks[lane][i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-                }
-                states[lane] = self.outer_mid;
-            }
-            engine.compress(&mut states[..lanes], &blocks[..lanes]);
-            for (state, slot) in states.iter().zip(slots.iter_mut()) {
-                *slot = ((state[0] as u64) << 32) | state[1] as u64;
-            }
-        }
+        sweep_nonces(backend, |_| self, nonces, out);
     }
 
     /// MAC one lane group (1 ≤ `msgs.len()` ≤ `engine.lanes()`) of
@@ -287,16 +265,10 @@ impl HmacKey {
                 }
             }
         }
-        // outer: digest(20) ‖ 0x80 ‖ zeros ‖ bitlen(64 + 20), one block per lane
+        // outer: one finishing block per lane over that lane's inner digest
         for lane in 0..lanes {
-            let digest = inner[lane.min(msgs.len() - 1)];
-            let blk = &mut blocks[lane];
-            blk.fill(0);
-            for (i, w) in digest.iter().enumerate() {
-                blk[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-            }
-            blk[20] = 0x80;
-            blk[56..].copy_from_slice(&(((BLOCK + 20) as u64) * 8).to_be_bytes());
+            blocks[lane] = finishing_block(20);
+            put_state(&mut blocks[lane], &inner[lane.min(msgs.len() - 1)]);
             states[lane] = self.outer_mid;
         }
         engine.compress(&mut states[..lanes], &blocks[..lanes]);
@@ -328,19 +300,61 @@ fn fill_padded_block(msg: &[u8], b: usize, block: &mut [u8; BLOCK]) {
     }
 }
 
-/// The cross-query survivor-sweep hot path: `u64` MAC prefixes of fixed
-/// 8-byte nonces where **every lane carries its own key**. `keys[i]` MACs
-/// `nonces[i]` into `out[i]`.
+/// The nonce sweep, written once: `out[i]` is the `u64` MAC prefix of
+/// `nonces[i]` under `key_of(i)`.
 ///
-/// [`HmacKey::mac_u64_nonces_with`] resumes one key's midstates in every
-/// lane; since a lane's midstate is already per-lane SIMD state, nothing
-/// stops each lane resuming a *different* key's midstates — which is what
-/// lets a node pack probe work from many concurrent sub-queries (different
-/// trapdoors, different component keys) into one full-width compression
-/// stream instead of running each query's sweep ragged. Cost is identical to
-/// the single-key sweep: 2 multi-lane compressions per full lane group.
-/// Ragged tails repeat the last real (key, nonce) pair; the duplicate lane
-/// outputs are discarded.
+/// A lane's midstate is per-lane SIMD state, so nothing in the loop cares
+/// whether neighbouring lanes resume the same key or different ones; the
+/// two entry points differ only in the `key_of` they pass, and each is
+/// monomorphised (`inline(always)`) so the single-key form pays nothing for
+/// the generality. Per lane group: stamp the inner finishing template with
+/// each lane's nonce and resume the lane's inner midstate, compress, stamp
+/// the outer template with each lane's inner digest and resume the outer
+/// midstate, compress — 2 multi-lane compressions. Ragged tails repeat the
+/// last real (key, nonce) pair; the duplicate lane outputs are discarded.
+#[inline(always)]
+fn sweep_nonces<'k>(
+    backend: Backend,
+    key_of: impl Fn(usize) -> &'k HmacKey,
+    nonces: &[[u8; 8]],
+    out: &mut [u64],
+) {
+    assert!(out.len() >= nonces.len(), "output buffer too small");
+    let engine = backend.engine();
+    let lanes = engine.lanes();
+    let inner_tmpl = finishing_block(8);
+    let outer_tmpl = finishing_block(20);
+    let last = nonces.len().saturating_sub(1);
+
+    let mut blocks = [[0u8; BLOCK]; MAX_LANES];
+    let mut states = [[0u32; 5]; MAX_LANES];
+    for (start, slots) in (0..nonces.len()).step_by(lanes).zip(out.chunks_mut(lanes)) {
+        for lane in 0..lanes {
+            let idx = (start + lane).min(last);
+            blocks[lane] = inner_tmpl;
+            blocks[lane][..8].copy_from_slice(&nonces[idx]);
+            states[lane] = key_of(idx).inner_mid;
+        }
+        engine.compress(&mut states[..lanes], &blocks[..lanes]);
+        for lane in 0..lanes {
+            blocks[lane] = outer_tmpl;
+            put_state(&mut blocks[lane], &states[lane]);
+            states[lane] = key_of((start + lane).min(last)).outer_mid;
+        }
+        engine.compress(&mut states[..lanes], &blocks[..lanes]);
+        for (state, slot) in states.iter().zip(slots.iter_mut()) {
+            *slot = state_prefix(state);
+        }
+    }
+}
+
+/// The nonce sweep where **every lane carries its own key**: `keys[i]` MACs
+/// `nonces[i]` into `out[i]`. This is what lets a node pack probe work from
+/// many concurrent sub-queries (different trapdoors, different component
+/// keys) into one full-width compression stream instead of running each
+/// query's sweep ragged; the cost is that of
+/// [`HmacKey::mac_u64_nonces_with`], 2 multi-lane compressions per full
+/// lane group.
 ///
 /// Bit-identical to `keys[i].mac_u64(&nonces[i])` by construction and by the
 /// `sha1_lanes_props` suite.
@@ -361,49 +375,13 @@ pub fn mac_u64_nonces_keyed_with(
         keys.len(),
         nonces.len()
     );
-    assert!(out.len() >= nonces.len(), "output buffer too small");
-    let engine = backend.engine();
-    let lanes = engine.lanes();
-    // finishing-block templates, as in the single-key sweep
-    let mut inner_tmpl = [0u8; BLOCK];
-    inner_tmpl[8] = 0x80;
-    inner_tmpl[56..].copy_from_slice(&(((BLOCK + 8) as u64) * 8).to_be_bytes());
-    let mut outer_tmpl = [0u8; BLOCK];
-    outer_tmpl[20] = 0x80;
-    outer_tmpl[56..].copy_from_slice(&(((BLOCK + 20) as u64) * 8).to_be_bytes());
-
-    let mut blocks = [[0u8; BLOCK]; MAX_LANES];
-    let mut states = [[0u32; 5]; MAX_LANES];
-    for (start, slots) in (0..nonces.len()).step_by(lanes).zip(out.chunks_mut(lanes)) {
-        let group = &nonces[start..(start + lanes).min(nonces.len())];
-        for lane in 0..lanes {
-            // ragged tail: unused lanes repeat the last real (key, nonce)
-            let idx = start + lane.min(group.len() - 1);
-            blocks[lane] = inner_tmpl;
-            blocks[lane][..8].copy_from_slice(&nonces[idx]);
-            states[lane] = keys[idx].inner_mid;
-        }
-        engine.compress(&mut states[..lanes], &blocks[..lanes]);
-        for lane in 0..lanes {
-            let idx = start + lane.min(group.len() - 1);
-            blocks[lane] = outer_tmpl;
-            for (i, w) in states[lane].iter().enumerate() {
-                blocks[lane][i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-            }
-            states[lane] = keys[idx].outer_mid;
-        }
-        engine.compress(&mut states[..lanes], &blocks[..lanes]);
-        for (state, slot) in states.iter().zip(slots.iter_mut()) {
-            *slot = ((state[0] as u64) << 32) | state[1] as u64;
-        }
-    }
+    sweep_nonces(backend, |i| &keys[i], nonces, out);
 }
 
 /// Free-function form of the batch API: HMAC-SHA1 of every message in
 /// `msgs` under one precomputed key, written into `out`, zero heap
-/// allocation, multi-lane when the CPU allows. The matching pipeline's
-/// survivor sweep consumes the specialised nonce form
-/// ([`HmacKey::mac_u64_nonces_with`]); this entry point serves bulk
+/// allocation, multi-lane when the CPU allows. The survivor pipeline
+/// consumes the specialised nonce sweep; this entry point serves bulk
 /// callers — metadata encryption, external tools — and the equivalence
 /// test suite.
 pub fn hmac_sha1_batch(key: &HmacKey, msgs: &[&[u8]], out: &mut [[u8; 20]]) {

@@ -17,7 +17,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check_file, Config, Finding, SourceFile};
+pub use rules::{check_file, code_lines, Config, Finding, SourceFile};
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -90,26 +90,73 @@ pub fn load_allowlist(root: &Path) -> HashMap<String, u32> {
     budgets
 }
 
+/// Every scanned `.rs` file under `root`, lexed, in path order.
+fn workspace_files(root: &Path) -> Vec<SourceFile> {
+    let mut rel_paths = Vec::new();
+    for scan in SCAN_ROOTS {
+        collect_rs_files(root, Path::new(scan), &mut rel_paths);
+    }
+    rel_paths
+        .iter()
+        .filter_map(|rel| {
+            let src = std::fs::read_to_string(root.join(rel)).ok()?;
+            Some(SourceFile::new(
+                rel.to_string_lossy().replace('\\', "/"),
+                src,
+            ))
+        })
+        .collect()
+}
+
 /// Scan the whole workspace under `root`. Returns all findings plus the
 /// number of files checked.
 pub fn check_workspace(root: &Path) -> (Vec<Finding>, usize) {
     let cfg = Config {
         unwrap_budgets: load_allowlist(root),
     };
-    let mut rel_paths = Vec::new();
-    for scan in SCAN_ROOTS {
-        collect_rs_files(root, Path::new(scan), &mut rel_paths);
-    }
-    let mut findings = Vec::new();
-    let mut checked = 0usize;
-    for rel in &rel_paths {
-        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
-            continue;
-        };
-        let file = SourceFile::new(rel.to_string_lossy().replace('\\', "/"), src);
-        findings.extend(check_file(&file, &cfg));
-        checked += 1;
-    }
+    let files = workspace_files(root);
+    let mut findings: Vec<Finding> = files.iter().flat_map(|f| check_file(f, &cfg)).collect();
     findings.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
-    (findings, checked)
+    (findings, files.len())
+}
+
+/// Path prefixes `--loc` always reports beside the per-crate rows.
+const LOC_PREFIXES: &[&str] = &["crates/cluster/src/transport"];
+
+/// The `--loc` report: non-test, non-comment Rust lines ([`code_lines`])
+/// under every crate's `src/` (one row per crate, keyed by the crate
+/// directory; `tests/`, `benches/` and `examples/` are test code and never
+/// count), then one row per path prefix in `LOC_PREFIXES` and `extra`,
+/// then the total over all crates. A report, not a rule: nothing here can
+/// fail the lint.
+pub fn loc_report(root: &Path, extra: &[String]) -> Vec<(String, usize)> {
+    let counted: Vec<(String, usize)> = workspace_files(root)
+        .iter()
+        .filter(|f| f.path.starts_with("src/") || f.path.contains("/src/"))
+        .map(|f| (f.path.clone(), code_lines(f)))
+        .collect();
+    let mut per_crate = std::collections::BTreeMap::<String, usize>::new();
+    for (path, n) in &counted {
+        let krate = match path.find("/src/") {
+            Some(at) => &path[..at],
+            None => "(root crate)",
+        };
+        *per_crate.entry(krate.to_string()).or_default() += n;
+    }
+    let total = per_crate.values().sum();
+    let mut rows: Vec<(String, usize)> = per_crate.into_iter().collect();
+    for prefix in LOC_PREFIXES
+        .iter()
+        .copied()
+        .chain(extra.iter().map(String::as_str))
+    {
+        let n = counted
+            .iter()
+            .filter(|(path, _)| path.starts_with(prefix))
+            .map(|(_, n)| n)
+            .sum();
+        rows.push((prefix.to_string(), n));
+    }
+    rows.push(("total (all crates)".to_string(), total));
+    rows
 }

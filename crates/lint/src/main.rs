@@ -5,6 +5,7 @@
 //! $ cargo run -p roar-lint                # scan the enclosing workspace
 //! $ cargo run -p roar-lint -- <root>      # scan an explicit root
 //! $ cargo run -p roar-lint -- --file <f> --as <virtual-path>
+//! $ cargo run -p roar-lint -- --loc [<path-prefix>...]
 //! ```
 //!
 //! `--file` lints one file in isolation; `--as` assigns the
@@ -12,12 +13,19 @@
 //! which is how the fixture suite demonstrates each violation exits
 //! non-zero: the fixtures live outside the scanned tree but are checked
 //! *as if* they sat on an in-scope path.
+//!
+//! `--loc` is a report, not a check: non-test, non-comment Rust lines per
+//! crate, for `crates/cluster/src/transport`, and for every extra path
+//! prefix named — the one command the line counts quoted in CHANGES.md and
+//! ROADMAP.md come from. It always exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: roar-lint [<root> | --file <path> [--as <virtual-path>]]");
+    eprintln!(
+        "usage: roar-lint [<root> | --file <path> [--as <virtual-path>] | --loc [<path-prefix>...]]"
+    );
     ExitCode::FAILURE
 }
 
@@ -44,18 +52,32 @@ fn main() -> ExitCode {
             let findings = roar_lint::check_file(&checked, &roar_lint::Config::default());
             report(findings, 1)
         }
-        Some(root) => scan(PathBuf::from(root)),
-        None => {
-            let cwd = std::env::current_dir().expect("cwd");
-            match roar_lint::find_workspace_root(&cwd) {
-                Some(r) => scan(r),
-                None => {
-                    eprintln!("roar-lint: no workspace root found above {}", cwd.display());
-                    ExitCode::FAILURE
+        Some("--loc") => match enclosing_workspace() {
+            Some(root) => {
+                for (what, lines) in roar_lint::loc_report(&root, &args[1..]) {
+                    println!("{lines:>7}  {what}");
                 }
+                ExitCode::SUCCESS
             }
-        }
+            None => ExitCode::FAILURE,
+        },
+        Some(root) => scan(PathBuf::from(root)),
+        None => match enclosing_workspace() {
+            Some(root) => scan(root),
+            None => ExitCode::FAILURE,
+        },
     }
+}
+
+/// The workspace root above the current directory; complains on stderr
+/// when there is none.
+fn enclosing_workspace() -> Option<PathBuf> {
+    let cwd = std::env::current_dir().expect("cwd");
+    let root = roar_lint::find_workspace_root(&cwd);
+    if root.is_none() {
+        eprintln!("roar-lint: no workspace root found above {}", cwd.display());
+    }
+    root
 }
 
 fn scan(root: PathBuf) -> ExitCode {

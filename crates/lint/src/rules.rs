@@ -79,6 +79,24 @@ pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
     findings
 }
 
+/// Lines of `file` holding at least one code token outside
+/// `#[cfg(test)]` / `#[test]` items — the count `roar-lint --loc` reports.
+/// Comment-only and blank lines never count; a multi-line literal counts
+/// every line it spans.
+pub fn code_lines(file: &SourceFile) -> usize {
+    let test_mask = cfg_test_mask(file);
+    // tokens come in source order, so the line numbers never decrease
+    let mut lines: Vec<u32> = file
+        .tokens
+        .iter()
+        .zip(&test_mask)
+        .filter(|(t, &masked)| !masked && !t.is_comment())
+        .flat_map(|(t, _)| t.line..=t.line_end)
+        .collect();
+    lines.dedup();
+    lines.len()
+}
+
 fn in_shims(path: &str) -> bool {
     path.starts_with("crates/shims/")
 }

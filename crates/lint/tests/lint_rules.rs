@@ -166,6 +166,44 @@ fn strings_and_comments_cannot_fool_the_rules() {
 }
 
 #[test]
+fn loc_counts_code_lines_outside_tests_and_comments() {
+    let src = "//! module doc\n\
+               \n\
+               /// doc comment\n\
+               pub fn f() -> u32 { // trailing comment: still a code line\n    \
+               /* block\n       comment */\n    \
+               let s = \"two\n    lines\";\n    \
+               1\n\
+               }\n\
+               \n\
+               #[cfg(test)]\n\
+               mod tests {\n    \
+               #[test]\n    \
+               fn t() {}\n\
+               }\n";
+    // `pub fn`, the two lines the string literal spans, `1`, `}`
+    assert_eq!(roar_lint::code_lines(&SourceFile::new("x.rs", src)), 5);
+}
+
+#[test]
+fn loc_report_rows_add_up() {
+    let root = roar_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above the lint crate");
+    let extra = ["crates/lint/src/lexer.rs".to_string()];
+    let rows: HashMap<String, usize> = roar_lint::loc_report(&root, &extra).into_iter().collect();
+    // per-crate rows are keyed by the crate directory: no `/src` in them
+    let crates: usize = rows
+        .iter()
+        .filter(|(k, _)| !k.contains("/src") && !k.starts_with("total"))
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(crates, rows["total (all crates)"]);
+    assert!(rows["crates/cluster/src/transport"] < rows["crates/cluster"]);
+    assert!(rows["crates/lint/src/lexer.rs"] > 100);
+    assert!(rows["crates/lint/src/lexer.rs"] < rows["crates/lint"]);
+}
+
+#[test]
 fn the_workspace_itself_is_clean() {
     let root = roar_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the lint crate");

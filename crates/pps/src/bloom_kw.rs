@@ -19,13 +19,15 @@
 //! [`BloomKeywordScheme::matches_reference`] the no-midstate scalar
 //! baseline the benchmarks compare against. All three are bit-identical.
 //!
-//! The same key-per-component constancy is what the SIMD layer exploits:
-//! [`PreparedTrapdoor::probe_filter`] sweeps one component's key across a
-//! survivor list with a multi-lane SHA-1 engine
-//! ([`roar_crypto::sha1::Sha1Lanes`]), evaluating `lanes()` records'
-//! codewords per compression call — the 2-compressions-per-probe cost
-//! divided by the lane width, still bit- and count-identical to the scalar
-//! paths.
+//! The same key-per-component constancy is what the SIMD layer exploits.
+//! A [`PreparedTrapdoor`] also exposes its probe as *sweep steps* —
+//! `sweep_begin`, then per component `component_key` /
+//! `component_filter` — so the survivor pipeline ([`crate::query`]) can
+//! walk one component's key across a whole survivor list with a multi-lane
+//! SHA-1 engine ([`roar_crypto::sha1::Sha1Lanes`]), evaluating `lanes()`
+//! records' codewords per compression call: the 2-compressions-per-probe
+//! cost divided by the lane width, still bit- and count-identical to the
+//! scalar [`PreparedTrapdoor::probe`].
 //!
 //! CPU cost model (verified in tests): a non-matching probe computes ~2
 //! codeword hashes on average before a miss bit is found; a matching probe
@@ -36,7 +38,6 @@ use rand::Rng;
 use roar_crypto::bloom::{BloomFilter, BloomParams};
 use roar_crypto::hmac::{hmac_sha1, HmacKey};
 use roar_crypto::prf::{HmacPrf, Prf};
-use roar_crypto::sha1::Backend;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared PRF call counter for cost accounting.
@@ -177,78 +178,29 @@ impl PreparedTrapdoor {
         self.order[..len].sort_by_key(|&j| std::cmp::Reverse(miss[j as usize]));
     }
 
-    /// Component-major, lane-batched form of [`probe`](Self::probe) across
-    /// many records: filter `survivors` (indices into `items`) down to the
-    /// records whose codeword bits are *all* set, through the `backend`
-    /// SHA-1 lane engine.
+    /// Begin one component-major sweep of this trapdoor over `n_survivors`
+    /// records — the lane-batched form of [`probe`](Self::probe). The
+    /// caller (the survivor pipeline, [`crate::query::Matcher`]) then walks
+    /// the components in probe order: MAC every remaining survivor's nonce
+    /// under [`component_key`](Self::component_key), hand the prefixes to
+    /// [`component_filter`](Self::component_filter), stop when the list is
+    /// empty. A record leaves the list at its first clear bit, exactly
+    /// where the scalar path would have short-circuited, so while the
+    /// probe order is fixed the probe multiset (and therefore the §5.7 PRF
+    /// count, charged one per codeword evaluated) is identical to calling
+    /// `probe` per record; only the loop order and the instruction-level
+    /// parallelism change.
     ///
-    /// Each component's [`HmacKey`] sweeps the whole remaining survivor
-    /// list at once — `lanes()` records' nonces per compression call via
-    /// [`HmacKey::mac_u64_nonces_with`] — and a record leaves the list at
-    /// its first clear bit, exactly where the scalar path would have
-    /// short-circuited. While the probe order is fixed, the probe multiset
-    /// (and therefore the §5.7 PRF count, charged one per codeword
-    /// evaluated) is identical to calling [`probe`](Self::probe) per
-    /// record; only the loop order and the instruction-level parallelism
-    /// change. The one sanctioned divergence is reorder *timing*:
-    /// probe-order adaptation happens between sweeps instead of between
-    /// records (the order must stay fixed within a component-major pass),
-    /// so once a trapdoor crosses `REORDER_EVERY` probes the two paths
-    /// may briefly try components in different orders. Match results are
-    /// unaffected — reordering never changes what matches — and the
-    /// *expected* probe count is unchanged; only which individual probes
-    /// short-circuit can shift by a hair around each reorder point
-    /// (`probe_filter_reorder_contract` pins this).
-    ///
-    /// `scratch` holds the gathered nonces/MACs and the per-component
-    /// double buffer; it is caller-owned so steady-state sweeping allocates
-    /// nothing.
-    pub fn probe_filter<T>(
-        &mut self,
-        backend: Backend,
-        items: &[T],
-        body: impl Fn(&T) -> &BloomMetadata,
-        survivors: &mut Vec<u32>,
-        scratch: &mut SweepScratch,
-        prf_calls: &mut u64,
-    ) {
-        self.sweep_begin(survivors.len());
-        for k in 0..self.len as usize {
-            if survivors.is_empty() {
-                return;
-            }
-            scratch.nonces.clear();
-            scratch.nonces.extend(
-                survivors
-                    .iter()
-                    .map(|&i| body(&items[i as usize]).nonce.to_be_bytes()),
-            );
-            scratch.macs.clear();
-            scratch.macs.resize(survivors.len(), 0);
-            self.component_key(k)
-                .mac_u64_nonces_with(backend, &scratch.nonces, &mut scratch.macs);
-            let macs = std::mem::take(&mut scratch.macs);
-            self.component_filter(
-                k,
-                survivors,
-                &macs,
-                &mut scratch.spare,
-                prf_calls,
-                |i, m| body(&items[i as usize]).filter.get(m),
-            );
-            scratch.macs = macs;
-        }
-    }
-
-    /// Begin one survivor sweep over `n_survivors` records: apply any due
-    /// probe-order adaptation (adaptation must land on sweep boundaries —
-    /// the order has to stay fixed across a component-major pass) and charge
-    /// the sweep against the reorder interval. Call exactly once before the
-    /// per-component [`component_key`](Self::component_key) /
-    /// [`component_filter`](Self::component_filter) loop;
-    /// [`probe_filter`](Self::probe_filter) is the assembled form, and the
-    /// cross-query batched engine ([`crate::xbatch`]) drives the same steps
-    /// with the MAC work hoisted out to a shared keyed lane sweep.
+    /// The one sanctioned divergence is reorder *timing*: the order has to
+    /// stay fixed across a component-major pass, so due probe-order
+    /// adaptation is applied here, between sweeps, instead of between
+    /// records, and the whole sweep is charged against the reorder
+    /// interval at once. Once a trapdoor crosses `REORDER_EVERY` probes the
+    /// two paths may briefly try components in different orders. Match
+    /// results are unaffected — reordering never changes what matches —
+    /// and the *expected* probe count is unchanged; only which individual
+    /// probes short-circuit can shift by a hair around each reorder point
+    /// (`probe_filter_reorder_contract` in `query.rs` pins this).
     pub(crate) fn sweep_begin(&mut self, n_survivors: usize) {
         if self.probes_since_reorder >= REORDER_EVERY {
             self.reorder();
@@ -280,10 +232,11 @@ impl PreparedTrapdoor {
         prf_calls: &mut u64,
         mut bit_set: impl FnMut(u32, u64) -> bool,
     ) {
+        debug_assert_eq!(macs.len(), survivors.len(), "one MAC per survivor");
         let j = self.order[k] as usize;
+        *prf_calls += survivors.len() as u64;
         spare.clear();
         for (&i, &mac) in survivors.iter().zip(macs.iter()) {
-            *prf_calls += 1;
             if bit_set(i, mac) {
                 spare.push(i);
             } else {
@@ -305,19 +258,6 @@ impl PreparedTrapdoor {
             .map(|&j| j as usize)
             .collect()
     }
-}
-
-/// Reusable gather buffers for [`PreparedTrapdoor::probe_filter`]: the
-/// survivor list's nonces and their MAC prefixes for one component sweep.
-/// Owned by the caller (one per matching thread, inside
-/// [`crate::query::MatchScratch`]) so sweeping allocates nothing in steady
-/// state.
-#[derive(Debug, Default)]
-pub struct SweepScratch {
-    nonces: Vec<[u8; 8]>,
-    macs: Vec<u64>,
-    /// Double buffer for the per-component survivor filtering.
-    pub(crate) spare: Vec<u32>,
 }
 
 /// Encrypted document keywords: nonce + Bloom filter of codewords.
@@ -644,116 +584,6 @@ mod tests {
         let mut order = miss.probe_order();
         order.sort_unstable();
         assert_eq!(order, (0..td_miss.parts.len()).collect::<Vec<_>>());
-    }
-
-    /// The sanctioned divergence past the adaptation threshold: once a
-    /// trapdoor crosses `REORDER_EVERY` probes, the sweep's
-    /// sweep-boundary reordering may shift *which* probes short-circuit
-    /// versus the scalar path's record-boundary reordering — but the match
-    /// set must stay identical and the PRF counts within a sliver of each
-    /// other (the expectation is unchanged; only probes between the two
-    /// reorder points can differ).
-    #[test]
-    fn probe_filter_reorder_contract() {
-        let s = scheme();
-        let mut rng = det_rng(122);
-        let docs: Vec<BloomMetadata> = (0..6000)
-            .map(|i| {
-                let words: Vec<String> = (0..6).map(|k| format!("r{i}-{k}")).collect();
-                let mut refs: Vec<&str> = words.iter().map(String::as_str).collect();
-                if i % 101 == 0 {
-                    refs.push("planted");
-                }
-                s.encrypt_metadata(&mut rng, &refs)
-            })
-            .collect();
-        let td = s.trapdoor("planted");
-        // scalar oracle: > REORDER_EVERY probes, reorders mid-stream
-        let mut oracle = PreparedTrapdoor::new(&td);
-        let mut want_calls = 0u64;
-        let want: Vec<u32> = (0..docs.len() as u32)
-            .filter(|&i| oracle.probe(&docs[i as usize], &mut want_calls))
-            .collect();
-        // lane sweep in chunks (as match_batch drives it), reorders at
-        // sweep boundaries
-        let mut prepared = PreparedTrapdoor::new(&td);
-        let mut scratch = SweepScratch::default();
-        let mut calls = 0u64;
-        let mut got: Vec<u32> = Vec::new();
-        let chunk = 999usize; // misaligned with REORDER_EVERY on purpose
-        for start in (0..docs.len()).step_by(chunk) {
-            let end = (start + chunk).min(docs.len());
-            let mut survivors: Vec<u32> = (start as u32..end as u32).collect();
-            prepared.probe_filter(
-                Backend::auto(),
-                &docs,
-                |m| m,
-                &mut survivors,
-                &mut scratch,
-                &mut calls,
-            );
-            got.extend(survivors);
-        }
-        assert_eq!(got, want, "match set must never depend on reorder timing");
-        let drift = calls.abs_diff(want_calls) as f64 / want_calls as f64;
-        assert!(
-            drift < 1e-3,
-            "PRF counts may shift only around reorder points: \
-             sweep {calls} vs scalar {want_calls} ({drift:.5})"
-        );
-    }
-
-    /// The lane-batched survivor sweep must keep exactly the records the
-    /// scalar probe keeps and charge exactly the scalar PRF count, on every
-    /// available backend and at survivor counts that leave ragged lane
-    /// tails. (Exact parity holds below the `REORDER_EVERY` threshold —
-    /// `probe_filter_reorder_contract` covers the crossing.)
-    #[test]
-    fn probe_filter_equals_scalar_probe_on_all_backends() {
-        let s = scheme();
-        let mut rng = det_rng(121);
-        let docs: Vec<BloomMetadata> = (0..37)
-            .map(|i| {
-                let words: Vec<String> = (0..8).map(|k| format!("d{i}-{k}")).collect();
-                let mut refs: Vec<&str> = words.iter().map(String::as_str).collect();
-                if i % 5 == 0 {
-                    refs.push("shared");
-                }
-                s.encrypt_metadata(&mut rng, &refs)
-            })
-            .collect();
-        for probe_word in ["shared", "d3-4", "absent"] {
-            let td = s.trapdoor(probe_word);
-            for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
-                // scalar oracle
-                let mut oracle = PreparedTrapdoor::new(&td);
-                let mut want_calls = 0u64;
-                let want: Vec<u32> = (0..docs.len() as u32)
-                    .filter(|&i| oracle.probe(&docs[i as usize], &mut want_calls))
-                    .collect();
-                // lane sweep
-                let mut prepared = PreparedTrapdoor::new(&td);
-                let mut survivors: Vec<u32> = (0..docs.len() as u32).collect();
-                let mut scratch = SweepScratch::default();
-                let mut calls = 0u64;
-                prepared.probe_filter(
-                    backend,
-                    &docs,
-                    |m| m,
-                    &mut survivors,
-                    &mut scratch,
-                    &mut calls,
-                );
-                assert_eq!(survivors, want, "{probe_word} on {}", backend.name());
-                assert_eq!(calls, want_calls, "{probe_word} on {}", backend.name());
-                assert_eq!(
-                    prepared.miss_counts(),
-                    oracle.miss_counts(),
-                    "{probe_word} on {}",
-                    backend.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -13,14 +13,19 @@
 //!
 //! **Hot-path structure.** Each consumer thread owns its matcher (with the
 //! query's midstate-cached trapdoors), a [`MatchScratch`] holding its PRF
-//! count shard and survivor buffers, and local match/trace vectors. The
-//! shared [`PrfCounter`] is touched exactly once per thread (shard merge at
-//! join) and the trace vectors are merged after the scope ends, so the
-//! per-record loop contains no atomics, no locks and no allocation.
+//! count shard and pipeline state, and local match/trace vectors, and
+//! drives the survivor pipeline ([`crate::query`]) inline over each
+//! produced batch with [`Matcher::match_batch`]. The shared [`PrfCounter`]
+//! is touched exactly once per thread (shard merge at join) and the trace
+//! vectors are merged after the scope ends, so the per-record loop
+//! contains no atomics, no locks and no allocation.
+//!
+//! [`match_corpus`] / [`match_corpus_with`] are the same inline driver
+//! without the threads: one whole-corpus scan on the calling thread.
 
 use crate::bloom_kw::PrfCounter;
 use crate::metadata::EncryptedMetadata;
-use crate::query::{CompiledQuery, MatchScratch, Matcher};
+use crate::query::{CompiledQuery, MatchScratch, Matcher, MATCH_CHUNK};
 use crate::simdisk::{DiskProfile, SimDisk};
 use crossbeam::channel::bounded;
 use roar_crypto::sha1::Backend;
@@ -242,18 +247,18 @@ impl Engine {
     }
 }
 
-/// Match an in-memory corpus on the calling thread through the batched hot
-/// path — the form the cluster node's sub-query execution uses (it already
-/// sits on a blocking worker thread, so it needs matching work, not the
-/// producer/consumer pipeline). Sweeps with the process-default
-/// ([`Backend::auto`]) lane engine. Returns the matching ids (unsorted)
-/// and the PRF evaluation count.
+/// Match an in-memory corpus on the calling thread: the inline driver of
+/// the survivor pipeline ([`crate::query`]) over all of `records`, in the
+/// same chunks a node's matcher workers use. This is the sequential form
+/// every concurrent path is held bit-identical to, and the oracle the
+/// end-to-end benchmark checks answers against. Sweeps with the
+/// process-default ([`Backend::auto`]) lane engine. Returns the matching
+/// ids (unsorted) and the PRF evaluation count.
 pub fn match_corpus(records: &[EncryptedMetadata], query: &CompiledQuery) -> (Vec<u64>, u64) {
     match_corpus_with(records, query, Backend::auto())
 }
 
-/// [`match_corpus`] on an explicit SHA-1 lane backend — the cluster node
-/// threads its configured execution profile through here.
+/// [`match_corpus`] on an explicit SHA-1 lane backend.
 pub fn match_corpus_with(
     records: &[EncryptedMetadata],
     query: &CompiledQuery,
@@ -262,10 +267,7 @@ pub fn match_corpus_with(
     let mut matcher = Matcher::new(query.trapdoors.len(), true).with_backend(backend);
     let mut scratch = MatchScratch::new();
     let mut matches = Vec::new();
-    // chunked so the survivor buffers stay cache-sized
-    for chunk in records.chunks(512) {
-        matcher.match_batch(query, chunk, &mut scratch, &mut matches);
-    }
+    matcher.scan(query, records, MATCH_CHUNK, &mut scratch, &mut matches);
     (matches, scratch.prf_calls)
 }
 
@@ -434,6 +436,68 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, expected, "match_corpus, trial {trial}");
             assert!(prf > 0);
+        }
+    }
+
+    /// The whole-corpus inline driver against the record-at-a-time
+    /// reference, over a corpus the pipeline has to cut into three chunks:
+    /// the 225-record sampling prefix ends inside the first, the third is
+    /// ragged. Same match set, and — every trapdoor stays under
+    /// `REORDER_EVERY` probes, so probe orders are fixed — the same PRF
+    /// count, for AND and OR, on every backend. This is what anchors
+    /// `match_corpus`, the end-to-end benchmark's oracle, to
+    /// `Matcher::matches`.
+    #[test]
+    fn match_corpus_equals_scalar_scan_across_chunks() {
+        let enc = test_encryptor();
+        let mut rng = det_rng(172);
+        let n = 2 * MATCH_CHUNK + 277;
+        let records: Vec<EncryptedMetadata> = (0..n)
+            .map(|i| {
+                let mut keywords = vec!["the".to_string()];
+                if i % 3 == 0 {
+                    keywords.push("third".into());
+                }
+                if i % 97 == 0 {
+                    keywords.push(format!("rare{i}"));
+                }
+                enc.encrypt(
+                    &mut rng,
+                    &FileMeta {
+                        path: format!("/m/f{i}"),
+                        keywords,
+                        size: 1000,
+                        mtime: 1_600_000_000,
+                    },
+                )
+            })
+            .collect();
+        let kw = |w: &str| Predicate::Keyword(w.into());
+        for (preds, comb) in [
+            (vec![kw("the"), kw("third")], Combiner::And),
+            (
+                // hits in the sampling prefix, in the second chunk and in
+                // the ragged third
+                vec![kw("rare97"), kw("absent"), kw("rare776"), kw("rare1261")],
+                Combiner::Or,
+            ),
+        ] {
+            let q = QueryCompiler::new(&enc).compile(&preds, comb);
+            let counter = PrfCounter::new();
+            let mut scalar = Matcher::new(preds.len(), true);
+            let mut want: Vec<u64> = records
+                .iter()
+                .filter(|r| scalar.matches(&q, r, &counter))
+                .map(|r| r.id)
+                .collect();
+            want.sort_unstable();
+            assert!(want.len() >= 3, "{comb:?}: the query must hit every chunk");
+            for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+                let (mut got, prf) = match_corpus_with(&records, &q, backend);
+                got.sort_unstable();
+                assert_eq!(got, want, "{comb:?} on {}", backend.name());
+                assert_eq!(prf, counter.get(), "{comb:?} PRF on {}", backend.name());
+            }
         }
     }
 

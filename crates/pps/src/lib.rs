@@ -23,16 +23,29 @@
 //! System pieces (§5.6):
 //! * [`metadata`] — per-file metadata encoding: all attributes stacked into
 //!   a single keyword space (`kw=…`, `size=…`, `date=…`).
+//! * [`store`] — the metadata store: records sorted by id, so the window
+//!   of a sub-query is one or two index ranges (used when ROAR splits a
+//!   query across servers).
 //! * [`query`] — multi-predicate queries with dynamic predicate ordering
-//!   (selectivity sampled over 225 records, §5.6.5).
-//! * [`store`] — the pointer-segmented metadata store with partial loading
-//!   (used when ROAR splits a query across servers).
-//! * [`engine`] — the producer/consumer matching engine (I/O thread feeding
-//!   N matching threads through a bounded buffer) with the PPS_LM / PPS_LC
-//!   fixed-cost profiles of §5.7.
-//! * [`xbatch`] — cross-query batched execution: a fixed matcher-worker
-//!   pool drains resident sub-queries through shared PRF lane sweeps
-//!   packed across queries, over zero-copy `Arc` corpus snapshots.
+//!   (selectivity sampled over 225 records, §5.6.5), and **the** matching
+//!   code: the record-at-a-time reference ([`query::Matcher::matches`])
+//!   and the one survivor pipeline every batch path advances.
+//!
+//! The pipeline suspends wherever it needs MACs; its three drivers differ
+//! only in who computes them:
+//! * [`query::Matcher::match_batch`] — inline, one caller-supplied chunk;
+//! * [`engine::match_corpus`] / [`QueryTask::run_inline`] — inline, a whole
+//!   corpus in fixed chunks (the sequential form and the benchmark's
+//!   oracle);
+//! * [`xbatch`]'s [`BatchEngine`] — a fixed matcher-worker pool advancing
+//!   many resident sub-queries and answering their staged sweeps together,
+//!   lane groups packed across queries, over zero-copy `Arc` corpus
+//!   snapshots. What a cluster node runs.
+//!
+//! Paper-figure apparatus:
+//! * [`engine`] — the §5.6.3 producer/consumer engine (I/O thread feeding
+//!   N matching threads through a bounded buffer, each calling
+//!   `match_batch`) with the PPS_LM / PPS_LC fixed-cost profiles of §5.7.
 //! * [`simdisk`] — a rate-limited byte source standing in for the 66 MB/s
 //!   sequential disk of the paper's Dell 1950.
 //! * [`bandwidth`] — the §5.3.1 analytic bandwidth model behind Fig 5.1.

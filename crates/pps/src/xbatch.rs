@@ -1,40 +1,40 @@
-//! Cross-query batched node execution: a fixed pool of matcher workers
-//! drains resident sub-queries through shared PRF lane sweeps.
+//! The cross-query driver of the survivor pipeline: a fixed pool of
+//! matcher workers drains resident sub-queries through shared PRF lane
+//! sweeps.
 //!
-//! The per-sub-query execution model (one blocking thread running
-//! [`match_corpus_with`](crate::engine::match_corpus_with) per request)
-//! leaves SIMD lanes idle whenever a sub-query's survivor list runs
-//! ragged, and under a flash crowd of Q resident sub-queries it spawns Q
-//! threads and clones Q corpus windows. This module restructures the path:
+//! Running one sub-query at a time leaves SIMD lanes idle whenever its
+//! survivor list runs ragged, and a thread per request turns a flash crowd
+//! of Q sub-queries into Q threads and Q corpus copies. The survivor
+//! pipeline ([`crate::query`]) already suspends wherever it needs MACs, so
+//! this module only has to hold many scans at once and answer them
+//! together:
 //!
-//! * A [`QueryTask`] is one sub-query turned into a resumable state
-//!   machine. It replays [`Matcher::match_batch`]'s control flow exactly —
-//!   512-record chunks, scalar sampling prefix, AND/OR survivor pipeline —
-//!   but *suspends* at each per-component MAC sweep instead of computing
-//!   it inline, exposing the sweep as a (key, survivor nonces) job.
+//! * A [`QueryTask`] is one sub-query's scan: its query, its [`Matcher`]
+//!   and [`MatchScratch`], its corpus view, its matches so far. It has no
+//!   control flow of its own — stepping it advances the one pipeline.
+//!   [`QueryTask::run_inline`] runs it to completion on the calling thread
+//!   (the inline driver, single-key sweeps).
 //! * A [`BatchEngine`] owns a small fixed pool of worker threads. Each
-//!   round, a worker advances every resident task to its next MAC job,
-//!   concatenates the jobs into one flat keyed sweep per SHA-1 backend
-//!   ([`mac_u64_nonces_keyed_with`]), and demuxes the MAC prefixes back to
-//!   each task. Lane groups of the underlying engine (16 on AVX-512) are
-//!   packed *across* sub-queries: one query's ragged tail shares a
-//!   compression call with the next query's head, with per-lane key
-//!   midstates carrying query provenance.
+//!   round, a worker advances every resident task to its next staged
+//!   sweep, concatenates the sweeps into one flat keyed sweep per SHA-1
+//!   backend ([`mac_u64_nonces_keyed_with`]), and hands each task its
+//!   slice of the MAC prefixes. Lane groups of the underlying engine (16 on
+//!   AVX-512) are packed *across* sub-queries: one query's ragged tail
+//!   shares a compression call with the next query's head, with per-lane
+//!   key midstates carrying query provenance.
 //! * A [`TaskCorpus`] is a zero-copy corpus view: an `Arc` epoch snapshot
 //!   of a [`MetadataStore`] plus window index ranges
 //!   ([`MetadataStore::window_ranges`]), or a shared `Arc` record vector.
 //!   No per-sub-query record clone, under any lock or otherwise.
 //!
-//! **Parity.** A task's match set and PRF count depend only on its own
-//! sweep sequence — chunking, sampling, predicate/component order and
-//! reorder timing are all driven by the same `query`/`bloom_kw` code the
-//! sequential path uses, and a MAC value depends only on its own (key,
-//! nonce) lane. Packing lanes across queries therefore changes *nothing*
-//! observable per query: `tests/xbatch_parity.rs` pins bit-identical match
-//! sets and PRF counts against sequential [`match_corpus_with`] per query,
-//! per backend.
-//!
-//! [`match_corpus_with`]: crate::engine::match_corpus_with
+//! **Parity.** Chunking, sampling, predicate/component order and reorder
+//! timing all happen inside the pipeline, which cannot tell who computes
+//! its MACs, and a MAC value depends only on its own (key, nonce) lane.
+//! Packing lanes across queries therefore changes *nothing* observable per
+//! query: `tests/xbatch_parity.rs` holds match sets and PRF counts
+//! bit-identical to sequential
+//! [`match_corpus_with`](crate::engine::match_corpus_with) per query, per
+//! backend.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -45,14 +45,8 @@ use roar_crypto::hmac::{mac_u64_nonces_keyed_with, HmacKey};
 use roar_crypto::sha1::Backend;
 
 use crate::metadata::EncryptedMetadata;
-use crate::query::{Combiner, CompiledQuery, MatchScratch, Matcher};
+use crate::query::{CompiledQuery, Corpus, MatchScratch, Matcher, Step, MATCH_CHUNK};
 use crate::store::MetadataStore;
-
-/// Records per survivor-pipeline chunk — must match the sequential
-/// [`match_corpus_with`](crate::engine::match_corpus_with) loop for the
-/// parity guarantee (chunk boundaries are observable through reorder
-/// timing).
-pub const MATCH_CHUNK: usize = 512;
 
 /// A zero-copy corpus view for one task. Both forms share the underlying
 /// records by `Arc`; cloning a `TaskCorpus` never clones a record.
@@ -77,14 +71,20 @@ impl TaskCorpus {
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            TaskCorpus::Records(r) => r.len(),
-            TaskCorpus::Snapshot { ranges, .. } => ranges.iter().map(|&(a, b)| b - a).sum(),
-        }
+        Corpus::len(self)
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl Corpus for TaskCorpus {
+    fn len(&self) -> usize {
+        match self {
+            TaskCorpus::Records(r) => r.len(),
+            TaskCorpus::Snapshot { ranges, .. } => ranges.iter().map(|&(a, b)| b - a).sum(),
+        }
     }
 
     /// The `i`-th record of the view (window order).
@@ -112,31 +112,10 @@ pub struct TaskResult {
     pub prf_calls: u64,
 }
 
-enum Phase {
-    /// Begin the next 512-record chunk: sampling prefix, survivor init.
-    ChunkStart,
-    /// Begin predicate `pred_k` of the decided order.
-    PredicateStart,
-    /// Stage (or await) the MAC sweep of component `comp_k`.
-    ComponentMac,
-    /// Predicate finished: OR merge-split, advance `pred_k`.
-    PredicateEnd,
-    /// Chunk finished: AND survivor flush, advance the chunk window.
-    ChunkEnd,
-    Done,
-}
-
-pub(crate) enum Step {
-    /// The task staged a MAC job ([`QueryTask::job`]); deliver the MAC
-    /// prefixes via [`QueryTask::complete`] before stepping again.
-    NeedMacs,
-    Finished,
-}
-
-/// One resident sub-query as a resumable state machine over its corpus
-/// view. Drive with `step()`/`complete()` (the [`BatchEngine`] does); the
-/// sequence of (key, nonce) MAC evaluations, the match set and the PRF
-/// count are bit-identical to sequential
+/// One resident sub-query: a scan of the survivor pipeline over its corpus
+/// view. Drive with `step()`/`complete()` (the [`BatchEngine`] does) or
+/// [`run_inline`](Self::run_inline); either way the match set and the PRF
+/// count are those of sequential
 /// [`match_corpus_with`](crate::engine::match_corpus_with) on the same
 /// records.
 pub struct QueryTask {
@@ -145,22 +124,6 @@ pub struct QueryTask {
     corpus: TaskCorpus,
     scratch: MatchScratch,
     matches: Vec<u64>,
-    phase: Phase,
-    /// Current chunk: corpus indices `[chunk_start, chunk_end)`.
-    chunk_start: usize,
-    chunk_end: usize,
-    /// First survivor-pipeline record of the chunk (after the sampling
-    /// prefix); survivor indices are relative to this.
-    base: usize,
-    /// Position in the decided predicate order.
-    pred_k: usize,
-    /// The current predicate (index into `query.trapdoors`).
-    cur_pred: usize,
-    /// Component position within the current predicate's probe order.
-    comp_k: usize,
-    /// Staged MAC job, valid while suspended in `ComponentMac`.
-    job_key: HmacKey,
-    job_nonces: Vec<[u8; 8]>,
 }
 
 impl QueryTask {
@@ -170,21 +133,14 @@ impl QueryTask {
             "a query needs at least one predicate"
         );
         let matcher = Matcher::new(query.trapdoors.len(), true).with_backend(backend);
+        let mut scratch = MatchScratch::new();
+        scratch.begin(corpus.len(), MATCH_CHUNK);
         QueryTask {
             query,
             matcher,
             corpus,
-            scratch: MatchScratch::new(),
+            scratch,
             matches: Vec::new(),
-            phase: Phase::ChunkStart,
-            chunk_start: 0,
-            chunk_end: 0,
-            base: 0,
-            pred_k: 0,
-            cur_pred: 0,
-            comp_k: 0,
-            job_key: HmacKey::new(&[]),
-            job_nonces: Vec::new(),
         }
     }
 
@@ -195,139 +151,23 @@ impl QueryTask {
 
     /// Advance until the next MAC sweep is staged or the task finishes.
     pub(crate) fn step(&mut self) -> Step {
-        loop {
-            match self.phase {
-                Phase::ChunkStart => {
-                    if self.chunk_start >= self.corpus.len() {
-                        self.phase = Phase::Done;
-                        continue;
-                    }
-                    self.chunk_end = (self.chunk_start + MATCH_CHUNK).min(self.corpus.len());
-                    self.matcher.ensure_prepared(&self.query);
-                    // sampling prefix: record-at-a-time, every predicate per
-                    // record, exactly as match_batch runs it
-                    let mut pos = self.chunk_start;
-                    while self.matcher.order().is_none() && pos < self.chunk_end {
-                        let rec = self.corpus.get(pos);
-                        if self
-                            .matcher
-                            .matches_scratch(&self.query, rec, &mut self.scratch)
-                        {
-                            self.matches.push(rec.id);
-                        }
-                        pos += 1;
-                    }
-                    self.base = pos;
-                    if pos >= self.chunk_end {
-                        // chunk consumed entirely by sampling
-                        self.chunk_start = self.chunk_end;
-                        continue;
-                    }
-                    let n = (self.chunk_end - self.base) as u32;
-                    self.scratch.survivors.clear();
-                    self.scratch.survivors.extend(0..n);
-                    self.pred_k = 0;
-                    self.phase = Phase::PredicateStart;
-                }
-                Phase::PredicateStart => {
-                    if self.pred_k >= self.query.trapdoors.len()
-                        || self.scratch.survivors.is_empty()
-                    {
-                        self.phase = Phase::ChunkEnd;
-                        continue;
-                    }
-                    self.cur_pred = self.matcher.order().expect("order decided")[self.pred_k];
-                    if self.query.combiner == Combiner::Or {
-                        self.scratch.pre.clear();
-                        let survivors = &self.scratch.survivors;
-                        self.scratch.pre.extend_from_slice(survivors);
-                    }
-                    self.matcher
-                        .prepared_mut(self.cur_pred)
-                        .sweep_begin(self.scratch.survivors.len());
-                    self.comp_k = 0;
-                    self.phase = Phase::ComponentMac;
-                }
-                Phase::ComponentMac => {
-                    let td = self.matcher.prepared_mut(self.cur_pred);
-                    if self.comp_k >= td.n_components() || self.scratch.survivors.is_empty() {
-                        self.phase = Phase::PredicateEnd;
-                        continue;
-                    }
-                    self.job_key = td.component_key(self.comp_k);
-                    self.job_nonces.clear();
-                    let (base, corpus) = (self.base, &self.corpus);
-                    self.job_nonces.extend(
-                        self.scratch
-                            .survivors
-                            .iter()
-                            .map(|&i| corpus.get(base + i as usize).body.nonce.to_be_bytes()),
-                    );
-                    return Step::NeedMacs;
-                }
-                Phase::PredicateEnd => {
-                    if self.query.combiner == Combiner::Or {
-                        // survivors now hold this predicate's matches;
-                        // split the pre-sweep snapshot into resolved
-                        // (matched → output) and still-undecided
-                        let scratch = &mut self.scratch;
-                        let mut matched = scratch.survivors.iter().peekable();
-                        scratch.next.clear();
-                        for &i in &scratch.pre {
-                            if matched.peek() == Some(&&i) {
-                                self.matches
-                                    .push(self.corpus.get(self.base + i as usize).id);
-                                matched.next();
-                            } else {
-                                scratch.next.push(i);
-                            }
-                        }
-                        drop(matched);
-                        std::mem::swap(&mut scratch.survivors, &mut scratch.next);
-                    }
-                    self.pred_k += 1;
-                    self.phase = Phase::PredicateStart;
-                }
-                Phase::ChunkEnd => {
-                    if self.query.combiner == Combiner::And {
-                        let (base, corpus) = (self.base, &self.corpus);
-                        self.matches.extend(
-                            self.scratch
-                                .survivors
-                                .iter()
-                                .map(|&i| corpus.get(base + i as usize).id),
-                        );
-                    }
-                    self.chunk_start = self.chunk_end;
-                    self.phase = Phase::ChunkStart;
-                }
-                Phase::Done => return Step::Finished,
-            }
-        }
+        self.matcher.advance(
+            &self.query,
+            &self.corpus,
+            &mut self.scratch,
+            &mut self.matches,
+        )
     }
 
     /// The staged MAC job: one key, the current survivors' nonces.
     pub(crate) fn job(&self) -> (HmacKey, &[[u8; 8]]) {
-        (self.job_key, &self.job_nonces)
+        self.matcher.job(&self.scratch)
     }
 
-    /// Deliver the staged job's MAC prefixes (`macs[i]` belongs to
-    /// `job_nonces[i]`) and apply the component filter.
+    /// Deliver the staged job's MAC prefixes (`macs[i]` belongs to nonce
+    /// `i` of the job).
     pub(crate) fn complete(&mut self, macs: &[u64]) {
-        debug_assert_eq!(macs.len(), self.job_nonces.len(), "demux segment mismatch");
-        let scratch = &mut self.scratch;
-        let (base, corpus) = (self.base, &self.corpus);
-        let mut calls = scratch.prf_calls;
-        self.matcher.prepared_mut(self.cur_pred).component_filter(
-            self.comp_k,
-            &mut scratch.survivors,
-            macs,
-            &mut scratch.sweep.spare,
-            &mut calls,
-            |i, mac| corpus.get(base + i as usize).body.filter.get(mac),
-        );
-        scratch.prf_calls = calls;
-        self.comp_k += 1;
+        self.matcher.complete(&self.corpus, &mut self.scratch, macs);
     }
 
     fn into_result(self) -> TaskResult {
@@ -337,24 +177,16 @@ impl QueryTask {
         }
     }
 
-    /// Run the task to completion on the calling thread, computing each
-    /// staged sweep immediately (lane-packed within the task only). The
-    /// single-task reference form of the engine's cross-query rounds.
+    /// Run the task to completion on the calling thread through the inline
+    /// driver (single-key sweeps, lane-packed within the task only).
     pub fn run_inline(mut self) -> TaskResult {
-        let mut keys = Vec::new();
-        let mut macs = Vec::new();
-        while let Step::NeedMacs = self.step() {
-            let backend = self.backend();
-            let (key, nonces) = self.job();
-            keys.clear();
-            keys.resize(nonces.len(), key);
-            macs.clear();
-            macs.resize(nonces.len(), 0);
-            let nonces = std::mem::take(&mut self.job_nonces);
-            mac_u64_nonces_keyed_with(backend, &keys, &nonces, &mut macs);
-            self.job_nonces = nonces;
-            self.complete(&macs);
-        }
+        self.matcher.scan(
+            &self.query,
+            &self.corpus,
+            MATCH_CHUNK,
+            &mut self.scratch,
+            &mut self.matches,
+        );
         self.into_result()
     }
 }
@@ -532,14 +364,7 @@ fn worker_loop(shared: &Shared) {
         // one flat keyed sweep per backend in use: jobs concatenate, lane
         // groups pack across task boundaries, per-lane keys carry
         // provenance
-        let mut backends: Vec<Backend> = Vec::new();
-        for p in &active {
-            let b = p.task.backend();
-            if !backends.contains(&b) {
-                backends.push(b);
-            }
-        }
-        for backend in backends {
+        for backend in Backend::ALL {
             keys.clear();
             nonces.clear();
             segs.clear();
@@ -551,6 +376,9 @@ fn worker_loop(shared: &Shared) {
                 segs.push((ti, nonces.len(), ns.len()));
                 keys.extend(std::iter::repeat_n(key, ns.len()));
                 nonces.extend_from_slice(ns);
+            }
+            if segs.is_empty() {
+                continue;
             }
             macs.clear();
             macs.resize(nonces.len(), 0);
