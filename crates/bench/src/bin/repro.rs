@@ -72,9 +72,9 @@ fn benches() -> Vec<Bench> {
         row(
             "bench_pps",
             Trajectory(trajectory::FILE),
-            "scalar vs batched PPS matching throughput (§5.7 setup); measures only",
+            "scalar vs batched PPS matching throughput (§5.7 setup) and the 256-record small-window rate; fails if a small window runs under 0.25x the large-corpus rate",
             pps_bench::run,
-            ungated,
+            pps_bench::gate,
         ),
         row(
             "bench_pps_backends",

@@ -11,6 +11,17 @@
 //!   pipeline the engine and cluster node now run, swept lane-width through
 //!   a SHA-1 [`Backend`] (scalar x1 / SSE2 x4 / AVX2 x8).
 //!
+//! Beside that large-corpus rate it reports the **small-window** regime —
+//! the paper's per-sub-query start-up cost, which a high `p` lives in: the
+//! same corpus cut into [`SMALL_WINDOW`]-record windows, each a fresh
+//! [`QueryTask`] run inline as a node runs one sub-query (trapdoors
+//! prepared, order sampled, survivors swept — all within the window). The
+//! gate holds a window to [`SMALL_WINDOW_FLOOR`] of the large-corpus rate:
+//! with the §5.6.5 sample run record-at-a-time in front of the lane sweeps
+//! it reached 0.06–0.11 (two predicates) and 0.11–0.17 (one), against 0.37
+//! and 0.72 swept — two predicates cost a window twice the probes of one
+//! for as long as it is mostly sample, so 0.5 is that ratio's ceiling.
+//!
 //! Invoked as `repro bench_pps [--quick] [--backend scalar|sse2|avx2|auto]`;
 //! writes `BENCH_pps.json` into the working directory. The committed copy at
 //! the repository root is the point-zero baseline of the bench trajectory.
@@ -24,9 +35,20 @@ use roar_pps::bloom_kw::BloomKeywordScheme;
 use roar_pps::bloom_kw::PrfCounter;
 use roar_pps::metadata::MetaEncryptor;
 use roar_pps::query::{CompiledQuery, MatchScratch, Matcher};
+use roar_pps::store::MetadataStore;
+use roar_pps::xbatch::{QueryTask, TaskCorpus};
 use roar_util::{det_rng, Json};
 use roar_workload::{fast_random_metadata_with, QueryGenerator};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Records per window of the small-window regime (`fanout_tcp`'s
+/// sub-query size in `BENCHMARK.json`).
+pub const SMALL_WINDOW: usize = 256;
+
+/// The gate: the slower small-window query must reach this share of the
+/// large-corpus batched rate.
+pub const SMALL_WINDOW_FLOOR: f64 = 0.25;
 
 /// One measured path.
 struct PathResult {
@@ -149,6 +171,49 @@ impl Fixture {
         }
     }
 
+    /// The small-window regime on the given lane backend: records/s of
+    /// `query` run as one fresh inline [`QueryTask`] per window.
+    fn measure_small_window(
+        &self,
+        store: &Arc<MetadataStore>,
+        query: &CompiledQuery,
+        backend: Backend,
+    ) -> f64 {
+        let (rps, _, _) = best_of(self.repeats, self.n, || {
+            let (mut hits, mut prf) = (0, 0);
+            for start in (0..self.n).step_by(SMALL_WINDOW) {
+                let corpus = TaskCorpus::Snapshot {
+                    store: Arc::clone(store),
+                    ranges: [(start, (start + SMALL_WINDOW).min(self.n)), (0, 0)],
+                };
+                let res = QueryTask::new(query.clone(), corpus, backend).run_inline();
+                hits += res.matches.len();
+                prf += res.prf_calls;
+            }
+            (hits, prf)
+        });
+        rps
+    }
+
+    /// The `small_window` block: the fixture's two-predicate AND and its
+    /// second keyword alone, against the large-corpus rate `large_rps`.
+    fn small_window(&self, backend: Backend, large_rps: f64) -> Json {
+        let store = Arc::new(MetadataStore::from_records(self.records.clone()));
+        let one_keyword = CompiledQuery {
+            trapdoors: self.query.trapdoors[1..].to_vec(),
+            combiner: self.query.combiner,
+        };
+        let one = self.measure_small_window(&store, &one_keyword, backend);
+        let two = self.measure_small_window(&store, &self.query, backend);
+        Json::obj([
+            ("records", SMALL_WINDOW.into()),
+            ("one_keyword_records_per_s", Json::rounded(one, 0)),
+            ("two_predicate_and_records_per_s", Json::rounded(two, 0)),
+            ("vs_large", Json::rounded(one.min(two) / large_rps, 3)),
+            ("floor", Json::Num(SMALL_WINDOW_FLOOR)),
+        ])
+    }
+
     /// The fixture's geometry, as every artifact's `config` member.
     fn config(&self) -> Json {
         Json::obj([
@@ -168,8 +233,9 @@ impl Fixture {
 /// (see [`crate::trajectory`]).
 pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
+    let backend = filters.backend.unwrap_or_else(Backend::auto);
     let scalar = fx.measure_reference();
-    let batched = fx.measure_batched(filters.backend.unwrap_or_else(Backend::auto));
+    let batched = fx.measure_batched(backend);
     if scalar.hits != batched.hits {
         return Err("scalar and batched paths disagree on the match set".into());
     }
@@ -182,7 +248,24 @@ pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
             "speedup",
             Json::rounded(batched.records_per_s / scalar.records_per_s, 3),
         ),
+        (
+            "small_window",
+            fx.small_window(backend, batched.records_per_s),
+        ),
     ]))
+}
+
+/// `bench_pps`' gate: a [`SMALL_WINDOW`]-record window must not fall under
+/// [`SMALL_WINDOW_FLOOR`] of the large-corpus rate.
+pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
+    let share = crate::number(doc, &["small_window", "vs_large"])?;
+    if share < SMALL_WINDOW_FLOOR {
+        return Err(format!(
+            "a {SMALL_WINDOW}-record window runs at {share:.3} of the large-corpus rate \
+             (floor {SMALL_WINDOW_FLOOR})"
+        ));
+    }
+    Ok(())
 }
 
 /// The per-backend comparison (`repro bench_pps_backends`): the batched
@@ -276,5 +359,22 @@ mod tests {
         assert!(number(&b, &["speedup"]).unwrap() > 0.0);
         let name = b.path(&["batched", "name"]).and_then(Json::as_str).unwrap();
         assert!(name.starts_with("batched_midstate"), "{name}");
+        for key in [
+            "one_keyword_records_per_s",
+            "two_predicate_and_records_per_s",
+            "vs_large",
+        ] {
+            assert!(number(&b, &["small_window", key]).unwrap() > 0.0, "{key}");
+        }
+    }
+
+    #[test]
+    fn gate_holds_small_windows_to_the_floor() {
+        let doc =
+            |share: f64| Json::obj([("small_window", Json::obj([("vs_large", share.into())]))]);
+        assert!(gate(&doc(SMALL_WINDOW_FLOOR), Scale::Quick).is_ok());
+        let err = gate(&doc(0.18), Scale::Full).expect_err("the parent's share must fail");
+        assert!(err.contains("0.180"), "{err}");
+        assert!(gate(&Json::Null, Scale::Full).is_err(), "block missing");
     }
 }

@@ -20,7 +20,17 @@ use roar_util::Json;
 /// required fields here when they grow a consumer.
 pub fn required_keys(file_name: &str) -> &'static [&'static str] {
     match file_name {
-        "BENCH_pps.json" => &["benchmark", "trajectory", "pr", "batched", "records_per_s"],
+        "BENCH_pps.json" => &[
+            "benchmark",
+            "trajectory",
+            "pr",
+            "batched",
+            "records_per_s",
+            "small_window",
+            "one_keyword_records_per_s",
+            "two_predicate_and_records_per_s",
+            "vs_large",
+        ],
         "BENCH_incast.json" => &[
             "benchmark",
             "config",

@@ -100,6 +100,14 @@ mod tests {
                 Json::obj([("records_per_s", rps.into()), ("hits", 0usize.into())]),
             ),
             ("speedup", Json::Num(2.0)),
+            (
+                "small_window",
+                Json::obj([
+                    ("one_keyword_records_per_s", Json::Num(1.0)),
+                    ("two_predicate_and_records_per_s", Json::Num(1.0)),
+                    ("vs_large", Json::Num(0.5)),
+                ]),
+            ),
         ])
     }
 

@@ -15,17 +15,32 @@
 //! * [`Matcher::matches`] — record at a time, short-circuiting. The
 //!   reference every batch path is tested against.
 //! * the **survivor pipeline** — `Matcher::advance`, the one chunk state
-//!   machine in this crate. Per chunk of records: a record-at-a-time
-//!   sampling prefix while the predicate order is undecided; then, per
-//!   predicate in the decided order, one component-major sweep
-//!   (`sweep_begin`, then per trapdoor component *stage the survivors'
-//!   nonces → MACs → `component_filter`*); an OR predicate's matches are
-//!   split off to the output after its sweep, an AND chunk's survivors are
-//!   flushed at the end. A record leaves the survivor list the moment a
-//!   predicate settles its fate, so the pipeline performs *exactly* the
-//!   probes the scalar short-circuit path would: results and PRF counts
-//!   are identical; only the loop structure (key locality, allocation
-//!   behaviour, instruction-level parallelism) changes.
+//!   machine in this crate: *sample sweeps → decide → ordered sweeps*. A
+//!   sweep is always the same thing — one predicate, component-major, over
+//!   a survivor list (`sweep_begin`, then per trapdoor component *stage the
+//!   survivors' nonces → MACs → `component_filter`*) — and the two stages
+//!   differ only in what a sweep starts from and what its survivors mean:
+//!   - **sample sweeps**, while the predicate order is undecided: the
+//!     chunk's share of the first `SELECTIVITY_SAMPLES` records is swept by
+//!     *every* predicate in index order, each over all of them (a fresh
+//!     survivor list per predicate). A sweep's survivors are that
+//!     predicate's sample hits; a sample record matches when all (AND) or
+//!     any (OR) of the sweeps kept it. This is the record-at-a-time sample
+//!     (`sample_one`, which only the reference path still runs) with its
+//!     two loops exchanged: that one also probes every predicate on every
+//!     sample record and short-circuits only within a predicate.
+//!   - **ordered sweeps**, over the rest of the chunk: predicates run in
+//!     the decided order over the records still undecided; an AND sweep's
+//!     survivors carry on to the next predicate, an OR sweep's survivors
+//!     are matches and the others carry on.
+//!
+//!   A chunk's matches are emitted in scan order when it closes. A record
+//!   leaves a survivor list the moment a predicate settles its fate, so
+//!   the pipeline performs *exactly* the probes the scalar short-circuit
+//!   path would: results and PRF counts are identical; only the loop
+//!   structure (key locality, allocation behaviour, instruction-level
+//!   parallelism) changes. A query with one predicate has one possible
+//!   order and never samples.
 //!
 //! The machine *suspends* wherever it needs MACs — it stages (component
 //! key, survivor nonces) and returns — and that is the only thing its
@@ -140,7 +155,9 @@ enum Phase {
     /// Open the next chunk (or finish the scan).
     #[default]
     Chunk,
-    /// Begin the sweep of predicate `pred_k` (or close the chunk).
+    /// Begin the sweep of predicate `pred_k` (or close the stage: the
+    /// sample hands the rest of the chunk to the ordered sweeps, the
+    /// ordered sweeps close the chunk).
     Predicate,
     /// Stage component `comp_k` of that sweep (or settle the predicate).
     Component,
@@ -171,14 +188,19 @@ pub struct MatchScratch {
     len: usize,
     chunk: usize,
     next_chunk: usize,
-    /// First survivor-pipeline record of the open chunk (after the
-    /// sampling prefix); survivor indices are relative to it.
+    /// First record of the open stage — the chunk's sample slice, then the
+    /// rest of the chunk; survivor indices are relative to it.
     base: usize,
-    /// Position in the decided predicate order, and in that predicate's
-    /// component probe order.
+    /// Records of the open chunk under sample sweeps; 0 once the predicate
+    /// order is decided.
+    sample: usize,
+    /// Per sample record, how many predicates' sweeps kept it.
+    hits: Vec<u32>,
+    /// Position in the predicate order (index order while sampling, the
+    /// decided order after), and in that predicate's component probe order.
     pred_k: usize,
     comp_k: usize,
-    /// Records of the open chunk still undecided.
+    /// Records of the open stage the sweep under way has not dropped.
     survivors: Vec<u32>,
     /// Double buffer for filtering and splitting `survivors`.
     spare: Vec<u32>,
@@ -206,6 +228,14 @@ impl MatchScratch {
         (self.len, self.chunk, self.next_chunk) = (len, chunk, 0);
         self.phase = Phase::Chunk;
     }
+
+    /// Open the ordered stage over the open chunk's records from `base` on.
+    fn open_ordered(&mut self) {
+        (self.sample, self.pred_k) = (0, 0);
+        self.survivors.clear();
+        self.survivors
+            .extend(0..(self.next_chunk - self.base) as u32);
+    }
 }
 
 /// Server-side matcher with dynamic predicate ordering. One matcher serves
@@ -231,19 +261,22 @@ pub struct Matcher {
     backend: Backend,
 }
 
-/// Cheap per-call fingerprint of a query: the trapdoor count mixed with
-/// each trapdoor's leading component bytes. Two distinct queries collide
-/// only if every trapdoor's first 8 PRF-image bytes coincide — 2^-64 per
+/// Cheap per-call fingerprint of a query: the trapdoor count and the
+/// combiner (the predicate order depends on it) mixed with each trapdoor's
+/// leading component bytes. Two distinct queries of one shape collide only
+/// if every trapdoor's first 8 PRF-image bytes coincide — 2^-64 per
 /// trapdoor under a PRF.
 fn query_fingerprint(query: &CompiledQuery) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ query.trapdoors.len() as u64;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(0x100000001b3);
+    let mut h = mix(0xcbf29ce484222325, query.trapdoors.len() as u64);
+    h = mix(h, u64::from(query.combiner == Combiner::Or));
     for td in &query.trapdoors {
         let head = td
             .parts
             .first()
             .map(|p| u64::from_be_bytes(p[..8].try_into().expect("20-byte part")))
             .unwrap_or(0);
-        h = (h ^ head).wrapping_mul(0x100000001b3);
+        h = mix(h, head);
     }
     h
 }
@@ -251,7 +284,8 @@ fn query_fingerprint(query: &CompiledQuery) -> u64 {
 impl Matcher {
     pub fn new(n_predicates: usize, dynamic_ordering: bool) -> Self {
         Matcher {
-            order: if dynamic_ordering {
+            // one predicate has one order: nothing to sample for
+            order: if dynamic_ordering && n_predicates > 1 {
                 None
             } else {
                 Some((0..n_predicates).collect())
@@ -336,9 +370,10 @@ impl Matcher {
         !settling
     }
 
-    /// Sampling phase: evaluate every predicate to learn selectivities
-    /// ("the matching algorithm initially runs all the predicates in the
-    /// query regardless of the binary function").
+    /// Sampling phase of the record-at-a-time reference: evaluate every
+    /// predicate to learn selectivities ("the matching algorithm initially
+    /// runs all the predicates in the query regardless of the binary
+    /// function"). The survivor pipeline samples by sweeps instead.
     fn sample_one(
         &mut self,
         query: &CompiledQuery,
@@ -354,20 +389,26 @@ impl Matcher {
                 self.sample_hits[i] += 1;
             }
         }
-        self.sampled += 1;
+        self.account_sample(1, query.combiner);
+        match query.combiner {
+            Combiner::And => hit_mask.count_ones() as usize == n,
+            Combiner::Or => hit_mask != 0,
+        }
+    }
+
+    /// Account `n` more sampled records; once the sample is complete,
+    /// decide the predicate order from the hit counts.
+    fn account_sample(&mut self, n: usize, combiner: Combiner) {
+        self.sampled += n;
         if self.sampled >= SELECTIVITY_SAMPLES {
-            let mut idx: Vec<usize> = (0..n).collect();
-            match query.combiner {
+            let mut idx: Vec<usize> = (0..self.sample_hits.len()).collect();
+            match combiner {
                 // AND: most selective (fewest hits) first
                 Combiner::And => idx.sort_by_key(|&i| self.sample_hits[i]),
                 // OR: least selective (most hits) first
                 Combiner::Or => idx.sort_by_key(|&i| usize::MAX - self.sample_hits[i]),
             }
             self.order = Some(idx);
-        }
-        match query.combiner {
-            Combiner::And => hit_mask.count_ones() as usize == n,
-            Combiner::Or => hit_mask != 0,
         }
     }
 
@@ -435,34 +476,55 @@ impl Matcher {
                         return Step::Finished;
                     }
                     s.base = s.next_chunk;
-                    let end = (s.base + s.chunk).min(s.len);
-                    s.next_chunk = end;
+                    s.next_chunk = (s.base + s.chunk).min(s.len);
                     self.ensure_prepared(query);
-                    // sampling prefix: record at a time, because it must
-                    // see every predicate per record to estimate
-                    // selectivities
-                    while self.order.is_none() && s.base < end {
-                        let rec = corpus.get(s.base);
-                        if self.sample_one(query, rec, &mut s.prf_calls) {
-                            out.push(rec.id);
-                        }
-                        s.base += 1;
+                    s.open_ordered();
+                    if self.order.is_none() {
+                        // the head of the chunk is (the rest of) the
+                        // sample; the ordered stage opens behind it
+                        s.sample = (SELECTIVITY_SAMPLES - self.sampled).min(s.survivors.len());
+                        s.hits.clear();
+                        s.hits.resize(s.sample, 0);
                     }
-                    s.survivors.clear();
-                    s.survivors.extend(0..(end - s.base) as u32);
-                    s.pred_k = 0;
                     s.phase = Phase::Predicate;
+                }
+                Phase::Predicate if s.sample > 0 => {
+                    let n = query.trapdoors.len();
+                    if s.pred_k == n {
+                        // every predicate has swept the sample: its matches
+                        // are the records all (AND) or any (OR) of them
+                        // kept; the rest of the chunk goes through the
+                        // ordered sweeps
+                        let need = match query.combiner {
+                            Combiner::And => n as u32,
+                            Combiner::Or => 1,
+                        };
+                        let kept = s.hits.iter().enumerate().filter(|&(_, &h)| h >= need);
+                        out.extend(kept.map(|(i, _)| corpus.get(s.base + i).id));
+                        self.account_sample(s.sample, query.combiner);
+                        s.base += s.sample;
+                        s.open_ordered();
+                        continue;
+                    }
+                    // each predicate sees every sample record
+                    s.survivors.clear();
+                    s.survivors.extend(0..s.sample as u32);
+                    self.prepared[s.pred_k].sweep_begin(s.sample);
+                    s.comp_k = 0;
+                    s.phase = Phase::Component;
                 }
                 Phase::Predicate => {
                     if s.pred_k == query.trapdoors.len() || s.survivors.is_empty() {
                         // chunk closed. AND: survivors passed every
-                        // predicate. OR: survivors matched none.
-                        if query.combiner == Combiner::And {
-                            let ids = s
-                                .survivors
-                                .iter()
-                                .map(|&i| corpus.get(s.base + i as usize).id);
-                            out.extend(ids);
+                        // predicate. OR: survivors matched none, every
+                        // other record matched.
+                        let id = |i: u32| corpus.get(s.base + i as usize).id;
+                        match query.combiner {
+                            Combiner::And => out.extend(s.survivors.iter().map(|&i| id(i))),
+                            Combiner::Or => {
+                                let all = 0..(s.next_chunk - s.base) as u32;
+                                difference(all, &s.survivors, |i| out.push(id(i)));
+                            }
                         }
                         s.phase = Phase::Chunk;
                         continue;
@@ -485,26 +547,22 @@ impl Matcher {
                         s.nonces.extend(s.survivors.iter().map(nonce));
                         return Step::NeedMacs;
                     }
-                    // predicate settled. AND keeps its passers as the
-                    // survivors. OR resolves a record at its first hit (the
-                    // scalar short-circuit): the sweep left this
-                    // predicate's *matches*, so splitting the pre-sweep
-                    // snapshot against them (both lists ascend) emits the
-                    // matched and recovers the undecided for the next
-                    // predicate.
-                    if query.combiner == Combiner::Or {
-                        let mut matched = s.survivors.iter().peekable();
-                        s.spare.clear();
-                        for &i in &s.pre {
-                            if matched.peek() == Some(&&i) {
-                                out.push(corpus.get(s.base + i as usize).id);
-                                matched.next();
-                            } else {
-                                s.spare.push(i);
-                            }
+                    // predicate settled: the sweep left the records it
+                    // matched
+                    if s.sample > 0 {
+                        self.sample_hits[p] += s.survivors.len();
+                        for &i in &s.survivors {
+                            s.hits[i as usize] += 1;
                         }
+                    } else if query.combiner == Combiner::Or {
+                        // OR resolves a record at its first hit (the scalar
+                        // short-circuit): only the pre-sweep records this
+                        // predicate did not match go on to the next one
+                        s.spare.clear();
+                        difference(s.pre.iter().copied(), &s.survivors, |i| s.spare.push(i));
                         std::mem::swap(&mut s.survivors, &mut s.spare);
                     }
+                    // AND keeps its passers as the survivors
                     s.pred_k += 1;
                     s.phase = Phase::Predicate;
                 }
@@ -514,6 +572,9 @@ impl Matcher {
 
     /// The predicate (index into the query's trapdoors) under sweep.
     fn predicate(&self, s: &MatchScratch) -> usize {
+        if s.sample > 0 {
+            return s.pred_k;
+        }
         self.order.as_ref().expect("order decided")[s.pred_k]
     }
 
@@ -547,6 +608,19 @@ impl Matcher {
     /// The decided order, if sampling has completed.
     pub fn order(&self) -> Option<&[usize]> {
         self.order.as_deref()
+    }
+}
+
+/// Feed `emit` the members of ascending `all` that ascending `without`
+/// (a subset of it) lacks, in order.
+fn difference(all: impl Iterator<Item = u32>, without: &[u32], mut emit: impl FnMut(u32)) {
+    let mut without = without.iter().peekable();
+    for i in all {
+        if without.peek() == Some(&&i) {
+            without.next();
+        } else {
+            emit(i);
+        }
     }
 }
 
@@ -817,6 +891,131 @@ mod tests {
                 assert_eq!(run(backend), want, "{comb:?} on {}", backend.name());
             }
         }
+    }
+
+    // ---- sample sweeps vs the record-at-a-time sample ------------------------
+
+    /// Everything the sample decides or leaves behind: the match sequence,
+    /// the PRF count, the decided order, the sample's hit counts and every
+    /// trapdoor's per-component miss counts.
+    type ScanTrace = (Vec<u64>, u64, Option<Vec<usize>>, Vec<usize>, Vec<Vec<u32>>);
+
+    fn trace(m: &Matcher, matches: Vec<u64>, prf_calls: u64) -> ScanTrace {
+        let misses = m.prepared.iter().map(|p| p.miss_counts().to_vec());
+        (
+            matches,
+            prf_calls,
+            m.order().map(<[usize]>::to_vec),
+            m.sample_hits.clone(),
+            misses.collect(),
+        )
+    }
+
+    /// The sample sweeps are the record-at-a-time sample with its loops
+    /// exchanged, so nothing observable may differ from a `matches` scan:
+    /// not the match *sequence*, not the PRF count, not the decided order or
+    /// the statistics it was decided from — for 1–3 predicates, both
+    /// combiners, corpora that end before, on and after the sample boundary,
+    /// chunkings that split the sample across calls, on every backend.
+    #[test]
+    fn sample_sweeps_equal_record_at_a_time_sample() {
+        let enc = test_encryptor();
+        let mut rng = det_rng(170);
+        let docs: Vec<EncryptedMetadata> = (0..2 * MATCH_CHUNK + 277)
+            .map(|i| {
+                let mut keywords = vec!["the".to_string()];
+                if i % 3 == 0 {
+                    keywords.push("third".into());
+                }
+                if i % 10 == 0 {
+                    keywords.push(format!("rare{i}"));
+                }
+                enc.encrypt(
+                    &mut rng,
+                    &FileMeta {
+                        path: format!("/s/f{i}"),
+                        keywords,
+                        size: 1000 + i as u64,
+                        mtime: 1_500_000_000,
+                    },
+                )
+            })
+            .collect();
+        let qc = QueryCompiler::new(&enc);
+        let words = ["the", "rare10", "third"];
+        let backends: Vec<Backend> = Backend::ALL.into_iter().filter(|b| b.available()).collect();
+        for n in 1..=3 {
+            let preds: Vec<Predicate> =
+                (words[..n].iter().map(|w| Predicate::Keyword(w.to_string()))).collect();
+            for comb in [Combiner::And, Combiner::Or] {
+                let q = qc.compile(&preds, comb);
+                for len in [1, 224, 225, 226, 300, docs.len()] {
+                    let docs = &docs[..len];
+                    let want = {
+                        let mut m = Matcher::new(n, true);
+                        if n == 1 {
+                            assert_eq!(m.order(), Some(&[0][..]), "one predicate, one order");
+                        }
+                        let c = PrfCounter::new();
+                        let hits = docs.iter().filter(|d| m.matches(&q, d, &c));
+                        let hits = hits.map(|d| d.id).collect();
+                        trace(&m, hits, c.get())
+                    };
+                    if len >= SELECTIVITY_SAMPLES && n == 3 {
+                        let decided = match comb {
+                            Combiner::And => [1, 2, 0],
+                            Combiner::Or => [0, 2, 1],
+                        };
+                        assert_eq!(want.2.as_deref(), Some(&decided[..]));
+                    }
+                    // 0 = the whole corpus in one scan of MATCH_CHUNK chunks
+                    for per_call in [0, 100, 97] {
+                        for &backend in &backends {
+                            let mut m = Matcher::new(n, true).with_backend(backend);
+                            let mut s = MatchScratch::new();
+                            let mut got = Vec::new();
+                            if per_call == 0 {
+                                m.scan(&q, docs, MATCH_CHUNK, &mut s, &mut got);
+                            } else {
+                                for chunk in docs.chunks(per_call) {
+                                    m.match_batch(&q, chunk, &mut s, &mut got);
+                                }
+                            }
+                            assert_eq!(
+                                trace(&m, got, s.prf_calls),
+                                want,
+                                "{n} predicates, {comb:?}, {len} records, {per_call} per call, {}",
+                                backend.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The decided order belongs to (trapdoors, combiner), not to the
+    /// trapdoors alone: the same two under OR must be re-sampled and come
+    /// out least-selective-first.
+    #[test]
+    fn combiner_change_redecides_the_order() {
+        let enc = test_encryptor();
+        let docs = corpus(&enc, 300, 171);
+        let qc = QueryCompiler::new(&enc);
+        let preds = [
+            Predicate::Keyword("the".into()),
+            Predicate::Keyword("rare10".into()),
+        ];
+        let mut m = Matcher::new(2, true);
+        let mut s = MatchScratch::new();
+        let mut out = Vec::new();
+        m.match_batch(&qc.compile(&preds, Combiner::And), &docs, &mut s, &mut out);
+        assert_eq!(m.order(), Some(&[1, 0][..]));
+        assert_eq!(out, vec![docs[10].id]);
+        out.clear();
+        m.match_batch(&qc.compile(&preds, Combiner::Or), &docs, &mut s, &mut out);
+        assert_eq!(m.order(), Some(&[0, 1][..]));
+        assert_eq!(out.len(), docs.len());
     }
 
     // ---- single-trapdoor sweep vs scalar probe ------------------------------

@@ -79,6 +79,13 @@ pub mod runtime {
         crate::reactor::handle().wakeup_count()
     }
 
+    /// Deadlines currently on the timer wheel (test hook: a satisfied
+    /// `timeout` must not leave one behind).
+    #[doc(hidden)]
+    pub fn pending_timers() -> usize {
+        crate::reactor::handle().pending_timers()
+    }
+
     /// The shim runtime. Single flavor: all tasks share the reactor's
     /// worker pool, so "multi thread" is trivially true and builder knobs
     /// are accepted and ignored.
@@ -262,7 +269,9 @@ pub mod time {
     /// wheel: the first `Pending` poll registers the deadline, the wheel's
     /// `timerfd` fires it, and the stored waker reschedules the task. A
     /// `Sleep` dropped before its deadline (the losing arm of `select!`,
-    /// a satisfied `timeout`) cancels its wheel entry lazily.
+    /// a satisfied `timeout`) takes its entry off the wheel then and
+    /// there: from that moment the abandoned deadline holds no memory, no
+    /// waker and no claim on the `timerfd`.
     pub struct Sleep {
         deadline: Instant,
         entry: Option<std::sync::Arc<crate::reactor::TimerEntry>>,
@@ -291,6 +300,8 @@ pub mod time {
                 .entry
                 .get_or_insert_with(|| crate::reactor::handle().add_timer(deadline));
             if entry.poll_fired(cx) {
+                // fired entries have left the wheel: nothing to cancel
+                this.entry = None;
                 Poll::Ready(())
             } else {
                 Poll::Pending
@@ -301,7 +312,7 @@ pub mod time {
     impl Drop for Sleep {
         fn drop(&mut self) {
             if let Some(entry) = self.entry.take() {
-                entry.cancel();
+                crate::reactor::handle().cancel_timer(&entry);
             }
         }
     }
@@ -487,7 +498,31 @@ pub mod sync {
             value: T,
             version: u64,
             senders: usize,
-            wakers: Vec<Waker>,
+            /// Receivers handed out so far; the next one's id.
+            receivers: u64,
+            /// One waker per receiver with a pending [`Changed`], keyed by
+            /// receiver id. A `Changed` takes its entry along when it is
+            /// dropped, so a waiter that gave up (the losing arm of a
+            /// `select!` built anew per loop iteration) costs nothing: the
+            /// table is bounded by the receivers waiting right now.
+            waiters: Vec<(u64, Waker)>,
+        }
+
+        impl<T> Shared<T> {
+            fn new_receiver(&mut self, shared: &Arc<Mutex<Shared<T>>>) -> Receiver<T> {
+                self.receivers += 1;
+                Receiver {
+                    shared: Arc::clone(shared),
+                    seen: self.version,
+                    id: self.receivers,
+                }
+            }
+
+            fn wake_all(&mut self) {
+                for (_, w) in self.waiters.drain(..) {
+                    w.wake();
+                }
+            }
         }
 
         pub struct Sender<T> {
@@ -497,6 +532,7 @@ pub mod sync {
         pub struct Receiver<T> {
             shared: Arc<Mutex<Shared<T>>>,
             seen: u64,
+            id: u64,
         }
 
         pub fn channel<T>(init: T) -> (Sender<T>, Receiver<T>) {
@@ -504,14 +540,11 @@ pub mod sync {
                 value: init,
                 version: 0,
                 senders: 1,
-                wakers: Vec::new(),
+                receivers: 0,
+                waiters: Vec::new(),
             }));
-            (
-                Sender {
-                    shared: Arc::clone(&shared),
-                },
-                Receiver { shared, seen: 0 },
-            )
+            let rx = shared.lock().expect("watch state").new_receiver(&shared);
+            (Sender { shared }, rx)
         }
 
         impl<T> Sender<T> {
@@ -519,18 +552,20 @@ pub mod sync {
                 let mut st = self.shared.lock().expect("watch state");
                 st.value = value;
                 st.version += 1;
-                for w in st.wakers.drain(..) {
-                    w.wake();
-                }
+                st.wake_all();
                 Ok(())
             }
 
             pub fn subscribe(&self) -> Receiver<T> {
-                let st = self.shared.lock().expect("watch state");
-                Receiver {
-                    shared: Arc::clone(&self.shared),
-                    seen: st.version,
-                }
+                let mut st = self.shared.lock().expect("watch state");
+                st.new_receiver(&self.shared)
+            }
+
+            /// Receivers with a registered waker (test hook: dropped
+            /// waiters must not accumulate).
+            #[doc(hidden)]
+            pub fn waiters(&self) -> usize {
+                self.shared.lock().expect("watch state").waiters.len()
             }
         }
 
@@ -539,9 +574,7 @@ pub mod sync {
                 let mut st = self.shared.lock().expect("watch state");
                 st.senders -= 1;
                 if st.senders == 0 {
-                    for w in st.wakers.drain(..) {
-                        w.wake();
-                    }
+                    st.wake_all();
                 }
             }
         }
@@ -568,21 +601,27 @@ pub mod sync {
 
             /// Wait for a version newer than the last one seen.
             pub fn changed(&mut self) -> Changed<'_, T> {
-                Changed { rx: self }
+                Changed {
+                    rx: self,
+                    registered: false,
+                }
             }
         }
 
         impl<T> Clone for Receiver<T> {
             fn clone(&self) -> Self {
+                let mut st = self.shared.lock().expect("watch state");
                 Receiver {
-                    shared: Arc::clone(&self.shared),
                     seen: self.seen,
+                    ..st.new_receiver(&self.shared)
                 }
             }
         }
 
         pub struct Changed<'a, T> {
             rx: &'a mut Receiver<T>,
+            /// Whether this future left a waker in the channel's table.
+            registered: bool,
         }
 
         impl<T> Unpin for Changed<'_, T> {}
@@ -601,8 +640,24 @@ pub mod sync {
                 if st.senders == 0 {
                     return Poll::Ready(Err(error::RecvError(())));
                 }
-                st.wakers.push(cx.waker().clone());
+                let id = self.rx.id;
+                match st.waiters.iter_mut().find(|(rx, _)| *rx == id) {
+                    Some((_, w)) => w.clone_from(cx.waker()),
+                    None => st.waiters.push((id, cx.waker().clone())),
+                }
+                drop(st);
+                self.registered = true;
                 Poll::Pending
+            }
+        }
+
+        impl<T> Drop for Changed<'_, T> {
+            fn drop(&mut self) {
+                if self.registered {
+                    let mut st = self.rx.shared.lock().expect("watch state");
+                    let id = self.rx.id;
+                    st.waiters.retain(|(rx, _)| *rx != id);
+                }
             }
         }
     }

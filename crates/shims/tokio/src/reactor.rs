@@ -309,20 +309,31 @@ impl Drop for Registration {
 /// lap stay in their slot across laps (classic hashed wheel); the per-slot
 /// cached minimum keeps the `timerfd` armed at the true earliest deadline,
 /// so long RTO timers cause no extra wakeups while they are distant.
+///
+/// A cancelled deadline (a `Sleep` dropped early: the losing arm of
+/// `select!`, a satisfied `timeout`) costs nothing from then on: its entry
+/// leaves its slot and releases its waker at once, and the slot minimum
+/// forgets it, so the `timerfd` is never re-armed for it. (If it was the
+/// deadline the `timerfd` is armed for *right now*, that one expiry still
+/// happens — cheaper than waking the reactor to disarm it.)
+///
+/// Lock order: wheel → entry, never the reverse (`advance` locks entries
+/// while it holds the wheel).
 const WHEEL_SLOTS: usize = 1024;
 const TICK_MS: u64 = 1;
 
 struct TimerState {
     waker: Option<Waker>,
     fired: bool,
-    cancelled: bool,
 }
 
 /// One pending deadline. Shared between its [`crate::time::Sleep`] future
 /// (which stores the waker and observes `fired`) and the wheel (which
-/// fires or discards it).
+/// fires it, or gives it up when the future cancels).
 pub(crate) struct TimerEntry {
     deadline: Instant,
+    /// The wheel slot holding this entry until it fires or is cancelled.
+    slot: usize,
     state: Mutex<TimerState>,
 }
 
@@ -335,12 +346,6 @@ impl TimerEntry {
         }
         st.waker = Some(cx.waker().clone());
         false
-    }
-
-    /// Lazy cancellation: the wheel drops the entry when its slot next
-    /// drains.
-    pub(crate) fn cancel(&self) {
-        self.state.lock().expect("timer state").cancelled = true;
     }
 }
 
@@ -368,13 +373,35 @@ impl TimerWheel {
         t.saturating_duration_since(self.epoch).as_millis() as u64 / TICK_MS
     }
 
-    fn insert(&mut self, entry: Arc<TimerEntry>) {
-        let tick = self.tick_of(entry.deadline).max(self.cursor);
+    fn insert(&mut self, deadline: Instant) -> Arc<TimerEntry> {
+        let tick = self.tick_of(deadline).max(self.cursor);
         let slot = (tick % WHEEL_SLOTS as u64) as usize;
-        let d = entry.deadline;
-        self.slots[slot].push(entry);
-        if self.slot_min[slot].is_none_or(|m| d < m) {
-            self.slot_min[slot] = Some(d);
+        let entry = Arc::new(TimerEntry {
+            deadline,
+            slot,
+            state: Mutex::new(TimerState {
+                waker: None,
+                fired: false,
+            }),
+        });
+        self.slots[slot].push(Arc::clone(&entry));
+        if self.slot_min[slot].is_none_or(|m| deadline < m) {
+            self.slot_min[slot] = Some(deadline);
+        }
+        entry
+    }
+
+    /// Take a cancelled entry out of its slot (a fired one has left
+    /// already). The caller holds the wheel lock, so `advance` is not
+    /// half-way through the slot: the entry is either there or fired.
+    fn remove(&mut self, entry: &Arc<TimerEntry>) {
+        let slot = &mut self.slots[entry.slot];
+        let Some(i) = slot.iter().position(|e| Arc::ptr_eq(e, entry)) else {
+            return;
+        };
+        slot.swap_remove(i);
+        if self.slot_min[entry.slot] == Some(entry.deadline) {
+            self.slot_min[entry.slot] = slot.iter().map(|e| e.deadline).min();
         }
     }
 
@@ -396,9 +423,6 @@ impl TimerWheel {
                 let mut min: Option<Instant> = None;
                 for entry in entries {
                     let mut st = entry.state.lock().expect("timer state");
-                    if st.cancelled {
-                        continue;
-                    }
                     if entry.deadline <= now {
                         st.fired = true;
                         if let Some(w) = st.waker.take() {
@@ -566,18 +590,7 @@ impl Reactor {
     /// Register a deadline on the wheel; wakes the reactor if it now needs
     /// to fire earlier than it planned to.
     pub(crate) fn add_timer(&self, deadline: Instant) -> Arc<TimerEntry> {
-        let entry = Arc::new(TimerEntry {
-            deadline,
-            state: Mutex::new(TimerState {
-                waker: None,
-                fired: false,
-                cancelled: false,
-            }),
-        });
-        self.timers
-            .lock()
-            .expect("wheel")
-            .insert(Arc::clone(&entry));
+        let entry = self.timers.lock().expect("wheel").insert(deadline);
         let deadline_ns = deadline
             .saturating_duration_since(self.epoch)
             .as_nanos()
@@ -586,6 +599,18 @@ impl Reactor {
             self.notify();
         }
         entry
+    }
+
+    /// Give up a deadline nobody waits on any more. Takes only the wheel
+    /// lock (see the lock order above).
+    pub(crate) fn cancel_timer(&self, entry: &Arc<TimerEntry>) {
+        self.timers.lock().expect("wheel").remove(entry);
+    }
+
+    /// Deadlines on the wheel (exported via `runtime::pending_timers`).
+    pub(crate) fn pending_timers(&self) -> usize {
+        let wheel = self.timers.lock().expect("wheel");
+        wheel.slots.iter().map(Vec::len).sum()
     }
 
     fn notify(&self) {
