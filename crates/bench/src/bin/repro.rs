@@ -72,14 +72,14 @@ fn benches() -> Vec<Bench> {
         row(
             "bench_pps",
             Trajectory(trajectory::FILE),
-            "scalar vs batched PPS matching throughput (§5.7 setup) and the 256-record small-window rate; fails if a small window runs under 0.25x the large-corpus rate",
+            "scalar vs batched PPS matching throughput (§5.7 setup), the 256-record small-window rate and the nonce sweep's MAC/s; fails if a small window runs under 0.25x the large-corpus rate or the 16-lane fused kernel under 1.5x its compress-staged default",
             pps_bench::run,
             pps_bench::gate,
         ),
         row(
             "bench_pps_backends",
             Artifact::None,
-            "batched throughput per available SHA-1 backend -> results/bench_pps_backends.txt",
+            "batched throughput, nonce-sweep MAC/s and trapdoor-preparation time per available SHA-1 backend -> results/bench_pps_backends.txt",
             pps_bench::run_backends,
             ungated,
         ),

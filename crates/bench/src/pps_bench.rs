@@ -9,7 +9,7 @@
 //!   block rebuilt every time;
 //! * `batched` — the midstate-cached, allocation-free survivor-list
 //!   pipeline the engine and cluster node now run, swept lane-width through
-//!   a SHA-1 [`Backend`] (scalar x1 / SSE2 x4 / AVX2 x8).
+//!   a SHA-1 [`Backend`] (scalar x1 / SSE2 x4 / AVX2 x8 / AVX-512 x16).
 //!
 //! Beside that large-corpus rate it reports the **small-window** regime —
 //! the paper's per-sub-query start-up cost, which a high `p` lives in: the
@@ -22,23 +22,34 @@
 //! and 0.72 swept — two predicates cost a window twice the probes of one
 //! for as long as it is mostly sample, so 0.5 is that ratio's ceiling.
 //!
-//! Invoked as `repro bench_pps [--quick] [--backend scalar|sse2|avx2|auto]`;
+//! Under both sits the **nonce sweep** itself (`mac` block): MAC prefixes
+//! per second through the backend's fused kernel, against the same engine
+//! held to the `compress`-staged default ([`Staged`]) — the 64-byte block
+//! staging the kernels replaced. On the 16-lane engine the gate holds the
+//! kernel to [`MAC_FUSED_FLOOR`] of the staged rate (parent, by
+//! construction: 1.0); narrower engines report the ratio ungated — staging
+//! is a per-lane cost against a per-group compression, so the ratio falls
+//! with the width (SSE2 1.4, AVX2 1.6, AVX-512 2.7 on the reference box).
+//!
+//! Invoked as `repro bench_pps [--quick] [--backend scalar|sse2|avx2|avx512|auto]`;
 //! writes `BENCH_pps.json` into the working directory. The committed copy at
 //! the repository root is the point-zero baseline of the bench trajectory.
-//! `repro bench_pps_backends` runs the batched path once per available
-//! backend and renders the comparison table committed under `results/`.
+//! `repro bench_pps_backends` runs the batched path, the nonce sweep (one
+//! key; key runs) and one trapdoor preparation once per available backend
+//! and renders the comparison table committed under `results/`.
 
 use crate::{Filters, Scale};
 use roar_crypto::bloom::BloomParams;
-use roar_crypto::sha1::Backend;
-use roar_pps::bloom_kw::BloomKeywordScheme;
-use roar_pps::bloom_kw::PrfCounter;
+use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
+use roar_crypto::sha1::{Backend, Sha1Lanes, Staged, MAX_LANES};
+use roar_pps::bloom_kw::{BloomKeywordScheme, PrfCounter, MAX_R};
 use roar_pps::metadata::MetaEncryptor;
 use roar_pps::query::{CompiledQuery, MatchScratch, Matcher};
 use roar_pps::store::MetadataStore;
 use roar_pps::xbatch::{QueryTask, TaskCorpus};
 use roar_util::{det_rng, Json};
 use roar_workload::{fast_random_metadata_with, QueryGenerator};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,6 +60,18 @@ pub const SMALL_WINDOW: usize = 256;
 /// The gate: the slower small-window query must reach this share of the
 /// large-corpus batched rate.
 pub const SMALL_WINDOW_FLOOR: f64 = 0.25;
+
+/// The gate: on the 16-lane engine the fused nonce kernel must reach this
+/// multiple of the `compress`-staged sweep on the same engine.
+pub const MAC_FUSED_FLOOR: f64 = 1.5;
+
+/// Nonces per pass of the nonce-sweep measurement (the frozen benchmark's
+/// `crypto.mac_per_s` probe size).
+const MAC_NONCES: usize = 65_536;
+
+/// Length of a key run in the keyed measurement — about what one resident
+/// sub-query stages per sweep.
+const MAC_RUN: usize = 300;
 
 /// One measured path.
 struct PathResult {
@@ -226,6 +249,68 @@ impl Fixture {
     }
 }
 
+/// The nonce-sweep measurement's inputs: [`MAC_NONCES`] nonces, cut into
+/// one run or into runs of [`MAC_RUN`] cycling five keys.
+struct MacFixture {
+    nonces: Vec<[u8; 8]>,
+    one_key: Vec<(HmacKey, usize)>,
+    key_runs: Vec<(HmacKey, usize)>,
+}
+
+impl MacFixture {
+    fn new() -> Self {
+        let keys: Vec<HmacKey> = (0..5u8).map(|i| HmacKey::new(&[i; 20])).collect();
+        MacFixture {
+            nonces: (0..MAC_NONCES as u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes())
+                .collect(),
+            one_key: vec![(keys[0], MAC_NONCES)],
+            key_runs: (0..MAC_NONCES.div_ceil(MAC_RUN))
+                .map(|r| (keys[r % 5], MAC_RUN.min(MAC_NONCES - r * MAC_RUN)))
+                .collect(),
+        }
+    }
+
+    /// MAC prefixes per second of `runs` swept on `engine`.
+    fn mac_per_s(&self, engine: &dyn Sha1Lanes, runs: &[(HmacKey, usize)], repeats: usize) -> f64 {
+        let mut out = vec![0u64; MAC_NONCES];
+        let (per_s, _, _) = best_of(repeats, MAC_NONCES, || {
+            mac_u64_nonce_runs(engine, black_box(runs), black_box(&self.nonces), &mut out);
+            (0, black_box(&out)[0])
+        });
+        per_s
+    }
+}
+
+/// Microseconds to prepare one trapdoor's component keys on `backend`.
+fn measure_prepare_us(backend: Backend, query: &CompiledQuery, repeats: usize) -> f64 {
+    const ROUNDS: usize = 2_000;
+    let parts = &query.trapdoors[0].parts;
+    let (per_s, _, _) = best_of(repeats, ROUNDS, || {
+        for _ in 0..ROUNDS {
+            black_box(HmacKey::prepare::<MAX_R>(backend, black_box(parts)));
+        }
+        (0, 0)
+    });
+    1e6 / per_s
+}
+
+/// The `mac` block: the fused kernel against the staged default on
+/// `backend`'s engine.
+fn mac_block(backend: Backend, repeats: usize) -> Json {
+    let engine = backend.engine();
+    let fx = MacFixture::new();
+    let fused = fx.mac_per_s(engine, &fx.one_key, repeats);
+    let staged = fx.mac_per_s(&Staged(engine), &fx.one_key, repeats);
+    Json::obj([
+        ("lanes", engine.lanes().into()),
+        ("mac_per_s", Json::rounded(fused, 0)),
+        ("staged_mac_per_s", Json::rounded(staged, 0)),
+        ("vs_staged", Json::rounded(fused / staged, 3)),
+        ("floor", Json::Num(MAC_FUSED_FLOOR)),
+    ])
+}
+
 /// Run the comparison with the batched path on `filters.backend` (default:
 /// the auto-detected one; the scalar reference path is backend-independent
 /// by construction). `Quick` shrinks the corpus ~8× for CI smoke runs.
@@ -252,17 +337,28 @@ pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
             "small_window",
             fx.small_window(backend, batched.records_per_s),
         ),
+        ("mac", mac_block(backend, fx.repeats)),
     ]))
 }
 
 /// `bench_pps`' gate: a [`SMALL_WINDOW`]-record window must not fall under
-/// [`SMALL_WINDOW_FLOOR`] of the large-corpus rate.
+/// [`SMALL_WINDOW_FLOOR`] of the large-corpus rate, and on the 16-lane
+/// engine the fused nonce kernel must not fall under [`MAC_FUSED_FLOOR`] of
+/// the staged sweep.
 pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
     let share = crate::number(doc, &["small_window", "vs_large"])?;
     if share < SMALL_WINDOW_FLOOR {
         return Err(format!(
             "a {SMALL_WINDOW}-record window runs at {share:.3} of the large-corpus rate \
              (floor {SMALL_WINDOW_FLOOR})"
+        ));
+    }
+    let lanes = crate::number(doc, &["mac", "lanes"])?;
+    let vs_staged = crate::number(doc, &["mac", "vs_staged"])?;
+    if lanes as usize == MAX_LANES && vs_staged < MAC_FUSED_FLOOR {
+        return Err(format!(
+            "the {MAX_LANES}-lane nonce kernel runs at {vs_staged:.3} of its \
+             compress-staged default (floor {MAC_FUSED_FLOOR})"
         ));
     }
     Ok(())
@@ -278,10 +374,21 @@ pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
 pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
     let reference_rps = fx.measure_reference().records_per_s;
-    let rows: Vec<(Backend, f64)> = Backend::ALL
+    let macs = MacFixture::new();
+    let rows: Vec<BackendRow> = Backend::ALL
         .into_iter()
         .filter(|b| b.available())
-        .map(|b| (b, fx.measure_batched(b).records_per_s))
+        .map(|backend| {
+            let engine = backend.engine();
+            BackendRow {
+                backend,
+                batched_rps: fx.measure_batched(backend).records_per_s,
+                mac_per_s: macs.mac_per_s(engine, &macs.one_key, fx.repeats),
+                key_runs_mac_per_s: macs.mac_per_s(engine, &macs.key_runs, fx.repeats),
+                staged_mac_per_s: macs.mac_per_s(&Staged(engine), &macs.one_key, fx.repeats),
+                prepare_us: measure_prepare_us(backend, &fx.query, fx.repeats),
+            }
+        })
         .collect();
     if scale == Scale::Full {
         let table = render_backends(&fx, reference_rps, &rows);
@@ -289,12 +396,25 @@ pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
             .and_then(|()| std::fs::write("results/bench_pps_backends.txt", table))
             .map_err(|e| format!("write results/bench_pps_backends.txt: {e}"))?;
     }
-    let backends = rows.iter().map(|&(backend, rps)| {
+    let backends = rows.iter().map(|row| {
         Json::obj([
-            ("backend", backend.name().into()),
-            ("lanes", backend.engine().lanes().into()),
-            ("batched_rps", Json::rounded(rps, 0)),
-            ("vs_reference", Json::rounded(rps / reference_rps, 2)),
+            ("backend", row.backend.name().into()),
+            ("lanes", row.backend.engine().lanes().into()),
+            ("batched_rps", Json::rounded(row.batched_rps, 0)),
+            (
+                "vs_reference",
+                Json::rounded(row.batched_rps / reference_rps, 2),
+            ),
+            ("mac_per_s", Json::rounded(row.mac_per_s, 0)),
+            (
+                "key_runs_mac_per_s",
+                Json::rounded(row.key_runs_mac_per_s, 0),
+            ),
+            (
+                "vs_staged",
+                Json::rounded(row.mac_per_s / row.staged_mac_per_s, 2),
+            ),
+            ("prepare_us", Json::rounded(row.prepare_us, 2)),
         ])
     });
     Ok(Json::obj([
@@ -305,29 +425,49 @@ pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
     ]))
 }
 
+/// One engine's row of the per-backend comparison.
+struct BackendRow {
+    backend: Backend,
+    batched_rps: f64,
+    mac_per_s: f64,
+    key_runs_mac_per_s: f64,
+    staged_mac_per_s: f64,
+    prepare_us: f64,
+}
+
 /// The comparison as the text table kept under `results/`.
-fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[(Backend, f64)]) -> String {
+fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[BackendRow]) -> String {
     let mut t = roar_util::Table::new([
         "backend",
         "lanes",
         "batched rec/s",
         "vs scalar backend",
         "vs one-shot reference",
+        "MAC/s (one key)",
+        "MAC/s (key runs)",
+        "vs staged",
+        "prepare r=17 (us)",
     ]);
-    let base = rows.first().map_or(f64::NAN, |&(_, rps)| rps);
-    for &(backend, rps) in rows {
+    let base = rows.first().map_or(f64::NAN, |row| row.batched_rps);
+    for row in rows {
         t.row([
-            backend.name().to_string(),
-            backend.engine().lanes().to_string(),
-            format!("{rps:.0}"),
-            format!("{:.2}x", rps / base),
-            format!("{:.2}x", rps / reference_rps),
+            row.backend.name().to_string(),
+            row.backend.engine().lanes().to_string(),
+            format!("{:.0}", row.batched_rps),
+            format!("{:.2}x", row.batched_rps / base),
+            format!("{:.2}x", row.batched_rps / reference_rps),
+            format!("{:.0}", row.mac_per_s),
+            format!("{:.0}", row.key_runs_mac_per_s),
+            format!("{:.2}x", row.mac_per_s / row.staged_mac_per_s),
+            format!("{:.2}", row.prepare_us),
         ]);
     }
     format!(
         "PPS batched matching throughput by SHA-1 backend\n\
          ({} records, 50 keywords/doc, fp 1e-5, r = 17, best of {}; \
-         one-shot reference {:.0} rec/s)\n\n{}",
+         one-shot reference {:.0} rec/s;\n\
+         MAC/s: the nonce sweep over {MAC_NONCES} nonces, key runs of {MAC_RUN} over five keys, \
+         'vs staged' against the same engine's compress-staged default)\n\n{}",
         fx.n,
         fx.repeats,
         reference_rps,
@@ -366,15 +506,39 @@ mod tests {
         ] {
             assert!(number(&b, &["small_window", key]).unwrap() > 0.0, "{key}");
         }
+        for key in ["mac_per_s", "staged_mac_per_s", "vs_staged"] {
+            assert!(number(&b, &["mac", key]).unwrap() > 0.0, "{key}");
+        }
+    }
+
+    fn doc(share: f64, lanes: usize, vs_staged: f64) -> Json {
+        Json::obj([
+            ("small_window", Json::obj([("vs_large", share.into())])),
+            (
+                "mac",
+                Json::obj([("lanes", lanes.into()), ("vs_staged", vs_staged.into())]),
+            ),
+        ])
     }
 
     #[test]
     fn gate_holds_small_windows_to_the_floor() {
-        let doc =
-            |share: f64| Json::obj([("small_window", Json::obj([("vs_large", share.into())]))]);
-        assert!(gate(&doc(SMALL_WINDOW_FLOOR), Scale::Quick).is_ok());
-        let err = gate(&doc(0.18), Scale::Full).expect_err("the parent's share must fail");
+        assert!(gate(&doc(SMALL_WINDOW_FLOOR, 16, 2.0), Scale::Quick).is_ok());
+        let err = gate(&doc(0.18, 16, 2.0), Scale::Full).expect_err("the parent's share must fail");
         assert!(err.contains("0.180"), "{err}");
         assert!(gate(&Json::Null, Scale::Full).is_err(), "block missing");
+    }
+
+    #[test]
+    fn gate_holds_the_widest_kernel_to_its_staged_default() {
+        assert!(gate(&doc(0.4, 16, MAC_FUSED_FLOOR), Scale::Quick).is_ok());
+        // block staging through `compress` is 1.0 by construction
+        let err = gate(&doc(0.4, 16, 1.0), Scale::Full).expect_err("the parent's ratio must fail");
+        assert!(err.contains("1.000"), "{err}");
+        // narrower engines report, ungated
+        assert!(gate(&doc(0.4, 8, 1.2), Scale::Full).is_ok());
+        assert!(gate(&doc(0.4, 1, 1.0), Scale::Full).is_ok());
+        let no_mac = Json::obj([("small_window", Json::obj([("vs_large", 0.4.into())]))]);
+        assert!(gate(&no_mac, Scale::Full).is_err(), "block missing");
     }
 }

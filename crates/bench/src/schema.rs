@@ -30,6 +30,10 @@ pub fn required_keys(file_name: &str) -> &'static [&'static str] {
             "one_keyword_records_per_s",
             "two_predicate_and_records_per_s",
             "vs_large",
+            "mac",
+            "mac_per_s",
+            "staged_mac_per_s",
+            "vs_staged",
         ],
         "BENCH_incast.json" => &[
             "benchmark",

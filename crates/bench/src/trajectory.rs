@@ -108,6 +108,14 @@ mod tests {
                     ("vs_large", Json::Num(0.5)),
                 ]),
             ),
+            (
+                "mac",
+                Json::obj([
+                    ("mac_per_s", Json::Num(2.0)),
+                    ("staged_mac_per_s", Json::Num(1.0)),
+                    ("vs_staged", Json::Num(2.0)),
+                ]),
+            ),
         ])
     }
 

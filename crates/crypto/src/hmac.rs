@@ -21,34 +21,32 @@
 //! (RFC 2202 vectors run against both; `tests/hmac_equivalence.rs` adds
 //! randomized cross-checks including block-boundary and > 64-byte keys).
 //!
-//! **Multi-lane batching.** On top of the midstate cache, the batch entry
-//! points resume `lanes()` copies of cached midstates at once through a
-//! [`Sha1Lanes`] engine: the messages of one lane group are padded into a
-//! transposed block set (lane `l` = vector element `l`, the engine's SoA
-//! layout) and every group costs 2 multi-lane compressions total — the
-//! per-message cost divides by the lane width. Two loops, one per message
-//! shape:
+//! **The nonce sweep.** The PPS scan path has one MAC shape — the `u64`
+//! prefix of the MAC of a fixed 8-byte record nonce — and one loop
+//! computing it, [`mac_u64_nonce_runs`]: `nonces` is cut into consecutive
+//! *key runs* `(key, len)`, and lane groups of the [`Sha1Lanes`] engine
+//! (16 on AVX-512) are filled straight across run boundaries. The boundary
+//! to the engine is **a lane group of nonces in, prefixes out**
+//! ([`Sha1Lanes::mac_nonce_group`]): the sweep hands it the group's key
+//! midstates already transposed ([`LaneStates`] — broadcast once per run,
+//! filled lane by lane only for a group that straddles two runs) and
+//! slices of the caller's own nonce and output buffers; padding, the two
+//! compressions and the hand-over of the inner digest all happen inside
+//! the engine's kernel, in registers. A ragged tail goes through a
+//! `MAX_LANES`-entry stack copy, so an engine only ever sees whole groups.
+//! [`HmacKey::mac_u64_nonces_with`] (the inline drivers of the survivor
+//! pipeline) is the one-run case; a node's matcher workers pass one run
+//! per resident sub-query.
 //!
-//! * **The nonce sweep** — the PPS scan path's only MAC loop: `u64` MAC
-//!   prefixes of fixed 8-byte record nonces, both finishing blocks stamped
-//!   from constant templates. It is written once, over "the key of lane
-//!   *i*", and monomorphised into its two entry points:
-//!   [`HmacKey::mac_u64_nonces_with`] (every lane the same key — the inline
-//!   drivers of the survivor pipeline) and [`mac_u64_nonces_keyed_with`]
-//!   (one key per lane — a node's matcher workers, packing sub-queries'
-//!   sweeps into shared lane groups).
-//! * **The general batch** ([`HmacKey::mac_batch_with`]) — arbitrary-length
-//!   messages under one key. Lane groups with messages of unequal block
-//!   counts still work: each lane's chaining value is captured at that
-//!   lane's own final block, and shorter lanes churn dummy zero blocks
-//!   afterwards (their output is never read).
+//! **Key preparation** rides the lanes too: [`HmacKey::prepare`] pushes the
+//! `K ⊕ ipad` / `K ⊕ opad` blocks of many keys — a trapdoor's `r`
+//! components — through [`Sha1Lanes::compress`] from the IV, `lanes()`
+//! blocks per call.
 //!
-//! Ragged batches (size not a multiple of the lane width) pad the last
-//! group with a repeat of the final message and discard the duplicate
-//! lanes. All of this is pinned bit-identical to the scalar reference by
+//! Both are pinned bit-identical to the scalar reference by
 //! `tests/sha1_lanes_props.rs`.
 
-use crate::sha1::{compress_block, sha1, Backend, Sha1, Sha1Lanes, MAX_LANES};
+use crate::sha1::{compress_block, sha1, Backend, LaneStates, Sha1, Sha1Lanes, IV, MAX_LANES};
 
 const BLOCK: usize = 64;
 
@@ -177,42 +175,6 @@ impl HmacKey {
         state_prefix(&self.mac_state(msg))
     }
 
-    /// Batch entry point: MAC `msgs.len()` messages under this key into
-    /// `out`, allocation-free, through the process-default
-    /// ([`Backend::auto`]) lane engine.
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `msgs`.
-    pub fn mac_batch(&self, msgs: &[&[u8]], out: &mut [[u8; 20]]) {
-        self.mac_batch_with(Backend::auto(), msgs, out);
-    }
-
-    /// [`mac_batch`](Self::mac_batch) through an explicit backend.
-    ///
-    /// Messages are processed in lane groups of `backend.engine().lanes()`;
-    /// within a group the cached inner midstate is resumed in every lane and
-    /// the padded message blocks are fed transposed (SoA), so a full group
-    /// costs 2 multi-lane compressions regardless of width. Any message
-    /// length is accepted — multi-block lanes and ragged tails are handled
-    /// as described in the module docs.
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `msgs`.
-    pub fn mac_batch_with(&self, backend: Backend, msgs: &[&[u8]], out: &mut [[u8; 20]]) {
-        assert!(out.len() >= msgs.len(), "output buffer too small");
-        let engine = backend.engine();
-        let mut states = [[0u32; 5]; MAX_LANES];
-        for (group, slots) in msgs
-            .chunks(engine.lanes())
-            .zip(out.chunks_mut(engine.lanes()))
-        {
-            self.mac_states_group(engine, group, &mut states);
-            for (state, slot) in states.iter().zip(slots.iter_mut()) {
-                put_state(slot, state);
-            }
-        }
-    }
-
     /// The nonce sweep with this key in every lane: `u64` MAC prefixes of
     /// fixed 8-byte messages (record nonces). What the survivor pipeline's
     /// inline drivers call once per trapdoor component; each full lane
@@ -222,170 +184,129 @@ impl HmacKey {
     /// # Panics
     /// Panics when `out` is shorter than `nonces`.
     pub fn mac_u64_nonces_with(&self, backend: Backend, nonces: &[[u8; 8]], out: &mut [u64]) {
-        sweep_nonces(backend, |_| self, nonces, out);
+        mac_u64_nonce_runs(backend.engine(), &[(*self, nonces.len())], nonces, out);
     }
 
-    /// MAC one lane group (1 ≤ `msgs.len()` ≤ `engine.lanes()`) of
-    /// arbitrary-length messages, leaving the outer chaining value of
-    /// message `i` in `states[i]`.
+    /// Prepare many keys at once on the lane engine: slot `i` of the result
+    /// is `HmacKey::new(keys[i])`, for up to `N` keys. The `2 · keys.len()`
+    /// pad blocks go through [`Sha1Lanes::compress`] from the IV, `lanes()`
+    /// at a time (a trapdoor's r = 17 components are 34 blocks: 3 AVX-512
+    /// groups where [`HmacKey::new`] per key runs 34 scalar compressions).
+    /// Slots past `keys.len()` hold an all-zero midstate pair that is no
+    /// key's; callers track how many they asked for.
     ///
-    /// The inner hash resumes the cached inner midstate in every lane and
-    /// walks the lanes' padded block streams in lock step; a lane whose
-    /// message finishes early has its chaining value captured at its own
-    /// final block (later dummy blocks churn the register copy, which is
-    /// never read). The outer hash is always a single finishing block.
-    fn mac_states_group(
-        &self,
-        engine: &dyn Sha1Lanes,
-        msgs: &[&[u8]],
-        states: &mut [[u32; 5]; MAX_LANES],
-    ) {
+    /// # Panics
+    /// Panics when more than `N` keys are given.
+    pub fn prepare<const N: usize>(backend: Backend, keys: &[impl AsRef<[u8]>]) -> [HmacKey; N] {
+        assert!(keys.len() <= N, "{} keys for {N} slots", keys.len());
+        let engine = backend.engine();
         let lanes = engine.lanes();
-        debug_assert!(!msgs.is_empty() && msgs.len() <= lanes && lanes <= MAX_LANES);
-        // finishing blocks of the inner hash for a message of `len` bytes
-        // (the 64-byte ipad block is already folded into the midstate)
-        let n_blocks = |len: usize| (len + 9).div_ceil(BLOCK);
-        let max_blocks = msgs.iter().map(|m| n_blocks(m.len())).max().expect("≥ 1");
-
+        let mut out = [HmacKey {
+            inner_mid: [0; 5],
+            outer_mid: [0; 5],
+        }; N];
+        // block 2i is key i's ipad block, block 2i + 1 its opad block
         let mut blocks = [[0u8; BLOCK]; MAX_LANES];
-        let mut inner = [[0u32; 5]; MAX_LANES];
-        for state in states.iter_mut().take(lanes) {
-            *state = self.inner_mid;
-        }
-        for b in 0..max_blocks {
-            for lane in 0..lanes {
-                // ragged tail: unused lanes repeat the last real message
-                let msg = msgs[lane.min(msgs.len() - 1)];
-                fill_padded_block(msg, b, &mut blocks[lane]);
+        let mut states = [IV; MAX_LANES];
+        for first in (0..2 * keys.len()).step_by(lanes) {
+            let group = lanes.min(2 * keys.len() - first);
+            for (lane, block) in blocks[..group].iter_mut().enumerate() {
+                let (ipad, opad) = pad_blocks(keys[(first + lane) / 2].as_ref());
+                *block = if (first + lane) % 2 == 0 { ipad } else { opad };
             }
+            // a short last group leaves stale blocks in its unused lanes;
+            // their states are never read
+            states[..lanes].fill(IV);
             engine.compress(&mut states[..lanes], &blocks[..lanes]);
-            for (lane, msg) in msgs.iter().enumerate() {
-                if n_blocks(msg.len()) == b + 1 {
-                    inner[lane] = states[lane];
+            for (lane, state) in states[..group].iter().enumerate() {
+                let key = &mut out[(first + lane) / 2];
+                if (first + lane) % 2 == 0 {
+                    key.inner_mid = *state;
+                } else {
+                    key.outer_mid = *state;
                 }
             }
         }
-        // outer: one finishing block per lane over that lane's inner digest
-        for lane in 0..lanes {
-            blocks[lane] = finishing_block(20);
-            put_state(&mut blocks[lane], &inner[lane.min(msgs.len() - 1)]);
-            states[lane] = self.outer_mid;
-        }
-        engine.compress(&mut states[..lanes], &blocks[..lanes]);
+        out
     }
 }
 
-/// Write block `b` of the inner hash's padded message stream
-/// (`msg ‖ 0x80 ‖ zeros ‖ bitlen(64 + |msg|)`, a multiple of 64 bytes) into
-/// `block`. Blocks past the stream's end come out all-zero — the dummy
-/// blocks lock-step lane processing feeds to already-finished lanes.
-fn fill_padded_block(msg: &[u8], b: usize, block: &mut [u8; BLOCK]) {
-    let len = msg.len();
-    let total = (len + 9).div_ceil(BLOCK);
-    block.fill(0);
-    if b >= total {
-        return;
-    }
-    let start = b * BLOCK;
-    if start < len {
-        let n = (len - start).min(BLOCK);
-        block[..n].copy_from_slice(&msg[start..start + n]);
-    }
-    if (start..start + BLOCK).contains(&len) {
-        block[len - start] = 0x80;
-    }
-    if b + 1 == total {
-        // bit length of ipad block + message
-        block[56..].copy_from_slice(&(((BLOCK + len) as u64) * 8).to_be_bytes());
-    }
-}
-
-/// The nonce sweep, written once: `out[i]` is the `u64` MAC prefix of
-/// `nonces[i]` under `key_of(i)`.
+/// The nonce sweep — the scan path's one MAC loop: `nonces` is the
+/// concatenation of the key runs `runs`, each `(key, len)` covering the
+/// next `len` nonces, and `out[i]` becomes the `u64` MAC prefix of
+/// `nonces[i]` under its run's key. This is what lets a node pack probe
+/// work from many concurrent sub-queries (different trapdoors, different
+/// component keys) into full-width lane groups instead of running each
+/// query's sweep ragged: a group is filled across run boundaries.
 ///
-/// A lane's midstate is per-lane SIMD state, so nothing in the loop cares
-/// whether neighbouring lanes resume the same key or different ones; the
-/// two entry points differ only in the `key_of` they pass, and each is
-/// monomorphised (`inline(always)`) so the single-key form pays nothing for
-/// the generality. Per lane group: stamp the inner finishing template with
-/// each lane's nonce and resume the lane's inner midstate, compress, stamp
-/// the outer template with each lane's inner digest and resume the outer
-/// midstate, compress — 2 multi-lane compressions. Ragged tails repeat the
-/// last real (key, nonce) pair; the duplicate lane outputs are discarded.
-#[inline(always)]
-fn sweep_nonces<'k>(
-    backend: Backend,
-    key_of: impl Fn(usize) -> &'k HmacKey,
+/// A lane's midstate is per-lane SIMD state, so the engine's kernel does
+/// not care whether neighbouring lanes resume the same key or different
+/// ones. A group inside one run reuses that run's broadcast midstates; a
+/// group that straddles runs (or the ragged tail) has its midstates filled
+/// lane by lane. The engine reads nonces from, and writes prefixes to, the
+/// caller's slices directly; only a tail shorter than a group is copied
+/// through the stack. `out` past `nonces.len()` is left untouched.
+///
+/// Bit-identical to `key.mac_u64(&nonces[i])` per element by construction
+/// and by the `sha1_lanes_props` suite.
+///
+/// # Panics
+/// Panics when the run lengths do not add up to `nonces.len()`, or when
+/// `out` is shorter than `nonces`.
+pub fn mac_u64_nonce_runs(
+    engine: &dyn Sha1Lanes,
+    runs: &[(HmacKey, usize)],
     nonces: &[[u8; 8]],
     out: &mut [u64],
 ) {
     assert!(out.len() >= nonces.len(), "output buffer too small");
-    let engine = backend.engine();
-    let lanes = engine.lanes();
-    let inner_tmpl = finishing_block(8);
-    let outer_tmpl = finishing_block(20);
-    let last = nonces.len().saturating_sub(1);
-
-    let mut blocks = [[0u8; BLOCK]; MAX_LANES];
-    let mut states = [[0u32; 5]; MAX_LANES];
-    for (start, slots) in (0..nonces.len()).step_by(lanes).zip(out.chunks_mut(lanes)) {
-        for lane in 0..lanes {
-            let idx = (start + lane).min(last);
-            blocks[lane] = inner_tmpl;
-            blocks[lane][..8].copy_from_slice(&nonces[idx]);
-            states[lane] = key_of(idx).inner_mid;
-        }
-        engine.compress(&mut states[..lanes], &blocks[..lanes]);
-        for lane in 0..lanes {
-            blocks[lane] = outer_tmpl;
-            put_state(&mut blocks[lane], &states[lane]);
-            states[lane] = key_of((start + lane).min(last)).outer_mid;
-        }
-        engine.compress(&mut states[..lanes], &blocks[..lanes]);
-        for (state, slot) in states.iter().zip(slots.iter_mut()) {
-            *slot = state_prefix(state);
-        }
-    }
-}
-
-/// The nonce sweep where **every lane carries its own key**: `keys[i]` MACs
-/// `nonces[i]` into `out[i]`. This is what lets a node pack probe work from
-/// many concurrent sub-queries (different trapdoors, different component
-/// keys) into one full-width compression stream instead of running each
-/// query's sweep ragged; the cost is that of
-/// [`HmacKey::mac_u64_nonces_with`], 2 multi-lane compressions per full
-/// lane group.
-///
-/// Bit-identical to `keys[i].mac_u64(&nonces[i])` by construction and by the
-/// `sha1_lanes_props` suite.
-///
-/// # Panics
-/// Panics when `keys`, `nonces` and `out` lengths disagree (`out` may be
-/// longer).
-pub fn mac_u64_nonces_keyed_with(
-    backend: Backend,
-    keys: &[HmacKey],
-    nonces: &[[u8; 8]],
-    out: &mut [u64],
-) {
+    let covered: usize = runs.iter().map(|&(_, len)| len).sum();
     assert_eq!(
-        keys.len(),
+        covered,
         nonces.len(),
-        "one key per nonce: {} keys / {} nonces",
-        keys.len(),
+        "key runs cover {covered} of {} nonces",
         nonces.len()
     );
-    sweep_nonces(backend, |i| &keys[i], nonces, out);
-}
-
-/// Free-function form of the batch API: HMAC-SHA1 of every message in
-/// `msgs` under one precomputed key, written into `out`, zero heap
-/// allocation, multi-lane when the CPU allows. The survivor pipeline
-/// consumes the specialised nonce sweep; this entry point serves bulk
-/// callers — metadata encryption, external tools — and the equivalence
-/// test suite.
-pub fn hmac_sha1_batch(key: &HmacKey, msgs: &[&[u8]], out: &mut [[u8; 20]]) {
-    key.mac_batch(msgs, out);
+    let lanes = engine.lanes();
+    let mut inner: LaneStates = [[0; MAX_LANES]; 5];
+    let mut outer: LaneStates = [[0; MAX_LANES]; 5];
+    // the run the next lane belongs to, how much of it is left, and whether
+    // every lane of `inner`/`outer` already holds its key
+    let (mut run, mut left, mut whole) = (0, runs.first().map_or(0, |r| r.1), false);
+    for start in (0..nonces.len()).step_by(lanes) {
+        let group = lanes.min(nonces.len() - start);
+        let mut lane = 0;
+        while lane < group {
+            while left == 0 {
+                run += 1;
+                (left, whole) = (runs[run].1, false);
+            }
+            let key = &runs[run].0;
+            let take = left.min(lanes - lane);
+            if !(whole && take == lanes) {
+                for w in 0..5 {
+                    for l in lane..lane + take {
+                        inner[w][l] = key.inner_mid[w];
+                        outer[w][l] = key.outer_mid[w];
+                    }
+                }
+            }
+            whole = take == lanes;
+            left -= take;
+            lane += take;
+        }
+        // lanes past a ragged tail keep whatever they held: their outputs
+        // are dropped
+        if group == lanes {
+            engine.mac_nonce_group(&inner, &outer, &nonces[start..], &mut out[start..]);
+        } else {
+            let mut tail = [[0u8; 8]; MAX_LANES];
+            let mut macs = [0u64; MAX_LANES];
+            tail[..group].copy_from_slice(&nonces[start..]);
+            engine.mac_nonce_group(&inner, &outer, &tail, &mut macs);
+            out[start..start + group].copy_from_slice(&macs[..group]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -489,61 +410,12 @@ mod tests {
         );
     }
 
+    /// The run sweep with a different key in every lane must agree with
+    /// per-key scalar MACs on every backend, including ragged group tails.
     #[test]
-    fn batch_matches_scalar() {
-        let key = HmacKey::new(b"batch-key");
-        let msgs_owned: Vec<Vec<u8>> = (0..33u8)
-            .map(|i| (0..i).map(|b| b.wrapping_mul(17)).collect())
-            .collect();
-        let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-        let mut out = vec![[0u8; 20]; msgs.len()];
-        hmac_sha1_batch(&key, &msgs, &mut out);
-        for (msg, got) in msgs.iter().zip(&out) {
-            assert_eq!(*got, key.mac(msg));
-            assert_eq!(*got, hmac_sha1(b"batch-key", msg));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer too small")]
-    fn batch_rejects_short_output() {
-        let key = HmacKey::new(b"k");
-        let msgs: Vec<&[u8]> = vec![b"a", b"b"];
-        let mut out = [[0u8; 20]; 1];
-        key.mac_batch(&msgs, &mut out);
-    }
-
-    /// Every available lane engine must produce the reference MACs for a
-    /// batch mixing message lengths across block boundaries, at every
-    /// ragged batch size (the dedicated property suite widens this).
-    #[test]
-    fn lane_batches_match_reference_on_all_backends() {
-        let key = HmacKey::new(b"lane-batch-key");
-        let lens = [0usize, 1, 8, 55, 56, 63, 64, 65, 119, 120, 200];
-        let msgs_owned: Vec<Vec<u8>> = lens
-            .iter()
-            .map(|&n| (0..n).map(|i| (i as u8).wrapping_mul(29)).collect())
-            .collect();
-        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
-            for take in 1..=msgs_owned.len() {
-                let msgs: Vec<&[u8]> = msgs_owned[..take].iter().map(Vec::as_slice).collect();
-                let mut out = vec![[0u8; 20]; take];
-                key.mac_batch_with(backend, &msgs, &mut out);
-                for (msg, got) in msgs.iter().zip(&out) {
-                    let want = hmac_sha1(b"lane-batch-key", msg);
-                    assert_eq!(*got, want, "{} len {}", backend.name(), msg.len());
-                }
-            }
-        }
-    }
-
-    /// The keyed sweep — one key per lane — must agree with per-key scalar
-    /// MACs on every backend, including ragged group tails where the last
-    /// (key, nonce) pair is repeated.
-    #[test]
-    fn keyed_nonce_sweep_matches_reference_on_all_backends() {
-        let keys: Vec<HmacKey> = (0..13u64)
-            .map(|i| HmacKey::new(format!("query-key-{i}").as_bytes()))
+    fn nonce_runs_of_one_match_reference_on_all_backends() {
+        let runs: Vec<(HmacKey, usize)> = (0..13u64)
+            .map(|i| (HmacKey::new(format!("query-key-{i}").as_bytes()), 1))
             .collect();
         let nonces: Vec<[u8; 8]> = (0..13u64)
             .map(|i| (i.wrapping_mul(0x9e3779b97f4a7c15)).to_be_bytes())
@@ -551,11 +423,11 @@ mod tests {
         for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
             for take in 1..=nonces.len() {
                 let mut out = vec![0u64; take];
-                mac_u64_nonces_keyed_with(backend, &keys[..take], &nonces[..take], &mut out);
+                mac_u64_nonce_runs(backend.engine(), &runs[..take], &nonces[..take], &mut out);
                 for i in 0..take {
                     assert_eq!(
                         out[i],
-                        keys[i].mac_u64(&nonces[i]),
+                        runs[i].0.mac_u64(&nonces[i]),
                         "{} batch of {take}, lane {i}",
                         backend.name()
                     );
@@ -565,12 +437,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one key per nonce")]
-    fn keyed_sweep_rejects_mismatched_lengths() {
-        let keys = [HmacKey::new(b"a"), HmacKey::new(b"b")];
+    #[should_panic(expected = "key runs cover 3 of 1 nonces")]
+    fn run_sweep_rejects_mismatched_lengths() {
+        let runs = [(HmacKey::new(b"a"), 1), (HmacKey::new(b"b"), 2)];
         let nonces = [[0u8; 8]];
         let mut out = [0u64; 2];
-        mac_u64_nonces_keyed_with(Backend::Scalar, &keys, &nonces, &mut out);
+        mac_u64_nonce_runs(Backend::Scalar.engine(), &runs, &nonces, &mut out);
+    }
+
+    /// Lane-prepared keys are the scalar-prepared keys, at every count
+    /// around the group sizes and for keys on both sides of the block
+    /// length (a longer key is hashed first).
+    #[test]
+    fn prepared_keys_equal_scalar_new_on_all_backends() {
+        let keys: Vec<Vec<u8>> = (0..33usize)
+            .map(|i| {
+                (0..[20, 0, 64, 65, 100][i % 5])
+                    .map(|b| (b * 7 + i) as u8)
+                    .collect()
+            })
+            .collect();
+        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+            for n in [0usize, 1, 2, 7, 8, 9, 16, 17, 32, 33] {
+                let got: [HmacKey; 33] = HmacKey::prepare(backend, &keys[..n]);
+                for (key, got) in keys[..n].iter().zip(&got) {
+                    assert_eq!(*got, HmacKey::new(key), "{} {n} keys", backend.name());
+                }
+            }
+        }
     }
 
     /// The specialised 8-byte-nonce sweep must agree with the generic path

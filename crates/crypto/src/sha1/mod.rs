@@ -9,10 +9,23 @@
 //!
 //! # The `Sha1Lanes` boundary
 //!
-//! The compression function is exposed behind the [`Sha1Lanes`] trait: an
-//! engine folds one 64-byte block per *lane* into one chaining value per
-//! lane, all lanes in a single instruction stream. Four engines implement
-//! it (mirroring the transport-trait layering in `roar-cluster`):
+//! An engine advances `lanes()` independent message streams per call, all
+//! lanes in a single instruction stream. The boundary the scan path
+//! crosses is **a lane group of nonces in, `u64` MAC prefixes out**
+//! ([`Sha1Lanes::mac_nonce_group`]): the only MAC shape PPS matching has is
+//! HMAC of an 8-byte record nonce truncated to 64 bits, so each SIMD engine
+//! owns one fused kernel for exactly that — key midstates arrive already
+//! transposed ([`LaneStates`]), the nonces are loaded straight from the
+//! caller's slice, both finishing blocks' padding is constant inside the
+//! kernel, the inner digest is handed to the outer hash in registers, and
+//! only the two chaining words of the prefix are stored.
+//! [`Sha1Lanes::compress`] — one 64-byte block per lane folded into one
+//! chaining value per lane — is the key-preparation path
+//! ([`crate::hmac::HmacKey::prepare`]) and the reference: the provided
+//! `mac_nonce_group` stages blocks through it, which is what the scalar
+//! engine runs and what [`Staged`] pins any engine to for tests and
+//! benches. Four engines implement the trait (mirroring the
+//! transport-trait layering in `roar-cluster`):
 //!
 //! * [`scalar`] — 1 lane, the portable reference every other engine is
 //!   pinned bit-identical to;
@@ -22,17 +35,19 @@
 //! * [`avx512`] — 16 lanes in `__m512i` registers (runtime-detected,
 //!   AVX-512F only — no BW/VL needed).
 //!
+//! The three SIMD engines share one round body (`rounds.rs`), generic over
+//! the vector type; an engine file holds its register operations and how a
+//! lane group is loaded and stored.
+//!
 //! Callers pick an engine through [`Backend`]: [`Backend::auto`] resolves
 //! once per process to the widest CPU-supported engine, overridable with the
 //! `ROAR_SHA1_BACKEND` environment variable (`scalar`, `sse2`, `avx2`,
-//! `avx512`, `auto`) so CI can pin the portable path. The multi-lane HMAC
-//! paths in [`crate::hmac`] — and through them the PPS survivor sweep — are
-//! the intended consumers: one trapdoor-component key (or, in the
-//! cross-query batched path, one key *per lane*), `lanes()` records' nonces
-//! per compression call.
+//! `avx512`, `auto`) so CI can pin the portable path. The nonce sweep in
+//! [`crate::hmac`] — and through it the PPS survivor sweep — is the
+//! intended consumer: one trapdoor-component key (or, in the cross-query
+//! batched path, a run of lanes per key), `lanes()` records' nonces per
+//! call.
 //!
-//! Everything above the trait (padding, midstate resume, HMAC block
-//! assembly) is lane-agnostic; everything below it is pure compression.
 //! Engines carry no state, so the trait objects are `'static` and free to
 //! share across threads.
 
@@ -43,6 +58,8 @@ pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 #[cfg(target_arch = "x86_64")]
+mod rounds;
+#[cfg(target_arch = "x86_64")]
 pub mod sse2;
 
 pub(crate) use scalar::compress_block;
@@ -51,20 +68,97 @@ pub(crate) use scalar::compress_block;
 /// lane-generic callers is sized by this.
 pub const MAX_LANES: usize = 16;
 
-/// A multi-lane SHA-1 compression engine: folds one 64-byte block per lane
-/// into the matching chaining value, all lanes per call.
+/// SHA-1's initial chaining value.
+pub(crate) const IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+
+/// The chaining values of one lane group in the engines' own
+/// structure-of-arrays layout: `rows[w][l]` is word `w` of lane `l`. An
+/// engine reads the first `lanes()` entries of each row.
+pub type LaneStates = [[u32; MAX_LANES]; 5];
+
+/// A multi-lane SHA-1 engine.
 ///
 /// Contract (pinned by the `sha1_lanes_props` test suite):
 /// * `compress` requires `states.len() == blocks.len() == lanes()`;
-/// * lane `l` of the output depends only on lane `l` of the input, and
-///   equals exactly what the scalar reference produces for that lane.
+/// * lane `l` of either entry's output depends only on lane `l` of its
+///   input, and equals exactly what the scalar reference produces for that
+///   lane.
 pub trait Sha1Lanes: Send + Sync {
-    /// How many independent message streams one `compress` call advances.
+    /// How many independent message streams one call advances.
     fn lanes(&self) -> usize;
     /// Engine name, as accepted by [`Backend::from_name`].
     fn name(&self) -> &'static str;
     /// Fold `blocks[l]` into `states[l]` for every lane `l`.
     fn compress(&self, states: &mut [[u32; 5]], blocks: &[[u8; 64]]);
+
+    /// One lane group of the nonce sweep: for every lane `l < lanes()`,
+    /// `out[l]` becomes the `u64` prefix of HMAC-SHA1 of `nonces[l]` under
+    /// the key whose inner and outer midstates are lane `l` of `inner` and
+    /// `outer`. Nonces and outputs past `lanes()` are not touched.
+    ///
+    /// Callers hand over whole groups only (`nonces.len() >= lanes()`,
+    /// `out.len() >= lanes()`): a ragged tail is the caller's to pad.
+    ///
+    /// The provided body stages the two finishing blocks per lane and runs
+    /// them through [`compress`](Self::compress); the SIMD engines override
+    /// it with a kernel that keeps all of that in registers.
+    fn mac_nonce_group(
+        &self,
+        inner: &LaneStates,
+        outer: &LaneStates,
+        nonces: &[[u8; 8]],
+        out: &mut [u64],
+    ) {
+        let lanes = self.lanes();
+        debug_assert!(
+            nonces.len() >= lanes && out.len() >= lanes,
+            "a lane group is {lanes} nonces: got {} / {} outputs",
+            nonces.len(),
+            out.len()
+        );
+        let mut blocks = [[0u8; 64]; MAX_LANES];
+        let mut states = [[0u32; 5]; MAX_LANES];
+        // inner: nonce ‖ 0x80 ‖ zeros ‖ bitlen(64 + 8), after the ipad block
+        for lane in 0..lanes {
+            blocks[lane][..8].copy_from_slice(&nonces[lane]);
+            blocks[lane][8] = 0x80;
+            blocks[lane][56..].copy_from_slice(&(((64 + 8) * 8) as u64).to_be_bytes());
+            states[lane] = inner.map(|row| row[lane]);
+        }
+        self.compress(&mut states[..lanes], &blocks[..lanes]);
+        // outer: inner digest ‖ 0x80 ‖ zeros ‖ bitlen(64 + 20), after opad
+        for lane in 0..lanes {
+            for (w, word) in states[lane].iter().enumerate() {
+                blocks[lane][w * 4..w * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            blocks[lane][20] = 0x80;
+            blocks[lane][56..].copy_from_slice(&(((64 + 20) * 8) as u64).to_be_bytes());
+            states[lane] = outer.map(|row| row[lane]);
+        }
+        self.compress(&mut states[..lanes], &blocks[..lanes]);
+        for (slot, state) in out.iter_mut().zip(&states[..lanes]) {
+            *slot = ((state[0] as u64) << 32) | state[1] as u64;
+        }
+    }
+}
+
+/// An engine held to the provided, [`compress`](Sha1Lanes::compress)-staged
+/// [`mac_nonce_group`](Sha1Lanes::mac_nonce_group): what the fused kernels
+/// are tested bit-identical to and benchmarked against.
+pub struct Staged(pub &'static dyn Sha1Lanes);
+
+impl Sha1Lanes for Staged {
+    fn lanes(&self) -> usize {
+        self.0.lanes()
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn compress(&self, states: &mut [[u32; 5]], blocks: &[[u8; 64]]) {
+        self.0.compress(states, blocks);
+    }
 }
 
 /// Selector for a [`Sha1Lanes`] engine.
@@ -208,7 +302,7 @@ impl Default for Sha1 {
 impl Sha1 {
     pub fn new() -> Self {
         Sha1 {
-            state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
+            state: IV,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,

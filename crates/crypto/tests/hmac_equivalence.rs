@@ -1,11 +1,11 @@
-//! Property tests: the midstate-cached HMAC fast path ([`HmacKey`], the
-//! batch entry point, and [`HmacPrf`] which routes through it) is
+//! Property tests: the midstate-cached HMAC fast path ([`HmacKey`], and
+//! [`HmacPrf`] which routes through it) is
 //! bit-identical to the reference one-shot `hmac_sha1` on arbitrary keys
 //! and messages — including empty inputs, block-boundary lengths and
 //! larger-than-block keys (which RFC 2104 pre-hashes).
 
 use proptest::prelude::*;
-use roar_crypto::hmac::{hmac_sha1, hmac_sha1_batch, HmacKey};
+use roar_crypto::hmac::{hmac_sha1, HmacKey};
 use roar_crypto::prf::{HmacPrf, Prf};
 
 proptest! {
@@ -25,20 +25,6 @@ proptest! {
         msg in proptest::collection::vec(any::<u8>(), 0..80),
     ) {
         prop_assert_eq!(HmacPrf::new(&key).eval(&msg), hmac_sha1(&key, &msg));
-    }
-
-    #[test]
-    fn batch_equals_reference(
-        key in proptest::collection::vec(any::<u8>(), 0..70),
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..90), 0..20),
-    ) {
-        let hk = HmacKey::new(&key);
-        let views: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let mut out = vec![[0u8; 20]; views.len()];
-        hmac_sha1_batch(&hk, &views, &mut out);
-        for (msg, got) in msgs.iter().zip(&out) {
-            prop_assert_eq!(*got, hmac_sha1(&key, msg));
-        }
     }
 
     #[test]

@@ -2,25 +2,58 @@
 //! available [`Backend`] (scalar x1, SSE2 x4, AVX2 x8, AVX-512 x16) must be
 //! bit-identical to the scalar reference —
 //!
-//! * at the compression-function level, on arbitrary states and blocks;
-//! * through the multi-lane HMAC batch paths, across message lengths that
-//!   straddle the padding and block boundaries (0, 55, 56, 63, 64, 65, 119,
-//!   120 bytes and beyond) and across *mixed-length* lane groups, where
-//!   lanes finish on different blocks;
-//! * on ragged batches whose size is not a multiple of the lane width.
+//! * at the compression-function level, on arbitrary states and blocks and
+//!   on the from-the-IV pad-block shape key preparation feeds it;
+//! * through the nonce sweep and its fused per-engine kernels: every group
+//!   size around the lane width, one key, key runs that straddle lane
+//!   groups, a different key in every lane — against scalar
+//!   [`HmacKey::mac_u64`] per element and against the same engine held to
+//!   the `compress`-staged default ([`Staged`]);
+//! * through lane-prepared keys ([`HmacKey::prepare`]).
 
 use proptest::prelude::*;
-use roar_crypto::hmac::{hmac_sha1, mac_u64_nonces_keyed_with, HmacKey};
-use roar_crypto::sha1::Backend;
+use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
+use roar_crypto::sha1::{Backend, LaneStates, Sha1Lanes, Staged, MAX_LANES};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn available_backends() -> Vec<Backend> {
     Backend::ALL.into_iter().filter(|b| b.available()).collect()
 }
 
-/// The exact boundary lengths the issue calls out: both sides of the
-/// one-block padding limit (55/56), the block edge (63/64/65) and the
-/// two-block padding limit (119/120).
-const BOUNDARY_LENS: [usize; 8] = [0, 55, 56, 63, 64, 65, 119, 120];
+fn nonces(n: usize) -> Vec<[u8; 8]> {
+    (0..n as u64)
+        .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).to_be_bytes())
+        .collect()
+}
+
+/// Cut `n` nonces into runs of `len` cycling over `keys`.
+fn runs_of(keys: &[HmacKey], len: usize, n: usize) -> Vec<(HmacKey, usize)> {
+    (0..n.div_ceil(len))
+        .map(|r| (keys[r % keys.len()], len.min(n - r * len)))
+        .collect()
+}
+
+/// `runs` over `nonces` on `engine` equals the scalar MAC per element, and
+/// the same engine's staged default.
+fn assert_sweep(engine: &'static dyn Sha1Lanes, runs: &[(HmacKey, usize)], nonces: &[[u8; 8]]) {
+    let mut got = vec![0u64; nonces.len()];
+    mac_u64_nonce_runs(engine, runs, nonces, &mut got);
+    let keys = runs
+        .iter()
+        .flat_map(|&(key, len)| std::iter::repeat_n(key, len));
+    for (i, (key, nonce)) in keys.zip(nonces).enumerate() {
+        assert_eq!(
+            got[i],
+            key.mac_u64(nonce),
+            "{} element {i} of {}",
+            engine.name(),
+            nonces.len()
+        );
+    }
+    let mut staged = vec![0u64; nonces.len()];
+    mac_u64_nonce_runs(&Staged(engine), runs, nonces, &mut staged);
+    assert_eq!(got, staged, "{} fused vs staged", engine.name());
+}
 
 #[test]
 fn engines_report_sane_lane_counts() {
@@ -36,105 +69,186 @@ fn engines_report_sane_lane_counts() {
     }
 }
 
-/// Deterministic sweep: every pairing of boundary lengths within one lane
-/// group, so lanes finish on different blocks in the same compress stream.
+/// The nonce sweep (the PPS survivor hot path) at every size around the
+/// lane width, under every key arrangement the scan path produces.
 #[test]
-fn mixed_boundary_lengths_within_one_group() {
-    let key = HmacKey::new(b"boundary-mix");
-    let data: Vec<u8> = (0..=255u8).cycle().take(256).collect();
+fn nonce_sweep_sizes_and_key_runs() {
+    let keys: Vec<HmacKey> = (0..5)
+        .map(|i| HmacKey::new(format!("xq-key-{i}").as_bytes()))
+        .collect();
     for backend in available_backends() {
-        let lanes = backend.engine().lanes();
-        for &short in &BOUNDARY_LENS {
-            for &long in &BOUNDARY_LENS {
-                // alternate the two lengths across the lanes of one group
-                let msgs: Vec<&[u8]> = (0..lanes)
-                    .map(|l| {
-                        if l % 2 == 0 {
-                            &data[..short]
-                        } else {
-                            &data[..long]
-                        }
-                    })
-                    .collect();
-                let mut out = vec![[0u8; 20]; msgs.len()];
-                key.mac_batch_with(backend, &msgs, &mut out);
-                for (msg, got) in msgs.iter().zip(&out) {
-                    assert_eq!(
-                        *got,
-                        hmac_sha1(b"boundary-mix", msg),
-                        "{} lanes mixing {short}/{long}",
-                        backend.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Ragged batches: every size from 1 to 2×lanes+1, none required to divide
-/// the lane width, all boundary lengths cycled through the batch.
-#[test]
-fn ragged_batches_every_size() {
-    let key = HmacKey::new(b"ragged");
-    let data: Vec<u8> = (0..=255u8).cycle().take(256).collect();
-    for backend in available_backends() {
-        let lanes = backend.engine().lanes();
-        for batch in 1..=(2 * lanes + 1) {
-            let msgs: Vec<&[u8]> = (0..batch)
-                .map(|i| &data[..BOUNDARY_LENS[i % BOUNDARY_LENS.len()]])
+        let engine = backend.engine();
+        let lanes = engine.lanes();
+        for n in [0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 5, 1000] {
+            let nonces = nonces(n);
+            // one key: the inline drivers
+            assert_sweep(engine, &[(keys[0], n)], &nonces);
+            let mut out = vec![0u64; n];
+            keys[0].mac_u64_nonces_with(backend, &nonces, &mut out);
+            let want: Vec<u64> = nonces.iter().map(|x| keys[0].mac_u64(x)).collect();
+            assert_eq!(out, want, "{} one key, {n}", backend.name());
+            // runs that straddle lane groups, runs far longer than one
+            assert_sweep(engine, &runs_of(&keys, 7, n), &nonces);
+            assert_sweep(engine, &runs_of(&keys, 300, n), &nonces);
+            // a different key every lane
+            let each: Vec<(HmacKey, usize)> = (0..n)
+                .map(|i| (HmacKey::new(format!("lane-key-{i}").as_bytes()), 1))
                 .collect();
-            let mut out = vec![[0u8; 20]; batch];
-            key.mac_batch_with(backend, &msgs, &mut out);
-            for (msg, got) in msgs.iter().zip(&out) {
-                let want = hmac_sha1(b"ragged", msg);
-                assert_eq!(*got, want, "{} batch {batch}", backend.name());
-            }
+            assert_sweep(engine, &each, &nonces);
         }
     }
 }
 
-/// The nonce sweep (the PPS survivor hot path) at every ragged size.
+/// Empty runs are skipped wherever they fall.
 #[test]
-fn nonce_sweep_ragged_sizes() {
-    let key = HmacKey::new(b"nonce-ragged");
+fn empty_runs_are_skipped() {
+    let (a, b) = (HmacKey::new(b"a"), HmacKey::new(b"b"));
     for backend in available_backends() {
         let lanes = backend.engine().lanes();
-        let nonces: Vec<[u8; 8]> = (0..2 * lanes as u64 + 3)
-            .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).to_be_bytes())
-            .collect();
-        for take in 1..=nonces.len() {
-            let mut out = vec![0u64; take];
-            key.mac_u64_nonces_with(backend, &nonces[..take], &mut out);
-            for (nonce, got) in nonces[..take].iter().zip(&out) {
-                assert_eq!(*got, key.mac_u64(nonce), "{} take {take}", backend.name());
+        let runs = [(a, 0), (b, lanes + 2), (a, 0), (a, 0), (a, 3), (b, 0)];
+        assert_sweep(backend.engine(), &runs, &nonces(lanes + 5));
+    }
+}
+
+/// RFC 2202 case 1 is itself an 8-byte message: `"Hi There"` under
+/// `0x0b × 20`. The known answer must come out of every lane position.
+#[test]
+fn rfc2202_case1_in_every_lane() {
+    let key = HmacKey::new(&[0x0b; 20]);
+    let decoy = HmacKey::new(b"every other lane");
+    for backend in available_backends() {
+        let engine = backend.engine();
+        let lanes = engine.lanes();
+        for at in 0..lanes {
+            let mut nonces = nonces(lanes);
+            nonces[at] = *b"Hi There";
+            let mut runs = vec![(decoy, 1); lanes];
+            runs[at] = (key, 1);
+            let mut out = vec![0u64; lanes];
+            mac_u64_nonce_runs(engine, &runs, &nonces, &mut out);
+            assert_eq!(
+                out[at],
+                0xb617_3186_5505_7264,
+                "{} lane {at}",
+                backend.name()
+            );
+        }
+        let mut out = vec![0u64; 2 * lanes + 1];
+        key.mac_u64_nonces_with(backend, &vec![*b"Hi There"; 2 * lanes + 1], &mut out);
+        assert!(out.iter().all(|&p| p == 0xb617_3186_5505_7264));
+    }
+}
+
+/// `out` may be longer than `nonces`; what lies past `nonces.len()` is not
+/// written — not even by the group that serves a ragged tail.
+#[test]
+fn output_past_the_nonces_is_untouched() {
+    const CANARY: u64 = 0xdead_beef_dead_beef;
+    let key = HmacKey::new(b"canary");
+    for backend in available_backends() {
+        let lanes = backend.engine().lanes();
+        for n in [0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 5] {
+            let nonces = nonces(n);
+            let mut out = vec![CANARY; n + 2 * MAX_LANES];
+            key.mac_u64_nonces_with(backend, &nonces, &mut out);
+            for (i, nonce) in nonces.iter().enumerate() {
+                assert_eq!(out[i], key.mac_u64(nonce), "{} {n}/{i}", backend.name());
             }
+            assert!(
+                out[n..].iter().all(|&x| x == CANARY),
+                "{} wrote past {n} nonces",
+                backend.name()
+            );
         }
     }
 }
 
-/// The per-lane-keyed sweep (the cross-query batched path) at every ragged
-/// size, with every lane under a distinct key.
+/// An engine that checks what the sweep hands its group entry, then
+/// forwards to the real one.
+struct Checked {
+    engine: &'static dyn Sha1Lanes,
+    groups: AtomicUsize,
+    padded: AtomicUsize,
+}
+
+impl Sha1Lanes for Checked {
+    fn lanes(&self) -> usize {
+        self.engine.lanes()
+    }
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+    fn compress(&self, states: &mut [[u32; 5]], blocks: &[[u8; 64]]) {
+        self.engine.compress(states, blocks);
+    }
+    fn mac_nonce_group(
+        &self,
+        inner: &LaneStates,
+        outer: &LaneStates,
+        nonces: &[[u8; 8]],
+        out: &mut [u64],
+    ) {
+        assert!(nonces.len() >= self.lanes(), "short nonce group");
+        assert!(out.len() >= self.lanes(), "short output group");
+        // ORDERING: Relaxed — single-threaded test counters
+        self.groups.fetch_add(1, Ordering::Relaxed);
+        if nonces.len() == MAX_LANES && out.len() == MAX_LANES {
+            // ORDERING: Relaxed — as above
+            self.padded.fetch_add(1, Ordering::Relaxed);
+        }
+        self.engine.mac_nonce_group(inner, outer, nonces, out);
+    }
+}
+
+/// The engine entry only ever sees whole groups: full ones as slices of
+/// the caller's buffers, a ragged tail as the `MAX_LANES`-entry stack copy.
 #[test]
-fn keyed_nonce_sweep_ragged_sizes() {
+fn ragged_tail_is_served_from_the_stack_copy() {
+    let key = HmacKey::new(b"tail");
     for backend in available_backends() {
         let lanes = backend.engine().lanes();
-        let n = 2 * lanes + 3;
-        let keys: Vec<HmacKey> = (0..n)
-            .map(|i| HmacKey::new(format!("xq-key-{i}").as_bytes()))
-            .collect();
-        let nonces: Vec<[u8; 8]> = (0..n as u64)
-            .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).to_be_bytes())
-            .collect();
-        for take in 1..=n {
-            let mut out = vec![0u64; take];
-            mac_u64_nonces_keyed_with(backend, &keys[..take], &nonces[..take], &mut out);
-            for i in 0..take {
-                assert_eq!(
-                    out[i],
-                    keys[i].mac_u64(&nonces[i]),
-                    "{} take {take} lane {i}",
-                    backend.name()
-                );
+        for n in [1, lanes + 1, 3 * lanes + 5] {
+            let checked = Checked {
+                engine: backend.engine(),
+                groups: AtomicUsize::new(0),
+                padded: AtomicUsize::new(0),
+            };
+            // (no full group of these sizes leaves exactly MAX_LANES
+            // elements behind its start, so only the copy is that long)
+            let nonces = nonces(n);
+            let mut out = vec![0u64; n];
+            mac_u64_nonce_runs(&checked, &[(key, n)], &nonces, &mut out);
+            for (nonce, got) in nonces.iter().zip(&out) {
+                assert_eq!(*got, key.mac_u64(nonce), "{} {n}", backend.name());
+            }
+            // ORDERING: Relaxed — single-threaded test counters
+            let (groups, padded) = (
+                checked.groups.load(Ordering::Relaxed),
+                checked.padded.load(Ordering::Relaxed),
+            );
+            assert_eq!(groups, n.div_ceil(lanes), "{} {n}", backend.name());
+            assert_eq!(
+                padded,
+                usize::from(n % lanes != 0),
+                "{} {n}",
+                backend.name()
+            );
+        }
+    }
+}
+
+/// Lane-prepared keys are scalar-prepared keys, for every count around the
+/// group sizes.
+#[test]
+fn prepared_keys_equal_scalar_new() {
+    let keys: Vec<[u8; 20]> = (0..32u8)
+        .map(|i| core::array::from_fn(|j| i.wrapping_mul(31).wrapping_add(j as u8)))
+        .collect();
+    for backend in available_backends() {
+        for r in [1usize, 7, 8, 9, 16, 17, 32] {
+            let got: [HmacKey; 32] = HmacKey::prepare(backend, &keys[..r]);
+            for (key, got) in keys[..r].iter().zip(&got) {
+                assert_eq!(*got, HmacKey::new(key), "{} r = {r}", backend.name());
             }
         }
     }
@@ -144,16 +258,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random states/blocks: every engine lane equals the scalar
-    /// compression of that lane.
+    /// compression of that lane — also in the shape key preparation uses,
+    /// every lane from the IV over a 20-byte key's ipad or opad block.
     #[test]
     fn compress_lanes_equal_scalar(
         seed_states in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 5), 16),
         seed_blocks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 64), 16),
     ) {
+        const IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
         for backend in available_backends() {
             let engine = backend.engine();
             let l = engine.lanes();
-            let mut states: Vec<[u32; 5]> = seed_states[..l]
+            let states: Vec<[u32; 5]> = seed_states[..l]
                 .iter()
                 .map(|v| <[u32; 5]>::try_from(v.as_slice()).unwrap())
                 .collect();
@@ -161,33 +277,44 @@ proptest! {
                 .iter()
                 .map(|v| <[u8; 64]>::try_from(v.as_slice()).unwrap())
                 .collect();
-            // scalar oracle through the 1-lane engine
-            let scalar = Backend::Scalar.engine();
-            let mut want = states.clone();
-            for (s, blk) in want.iter_mut().zip(&blocks) {
-                scalar.compress(std::slice::from_mut(s), std::slice::from_ref(blk));
+            let pad_blocks: Vec<[u8; 64]> = blocks
+                .iter()
+                .enumerate()
+                .map(|(lane, b)| {
+                    let pad = if lane % 2 == 0 { 0x36 } else { 0x5c };
+                    core::array::from_fn(|i| if i < 20 { b[i] ^ pad } else { pad })
+                })
+                .collect();
+            for (states, blocks) in [(states, blocks), (vec![IV; l], pad_blocks)] {
+                // scalar oracle through the 1-lane engine
+                let scalar = Backend::Scalar.engine();
+                let mut want = states.clone();
+                for (s, blk) in want.iter_mut().zip(&blocks) {
+                    scalar.compress(std::slice::from_mut(s), std::slice::from_ref(blk));
+                }
+                let mut got = states;
+                engine.compress(&mut got, &blocks);
+                prop_assert_eq!(&got, &want, "backend {}", backend.name());
             }
-            engine.compress(&mut states, &blocks);
-            prop_assert_eq!(&states, &want, "backend {}", backend.name());
         }
     }
 
-    /// Random keys and random ragged batches of random-length messages:
-    /// the lane batch equals the one-shot reference on every backend.
+    /// Random keys, random nonces, random run lengths: the sweep equals the
+    /// scalar MAC per element on every backend.
     #[test]
-    fn random_ragged_batches_equal_reference(
-        key in proptest::collection::vec(any::<u8>(), 0..100),
-        msgs in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..150), 1..19),
+    fn random_key_runs_equal_scalar(
+        runs in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..80), 0usize..40), 1..12),
+        seed: u64,
     ) {
-        let hk = HmacKey::new(&key);
-        let views: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let runs: Vec<(HmacKey, usize)> =
+            runs.iter().map(|(key, len)| (HmacKey::new(key), *len)).collect();
+        let n: usize = runs.iter().map(|r| r.1).sum();
+        let nonces: Vec<[u8; 8]> = (0..n as u64)
+            .map(|i| (seed ^ i).wrapping_mul(0x9e3779b97f4a7c15).to_be_bytes())
+            .collect();
         for backend in available_backends() {
-            let mut out = vec![[0u8; 20]; views.len()];
-            hk.mac_batch_with(backend, &views, &mut out);
-            for (msg, got) in msgs.iter().zip(&out) {
-                prop_assert_eq!(*got, hmac_sha1(&key, msg), "backend {}", backend.name());
-            }
+            assert_sweep(backend.engine(), &runs, &nonces);
         }
     }
 }

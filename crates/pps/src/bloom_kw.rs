@@ -38,6 +38,7 @@ use rand::Rng;
 use roar_crypto::bloom::{BloomFilter, BloomParams};
 use roar_crypto::hmac::{hmac_sha1, HmacKey};
 use roar_crypto::prf::{HmacPrf, Prf};
+use roar_crypto::sha1::Backend;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared PRF call counter for cost accounting.
@@ -119,21 +120,23 @@ pub struct PreparedTrapdoor {
 const REORDER_EVERY: u32 = 4096;
 
 impl PreparedTrapdoor {
+    /// Prepare `td` on the process-default ([`Backend::auto`]) lane engine.
     pub fn new(td: &Trapdoor) -> Self {
+        Self::new_on(td, Backend::auto())
+    }
+
+    /// Prepare `td` on `backend`: the 2r pad blocks of its r component keys
+    /// go through the lane engine together ([`HmacKey::prepare`]) — the
+    /// per-sub-query start-up cost a small window cannot amortise.
+    pub(crate) fn new_on(td: &Trapdoor, backend: Backend) -> Self {
         assert!(
             td.parts.len() <= MAX_R,
             "trapdoor has {} parts, PreparedTrapdoor supports ≤ {MAX_R}",
             td.parts.len()
         );
-        let mut keys = [HmacKey::new(&[]); MAX_R];
-        let mut order = [0u8; MAX_R];
-        for (i, part) in td.parts.iter().enumerate() {
-            keys[i] = HmacKey::new(part);
-            order[i] = i as u8;
-        }
         PreparedTrapdoor {
-            keys,
-            order,
+            keys: HmacKey::prepare(backend, &td.parts),
+            order: core::array::from_fn(|i| i as u8),
             miss: [0u32; MAX_R],
             len: td.parts.len() as u8,
             probes_since_reorder: 0,
@@ -584,6 +587,33 @@ mod tests {
         let mut order = miss.probe_order();
         order.sort_unstable();
         assert_eq!(order, (0..td_miss.parts.len()).collect::<Vec<_>>());
+    }
+
+    /// The lanes prepare the same keys `HmacKey::new` does, for every
+    /// component count around the group sizes, on every backend.
+    #[test]
+    fn lane_prepared_trapdoor_equals_scalar_keys() {
+        let s = scheme();
+        let word = s.trapdoor("needle");
+        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+            for r in [1usize, 7, 8, 9, 16, 17, 32] {
+                let td = Trapdoor {
+                    parts: (0..r)
+                        .map(|i| word.parts[i % word.parts.len()].map(|b| b ^ i as u8))
+                        .collect(),
+                };
+                let prepared = PreparedTrapdoor::new_on(&td, backend);
+                assert_eq!(prepared.n_components(), r);
+                for (k, part) in td.parts.iter().enumerate() {
+                    assert_eq!(
+                        prepared.component_key(k),
+                        HmacKey::new(part),
+                        "{} r = {r}, component {k}",
+                        backend.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -326,7 +326,11 @@ impl Matcher {
             *self = Matcher::new(query.trapdoors.len(), self.dynamic_ordering)
                 .with_backend(self.backend);
         }
-        self.prepared = query.trapdoors.iter().map(PreparedTrapdoor::new).collect();
+        self.prepared = query
+            .trapdoors
+            .iter()
+            .map(|td| PreparedTrapdoor::new_on(td, self.backend))
+            .collect();
         self.prepared_for = Some(fp);
     }
 

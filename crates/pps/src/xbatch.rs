@@ -16,9 +16,9 @@
 //!   (the inline driver, single-key sweeps).
 //! * A [`BatchEngine`] owns a small fixed pool of worker threads. Each
 //!   round, a worker advances every resident task to its next staged
-//!   sweep, concatenates the sweeps into one flat keyed sweep per SHA-1
-//!   backend ([`mac_u64_nonces_keyed_with`]), and hands each task its
-//!   slice of the MAC prefixes. Lane groups of the underlying engine (16 on
+//!   sweep, concatenates the sweeps — one key run each — into one flat run
+//!   sweep per SHA-1 backend ([`mac_u64_nonce_runs`]), and hands each task
+//!   its slice of the MAC prefixes. Lane groups of the underlying engine (16 on
 //!   AVX-512) are packed *across* sub-queries: one query's ragged tail
 //!   shares a compression call with the next query's head, with per-lane
 //!   key midstates carrying query provenance.
@@ -41,7 +41,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use roar_core::ring::Window;
-use roar_crypto::hmac::{mac_u64_nonces_keyed_with, HmacKey};
+use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
 use roar_crypto::sha1::Backend;
 
 use crate::metadata::EncryptedMetadata;
@@ -319,11 +319,10 @@ impl Drop for BatchEngine {
 
 fn worker_loop(shared: &Shared) {
     let mut active: Vec<Pending> = Vec::new();
-    // flat sweep buffers, reused across rounds
-    let mut keys: Vec<HmacKey> = Vec::new();
-    let mut nonces: Vec<[u8; 8]> = Vec::new();
+    // flat sweep buffers, one per backend (indexed as `Backend::ALL`),
+    // reused across rounds
+    let mut sweeps: [Sweep; Backend::ALL.len()] = Default::default();
     let mut macs: Vec<u64> = Vec::new();
-    let mut segs: Vec<(usize, usize, usize)> = Vec::new(); // (task, offset, len)
     loop {
         // admission: take a fair share of pending work (every worker is
         // woken on submit); block only when this worker has nothing at all
@@ -361,32 +360,53 @@ fn worker_loop(shared: &Shared) {
         if active.is_empty() {
             continue;
         }
-        // one flat keyed sweep per backend in use: jobs concatenate, lane
-        // groups pack across task boundaries, per-lane keys carry
-        // provenance
-        for backend in Backend::ALL {
-            keys.clear();
-            nonces.clear();
-            segs.clear();
-            for (ti, p) in active.iter().enumerate() {
-                if p.task.backend() != backend {
-                    continue;
-                }
-                let (key, ns) = p.task.job();
-                segs.push((ti, nonces.len(), ns.len()));
-                keys.extend(std::iter::repeat_n(key, ns.len()));
-                nonces.extend_from_slice(ns);
-            }
-            if segs.is_empty() {
+        // one flat run sweep per backend in use: jobs concatenate, each a
+        // key run; lane groups pack across task boundaries, per-lane key
+        // midstates carry provenance
+        for sweep in sweeps.iter_mut() {
+            sweep.clear();
+        }
+        for (ti, p) in active.iter().enumerate() {
+            // (`Backend::ALL` lists the variants in declaration order)
+            let sweep = &mut sweeps[p.task.backend() as usize];
+            let (key, ns) = p.task.job();
+            sweep.tasks.push(ti);
+            sweep.runs.push((key, ns.len()));
+            sweep.nonces.extend_from_slice(ns);
+        }
+        for (backend, sweep) in Backend::ALL.into_iter().zip(&sweeps) {
+            if sweep.tasks.is_empty() {
                 continue;
             }
             macs.clear();
-            macs.resize(nonces.len(), 0);
-            mac_u64_nonces_keyed_with(backend, &keys, &nonces, &mut macs);
-            for &(ti, off, len) in &segs {
-                active[ti].task.complete(&macs[off..off + len]);
+            macs.resize(sweep.nonces.len(), 0);
+            mac_u64_nonce_runs(backend.engine(), &sweep.runs, &sweep.nonces, &mut macs);
+            let mut rest = &macs[..];
+            for (&ti, &(_, len)) in sweep.tasks.iter().zip(&sweep.runs) {
+                let (mine, others) = rest.split_at(len);
+                active[ti].task.complete(mine);
+                rest = others;
             }
         }
+    }
+}
+
+/// One backend's share of a round: the staged jobs of the tasks pinned to
+/// it, concatenated.
+#[derive(Default)]
+struct Sweep {
+    /// The tasks (indices into the resident set), in job order.
+    tasks: Vec<usize>,
+    /// One key run per job.
+    runs: Vec<(HmacKey, usize)>,
+    nonces: Vec<[u8; 8]>,
+}
+
+impl Sweep {
+    fn clear(&mut self) {
+        self.tasks.clear();
+        self.runs.clear();
+        self.nonces.clear();
     }
 }
 
