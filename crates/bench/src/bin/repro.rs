@@ -72,7 +72,7 @@ fn benches() -> Vec<Bench> {
         row(
             "bench_pps",
             Trajectory(trajectory::FILE),
-            "scalar vs batched PPS matching throughput (§5.7 setup), the 256-record small-window rate and the nonce sweep's MAC/s; fails if a small window runs under 0.25x the large-corpus rate or the 16-lane fused kernel under 1.5x its compress-staged default",
+            "scalar vs batched PPS matching throughput (§5.7 setup), the 256-record small-window rate, staging / MAC / filter ns per record (rows and columns) and the nonce sweep's MAC/s; fails if a small window runs under 0.25x the large-corpus rate, the L2-resident filter stage costs over 0.4x the MAC stage or the 16-lane fused kernel runs under 1.5x its compress-staged default",
             pps_bench::run,
             pps_bench::gate,
         ),

@@ -6,9 +6,10 @@
 //! SHA-1 backend, through two node execution paths:
 //!
 //! * `baseline` — the pre-batching node path, reproduced literally: one
-//!   OS thread per sub-query, each deep-cloning the serving window out of
-//!   the shared store *under the state lock* and then running sequential
-//!   [`match_corpus_with`];
+//!   OS thread per sub-query, each materialising the serving window as
+//!   rows out of the shared store *under the state lock*
+//!   ([`MetadataStore::window_records`] — figure apparatus, like this
+//!   path) and then running sequential [`match_corpus_with`];
 //! * `batched` — the [`BatchEngine`] path the node now runs: every
 //!   sub-query becomes a resumable [`QueryTask`] over one shared zero-copy
 //!   `Arc` snapshot, a fixed worker pool drains the probe queue, and MAC
@@ -76,7 +77,7 @@ impl Fixture {
     /// copying the window out of the shared store under the state lock,
     /// then matching its private copy sequentially.
     fn measure_baseline(&self, backend: Backend, resident: usize) -> f64 {
-        let store = Mutex::new(MetadataStore::from_records(self.records.clone()));
+        let store = Mutex::new(MetadataStore::from_records(&self.records));
         let full = Window::full(0);
         let queries = &self.queries[..resident];
         let mut best = f64::INFINITY;
@@ -87,7 +88,7 @@ impl Fixture {
                     s.spawn(|| {
                         let copy: Vec<EncryptedMetadata> = {
                             let st = store.lock().unwrap();
-                            st.select_window(&full).into_iter().cloned().collect()
+                            st.window_records(&full)
                         };
                         std::hint::black_box(match_corpus_with(&copy, q, backend));
                     });
@@ -102,7 +103,7 @@ impl Fixture {
     /// one shared zero-copy snapshot, drained by a fixed worker pool with
     /// MAC sweeps lane-packed across queries.
     fn measure_batched(&self, backend: Backend, resident: usize) -> f64 {
-        let store = Arc::new(MetadataStore::from_records(self.records.clone()));
+        let store = Arc::new(MetadataStore::from_records(&self.records));
         let engine = BatchEngine::new(self.workers);
         let full = Window::full(0);
         let queries = &self.queries[..resident];

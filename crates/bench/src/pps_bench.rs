@@ -22,6 +22,18 @@
 //! and 0.72 swept — two predicates cost a window twice the probes of one
 //! for as long as it is mostly sample, so 0.5 is that ratio's ceiling.
 //!
+//! The **stages** blocks split the inline driver's time per record into
+//! staging (advance the pipeline, gather nonces), MAC and filter — over
+//! rows (`TaskCorpus::Records`) and over columns (a store snapshot), at
+//! [`STAGES_L2_RECORDS`] records (`stages_l2`: the corpus sits in L2, so
+//! what is left of the filter stage is instructions and mispredicts, not
+//! misses) and at full scale (`stages_full`). The gate holds the
+//! L2-resident filter stage over columns to [`FILTER_VS_MAC_CEILING`] of
+//! the MAC stage: 0.67 with the compaction branching on the filter bit (a
+//! coin toss), 0.2 branch-free, 0.28 with the prefetch pass in front —
+//! which is what pins it branch-free against a compiler that decides
+//! otherwise.
+//!
 //! Under both sits the **nonce sweep** itself (`mac` block): MAC prefixes
 //! per second through the backend's fused kernel, against the same engine
 //! held to the `compress`-staged default ([`Staged`]) — the 64-byte block
@@ -39,13 +51,14 @@
 //! and renders the comparison table committed under `results/`.
 
 use crate::{Filters, Scale};
+use roar_core::ring::Window;
 use roar_crypto::bloom::BloomParams;
 use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
 use roar_crypto::sha1::{Backend, Sha1Lanes, Staged, MAX_LANES};
 use roar_pps::bloom_kw::{BloomKeywordScheme, PrfCounter, MAX_R};
 use roar_pps::metadata::MetaEncryptor;
 use roar_pps::query::{CompiledQuery, MatchScratch, Matcher};
-use roar_pps::store::MetadataStore;
+use roar_pps::store::{MetadataStore, RUN_CAP};
 use roar_pps::xbatch::{QueryTask, TaskCorpus};
 use roar_util::{det_rng, Json};
 use roar_workload::{fast_random_metadata_with, QueryGenerator};
@@ -64,6 +77,14 @@ pub const SMALL_WINDOW_FLOOR: f64 = 0.25;
 /// The gate: on the 16-lane engine the fused nonce kernel must reach this
 /// multiple of the `compress`-staged sweep on the same engine.
 pub const MAC_FUSED_FLOOR: f64 = 1.5;
+
+/// Records of the L2-resident `stages` measurement (≈ 0.2 MB at the paper
+/// geometry's 176-byte filters, 0.9 MB at the benchmark's).
+pub const STAGES_L2_RECORDS: usize = 1_000;
+
+/// The gate: L2-resident, over columns, the filter stage may cost at most
+/// this share of the MAC stage.
+pub const FILTER_VS_MAC_CEILING: f64 = 0.4;
 
 /// Nonces per pass of the nonce-sweep measurement (the frozen benchmark's
 /// `crypto.mac_per_s` probe size).
@@ -123,6 +144,10 @@ struct Fixture {
     repeats: usize,
     records: Vec<roar_pps::EncryptedMetadata>,
     query: CompiledQuery,
+    /// The `stages` measurement's queries, one per pass: under one query
+    /// repeated, the branch predictor learns a small corpus's whole bit
+    /// sequence and a branch on the filter bit costs nothing.
+    stage_queries: Vec<CompiledQuery>,
 }
 
 impl Fixture {
@@ -138,12 +163,13 @@ impl Fixture {
         assert_eq!(params.hashes, 17, "paper parameterisation");
         let records = fast_random_metadata_with(&mut rng, n, params);
         let enc = MetaEncryptor::with_points(b"bench-pps", vec![1_000_000], vec![1_300_000_000]);
-        let mut queries = QueryGenerator::new().compile_zero_match(&mut rng, &enc, 1);
+        let mut queries = QueryGenerator::new().compile_zero_match(&mut rng, &enc, 65);
         Fixture {
             n,
             repeats,
             records,
             query: queries.remove(0),
+            stage_queries: queries,
         }
     }
 
@@ -181,7 +207,8 @@ impl Fixture {
             let mut m = Matcher::new(self.query.trapdoors.len(), false).with_backend(backend);
             let mut scratch = MatchScratch::new();
             let mut matches = Vec::new();
-            for chunk in self.records.chunks(512) {
+            // the whole-corpus drivers' chunk: a sealed run
+            for chunk in self.records.chunks(RUN_CAP) {
                 m.match_batch(&self.query, chunk, &mut scratch, &mut matches);
             }
             (matches.len(), scratch.prf_calls)
@@ -199,16 +226,14 @@ impl Fixture {
     fn measure_small_window(
         &self,
         store: &Arc<MetadataStore>,
+        windows: &[Window],
         query: &CompiledQuery,
         backend: Backend,
     ) -> f64 {
         let (rps, _, _) = best_of(self.repeats, self.n, || {
             let (mut hits, mut prf) = (0, 0);
-            for start in (0..self.n).step_by(SMALL_WINDOW) {
-                let corpus = TaskCorpus::Snapshot {
-                    store: Arc::clone(store),
-                    ranges: [(start, (start + SMALL_WINDOW).min(self.n)), (0, 0)],
-                };
+            for w in windows {
+                let corpus = TaskCorpus::snapshot(Arc::clone(store), w);
                 let res = QueryTask::new(query.clone(), corpus, backend).run_inline();
                 hits += res.matches.len();
                 prf += res.prf_calls;
@@ -221,13 +246,20 @@ impl Fixture {
     /// The `small_window` block: the fixture's two-predicate AND and its
     /// second keyword alone, against the large-corpus rate `large_rps`.
     fn small_window(&self, backend: Backend, large_rps: f64) -> Json {
-        let store = Arc::new(MetadataStore::from_records(self.records.clone()));
+        let store = Arc::new(MetadataStore::from_records(&self.records));
+        // match windows of SMALL_WINDOW records each: (last id of the
+        // previous window, last id of this one]
+        let mut ids: Vec<u64> = self.records.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        let ends = ids.chunks(SMALL_WINDOW).map(|w| w[w.len() - 1]);
+        let starts = std::iter::once(ids[0].wrapping_sub(1)).chain(ends.clone());
+        let windows: Vec<Window> = starts.zip(ends).map(|(a, b)| Window::new(a, b)).collect();
         let one_keyword = CompiledQuery {
             trapdoors: self.query.trapdoors[1..].to_vec(),
             combiner: self.query.combiner,
         };
-        let one = self.measure_small_window(&store, &one_keyword, backend);
-        let two = self.measure_small_window(&store, &self.query, backend);
+        let one = self.measure_small_window(&store, &windows, &one_keyword, backend);
+        let two = self.measure_small_window(&store, &windows, &self.query, backend);
         Json::obj([
             ("records", SMALL_WINDOW.into()),
             ("one_keyword_records_per_s", Json::rounded(one, 0)),
@@ -235,6 +267,52 @@ impl Fixture {
             ("vs_large", Json::rounded(one.min(two) / large_rps, 3)),
             ("floor", Json::Num(SMALL_WINDOW_FLOOR)),
         ])
+    }
+
+    /// Nanoseconds per record in each stage of the inline driver over
+    /// `corpus` — staging, MAC, filter: per stage, the best of the
+    /// fixture's repeats, each a few passes so a small corpus outlasts the
+    /// clock's grain.
+    fn measure_stages(&self, corpus: &TaskCorpus, backend: Backend) -> [f64; 3] {
+        let passes = (4 * RUN_CAP).div_ceil(corpus.len());
+        let mut best = [f64::INFINITY; 3];
+        let mut queries = self.stage_queries.iter().cycle();
+        for _ in 0..self.repeats {
+            let mut stages = [0.0; 3];
+            for query in queries.by_ref().take(passes) {
+                let task = QueryTask::new(query.clone(), corpus.clone(), backend);
+                let (res, lap) = task.run_inline_staged();
+                black_box(res);
+                (0..3).for_each(|k| stages[k] += lap[k].as_secs_f64());
+            }
+            (0..3).for_each(|k| best[k] = best[k].min(stages[k]));
+        }
+        best.map(|s| s * 1e9 / (passes * corpus.len()) as f64)
+    }
+
+    /// One `stages_*` block: the first `n` records as rows and as columns
+    /// (flat, so a trajectory entry stays one line), with the columns'
+    /// filter-to-MAC ratio — which the gate reads off the L2-resident
+    /// block, where `ceiling` says so.
+    fn stages(&self, n: usize, backend: Backend) -> Json {
+        let records = &self.records[..n];
+        let rows = TaskCorpus::Records(Arc::new(records.to_vec()));
+        let store = Arc::new(MetadataStore::from_records(records));
+        let columns = TaskCorpus::snapshot(store, &Window::full(0));
+        let [rows, columns] = [rows, columns].map(|c| self.measure_stages(&c, backend));
+        let ns = |v: f64| Json::rounded(v, 1);
+        let gated = (n == STAGES_L2_RECORDS).then_some(("ceiling", FILTER_VS_MAC_CEILING.into()));
+        let members = [
+            ("records", n.into()),
+            ("rows_staging_ns", ns(rows[0])),
+            ("rows_mac_ns", ns(rows[1])),
+            ("rows_filter_ns", ns(rows[2])),
+            ("columns_staging_ns", ns(columns[0])),
+            ("columns_mac_ns", ns(columns[1])),
+            ("columns_filter_ns", ns(columns[2])),
+            ("filter_vs_mac", Json::rounded(columns[2] / columns[1], 3)),
+        ];
+        Json::obj(members.into_iter().chain(gated))
     }
 
     /// The fixture's geometry, as every artifact's `config` member.
@@ -337,20 +415,30 @@ pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
             "small_window",
             fx.small_window(backend, batched.records_per_s),
         ),
+        ("stages_l2", fx.stages(STAGES_L2_RECORDS, backend)),
+        ("stages_full", fx.stages(fx.n, backend)),
         ("mac", mac_block(backend, fx.repeats)),
     ]))
 }
 
 /// `bench_pps`' gate: a [`SMALL_WINDOW`]-record window must not fall under
-/// [`SMALL_WINDOW_FLOOR`] of the large-corpus rate, and on the 16-lane
-/// engine the fused nonce kernel must not fall under [`MAC_FUSED_FLOOR`] of
-/// the staged sweep.
+/// [`SMALL_WINDOW_FLOOR`] of the large-corpus rate, the L2-resident filter
+/// stage must not exceed [`FILTER_VS_MAC_CEILING`] of the MAC stage, and on
+/// the 16-lane engine the fused nonce kernel must not fall under
+/// [`MAC_FUSED_FLOOR`] of the staged sweep.
 pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
     let share = crate::number(doc, &["small_window", "vs_large"])?;
     if share < SMALL_WINDOW_FLOOR {
         return Err(format!(
             "a {SMALL_WINDOW}-record window runs at {share:.3} of the large-corpus rate \
              (floor {SMALL_WINDOW_FLOOR})"
+        ));
+    }
+    let filter_vs_mac = crate::number(doc, &["stages_l2", "filter_vs_mac"])?;
+    if filter_vs_mac > FILTER_VS_MAC_CEILING {
+        return Err(format!(
+            "L2-resident, the filter stage costs {filter_vs_mac:.3} of the MAC stage \
+             (ceiling {FILTER_VS_MAC_CEILING}): is the compaction branching on the filter bit?"
         ));
     }
     let lanes = crate::number(doc, &["mac", "lanes"])?;
@@ -509,11 +597,28 @@ mod tests {
         for key in ["mac_per_s", "staged_mac_per_s", "vs_staged"] {
             assert!(number(&b, &["mac", key]).unwrap() > 0.0, "{key}");
         }
+        for block in ["stages_l2", "stages_full"] {
+            for layout in ["rows", "columns"] {
+                for stage in ["staging", "mac", "filter"] {
+                    let key = format!("{layout}_{stage}_ns");
+                    assert!(number(&b, &[block, &key]).unwrap() > 0.0, "{block} {key}");
+                }
+            }
+            assert!(number(&b, &[block, "filter_vs_mac"]).unwrap() > 0.0);
+        }
     }
 
     fn doc(share: f64, lanes: usize, vs_staged: f64) -> Json {
+        staged_doc(share, 0.25, lanes, vs_staged)
+    }
+
+    fn staged_doc(share: f64, filter_vs_mac: f64, lanes: usize, vs_staged: f64) -> Json {
         Json::obj([
             ("small_window", Json::obj([("vs_large", share.into())])),
+            (
+                "stages_l2",
+                Json::obj([("filter_vs_mac", filter_vs_mac.into())]),
+            ),
             (
                 "mac",
                 Json::obj([("lanes", lanes.into()), ("vs_staged", vs_staged.into())]),
@@ -530,6 +635,15 @@ mod tests {
     }
 
     #[test]
+    fn gate_holds_the_filter_stage_to_a_share_of_the_mac_stage() {
+        let at = |ratio| gate(&staged_doc(0.4, ratio, 16, 2.0), Scale::Full);
+        assert!(at(FILTER_VS_MAC_CEILING).is_ok());
+        // a compaction that branches on the filter bit: 35 ns under 52
+        let err = at(0.67).expect_err("the parent's ratio must fail");
+        assert!(err.contains("0.670") && err.contains("branching"), "{err}");
+    }
+
+    #[test]
     fn gate_holds_the_widest_kernel_to_its_staged_default() {
         assert!(gate(&doc(0.4, 16, MAC_FUSED_FLOOR), Scale::Quick).is_ok());
         // block staging through `compress` is 1.0 by construction
@@ -538,7 +652,13 @@ mod tests {
         // narrower engines report, ungated
         assert!(gate(&doc(0.4, 8, 1.2), Scale::Full).is_ok());
         assert!(gate(&doc(0.4, 1, 1.0), Scale::Full).is_ok());
-        let no_mac = Json::obj([("small_window", Json::obj([("vs_large", 0.4.into())]))]);
-        assert!(gate(&no_mac, Scale::Full).is_err(), "block missing");
+        let Json::Obj(mut members) = doc(0.4, 16, 2.0) else {
+            unreachable!()
+        };
+        members.pop();
+        assert!(
+            gate(&Json::Obj(members), Scale::Full).is_err(),
+            "block missing"
+        );
     }
 }

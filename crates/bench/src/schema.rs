@@ -30,6 +30,12 @@ pub fn required_keys(file_name: &str) -> &'static [&'static str] {
             "one_keyword_records_per_s",
             "two_predicate_and_records_per_s",
             "vs_large",
+            "stages_l2",
+            "stages_full",
+            "columns_staging_ns",
+            "columns_mac_ns",
+            "columns_filter_ns",
+            "filter_vs_mac",
             "mac",
             "mac_per_s",
             "staged_mac_per_s",

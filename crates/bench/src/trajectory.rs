@@ -108,6 +108,8 @@ mod tests {
                     ("vs_large", Json::Num(0.5)),
                 ]),
             ),
+            ("stages_l2", stages()),
+            ("stages_full", stages()),
             (
                 "mac",
                 Json::obj([
@@ -116,6 +118,15 @@ mod tests {
                     ("vs_staged", Json::Num(2.0)),
                 ]),
             ),
+        ])
+    }
+
+    fn stages() -> Json {
+        Json::obj([
+            ("columns_staging_ns", Json::Num(1.0)),
+            ("columns_mac_ns", Json::Num(4.0)),
+            ("columns_filter_ns", Json::Num(1.0)),
+            ("filter_vs_mac", Json::Num(0.25)),
         ])
     }
 

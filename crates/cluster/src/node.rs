@@ -11,8 +11,15 @@
 //! resident sub-query: a flash crowd of Q requests shares lane-packed
 //! sweeps and one immutable `Arc` corpus snapshot instead of spawning Q
 //! blocking threads and cloning Q windows.
+//!
+//! The store is a persistent value ([`MetadataStore`]: a list of immutable
+//! columnar runs behind `Arc`s). A writer — `Store`, `SetCoverage` — builds
+//! the next store *outside* the state lock, sharing every run it does not
+//! replace, and swaps it in if nobody else did in the meantime
+//! (`DataNode::update_store`); the lock is held for a pointer
+//! comparison and an assignment, whatever the batch.
 
-use crate::proto::{Msg, QueryBody};
+use crate::proto::{Msg, QueryBody, WireRecord};
 use crate::transport::{BoxFuture, Handler, Transport, TransportSpec};
 use parking_lot::Mutex;
 use roar_core::ring::Window;
@@ -48,11 +55,10 @@ pub struct NodeConfig {
 /// Shared mutable node state.
 struct NodeState {
     /// The record store, handed out to in-flight sub-queries as immutable
-    /// `Arc` epoch snapshots. Writers go through [`Arc::make_mut`]: free
-    /// while no snapshot is alive, copy-on-write when one is — readers
-    /// never copy.
+    /// `Arc` epoch snapshots and replaced whole by writers
+    /// ([`DataNode::update_store`]) — neither side copies a stored record.
     store: Arc<MetadataStore>,
-    /// Synthetic-mode records: bare ids.
+    /// Synthetic-mode records: bare ids, ascending and unique.
     synthetic_ids: Vec<u64>,
     coverage: Option<Window>,
     /// Ring successor for §4.1 peer-to-peer store forwarding.
@@ -74,6 +80,54 @@ impl NodeState {
     fn count(&self) -> u64 {
         (self.store.len() + self.synthetic_ids.len()) as u64
     }
+
+    /// §4.8.3: "If the servers do not have enough replicas they will reply
+    /// saying they haven't matched the whole query." A window wider than
+    /// our coverage would silently return partial results; the caller
+    /// refuses it so the front-end can lower its guess of p and retry.
+    fn covers(&self, window: &Window) -> bool {
+        self.coverage.is_none_or(|cov| window.subset_of(&cov))
+    }
+}
+
+/// The reply to a sub-query over a window this node does not cover.
+fn refused() -> Msg {
+    Msg::Refused {
+        what: "insufficient coverage".into(),
+    }
+}
+
+/// Merge ascending, unique `add` into ascending, unique `ids`: O(n + b),
+/// and nothing at all for an empty batch. An id on both sides (a replica
+/// re-push) is kept once.
+fn merge_sorted(ids: &mut Vec<u64>, add: &[u64]) {
+    if add.is_empty() {
+        return;
+    }
+    let old = std::mem::take(ids);
+    ids.reserve(old.len() + add.len());
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < add.len() {
+        let next = old[i].min(add[j]);
+        i += usize::from(old[i] == next);
+        j += usize::from(add[j] == next);
+        ids.push(next);
+    }
+    ids.extend_from_slice(&old[i..]);
+    ids.extend_from_slice(&add[j..]);
+}
+
+/// Drop the ids outside `keep` from ascending `ids`: what stays is one
+/// index range per interval of the window.
+fn retain_sorted(ids: &mut Vec<u64>, keep: &Window) {
+    let slice = |(lo, hi): (u64, u64)| {
+        let from = ids.partition_point(|&id| id < lo);
+        &ids[from..ids.partition_point(|&id| id <= hi)]
+    };
+    // ascending: a wrapped window's low slice comes second
+    let mut kept: Vec<&[u64]> = keep.intervals().map(slice).collect();
+    kept.reverse();
+    *ids = kept.concat();
 }
 
 /// A running data node.
@@ -241,10 +295,16 @@ impl DataNode {
             }
             Msg::SetCoverage { start, end } => {
                 let keep = Window::new(start, end);
-                let mut st = self.state.lock();
-                st.coverage = Some(keep);
-                Arc::make_mut(&mut st.store).retain_window(&keep);
-                st.synthetic_ids.retain(|&id| keep.contains(id));
+                {
+                    let mut st = self.state.lock();
+                    // the coverage narrows before the store does: a
+                    // sub-query admitted in between scans a superset
+                    st.coverage = Some(keep);
+                    retain_sorted(&mut st.synthetic_ids, &keep);
+                }
+                self.update_store(|store| {
+                    store.retain_window(&keep);
+                });
                 Msg::Ok
             }
             Msg::SubQuery {
@@ -272,24 +332,14 @@ impl DataNode {
         backend_override: Option<Backend>,
     ) -> Msg {
         let window = Window::new(window_start, window_end);
-        // §4.8.3: "If the servers do not have enough replicas they will
-        // reply saying they haven't matched the whole query." A window wider
-        // than our coverage would silently return partial results; refuse it
-        // so the front-end can lower its guess of p and retry.
-        {
-            let st = self.state.lock();
-            if let Some(cov) = st.coverage {
-                if !window.subset_of(&cov) {
-                    return Msg::Refused {
-                        what: "insufficient coverage".into(),
-                    };
-                }
-            }
-        }
         let started = Instant::now();
         if self.cfg.overhead_s > 0.0 {
             tokio::time::sleep(std::time::Duration::from_secs_f64(self.cfg.overhead_s)).await;
         }
+        // From here on, the coverage check and the read of what it vouches
+        // for (the id count, the store snapshot) share one acquisition of
+        // the state lock: a `SetCoverage` landing between two would drop
+        // records the check had promised.
         match body {
             QueryBody::Synthetic => {
                 // Definition 8: proc time = records / speed, served as a
@@ -301,6 +351,9 @@ impl DataNode {
                 // co-sleeping servers).
                 let (scanned, wait) = {
                     let mut st = self.state.lock();
+                    if !st.covers(&window) {
+                        return refused();
+                    }
                     let scanned = st
                         .synthetic_ids
                         .iter()
@@ -366,13 +419,18 @@ impl DataNode {
                         Combiner::Or
                     },
                 };
-                // zero-copy corpus view: the lock is held only to clone the
-                // store Arc; window index ranges are computed outside it on
-                // the immutable snapshot. No record is copied.
-                let corpus = {
-                    let store = Arc::clone(&self.state.lock().store);
-                    TaskCorpus::snapshot(store, &window)
+                // zero-copy corpus view: the lock is held only to check the
+                // coverage and clone the store Arc; window index ranges are
+                // computed outside it on the immutable snapshot. No record
+                // is copied.
+                let store = {
+                    let st = self.state.lock();
+                    if !st.covers(&window) {
+                        return refused();
+                    }
+                    Arc::clone(&st.store)
                 };
+                let corpus = TaskCorpus::snapshot(store, &window);
                 let scanned = corpus.len() as u64;
                 // per-query canary knob: honour the client's requested lane
                 // engine when this CPU has it, else keep the node's own
@@ -403,23 +461,46 @@ impl DataNode {
         }
     }
 
-    fn store_local(&self, records: &[crate::proto::WireRecord], synthetic_ids: Vec<u64>) -> Msg {
-        let mut st = self.state.lock();
-        for r in records {
-            match r.to_record() {
-                // copy-on-write: free unless a sub-query snapshot is alive
-                Some(rec) => Arc::make_mut(&mut st.store).insert(rec),
-                None => {
-                    return Msg::Error {
-                        what: "corrupt record".into(),
-                    }
-                }
-            }
+    /// Everything a `Store` costs happens outside the state lock: the batch
+    /// is decoded, validated, sorted and de-duplicated into a run (the
+    /// synthetic ids into a sorted vector), replica re-pushes are dropped
+    /// and runs merged against a snapshot of the store. Under the lock: a
+    /// pointer swap, and a linear merge of the synthetic ids.
+    fn store_local(&self, records: &[WireRecord], mut synthetic_ids: Vec<u64>) -> Msg {
+        let Some(batch) = WireRecord::to_run(records) else {
+            return Msg::Error {
+                what: "corrupt record".into(),
+            };
+        };
+        if !batch.is_empty() {
+            let batch = Arc::new(batch);
+            self.update_store(|store| store.append(Arc::clone(&batch)));
         }
-        st.synthetic_ids.extend(synthetic_ids);
-        st.synthetic_ids.sort_unstable();
-        st.synthetic_ids.dedup(); // replica pushes are idempotent
+        synthetic_ids.sort_unstable();
+        synthetic_ids.dedup();
+        merge_sorted(&mut self.state.lock().synthetic_ids, &synthetic_ids);
         Msg::Ok
+    }
+
+    /// Replace the store by `update` applied to a clone of it — a clone of
+    /// the `Arc` list; `update` shares every run it does not replace. The
+    /// clone and `update` run outside the state lock, beside any number of
+    /// live sub-query snapshots, and the result is swapped in only if the
+    /// store is still the one `update` started from; a writer that lost the
+    /// race starts over from the winner's store. A reader therefore sees a
+    /// batch whole or not at all.
+    fn update_store(&self, update: impl Fn(&mut MetadataStore)) {
+        let mut base = Arc::clone(&self.state.lock().store);
+        loop {
+            let mut next = MetadataStore::clone(&base);
+            update(&mut next);
+            let mut st = self.state.lock();
+            if Arc::ptr_eq(&st.store, &base) {
+                st.store = Arc::new(next);
+                return;
+            }
+            base = Arc::clone(&st.store);
+        }
     }
 
     /// One store-forward exchange with the successor over a fresh link of
@@ -443,6 +524,12 @@ impl DataNode {
     pub fn record_count(&self) -> u64 {
         self.state.lock().count()
     }
+
+    /// The store as a sub-query would snapshot it now (in-process; tests
+    /// hold one to play a long-running scan).
+    pub fn store_snapshot(&self) -> Arc<MetadataStore> {
+        Arc::clone(&self.state.lock().store)
+    }
 }
 
 impl Handler for DataNode {
@@ -458,10 +545,17 @@ mod tests {
     use tokio::net::TcpStream;
 
     async fn start_node(speed: f64) -> (std::net::SocketAddr, Arc<DataNode>) {
+        start_node_with_overhead(speed, 0.0).await
+    }
+
+    async fn start_node_with_overhead(
+        speed: f64,
+        overhead_s: f64,
+    ) -> (std::net::SocketAddr, Arc<DataNode>) {
         let node = Arc::new(DataNode::new(NodeConfig {
             id: 0,
             speed,
-            overhead_s: 0.0,
+            overhead_s,
             backend: Backend::auto(),
         }));
         let (tx, rx) = tokio::sync::oneshot::channel();
@@ -741,6 +835,108 @@ mod tests {
             rpc(&mut s, 3, Msg::CountRequest).await,
             Msg::Count { records: 2 }
         );
+    }
+
+    /// §4.8.3 under a racing `SetCoverage` (every `set_p` increase sends one
+    /// to every node while old-`p` sub-queries are in flight): a sub-query
+    /// whose window the node stops covering while it sleeps out its
+    /// overhead must be `Refused`, never answered over what is left of the
+    /// window. The coverage check and the read it vouches for share one
+    /// lock acquisition; checked first and read later, the reply was a
+    /// `SubQueryResult` with a short `scanned`.
+    #[tokio::test]
+    async fn coverage_narrowed_under_a_sleeping_subquery_refuses() {
+        use roar_pps::metadata::MetaEncryptor;
+        use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+        const OVERHEAD_S: f64 = 0.3;
+        let (addr, _node) = start_node_with_overhead(1e6, OVERHEAD_S).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let ids = [10u64, 20, 30, 40];
+        let wire = |&id: &u64| WireRecord {
+            id,
+            nonce: id,
+            filter: vec![0xff; 16],
+            filter_bits: 128,
+        };
+        let store = Msg::Store {
+            records: ids.iter().map(wire).collect(),
+            synthetic_ids: ids.to_vec(),
+        };
+        assert_eq!(rpc(&mut s, 1, store).await, Msg::Ok);
+        let wide = Msg::SetCoverage { start: 0, end: 100 };
+        assert_eq!(rpc(&mut s, 2, wide).await, Msg::Ok);
+        let enc = MetaEncryptor::with_points(b"race", vec![1], vec![1]);
+        let q =
+            QueryCompiler::new(&enc).compile(&[Predicate::Keyword("any".into())], Combiner::And);
+        let pps = QueryBody::Pps {
+            trapdoors: (q.trapdoors.iter())
+                .map(crate::proto::WireTrapdoor::from_trapdoor)
+                .collect(),
+            conjunctive: true,
+        };
+        // both bodies over the wide window, multiplexed on one connection
+        let fired = Instant::now();
+        for (id, body) in [(100, QueryBody::Synthetic), (101, pps)] {
+            let body = Msg::SubQuery {
+                query_id: id,
+                window_start: 0,
+                window_end: 100,
+                body,
+                backend: None,
+            };
+            write_frame(&mut s, &Frame { id, body }).await.unwrap();
+        }
+        // … and the coverage narrows on a second connection while they sleep
+        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        let mut admin = TcpStream::connect(addr).await.unwrap();
+        let narrow = Msg::SetCoverage { start: 0, end: 25 };
+        assert_eq!(rpc(&mut admin, 1, narrow).await, Msg::Ok);
+        let narrowed_in_time = fired.elapsed().as_secs_f64() < OVERHEAD_S * 0.8;
+        for _ in 0..2 {
+            let reply = read_frame(&mut s).await.unwrap().unwrap();
+            match reply.body {
+                Msg::Refused { .. } => {}
+                // a box too loaded to narrow in time may answer in full
+                Msg::SubQueryResult { scanned, .. } => {
+                    assert_eq!(scanned, 4, "frame {}: partial window answered", reply.id);
+                    assert!(!narrowed_in_time, "frame {}: not refused", reply.id);
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn synthetic_ids_merge_and_retain_in_place() {
+        let mut ids = vec![10, 20, 30];
+        merge_sorted(&mut ids, &[]);
+        merge_sorted(&mut ids, &[5, 20, 25, 40]);
+        assert_eq!(
+            ids,
+            vec![5, 10, 20, 25, 30, 40],
+            "a re-pushed id is kept once"
+        );
+        let mut empty = Vec::new();
+        merge_sorted(&mut empty, &[1, 2]);
+        assert_eq!(empty, vec![1, 2]);
+        // (start, end] — contiguous, wrapped, full, and a window of nothing
+        let cut = |w: Window| {
+            let mut kept = ids.clone();
+            retain_sorted(&mut kept, &w);
+            assert_eq!(
+                kept,
+                ids.iter()
+                    .copied()
+                    .filter(|&id| w.contains(id))
+                    .collect::<Vec<_>>()
+            );
+            kept
+        };
+        assert_eq!(cut(Window::new(10, 30)), vec![20, 25, 30]);
+        assert_eq!(cut(Window::new(25, 5)), vec![5, 30, 40]);
+        assert_eq!(cut(Window::new(u64::MAX, 9)), vec![5]);
+        assert_eq!(cut(Window::full(7)).len(), 6);
+        assert!(cut(Window::new(11, 12)).is_empty());
     }
 
     /// A flash crowd of PPS sub-queries must all complete correctly

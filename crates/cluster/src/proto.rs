@@ -273,17 +273,23 @@ impl WireRecord {
         }
     }
 
-    pub fn to_record(&self) -> Option<roar_pps::EncryptedMetadata> {
-        Some(roar_pps::EncryptedMetadata {
-            id: self.id,
-            body: roar_pps::bloom_kw::BloomMetadata {
-                nonce: self.nonce,
-                filter: roar_crypto::bloom::BloomFilter::from_bytes(
-                    &self.filter,
-                    self.filter_bits as usize,
-                )?,
-            },
-        })
+    /// Decode a `Store` batch straight into a columnar run — what a node
+    /// keeps; no row or boxed filter is built on the way. `None` when any
+    /// record's filter is malformed (zero bits, or a byte length that does
+    /// not match its bit count). The last of equal ids wins.
+    pub fn to_run(records: &[WireRecord]) -> Option<roar_pps::store::Run> {
+        // ascending pushes let the builder use the slab as it lies (the
+        // sort is stable, so "last wins" survives it)
+        let mut order: Vec<&WireRecord> = records.iter().collect();
+        order.sort_by_key(|r| r.id);
+        let filter_bytes = records.iter().map(|r| r.filter.len()).sum();
+        let mut run = roar_pps::store::RunBuilder::with_capacity(records.len(), filter_bytes);
+        for r in order {
+            if !run.push_bytes(r.id, r.nonce, &r.filter, r.filter_bits) {
+                return None;
+            }
+        }
+        Some(run.finish())
     }
 
     fn put(&self, out: &mut Vec<u8>) {
@@ -721,8 +727,21 @@ mod tests {
                 filter: f,
             },
         };
-        let wire = WireRecord::from_record(&rec);
-        assert_eq!(wire.to_record().unwrap(), rec);
+        let other = roar_pps::EncryptedMetadata {
+            id: 7,
+            ..rec.clone()
+        };
+        let wire = [&rec, &other].map(WireRecord::from_record);
+        let run = WireRecord::to_run(&wire).unwrap();
+        assert_eq!(run.ids(), &[7, 555], "a run is sorted by id");
+        let mut store = roar_pps::MetadataStore::new();
+        store.append(std::sync::Arc::new(run));
+        let rows = store.window_records(&roar_core::ring::Window::full(0));
+        assert_eq!(rows, vec![other, rec]);
+        // a filter that contradicts its bit count refuses the whole batch
+        let mut bad = wire.to_vec();
+        bad[1].filter_bits = 129;
+        assert!(WireRecord::to_run(&bad).is_none());
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! matcher pool an immutable `Arc` epoch snapshot plus window index
 //! ranges, never a `.cloned().collect()` of the window.
 //!
+//! The same holds on the write side: a `Store` beside a live snapshot
+//! builds the next store from the snapshot's own runs — every run it does
+//! not replace is shared, none is copied — and swaps it in whole, so a
+//! snapshot sees a batch entirely or not at all.
+//!
 //! This lives in its own integration binary so the process-wide clone
 //! counter ([`roar_pps::metadata::record_clone_count`]) sees no traffic
 //! from unrelated tests.
@@ -11,11 +16,36 @@ use roar_cluster::node::{DataNode, NodeConfig};
 use roar_cluster::proto::{
     read_frame, write_frame, Frame, Msg, QueryBody, WireRecord, WireTrapdoor,
 };
+use roar_cluster::transport::Handler;
 use roar_crypto::sha1::Backend;
 use roar_pps::metadata::{record_clone_count, FileMeta, MetaEncryptor};
 use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tokio::net::TcpStream;
+
+fn node() -> Arc<DataNode> {
+    Arc::new(DataNode::new(NodeConfig {
+        id: 0,
+        speed: 1e6,
+        overhead_s: 0.0,
+        backend: Backend::auto(),
+    }))
+}
+
+/// A `Store` of `len` two-word records with ids `first..first + len`.
+fn store_msg(first: u64, len: u64) -> Msg {
+    let wire = |id: u64| WireRecord {
+        id,
+        nonce: !id,
+        filter: id.to_le_bytes().repeat(2),
+        filter_bits: 100,
+    };
+    Msg::Store {
+        records: (first..first + len).map(wire).collect(),
+        synthetic_ids: vec![],
+    }
+}
 
 async fn rpc(stream: &mut TcpStream, id: u64, body: Msg) -> Msg {
     write_frame(stream, &Frame { id, body }).await.unwrap();
@@ -122,4 +152,81 @@ async fn subqueries_do_not_clone_stored_records() {
         cloned, 0,
         "sub-query execution deep-cloned {cloned} records; the snapshot path must copy none"
     );
+}
+
+/// A write beside a live sub-query snapshot: at the parent the first
+/// `make_mut` deep-cloned every stored record; now no record is cloned and
+/// every run the batch did not replace is the snapshot's own.
+#[tokio::test]
+async fn store_beside_live_snapshot_shares_runs() {
+    let node = node();
+    for first in [0, 5_000] {
+        assert_eq!(node.clone().handle(store_msg(first, 300)).await, Msg::Ok);
+    }
+    let snapshot = node.store_snapshot();
+    assert_eq!((snapshot.len(), snapshot.runs().len()), (600, 2));
+
+    let before = record_clone_count();
+    // 24 new records and 8 re-pushed ones the store already holds
+    assert_eq!(node.clone().handle(store_msg(292, 32)).await, Msg::Ok);
+    assert_eq!(record_clone_count(), before, "a store cloned records");
+
+    let live = node.store_snapshot();
+    assert_eq!((snapshot.len(), live.len()), (600, 624));
+    for old in snapshot.runs() {
+        let shared = live.runs().iter().any(|run| Arc::ptr_eq(run, old));
+        assert!(shared, "a run the batch left alone was copied");
+    }
+    assert_eq!(live.runs().len(), 3, "the batch is a run of its own");
+}
+
+/// Snapshot isolation under a free-running writer: a reader thread takes
+/// snapshots as fast as it can while batches (and the merges they trigger)
+/// land; every snapshot holds each batch whole or not at all, and a batch
+/// once seen stays. Sequentially: a snapshot taken before a store sees none
+/// of it, one taken after sees all of it.
+#[tokio::test]
+async fn snapshots_never_observe_half_a_batch() {
+    const BATCHES: u64 = 150;
+    const BATCH: u64 = 40;
+    let node = node();
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (node, done) = (Arc::clone(&node), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let (mut snapshots, mut seen_before) = (0u64, 0);
+            // ORDERING: SeqCst — the flag publishes nothing; the last pass
+            // after it reads whatever the writer's lock released
+            while !done.load(Ordering::SeqCst) {
+                let snapshot = node.store_snapshot();
+                let mut held = [0u64; BATCHES as usize];
+                let ids = snapshot.runs().iter().flat_map(|run| run.ids());
+                ids.for_each(|id| held[(id / 1_000) as usize] += 1);
+                assert!(
+                    held.iter().all(|&n| n == 0 || n == BATCH),
+                    "a snapshot holds part of a batch: {held:?}"
+                );
+                let seen = held.iter().filter(|&&n| n == BATCH).count();
+                assert!(seen >= seen_before, "a stored batch disappeared");
+                seen_before = seen;
+                snapshots += 1;
+            }
+            snapshots
+        })
+    };
+    for batch in 0..BATCHES {
+        let before = node.store_snapshot();
+        assert_eq!(
+            node.clone().handle(store_msg(batch * 1_000, BATCH)).await,
+            Msg::Ok
+        );
+        let after = node.store_snapshot();
+        assert_eq!(before.len() as u64, batch * BATCH, "the old snapshot moved");
+        assert_eq!(after.len() as u64, (batch + 1) * BATCH);
+    }
+    done.store(true, Ordering::SeqCst);
+    let snapshots = reader.join().expect("reader panicked");
+    assert!(snapshots > 0);
+    // 150 batches of 40 merged along the way: few runs are left
+    assert!(node.store_snapshot().runs().len() < 20);
 }

@@ -152,6 +152,23 @@ impl Window {
         dx != 0 && dx <= dist_cw(self.start, self.end)
     }
 
+    /// The window as closed id intervals `[lo, hi]` that do not wrap: one,
+    /// or — for a window across position 0 — the high slice `[start + 1,
+    /// MAX]` followed by the low slice `[0, end]`. Over ids kept in
+    /// ascending order each interval is one index range
+    /// (`partition_point`), which is how stores select a window.
+    pub fn intervals(&self) -> impl Iterator<Item = (RingPos, RingPos)> {
+        let (lo, hi) = (self.start.wrapping_add(1), self.end);
+        let [first, second] = if self.is_full() {
+            [Some((0, RingPos::MAX)), None]
+        } else if lo <= hi {
+            [Some((lo, hi)), None]
+        } else {
+            [Some((lo, RingPos::MAX)), Some((0, hi))]
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Is `self` contained in `other` (both as subsets of the ring)?
     pub fn subset_of(&self, other: &Window) -> bool {
         if other.is_full() {
@@ -202,6 +219,38 @@ pub fn windows_of_points(points: &[RingPos]) -> Vec<Window> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn intervals_cover_exactly_the_window() {
+        let probes = [
+            0,
+            1,
+            5,
+            6,
+            49,
+            50,
+            51,
+            u64::MAX - 10,
+            u64::MAX - 9,
+            u64::MAX,
+        ];
+        for w in [
+            Window::new(5, 50),
+            Window::new(u64::MAX - 10, 50), // wraps: high slice, then low
+            Window::new(u64::MAX, 5),       // lo wraps to 0: one interval
+            Window::new(50, u64::MAX),
+            Window::full(7),
+        ] {
+            let intervals: Vec<_> = w.intervals().collect();
+            assert!(intervals.iter().all(|&(lo, hi)| lo <= hi), "{w:?}");
+            for x in probes {
+                let inside = intervals.iter().any(|&(lo, hi)| lo <= x && x <= hi);
+                assert_eq!(inside, w.contains(x), "{w:?} at {x}");
+            }
+        }
+        let wrapped: Vec<_> = Window::new(u64::MAX - 10, 50).intervals().collect();
+        assert_eq!(wrapped, vec![(u64::MAX - 9, u64::MAX), (0, 50)]);
+    }
     use proptest::prelude::*;
 
     #[test]

@@ -80,6 +80,11 @@ impl BloomFilter {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The bit array as 64-bit words, bit `i` at `words[i / 64] >> (i % 64)`.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Serialise to bytes (little-endian words, trailing bits zero).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.bits.len() * 8);

@@ -34,6 +34,7 @@
 //! computes all `r`. This is the "2.5 SHA-1 applications per metadata"
 //! arithmetic of §5.7.
 
+use crate::query::Corpus;
 use rand::Rng;
 use roar_crypto::bloom::{BloomFilter, BloomParams};
 use roar_crypto::hmac::{hmac_sha1, HmacKey};
@@ -221,32 +222,44 @@ impl PreparedTrapdoor {
         self.len as usize
     }
 
-    /// Filter `survivors` by the `k`-th ordered component's MAC prefixes
-    /// (`macs[i]` belongs to `survivors[i]`): keep records whose codeword
-    /// bit is set, charge one PRF call per record tested and one miss
-    /// against the component per record dropped. `bit_set(i, mac)` tests
-    /// record `i`'s filter. `spare` is the caller's double buffer.
-    pub(crate) fn component_filter(
+    /// Filter `survivors` (positions in `corpus` from `base` on) by the
+    /// `k`-th ordered component's MAC prefixes (`macs[i]` belongs to
+    /// `survivors[i]`): keep, in place and in order, the records whose
+    /// codeword bit is set, charge one PRF call per record tested and one
+    /// miss against the component per record dropped. `positions` is the
+    /// caller's scratch.
+    ///
+    /// Two passes, neither with a data-dependent branch. The first turns
+    /// every MAC into its bit position and asks the cache for the word
+    /// holding it, so the misses of a whole sweep overlap instead of
+    /// queueing behind one another. The second tests the bits and compacts
+    /// without branching on them: a padded filter is half full, so the bit
+    /// is a coin toss and a branch on it is mispredicted every other record
+    /// — at 15–20 cycles a flush, more than the MAC that produced it.
+    /// Every survivor is stored at the write cursor and the cursor advances
+    /// by the bit; the misses are what is left over.
+    pub(crate) fn component_filter<C: Corpus + ?Sized>(
         &mut self,
         k: usize,
-        survivors: &mut Vec<u32>,
-        macs: &[u64],
-        spare: &mut Vec<u32>,
+        (corpus, base): (&C, usize),
+        (survivors, macs): (&mut Vec<u32>, &[u64]),
+        positions: &mut Vec<u32>,
         prf_calls: &mut u64,
-        mut bit_set: impl FnMut(u32, u64) -> bool,
     ) {
-        debug_assert_eq!(macs.len(), survivors.len(), "one MAC per survivor");
-        let j = self.order[k] as usize;
-        *prf_calls += survivors.len() as u64;
-        spare.clear();
-        for (&i, &mac) in survivors.iter().zip(macs.iter()) {
-            if bit_set(i, mac) {
-                spare.push(i);
-            } else {
-                self.miss[j] += 1;
-            }
+        let tested = survivors.len();
+        assert_eq!(macs.len(), tested, "one MAC per survivor");
+        *prf_calls += tested as u64;
+        let locate = |(&i, &mac)| corpus.locate(base + i as usize, mac);
+        positions.clear();
+        positions.extend(survivors.iter().zip(macs).map(locate));
+        let mut kept = 0;
+        for at in 0..tested {
+            let i = survivors[at];
+            survivors[kept] = i; // kept ≤ at: never ahead of the read cursor
+            kept += usize::from(corpus.bit(base + i as usize, positions[at]));
         }
-        std::mem::swap(survivors, spare);
+        survivors.truncate(kept);
+        self.miss[self.order[k] as usize] += (tested - kept) as u32;
     }
 
     /// Observed miss counts per component, in component order (test hook).
@@ -612,6 +625,67 @@ mod tests {
                         backend.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// The branch-free compaction against the scalar probe: the same
+    /// survivors in the same order and the same per-component miss counts,
+    /// for survivor lists of length 0, 1, a lane group ± 1 and a whole
+    /// chunk, over filters that hit on every bit, on none, and on every
+    /// other record.
+    #[test]
+    fn component_filter_keeps_the_scalar_probes_survivors() {
+        use roar_crypto::sha1::MAX_LANES;
+        let td = Trapdoor {
+            parts: vec![[3u8; 20], [5u8; 20]],
+        };
+        type Pattern = (&'static str, fn(usize) -> bool);
+        let patterns: [Pattern; 3] = [
+            ("all hit", |_| true),
+            ("all miss", |_| false),
+            ("alternating", |i| i % 2 == 0),
+        ];
+        use crate::metadata::EncryptedMetadata;
+        for len in [0, 1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 1, 4096] {
+            for (name, hit) in patterns {
+                // two records ahead of the survivors: `base` is honoured
+                let docs: Vec<EncryptedMetadata> = (0..len + 2)
+                    .map(|i| {
+                        let mut filter = BloomFilter::new(70);
+                        if hit(i) {
+                            (0..70).for_each(|bit| filter.set(bit));
+                        }
+                        let nonce = i as u64 * 0x9E37;
+                        let body = BloomMetadata { nonce, filter };
+                        EncryptedMetadata { id: i as u64, body }
+                    })
+                    .collect();
+                let mut oracle = PreparedTrapdoor::new(&td);
+                let mut want_calls = 0;
+                let want: Vec<u32> = (0..len as u32)
+                    .filter(|&i| oracle.probe(&docs[2 + i as usize].body, &mut want_calls))
+                    .collect();
+
+                let mut sweep = PreparedTrapdoor::new(&td);
+                let mut survivors: Vec<u32> = (0..len as u32).collect();
+                let (mut calls, mut positions) = (0, Vec::new());
+                sweep.sweep_begin(len);
+                for k in 0..sweep.n_components() {
+                    let key = sweep.component_key(k);
+                    let nonce = |&i: &u32| docs[2 + i as usize].body.nonce.to_be_bytes();
+                    let macs: Vec<u64> = survivors.iter().map(|i| key.mac_u64(&nonce(i))).collect();
+                    sweep.component_filter(
+                        k,
+                        (&docs[..], 2),
+                        (&mut survivors, &macs),
+                        &mut positions,
+                        &mut calls,
+                    );
+                }
+                assert_eq!(survivors, want, "{name}, {len} survivors");
+                assert_eq!(calls, want_calls, "{name}, {len} survivors: PRF calls");
+                assert_eq!(sweep.miss_counts(), oracle.miss_counts(), "{name}, {len}");
             }
         }
     }

@@ -439,20 +439,26 @@ mod tests {
         }
     }
 
-    /// The whole-corpus inline driver against the record-at-a-time
-    /// reference, over a corpus the pipeline has to cut into three chunks:
-    /// the 225-record sampling prefix ends inside the first, the third is
-    /// ragged. Same match set, and — every trapdoor stays under
-    /// `REORDER_EVERY` probes, so probe orders are fixed — the same PRF
-    /// count, for AND and OR, on every backend. This is what anchors
-    /// `match_corpus`, the end-to-end benchmark's oracle, to
-    /// `Matcher::matches`.
+    /// The whole-corpus inline drivers against the record-at-a-time
+    /// reference, over a store of five uneven runs — one shorter than a
+    /// lane group — which the pipeline has to cut into five chunks (a chunk
+    /// never straddles a run): the 225-record sampling prefix ends inside
+    /// the first, the rest are ragged. Rows (`match_corpus_with`, the same
+    /// records in scan order as one chunk) and columns (a snapshot task)
+    /// must give the reference's match set, and — every trapdoor stays
+    /// under `REORDER_EVERY` probes, so probe orders are fixed — its PRF
+    /// count, for AND and OR, on every backend, over the whole ring and
+    /// over a wrapped window that cuts two runs. This is what anchors
+    /// `match_corpus`, the end-to-end benchmark's oracle, and the node's
+    /// snapshot scan to `Matcher::matches`.
     #[test]
     fn match_corpus_equals_scalar_scan_across_chunks() {
+        use crate::store::{MetadataStore, Run};
+        use crate::xbatch::{QueryTask, TaskCorpus};
+        use roar_core::ring::Window;
         let enc = test_encryptor();
         let mut rng = det_rng(172);
-        let n = 2 * MATCH_CHUNK + 277;
-        let records: Vec<EncryptedMetadata> = (0..n)
+        let records: Vec<EncryptedMetadata> = (0..1301)
             .map(|i| {
                 let mut keywords = vec!["the".to_string()];
                 if i % 3 == 0 {
@@ -472,31 +478,54 @@ mod tests {
                 )
             })
             .collect();
+        let mut store = MetadataStore::new();
+        let mut rest = &records[..];
+        for len in [520, 9, 310, 150, 312] {
+            let (batch, tail) = rest.split_at(len);
+            store.append(Arc::new(Run::from_records(batch)));
+            rest = tail;
+        }
+        assert!(rest.is_empty());
+        assert_eq!(store.runs().len(), 5, "no merge: five uneven runs");
+        let store = Arc::new(store);
         let kw = |w: &str| Predicate::Keyword(w.into());
+        // the wrapped window drops the middle of every run's id range
+        let windows = [Window::full(0), Window::new(3 << 62, 1 << 62)];
         for (preds, comb) in [
             (vec![kw("the"), kw("third")], Combiner::And),
             (
-                // hits in the sampling prefix, in the second chunk and in
-                // the ragged third
+                // hits in the sampling prefix and in later runs
                 vec![kw("rare97"), kw("absent"), kw("rare776"), kw("rare1261")],
                 Combiner::Or,
             ),
         ] {
             let q = QueryCompiler::new(&enc).compile(&preds, comb);
-            let counter = PrfCounter::new();
-            let mut scalar = Matcher::new(preds.len(), true);
-            let mut want: Vec<u64> = records
-                .iter()
-                .filter(|r| scalar.matches(&q, r, &counter))
-                .map(|r| r.id)
-                .collect();
-            want.sort_unstable();
-            assert!(want.len() >= 3, "{comb:?}: the query must hit every chunk");
-            for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
-                let (mut got, prf) = match_corpus_with(&records, &q, backend);
-                got.sort_unstable();
-                assert_eq!(got, want, "{comb:?} on {}", backend.name());
-                assert_eq!(prf, counter.get(), "{comb:?} PRF on {}", backend.name());
+            for w in &windows {
+                let rows = store.window_records(w);
+                let counter = PrfCounter::new();
+                let mut scalar = Matcher::new(preds.len(), true);
+                let mut want: Vec<u64> = rows
+                    .iter()
+                    .filter(|r| scalar.matches(&q, r, &counter))
+                    .map(|r| r.id)
+                    .collect();
+                want.sort_unstable();
+                assert!(want.len() >= 2, "{comb:?}: the query must hit several runs");
+                for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+                    let snapshot = TaskCorpus::snapshot(Arc::clone(&store), w);
+                    assert_eq!(snapshot.len(), rows.len());
+                    let columns = QueryTask::new(q.clone(), snapshot, backend).run_inline();
+                    let flat = match_corpus_with(&rows, &q, backend);
+                    for (path, (mut got, prf)) in [
+                        ("rows", flat),
+                        ("columns", (columns.matches, columns.prf_calls)),
+                    ] {
+                        got.sort_unstable();
+                        assert_eq!(got, want, "{comb:?} {path} on {}", backend.name());
+                        let name = backend.name();
+                        assert_eq!(prf, counter.get(), "{comb:?} {path} PRF on {name}");
+                    }
+                }
             }
         }
     }

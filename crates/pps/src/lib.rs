@@ -23,9 +23,10 @@
 //! System pieces (§5.6):
 //! * [`metadata`] — per-file metadata encoding: all attributes stacked into
 //!   a single keyword space (`kw=…`, `size=…`, `date=…`).
-//! * [`store`] — the metadata store: records sorted by id, so the window
-//!   of a sub-query is one or two index ranges (used when ROAR splits a
-//!   query across servers).
+//! * [`store`] — the metadata store: a short list of immutable columnar
+//!   runs, each sorted by id, so the window of a sub-query is one or two
+//!   index ranges per run (used when ROAR splits a query across servers)
+//!   and a write is an append.
 //! * [`query`] — multi-predicate queries with dynamic predicate ordering
 //!   (selectivity sampled over 225 records, §5.6.5), and **the** matching
 //!   code: the record-at-a-time reference ([`query::Matcher::matches`])
@@ -39,8 +40,8 @@
 //!   oracle);
 //! * [`xbatch`]'s [`BatchEngine`] — a fixed matcher-worker pool advancing
 //!   many resident sub-queries and answering their staged sweeps together,
-//!   lane groups packed across queries, over zero-copy `Arc` corpus
-//!   snapshots. What a cluster node runs.
+//!   lane groups packed across queries, over zero-copy `Arc` snapshots of
+//!   the store's runs. What a cluster node runs.
 //!
 //! Paper-figure apparatus:
 //! * [`engine`] — the §5.6.3 producer/consumer engine (I/O thread feeding

@@ -42,6 +42,20 @@
 //!   parallelism) changes. A query with one predicate has one possible
 //!   order and never samples.
 //!
+//! **What it reads.** The pipeline scans one *segment* at a time through
+//! the crate-private `Corpus` trait — `id(i)`, `nonce(i)`, and the filter
+//! bit a codeword addresses (`locate` + `bit`) — and nothing else of a
+//! record. A segment is a slice of a store run, read as columns (the
+//! nonces lie big-endian in one array, as the MAC kernel takes them, and
+//! every filter in one slab), or a `[EncryptedMetadata]`, read through a
+//! thin row adapter; the corpus owns the nonces, the pipeline copies the
+//! survivors' into its staging buffer. A whole-corpus driver cuts each
+//! segment into chunks of `MATCH_CHUNK` (4096) records — a sealed run is
+//! one chunk, and no chunk straddles two segments. The filter stage
+//! (`PreparedTrapdoor::component_filter`) first turns every MAC of a sweep
+//! into a bit position and prefetches its word, then compacts the survivor
+//! list without branching on the bit.
+//!
 //! The machine *suspends* wherever it needs MACs — it stages (component
 //! key, survivor nonces) and returns — and that is the only thing its
 //! drivers differ in: **who computes the staged MACs.**
@@ -51,8 +65,7 @@
 //!    ([`HmacKey::mac_u64_nonces_with`]) on the matcher's [`Backend`].
 //! 2. [`match_corpus_with`](crate::engine::match_corpus_with) and
 //!    [`QueryTask::run_inline`](crate::xbatch::QueryTask::run_inline) drive
-//!    it inline the same way over a whole corpus, in chunks of
-//!    `MATCH_CHUNK` records.
+//!    it inline the same way over a whole corpus, segment by segment.
 //! 3. [`BatchEngine`](crate::xbatch::BatchEngine) workers drive many
 //!    resident scans at once and compute all their staged sweeps in one
 //!    keyed lane sweep, lane groups packed across sub-queries.
@@ -63,31 +76,114 @@
 use crate::bloom_kw::{PreparedTrapdoor, PrfCounter, Trapdoor};
 use crate::metadata::{Attr, EncryptedMetadata, MetaEncryptor};
 use crate::numeric::Cmp;
+use crate::store::Columns;
 use roar_crypto::hmac::HmacKey;
 use roar_crypto::sha1::Backend;
 
 /// The §5.6.5 sample size for selectivity estimation.
 pub const SELECTIVITY_SAMPLES: usize = 225;
 
-/// Records per survivor-pipeline chunk on a whole-corpus scan, sized so the
-/// survivor buffers stay in cache. Chunk boundaries are observable through
-/// probe-order adaptation timing, so every whole-corpus driver uses this
-/// one value.
-pub(crate) const MATCH_CHUNK: usize = 512;
+/// Records per survivor-pipeline chunk on a whole-corpus scan: a sealed
+/// run of the store ([`crate::store::RUN_CAP`]) is one chunk, the survivor
+/// buffers (four bytes a record) stay in L1, and a predicate's ten-odd
+/// ragged sweeps are paid once per 4096 records. Chunk boundaries are
+/// observable through probe-order adaptation timing, so every whole-corpus
+/// driver uses this one value.
+pub(crate) const MATCH_CHUNK: usize = crate::store::RUN_CAP;
 
-/// What the survivor pipeline scans: records addressable by position.
+/// What the survivor pipeline scans: one *segment* — records addressable by
+/// position, read a column at a time. A whole-corpus driver scans its
+/// segments one after the other (chunks never straddle two); the pipeline
+/// touches nothing of a record but these.
 pub(crate) trait Corpus {
     fn len(&self) -> usize;
-    fn get(&self, i: usize) -> &EncryptedMetadata;
+    fn id(&self, i: usize) -> u64;
+    /// The record's nonce, big-endian: the MAC kernel's input.
+    fn nonce(&self, i: usize) -> [u8; 8];
+    /// The bit of record `i`'s filter that codeword `mac` addresses — and a
+    /// hint to the cache that the word holding it is about to be read.
+    fn locate(&self, i: usize, mac: u64) -> u32;
+    /// Is bit `pos` (from [`locate`](Self::locate)) of record `i`'s filter
+    /// set?
+    fn bit(&self, i: usize, pos: u32) -> bool;
 }
 
+/// Hint that `word` is about to be read. A no-op where the target has no
+/// such instruction, and under Miri, which does not model it.
+#[inline(always)]
+fn prefetch(word: &u64) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: PREFETCHT0 is a hint with no architectural effect — it
+    // faults on no address, and this one is a live reference; SSE is part
+    // of the x86_64 baseline.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(word).cast());
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = word;
+}
+
+/// Is bit `pos` of the filter whose first word is `words[first]` set?
+#[inline(always)]
+fn test_bit(words: &[u64], first: usize, pos: u32) -> bool {
+    words[first + (pos / 64) as usize] >> (pos % 64) & 1 != 0
+}
+
+/// Rows: a thin adapter, one boxed filter per record.
 impl Corpus for [EncryptedMetadata] {
     fn len(&self) -> usize {
         <[EncryptedMetadata]>::len(self)
     }
 
-    fn get(&self, i: usize) -> &EncryptedMetadata {
-        &self[i]
+    fn id(&self, i: usize) -> u64 {
+        self[i].id
+    }
+
+    fn nonce(&self, i: usize) -> [u8; 8] {
+        self[i].body.nonce.to_be_bytes()
+    }
+
+    #[inline]
+    fn locate(&self, i: usize, mac: u64) -> u32 {
+        let filter = &self[i].body.filter;
+        let pos = (mac % filter.n_bits() as u64) as u32;
+        prefetch(&filter.words()[(pos / 64) as usize]);
+        pos
+    }
+
+    #[inline]
+    fn bit(&self, i: usize, pos: u32) -> bool {
+        test_bit(self[i].body.filter.words(), 0, pos)
+    }
+}
+
+/// Columns: a slice of a store run. The nonces are stored as the kernel
+/// reads them and every filter lies in one slab.
+impl Corpus for Columns<'_> {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn id(&self, i: usize) -> u64 {
+        self.ids[i]
+    }
+
+    fn nonce(&self, i: usize) -> [u8; 8] {
+        self.nonces[i]
+    }
+
+    #[inline]
+    fn locate(&self, i: usize, mac: u64) -> u32 {
+        let (offset, n_bits) = self.spans[i];
+        let pos = (mac % u64::from(n_bits)) as u32;
+        prefetch(&self.slab[offset as usize + (pos / 64) as usize]);
+        pos
+    }
+
+    #[inline]
+    fn bit(&self, i: usize, pos: u32) -> bool {
+        test_bit(self.slab, self.spans[i].0 as usize, pos)
     }
 }
 
@@ -202,10 +298,12 @@ pub struct MatchScratch {
     comp_k: usize,
     /// Records of the open stage the sweep under way has not dropped.
     survivors: Vec<u32>,
-    /// Double buffer for filtering and splitting `survivors`.
+    /// Double buffer for OR's split of `survivors`.
     spare: Vec<u32>,
     /// Pre-sweep snapshot, for OR's matched/undecided split.
     pre: Vec<u32>,
+    /// The filter stage's bit positions, one per survivor.
+    positions: Vec<u32>,
     /// The staged sweep: the survivors' nonces, and (inline drivers only)
     /// their MAC prefixes.
     nonces: Vec<[u8; 8]>,
@@ -451,14 +549,29 @@ impl Matcher {
     ) {
         s.begin(corpus.len(), chunk);
         while let Step::NeedMacs = self.advance(query, corpus, s, out) {
-            let mut macs = std::mem::take(&mut s.macs);
-            macs.clear();
-            macs.resize(s.nonces.len(), 0);
-            let (key, nonces) = self.job(s);
-            key.mac_u64_nonces_with(self.backend, nonces, &mut macs);
-            self.complete(corpus, s, &macs);
-            s.macs = macs;
+            self.mac_inline(s);
+            self.complete_inline(corpus, s);
         }
+    }
+
+    /// The inline drivers' MAC stage: compute the staged sweep's prefixes
+    /// on the calling thread, through the single-key lane sweep, into the
+    /// scratch's own buffer.
+    pub(crate) fn mac_inline(&self, s: &mut MatchScratch) {
+        let mut macs = std::mem::take(&mut s.macs);
+        macs.clear();
+        macs.resize(s.nonces.len(), 0);
+        let (key, nonces) = self.job(s);
+        key.mac_u64_nonces_with(self.backend, nonces, &mut macs);
+        s.macs = macs;
+    }
+
+    /// The inline drivers' filter stage: [`complete`](Self::complete) with
+    /// the prefixes [`mac_inline`](Self::mac_inline) left in the scratch.
+    pub(crate) fn complete_inline<C: Corpus + ?Sized>(&mut self, corpus: &C, s: &mut MatchScratch) {
+        let macs = std::mem::take(&mut s.macs);
+        self.complete(corpus, s, &macs);
+        s.macs = macs;
     }
 
     /// The survivor pipeline: advance the scan begun with
@@ -504,7 +617,7 @@ impl Matcher {
                             Combiner::Or => 1,
                         };
                         let kept = s.hits.iter().enumerate().filter(|&(_, &h)| h >= need);
-                        out.extend(kept.map(|(i, _)| corpus.get(s.base + i).id));
+                        out.extend(kept.map(|(i, _)| corpus.id(s.base + i)));
                         self.account_sample(s.sample, query.combiner);
                         s.base += s.sample;
                         s.open_ordered();
@@ -522,7 +635,7 @@ impl Matcher {
                         // chunk closed. AND: survivors passed every
                         // predicate. OR: survivors matched none, every
                         // other record matched.
-                        let id = |i: u32| corpus.get(s.base + i as usize).id;
+                        let id = |i: u32| corpus.id(s.base + i as usize);
                         match query.combiner {
                             Combiner::And => out.extend(s.survivors.iter().map(|&i| id(i))),
                             Combiner::Or => {
@@ -545,8 +658,7 @@ impl Matcher {
                 Phase::Component => {
                     let p = self.predicate(s);
                     if s.comp_k < self.prepared[p].n_components() && !s.survivors.is_empty() {
-                        let nonce =
-                            |&i: &u32| corpus.get(s.base + i as usize).body.nonce.to_be_bytes();
+                        let nonce = |&i: &u32| corpus.nonce(s.base + i as usize);
                         s.nonces.clear();
                         s.nonces.extend(s.survivors.iter().map(nonce));
                         return Step::NeedMacs;
@@ -597,14 +709,13 @@ impl Matcher {
         s: &mut MatchScratch,
         macs: &[u64],
     ) {
-        let (p, base) = (self.predicate(s), s.base);
+        let p = self.predicate(s);
         self.prepared[p].component_filter(
             s.comp_k,
-            &mut s.survivors,
-            macs,
-            &mut s.spare,
+            (corpus, s.base),
+            (&mut s.survivors, macs),
+            &mut s.positions,
             &mut s.prf_calls,
-            |i, mac| corpus.get(base + i as usize).body.filter.get(mac),
         );
         s.comp_k += 1;
     }

@@ -10,10 +10,12 @@
 //! together:
 //!
 //! * A [`QueryTask`] is one sub-query's scan: its query, its [`Matcher`]
-//!   and [`MatchScratch`], its corpus view, its matches so far. It has no
-//!   control flow of its own — stepping it advances the one pipeline.
-//!   [`QueryTask::run_inline`] runs it to completion on the calling thread
-//!   (the inline driver, single-key sweeps).
+//!   and [`MatchScratch`], its corpus view and the segment of it under
+//!   scan, its matches so far. It has no control flow of its own —
+//!   stepping it advances the one pipeline over the open segment, in
+//!   chunks of 4096 records, and moves on to the next segment when that
+//!   one is done. [`QueryTask::run_inline`] runs it to completion on the
+//!   calling thread (the inline driver, single-key sweeps).
 //! * A [`BatchEngine`] owns a small fixed pool of worker threads. Each
 //!   round, a worker advances every resident task to its next staged
 //!   sweep, concatenates the sweeps — one key run each — into one flat run
@@ -23,9 +25,13 @@
 //!   shares a compression call with the next query's head, with per-lane
 //!   key midstates carrying query provenance.
 //! * A [`TaskCorpus`] is a zero-copy corpus view: an `Arc` epoch snapshot
-//!   of a [`MetadataStore`] plus window index ranges
-//!   ([`MetadataStore::window_ranges`]), or a shared `Arc` record vector.
-//!   No per-sub-query record clone, under any lock or otherwise.
+//!   of a [`MetadataStore`] plus the window's index ranges into its runs
+//!   ([`MetadataStore::window_ranges`]) — columns, one segment per range —
+//!   or a shared `Arc` record vector — rows, one segment. The view owns
+//!   the nonces (a run keeps them as the MAC kernel reads them); a task
+//!   copies its survivors' into its staging buffer, the engine
+//!   concatenates those. No per-sub-query record clone, under any lock or
+//!   otherwise.
 //!
 //! **Parity.** Chunking, sampling, predicate/component order and reorder
 //! timing all happen inside the pipeline, which cannot tell who computes
@@ -39,27 +45,29 @@
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use roar_core::ring::Window;
 use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
 use roar_crypto::sha1::Backend;
 
 use crate::metadata::EncryptedMetadata;
-use crate::query::{CompiledQuery, Corpus, MatchScratch, Matcher, Step, MATCH_CHUNK};
-use crate::store::MetadataStore;
+use crate::query::{CompiledQuery, MatchScratch, Matcher, Step, MATCH_CHUNK};
+use crate::store::{MetadataStore, RunRange};
 
 /// A zero-copy corpus view for one task. Both forms share the underlying
 /// records by `Arc`; cloning a `TaskCorpus` never clones a record.
 #[derive(Clone)]
 pub enum TaskCorpus {
-    /// A shared record vector (already window-selected, or a whole corpus).
+    /// A shared record vector (already window-selected, or a whole corpus):
+    /// rows, scanned as one segment.
     Records(Arc<Vec<EncryptedMetadata>>),
-    /// An epoch snapshot of a store plus up to two index ranges — the
-    /// zero-copy form of [`MetadataStore::select_window`], in the same
-    /// record order (wrapped windows: high slice, then the wrap-around).
+    /// An epoch snapshot of a store plus the window's index ranges into its
+    /// runs ([`MetadataStore::window_ranges`]): columns, one segment per
+    /// range, scanned in that order.
     Snapshot {
         store: Arc<MetadataStore>,
-        ranges: [(usize, usize); 2],
+        ranges: Vec<RunRange>,
     },
 }
 
@@ -70,37 +78,46 @@ impl TaskCorpus {
         TaskCorpus::Snapshot { store, ranges }
     }
 
+    /// Records in the view — what a scan of it reports as `scanned`.
     pub fn len(&self) -> usize {
-        Corpus::len(self)
+        (0..self.segments()).map(|k| self.segment_len(k)).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn segments(&self) -> usize {
+        match self {
+            TaskCorpus::Records(_) => 1,
+            TaskCorpus::Snapshot { ranges, .. } => ranges.len(),
+        }
+    }
+
+    fn segment_len(&self, k: usize) -> usize {
+        match self {
+            TaskCorpus::Records(rows) => rows.len(),
+            TaskCorpus::Snapshot { ranges, .. } => ranges[k].end - ranges[k].start,
+        }
+    }
 }
 
-impl Corpus for TaskCorpus {
-    fn len(&self) -> usize {
-        match self {
-            TaskCorpus::Records(r) => r.len(),
-            TaskCorpus::Snapshot { ranges, .. } => ranges.iter().map(|&(a, b)| b - a).sum(),
-        }
-    }
-
-    /// The `i`-th record of the view (window order).
-    fn get(&self, i: usize) -> &EncryptedMetadata {
-        match self {
-            TaskCorpus::Records(r) => &r[i],
+/// Evaluate `$body` with `$segment` bound to the open segment of `$task`'s
+/// corpus — rows or columns, each its own monomorphic copy of the pipeline.
+macro_rules! with_segment {
+    ($task:ident, $segment:ident => $body:expr) => {
+        match &$task.corpus {
+            TaskCorpus::Records(rows) => {
+                let $segment = &rows[..];
+                $body
+            }
             TaskCorpus::Snapshot { store, ranges } => {
-                let first = ranges[0].1 - ranges[0].0;
-                if i < first {
-                    &store.records()[ranges[0].0 + i]
-                } else {
-                    &store.records()[ranges[1].0 + (i - first)]
-                }
+                let range = ranges[$task.segment];
+                let $segment = &store.runs()[range.run].columns(range.start, range.end);
+                $body
             }
         }
-    }
+    };
 }
 
 /// What a finished [`QueryTask`] hands back.
@@ -113,15 +130,17 @@ pub struct TaskResult {
 }
 
 /// One resident sub-query: a scan of the survivor pipeline over its corpus
-/// view. Drive with `step()`/`complete()` (the [`BatchEngine`] does) or
-/// [`run_inline`](Self::run_inline); either way the match set and the PRF
-/// count are those of sequential
+/// view, segment by segment. Drive with `step()`/`complete()` (the
+/// [`BatchEngine`] does) or [`run_inline`](Self::run_inline); either way
+/// the match set and the PRF count are those of sequential
 /// [`match_corpus_with`](crate::engine::match_corpus_with) on the same
-/// records.
+/// records in the same order.
 pub struct QueryTask {
     query: CompiledQuery,
     matcher: Matcher,
     corpus: TaskCorpus,
+    /// The segment of `corpus` under scan.
+    segment: usize,
     scratch: MatchScratch,
     matches: Vec<u64>,
 }
@@ -133,15 +152,16 @@ impl QueryTask {
             "a query needs at least one predicate"
         );
         let matcher = Matcher::new(query.trapdoors.len(), true).with_backend(backend);
-        let mut scratch = MatchScratch::new();
-        scratch.begin(corpus.len(), MATCH_CHUNK);
-        QueryTask {
+        let mut task = QueryTask {
             query,
             matcher,
             corpus,
-            scratch,
+            segment: 0,
+            scratch: MatchScratch::new(),
             matches: Vec::new(),
-        }
+        };
+        task.open_segment();
+        task
     }
 
     /// The SHA-1 lane backend this task's sweeps must run on.
@@ -149,14 +169,26 @@ impl QueryTask {
         self.matcher.backend()
     }
 
+    /// Start the scan of segment `self.segment`, if there is one.
+    fn open_segment(&mut self) {
+        if self.segment < self.corpus.segments() {
+            let len = self.corpus.segment_len(self.segment);
+            self.scratch.begin(len, MATCH_CHUNK);
+        }
+    }
+
     /// Advance until the next MAC sweep is staged or the task finishes.
     pub(crate) fn step(&mut self) -> Step {
-        self.matcher.advance(
-            &self.query,
-            &self.corpus,
-            &mut self.scratch,
-            &mut self.matches,
-        )
+        while self.segment < self.corpus.segments() {
+            let (matcher, scratch) = (&mut self.matcher, &mut self.scratch);
+            let step = with_segment!(self, c => matcher.advance(&self.query, c, scratch, &mut self.matches));
+            if let Step::NeedMacs = step {
+                return step;
+            }
+            self.segment += 1;
+            self.open_segment();
+        }
+        Step::Finished
     }
 
     /// The staged MAC job: one key, the current survivors' nonces.
@@ -167,7 +199,13 @@ impl QueryTask {
     /// Deliver the staged job's MAC prefixes (`macs[i]` belongs to nonce
     /// `i` of the job).
     pub(crate) fn complete(&mut self, macs: &[u64]) {
-        self.matcher.complete(&self.corpus, &mut self.scratch, macs);
+        let (matcher, scratch) = (&mut self.matcher, &mut self.scratch);
+        with_segment!(self, c => matcher.complete(c, scratch, macs));
+    }
+
+    fn complete_inline(&mut self) {
+        let (matcher, scratch) = (&mut self.matcher, &mut self.scratch);
+        with_segment!(self, c => matcher.complete_inline(c, scratch));
     }
 
     fn into_result(self) -> TaskResult {
@@ -180,14 +218,35 @@ impl QueryTask {
     /// Run the task to completion on the calling thread through the inline
     /// driver (single-key sweeps, lane-packed within the task only).
     pub fn run_inline(mut self) -> TaskResult {
-        self.matcher.scan(
-            &self.query,
-            &self.corpus,
-            MATCH_CHUNK,
-            &mut self.scratch,
-            &mut self.matches,
-        );
+        while let Step::NeedMacs = self.step() {
+            self.matcher.mac_inline(&mut self.scratch);
+            self.complete_inline();
+        }
         self.into_result()
+    }
+
+    /// [`run_inline`](Self::run_inline) under a stopwatch: the wall time
+    /// of its three stages — staging (advance the pipeline, gather the
+    /// survivors' nonces), MAC, filter. Bench apparatus (`repro
+    /// bench_pps`' `stages` block); no node path reads a clock per sweep.
+    pub fn run_inline_staged(mut self) -> (TaskResult, [Duration; 3]) {
+        let mut stages = [Duration::ZERO; 3];
+        let mut mark = Instant::now();
+        let mut lap = |stage: usize| {
+            let now = Instant::now();
+            stages[stage] += now - mark;
+            mark = now;
+        };
+        loop {
+            let step = self.step();
+            lap(0);
+            let Step::NeedMacs = step else { break };
+            self.matcher.mac_inline(&mut self.scratch);
+            lap(1);
+            self.complete_inline();
+            lap(2);
+        }
+        (self.into_result(), stages)
     }
 }
 
@@ -472,19 +531,34 @@ mod tests {
         }
     }
 
-    /// Snapshot corpora must see exactly the window's records, including
-    /// the wrapped two-range case.
+    /// Snapshot corpora must scan exactly the window's records, including
+    /// the wrapped two-range case, over a store of several runs: an
+    /// everything-matches query returns the window's ids in scan order.
     #[test]
-    fn snapshot_corpus_indexes_wrapped_windows() {
+    fn snapshot_corpus_scans_wrapped_windows_across_runs() {
         let enc = test_encryptor();
         let docs = corpus(&enc, 200, 322);
-        let store = Arc::new(MetadataStore::from_records(docs));
+        let mut store = MetadataStore::new();
+        for batch in docs.chunks(70) {
+            store.append(Arc::new(crate::store::Run::from_records(batch)));
+        }
+        assert_eq!(store.runs().len(), 3);
+        let store = Arc::new(store);
         let w = Window::new(u64::MAX / 2, u64::MAX / 4); // wrapped
         let snap = TaskCorpus::snapshot(Arc::clone(&store), &w);
-        let want: Vec<u64> = store.select_window(&w).iter().map(|r| r.id).collect();
-        let got: Vec<u64> = (0..snap.len()).map(|i| snap.get(i).id).collect();
-        assert_eq!(got, want);
+        let want: Vec<u64> = store.window_records(&w).iter().map(|r| r.id).collect();
+        assert_eq!(snap.len(), want.len());
         assert!(!snap.is_empty());
+        assert!(want.iter().all(|&id| w.contains(id)) && want.len() < 200);
+        let q =
+            QueryCompiler::new(&enc).compile(&[Predicate::Keyword("the".into())], Combiner::And);
+        let got = QueryTask::new(q, snap, Backend::Scalar).run_inline();
+        assert_eq!(got.matches, want);
+        // a window no record falls in is a task that finishes at once
+        let none = TaskCorpus::snapshot(store, &Window::new(7, 8));
+        let q = QueryCompiler::new(&enc).compile(&[Predicate::Keyword("the".into())], Combiner::Or);
+        let got = QueryTask::new(q, none, Backend::Scalar).run_inline();
+        assert_eq!((got.matches.len(), got.prf_calls), (0, 0));
     }
 
     /// Many tasks through a small pool: all complete, results correct.

@@ -10,12 +10,15 @@
 //! * on every available SHA-1 backend (scalar / sse2 / avx2 / avx512),
 //!   including mixed-backend resident sets and ragged lane tails
 //!   (survivor counts never a multiple of the lane width);
-//! * over zero-copy store snapshots, including wrapped windows.
+//! * over zero-copy snapshots of a multi-run store, including wrapped
+//!   windows, and the same records as rows and as columns.
 
 use rand::Rng;
+use roar_core::ring::Window;
 use roar_pps::engine::match_corpus_with;
 use roar_pps::metadata::{FileMeta, MetaEncryptor};
 use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+use roar_pps::store::Run;
 use roar_pps::{
     Backend, BatchEngine, CompiledQuery, EncryptedMetadata, MetadataStore, QueryTask, TaskCorpus,
 };
@@ -216,36 +219,89 @@ fn ragged_corpus_sizes_keep_parity() {
     }
 }
 
+/// A store of six uneven runs (one shorter than any lane group), as a node
+/// that took six `Store` batches holds it.
+fn multi_run_store(docs: &[EncryptedMetadata]) -> Arc<MetadataStore> {
+    let mut store = MetadataStore::new();
+    let mut rest = docs;
+    for len in [230, 3, 170, 97, 190] {
+        let (batch, tail) = rest.split_at(len);
+        store.append(Arc::new(Run::from_records(batch)));
+        rest = tail;
+    }
+    store.append(Arc::new(Run::from_records(rest)));
+    assert_eq!(store.runs().len(), 6, "uneven batches: no merge");
+    Arc::new(store)
+}
+
+fn snapshot_windows() -> [Window; 4] {
+    [
+        Window::full(1),
+        Window::new(0, u64::MAX / 3),
+        Window::new(u64::MAX / 2, u64::MAX / 8), // wrapped
+        // wrapped, and narrow enough to miss the three-record run
+        Window::new(u64::MAX - (1 << 58), 1 << 58),
+    ]
+}
+
 /// Store snapshots: tasks over wrapped and partial windows of a shared
-/// `Arc<MetadataStore>` equal sequential runs over the materialised
-/// window records.
+/// multi-run `Arc<MetadataStore>`, resident together on the engine, equal
+/// sequential runs over the materialised window records.
 #[test]
 fn snapshot_windows_keep_parity() {
     let enc = test_encryptor();
-    let docs = corpus(&enc, 800, 79);
-    let store = Arc::new(MetadataStore::from_records(docs));
+    let store = multi_run_store(&corpus(&enc, 800, 79));
     let qc = QueryCompiler::new(&enc);
-    let windows = [
-        roar_core::ring::Window::full(1),
-        roar_core::ring::Window::new(0, u64::MAX / 3),
-        roar_core::ring::Window::new(u64::MAX / 2, u64::MAX / 8), // wrapped
-    ];
     let backend = *available_backends().last().expect("scalar always exists");
     let engine = BatchEngine::new(2);
-    for (i, w) in windows.iter().enumerate() {
-        let q = query_mix(&qc, i);
-        let h = engine.submit_handle(QueryTask::new(
-            q.clone(),
-            TaskCorpus::snapshot(Arc::clone(&store), w),
-            backend,
-        ));
+    let windows = snapshot_windows();
+    let tasks: Vec<_> = windows
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let q = query_mix(&qc, i);
+            let snapshot = TaskCorpus::snapshot(Arc::clone(&store), w);
+            let task = QueryTask::new(q.clone(), snapshot, backend);
+            (q, w, engine.submit_handle(task))
+        })
+        .collect();
+    for (i, (q, w, h)) in tasks.into_iter().enumerate() {
         let res = h.wait();
-        let window_records: Vec<EncryptedMetadata> =
-            store.select_window(w).into_iter().cloned().collect();
-        let (want, want_prf) = sequential_baseline(&window_records, &q, backend);
+        let (want, want_prf) = sequential_baseline(&store.window_records(w), &q, backend);
         let mut got = res.matches;
         got.sort_unstable();
         assert_eq!(got, want, "window {i}");
         assert_eq!(res.prf_calls, want_prf, "window {i} PRF");
+    }
+}
+
+/// Rows against columns: the same records as `TaskCorpus::Records` and as
+/// a snapshot of a multi-run store give the same match *set* and the same
+/// PRF count, inline and on the engine, on every available backend.
+#[test]
+fn rows_and_columns_agree_on_every_backend() {
+    let enc = test_encryptor();
+    let store = multi_run_store(&corpus(&enc, 800, 80));
+    let qc = QueryCompiler::new(&enc);
+    for backend in available_backends() {
+        let engine = BatchEngine::new(2);
+        for (i, w) in snapshot_windows().iter().enumerate() {
+            let q = query_mix(&qc, i + 1);
+            let rows = TaskCorpus::Records(Arc::new(store.window_records(w)));
+            let columns = TaskCorpus::snapshot(Arc::clone(&store), w);
+            assert_eq!(rows.len(), columns.len());
+            let task = |corpus: &TaskCorpus| QueryTask::new(q.clone(), corpus.clone(), backend);
+            let sorted = |mut res: roar_pps::TaskResult| {
+                res.matches.sort_unstable();
+                (res.matches, res.prf_calls)
+            };
+            let want = sorted(task(&rows).run_inline());
+            let name = backend.name();
+            assert_eq!(sorted(task(&columns).run_inline()), want, "{i} on {name}");
+            let resident = [&rows, &columns].map(|c| engine.submit_handle(task(c)));
+            for h in resident {
+                assert_eq!(sorted(h.wait()), want, "{i} on {name}, engine");
+            }
+        }
     }
 }
