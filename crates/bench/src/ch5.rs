@@ -67,7 +67,6 @@ pub fn fig5_4(scale: Scale) -> Report {
         profile: EngineProfile::none(),
         batch: 512,
         trace_every: n / 8,
-        ..Default::default()
     };
 
     let mut t = Table::new([
@@ -120,7 +119,6 @@ pub fn fig5_5(scale: Scale) -> Report {
             profile: EngineProfile::none(),
             batch: 1024,
             trace_every: n,
-            ..Default::default()
         };
         let out = engine.run_query(&records, None, q);
         if threads == 1 {
@@ -178,7 +176,6 @@ fn scaling_report(
                 profile,
                 batch: 1024,
                 trace_every: usize::MAX,
-                ..Default::default()
             };
             // a slower host (fig 5.7) is emulated by scanning the data
             // `cpu_slow_factor` times
@@ -236,7 +233,6 @@ pub fn fig5_7(scale: Scale) -> Report {
             profile,
             batch: 1024,
             trace_every: usize::MAX,
-            ..Default::default()
         };
         let out = engine.run_query(&records, None, q);
         t.row([

@@ -5,7 +5,7 @@
 use crate::Scale;
 use rand::Rng;
 use roar_cluster::SchedOpts;
-use roar_cluster::{spawn_cluster, Backend, ClusterConfig, QueryBody, TransportSpec};
+use roar_cluster::{spawn_cluster, ClusterConfig, QueryBody, TransportSpec};
 use roar_core::placement::RoarRing;
 use roar_core::ringmap::RingMap;
 use roar_core::sched::{schedule_exhaustive, schedule_sweep, RoarScheduler, Strategy};
@@ -20,7 +20,6 @@ use roar_workload::{Fleet, ServerModel};
 
 fn rt() -> tokio::runtime::Runtime {
     tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
         .enable_all()
         .build()
         .expect("tokio runtime")
@@ -351,7 +350,6 @@ fn pq_balancing(scale: Scale) -> (Vec<f64>, Vec<f64>) {
             p: 3,
             overhead_s: 0.0,
             transport: TransportSpec::Tcp,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.expect("cluster");
@@ -666,7 +664,6 @@ pub fn fig7_13(scale: Scale) -> Report {
             p: 2,
             overhead_s: 0.0,
             transport: TransportSpec::Tcp,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.expect("cluster");

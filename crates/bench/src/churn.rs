@@ -107,10 +107,9 @@ async fn drive_scenario(
             // n doubles mid-traffic: spawn the surge fleet, declare the
             // doubled topology, let the planner join them all
             for id in n..2 * n {
-                let (addr, _node) =
-                    spawn_extra_node_with(id, 1e6, 0.0, &transport, roar_cluster::Backend::auto())
-                        .await
-                        .expect("surge node binds on loopback");
+                let (addr, _node) = spawn_extra_node_with(id, 1e6, 0.0, &transport)
+                    .await
+                    .expect("surge node binds on loopback");
                 rec.add_spare(addr);
             }
             rec.set_desired(DesiredTopology::new(2 * n, p));

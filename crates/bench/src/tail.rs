@@ -22,9 +22,7 @@
 use crate::driver::{block_on, closed_loop, synthetic_ids};
 use crate::{millis, number, Filters, Scale};
 use roar_cluster::harness::spawn_extra_node_with;
-use roar_cluster::{
-    connect_with, Backend, DatagramConfig, FixedRto, HedgePolicy, LossSpec, TransportSpec,
-};
+use roar_cluster::{connect_with, DatagramConfig, FixedRto, HedgePolicy, LossSpec, TransportSpec};
 use roar_util::{Json, Summary};
 use std::time::Duration;
 
@@ -74,7 +72,7 @@ async fn run_mode(
             LossSpec::None
         };
         let spec = udp_spec(Duration::from_millis(5), loss);
-        let (addr, node) = spawn_extra_node_with(id, 1e7, 0.0, &spec, Backend::auto())
+        let (addr, node) = spawn_extra_node_with(id, 1e7, 0.0, &spec)
             .await
             .expect("node");
         addrs.push(addr);

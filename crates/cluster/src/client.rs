@@ -5,7 +5,7 @@
 //! §4.8.2 lets a client over-partition (`pq > p`) for speed, and Fig 7.11's
 //! breakdown shows the straggler — not scheduling — dominating tail delay.
 //! [`QueryBuilder`] exposes those knobs (deadline, harvest target, `pq`,
-//! scheduler options, per-query crypto backend), and [`QueryStream`] yields
+//! scheduler options, hedging), and [`QueryStream`] yields
 //! each sub-query's result **as it lands**, resolving early once the
 //! harvest target or deadline is hit, so a latency-sensitive caller trades
 //! harvest for delay instead of waiting on the last straggler.
@@ -23,7 +23,6 @@ use crate::frontend::{ClusterCore, QueryOutput, SchedOpts, SubOutcome};
 use crate::proto::QueryBody;
 use crate::transport::{RpcError, Transport, TransportSpec};
 use roar_core::placement::RoarRing;
-use roar_crypto::sha1::Backend;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::net::SocketAddr;
@@ -194,9 +193,7 @@ impl QueryClient {
             deadline: None,
             harvest_target: 1.0,
             sched: SchedOpts::paper(),
-            pq_override: None,
             hedge: None,
-            crypto: None,
             retries: 0,
             retry_backoff: Duration::from_millis(3),
             admission: None,
@@ -220,20 +217,21 @@ impl QueryClient {
 }
 
 /// One query under construction: deadline, harvest target, partitioning
-/// override, scheduler options, hedging and the crypto lane engine, then
-/// [`run`](QueryBuilder::run) or [`stream`](QueryBuilder::stream).
+/// override, scheduler options, hedging, retries and admission, then
+/// [`run`](QueryBuilder::run) or [`stream`](QueryBuilder::stream). The
+/// SHA-1 lane engine is not a query setting: every node sweeps with the
+/// process's own (`ROAR_SHA1_BACKEND` pins it).
 ///
 /// Defaults: no deadline, harvest target 1.0 (wait for every window),
-/// [`SchedOpts::paper`], no hedging, the node's own SHA-1 backend.
+/// [`SchedOpts::paper`], no hedging.
+#[derive(Clone)]
 pub struct QueryBuilder {
     core: Arc<ClusterCore>,
     body: QueryBody,
     deadline: Option<Duration>,
     harvest_target: f64,
     sched: SchedOpts,
-    pq_override: Option<usize>,
     hedge: Option<HedgePolicy>,
-    crypto: Option<Backend>,
     retries: usize,
     retry_backoff: Duration,
     admission: Option<Arc<AdmissionController>>,
@@ -254,14 +252,15 @@ impl QueryBuilder {
         self
     }
 
-    /// Over-partition this query (`pq ≥ p`, §4.8.2). Applied on top of
-    /// whatever [`Self::sched`] selects.
+    /// Over-partition this query (`pq ≥ p`, §4.8.2): sets `sched.pq`, so
+    /// call it after [`Self::sched`].
     pub fn pq(mut self, pq: usize) -> Self {
-        self.pq_override = Some(pq);
+        self.sched.pq = Some(pq);
         self
     }
 
-    /// Replace the scheduler options (ablations; see [`SchedOpts`]).
+    /// Replace the scheduler options (ablations; see [`SchedOpts`]),
+    /// including any [`Self::pq`] set before.
     pub fn sched(mut self, sched: SchedOpts) -> Self {
         self.sched = sched;
         self
@@ -270,14 +269,6 @@ impl QueryBuilder {
     /// Hedge straggling sub-queries to spare replicas.
     pub fn hedge(mut self, policy: HedgePolicy) -> Self {
         self.hedge = Some(policy);
-        self
-    }
-
-    /// Pin the SHA-1 lane engine the nodes sweep this query with (canary /
-    /// ablation knob; nodes fall back to their own configured backend when
-    /// the requested one is unavailable on their CPU).
-    pub fn crypto_backend(mut self, backend: Backend) -> Self {
-        self.crypto = Some(backend);
         self
     }
 
@@ -317,9 +308,6 @@ impl QueryBuilder {
     pub fn stream(self) -> QueryStream {
         let t0 = Instant::now();
         let mut sched = self.sched;
-        if let Some(pq) = self.pq_override {
-            sched.pq = Some(pq);
-        }
         let mut hedge = self.hedge;
         if let Some(ctrl) = &self.admission {
             // §4.8.2 auto-tuning: only knobs the caller left unset
@@ -348,7 +336,6 @@ impl QueryBuilder {
             ring,
             body: self.body,
             hedge,
-            crypto: self.crypto,
             hedges: Arc::clone(&hedges),
         });
         // one task per sub-query: hedge timers and stragglers tick
@@ -392,29 +379,10 @@ impl QueryBuilder {
     /// ([`Self::stream`]) see single attempts and manage retries
     /// themselves.
     pub async fn run(self) -> QueryOutput {
-        let retries = self.retries;
-        let backoff = self.retry_backoff;
-        let core = Arc::clone(&self.core);
-        let body = self.body.clone();
-        let (deadline, harvest_target) = (self.deadline, self.harvest_target);
-        let (sched, pq_override) = (self.sched, self.pq_override);
-        let (hedge, crypto) = (self.hedge, self.crypto);
-        let admission = self.admission;
-        let attempt = move || QueryBuilder {
-            core: Arc::clone(&core),
-            body: body.clone(),
-            deadline,
-            harvest_target,
-            sched,
-            pq_override,
-            hedge,
-            crypto,
-            retries: 0,
-            retry_backoff: backoff,
-            admission: admission.clone(),
-        };
+        let (retries, backoff) = (self.retries, self.retry_backoff);
+        let attempt = QueryBuilder { retries: 0, ..self };
         let t0 = Instant::now();
-        let mut out = attempt().run_once().await;
+        let mut out = attempt.clone().run_once().await;
         for i in 0..retries {
             // a shed query is a deliberate drop, not a partial failure —
             // re-offering it immediately would defeat the door
@@ -422,7 +390,7 @@ impl QueryBuilder {
                 break;
             }
             tokio::time::sleep(backoff + backoff.mul_f64(i as f64 * 0.5)).await;
-            let next = attempt().run_once().await;
+            let next = attempt.clone().run_once().await;
             if next.harvest > out.harvest {
                 out = next;
             }
@@ -450,7 +418,6 @@ struct SubRunCtx {
     ring: RoarRing,
     body: QueryBody,
     hedge: Option<HedgePolicy>,
-    crypto: Option<Backend>,
     hedges: Arc<AtomicUsize>,
 }
 
@@ -470,7 +437,7 @@ async fn run_one(
     let Some(policy) = ctx.hedge else {
         let out = ctx
             .core
-            .run_subquery(&ctx.ring, sub, ctx.body.clone(), 0, ctx.crypto)
+            .run_subquery(&ctx.ring, sub, ctx.body.clone(), 0)
             .await;
         return (index, out);
     };
@@ -478,13 +445,7 @@ async fn run_one(
     let mut primary = tokio::spawn(async move {
         primary_ctx
             .core
-            .run_subquery(
-                &primary_ctx.ring,
-                sub,
-                primary_ctx.body.clone(),
-                0,
-                primary_ctx.crypto,
-            )
+            .run_subquery(&primary_ctx.ring, sub, primary_ctx.body.clone(), 0)
             .await
     });
     let settle_primary = |r: Result<SubOutcome, tokio::task::JoinError>| match r {
@@ -503,7 +464,6 @@ async fn run_one(
                         &hedge_ctx.ring,
                         sub,
                         hedge_ctx.body.clone(),
-                        hedge_ctx.crypto,
                         &hedge_ctx.hedges,
                     )
                     .await

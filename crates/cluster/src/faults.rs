@@ -58,7 +58,6 @@ use crate::harness::ClusterHandle;
 use crate::node::DataNode;
 use crate::transport::{NetGate, TransportSpec};
 use rand::Rng;
-use roar_crypto::sha1::Backend;
 use roar_dr::rack::RackLayout;
 use roar_util::det_rng;
 use std::net::SocketAddr;
@@ -156,9 +155,9 @@ impl FaultSchedule {
 pub struct FaultInjector {
     admin: Admin,
     transport: TransportSpec,
-    /// (speed, overhead_s, backend) per original node id — replacement
-    /// nodes inherit their victim's profile.
-    profiles: Vec<(f64, f64, Backend)>,
+    /// (speed, overhead_s) per original node id — replacement nodes
+    /// inherit their victim's profile.
+    profiles: Vec<(f64, f64)>,
     gates: Vec<Option<NetGate>>,
     /// Replacement nodes spawned so far (kept alive for inspection).
     pub spawned: Vec<(SocketAddr, Arc<DataNode>)>,
@@ -174,7 +173,7 @@ impl FaultInjector {
             profiles: h
                 .nodes
                 .iter()
-                .map(|n| (n.cfg.speed, n.cfg.overhead_s, n.cfg.backend))
+                .map(|n| (n.cfg.speed, n.cfg.overhead_s))
                 .collect(),
             gates: h.gates.clone(),
             spawned: Vec::new(),
@@ -184,7 +183,7 @@ impl FaultInjector {
 
     /// Execution profile for a node id (replacements reuse their victim's;
     /// ids beyond the original fleet fall back to node 0's profile).
-    fn profile(&self, node: usize) -> (f64, f64, Backend) {
+    fn profile(&self, node: usize) -> (f64, f64) {
         self.profiles
             .get(node)
             .copied()
@@ -213,18 +212,13 @@ impl FaultInjector {
                 None
             }
             FaultKind::Restart { node } => {
-                let (speed, overhead_s, backend) = self.profile(node);
+                let (speed, overhead_s) = self.profile(node);
                 let id = self.next_id;
                 self.next_id += 1;
-                let (addr, handle) = crate::harness::spawn_extra_node_with(
-                    id,
-                    speed,
-                    overhead_s,
-                    &self.transport,
-                    backend,
-                )
-                .await
-                .expect("replacement node binds on loopback");
+                let (addr, handle) =
+                    crate::harness::spawn_extra_node_with(id, speed, overhead_s, &self.transport)
+                        .await
+                        .expect("replacement node binds on loopback");
                 self.spawned.push((addr, Arc::clone(&handle)));
                 Some(addr)
             }

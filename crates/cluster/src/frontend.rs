@@ -26,7 +26,6 @@ use roar_core::reconfig::Reconfig;
 use roar_core::ringmap::RingMap;
 use roar_core::sched::schedule_sweep;
 use roar_core::stats::ServerStats;
-use roar_crypto::sha1::Backend;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,18 +288,13 @@ impl ClusterCore {
     /// was never done (`proc_time` 0 leaves the speed EWMA alone). `Err` is
     /// a transport failure: no reply came, the charge still stands, and
     /// what that means for the node is the caller's call.
-    async fn dispatch_once(
-        &self,
-        sub: &SubQuery,
-        body: QueryBody,
-        crypto: Option<Backend>,
-    ) -> Result<SubOutcome, RpcError> {
+    async fn dispatch_once(&self, sub: &SubQuery, body: QueryBody) -> Result<SubOutcome, RpcError> {
         let msg = Msg::SubQuery {
             query_id: sub.point,
             window_start: sub.window.start,
             window_end: sub.window.end,
             body,
-            backend: crypto,
+            backend: None,
         };
         let reply = self.conn(sub.node).rpc(msg, self.timeout).await?;
         let (outcome, proc_s) = match reply {
@@ -342,10 +336,9 @@ impl ClusterCore {
         sub: SubQuery,
         body: QueryBody,
         depth: usize,
-        crypto: Option<Backend>,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = SubOutcome> + Send + 'a>> {
         Box::pin(async move {
-            let err = match self.dispatch_once(&sub, body.clone(), crypto).await {
+            let err = match self.dispatch_once(&sub, body.clone()).await {
                 Ok(outcome) => return outcome,
                 Err(err) => err,
             };
@@ -370,10 +363,7 @@ impl ClusterCore {
                 // charged piece by piece, as each is sent: an early failure
                 // leaves the unsent rest off the books
                 self.note_dispatch(std::slice::from_ref(&s));
-                match self
-                    .run_subquery(ring, s, body.clone(), depth + 1, crypto)
-                    .await
-                {
+                match self.run_subquery(ring, s, body.clone(), depth + 1).await {
                     SubOutcome::Done {
                         matches: m,
                         scanned: sc,
@@ -413,7 +403,6 @@ impl ClusterCore {
         ring: &RoarRing,
         sub: SubQuery,
         body: QueryBody,
-        crypto: Option<Backend>,
         hedges_sent: &Arc<std::sync::atomic::AtomicUsize>,
     ) -> Option<SubOutcome> {
         let alive_vec = self.alive_snapshot();
@@ -433,9 +422,8 @@ impl ClusterCore {
         if let Some(spare) = best {
             // whole-window spare: first reply wins
             let aimed = SubQuery { node: spare, ..sub };
-            let (matches, scanned, proc_s) = self
-                .hedge_dispatch_once(&aimed, body, crypto, hedges_sent)
-                .await?;
+            let (matches, scanned, proc_s) =
+                self.hedge_dispatch_once(&aimed, body, hedges_sent).await?;
             return Some(SubOutcome::Done {
                 matches,
                 scanned,
@@ -457,10 +445,9 @@ impl ClusterCore {
                 let this = Arc::clone(self);
                 let body = body.clone();
                 let hedges_sent = Arc::clone(hedges_sent);
-                tokio::spawn(async move {
-                    this.hedge_dispatch_once(&piece, body, crypto, &hedges_sent)
-                        .await
-                })
+                tokio::spawn(
+                    async move { this.hedge_dispatch_once(&piece, body, &hedges_sent).await },
+                )
             })
             .collect();
         let mut matches = Vec::new();
@@ -500,7 +487,6 @@ impl ClusterCore {
         &self,
         sub: &SubQuery,
         body: QueryBody,
-        crypto: Option<Backend>,
         hedges_sent: &std::sync::atomic::AtomicUsize,
     ) -> Option<(Vec<u64>, u64, f64)> {
         // ORDERING: Relaxed — stats counter; no other memory is
@@ -509,7 +495,7 @@ impl ClusterCore {
         // a hedge is unplanned work: charge it, so the completion's
         // decrement cannot eat some other query's outstanding work
         self.note_dispatch(std::slice::from_ref(sub));
-        match self.dispatch_once(sub, body, crypto).await {
+        match self.dispatch_once(sub, body).await {
             Ok(SubOutcome::Done {
                 matches,
                 scanned,

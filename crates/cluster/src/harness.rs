@@ -17,7 +17,6 @@ use crate::admin::Admin;
 use crate::client::{connect_with, QueryClient};
 use crate::node::{DataNode, NodeConfig};
 use crate::transport::{NetGate, TransportSpec};
-use roar_crypto::sha1::Backend;
 use std::sync::Arc;
 
 /// Harness parameters.
@@ -31,9 +30,6 @@ pub struct ClusterConfig {
     pub overhead_s: f64,
     /// Which transport the nodes serve and the front-end dispatches over.
     pub transport: TransportSpec,
-    /// SHA-1 lane engine every node's sub-query matcher sweeps with
-    /// (default: auto-detected, overridable via `ROAR_SHA1_BACKEND`).
-    pub backend: Backend,
     /// Give every node a [`NetGate`] partition switch in front of its
     /// server loss policy, so a fault injector can cut and heal individual
     /// nodes ([`crate::faults::FaultKind::Partition`]). Datagram
@@ -49,7 +45,6 @@ impl ClusterConfig {
             p,
             overhead_s: 0.0,
             transport: TransportSpec::Tcp,
-            backend: Backend::auto(),
             fault_gates: false,
         }
     }
@@ -57,12 +52,6 @@ impl ClusterConfig {
     /// Select the cluster transport (builder style).
     pub fn with_transport(mut self, transport: TransportSpec) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Pin the nodes' SHA-1 lane backend (builder style).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -125,22 +114,20 @@ pub async fn spawn_extra_node(
     speed: f64,
     overhead_s: f64,
 ) -> std::io::Result<(std::net::SocketAddr, Arc<DataNode>)> {
-    spawn_extra_node_with(id, speed, overhead_s, &TransportSpec::Tcp, Backend::auto()).await
+    spawn_extra_node_with(id, speed, overhead_s, &TransportSpec::Tcp).await
 }
 
-/// [`spawn_extra_node`] over an explicit transport and SHA-1 lane backend.
+/// [`spawn_extra_node`] over an explicit transport.
 pub async fn spawn_extra_node_with(
     id: usize,
     speed: f64,
     overhead_s: f64,
     transport: &TransportSpec,
-    backend: Backend,
 ) -> std::io::Result<(std::net::SocketAddr, Arc<DataNode>)> {
     let node = Arc::new(DataNode::new(NodeConfig {
         id,
         speed,
         overhead_s,
-        backend,
     }));
     let (tx, rx) = tokio::sync::oneshot::channel();
     let n2 = Arc::clone(&node);
@@ -171,8 +158,7 @@ pub async fn spawn_cluster(cfg: ClusterConfig) -> std::io::Result<ClusterHandle>
         } else {
             (cfg.transport.clone(), None)
         };
-        let (addr, node) =
-            spawn_extra_node_with(id, speed, cfg.overhead_s, &node_spec, cfg.backend).await?;
+        let (addr, node) = spawn_extra_node_with(id, speed, cfg.overhead_s, &node_spec).await?;
         nodes.push(node);
         addrs.push(addr);
         gates.push(gate);
@@ -405,7 +391,6 @@ mod tests {
             p: 2,
             overhead_s: 0.0,
             transport: spec,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.unwrap();
@@ -457,19 +442,9 @@ mod tests {
                 .collect(),
             conjunctive: true,
         };
-        let out = h.client.query(body.clone()).run().await;
+        let out = h.client.query(body).run().await;
         assert_eq!(out.matches, vec![target]);
         assert_eq!(out.scanned, 40);
-        // per-query crypto canary: a pinned scalar sweep returns the same
-        // matches as the node's own auto-detected engine
-        let out2 = h
-            .client
-            .query(body)
-            .crypto_backend(Backend::Scalar)
-            .run()
-            .await;
-        assert_eq!(out2.matches, vec![target]);
-        assert_eq!(out2.scanned, 40);
     }
 
     async fn invalid_request_leaves_no_outstanding_work(spec: TransportSpec) {
@@ -714,7 +689,7 @@ mod tests {
         let mut rng = det_rng(225);
         let ids: Vec<u64> = (0..900).map(|_| rng.gen()).collect();
         h.admin.store_synthetic(&ids).await.unwrap();
-        let (addr, new_node) = spawn_extra_node_with(6, 1e6, 0.0, &spec, Backend::auto()).await.unwrap();
+        let (addr, new_node) = spawn_extra_node_with(6, 1e6, 0.0, &spec).await.unwrap();
         let new_id = h.admin.add_node(addr).await.unwrap();
         assert_eq!(new_id, 6);
         assert_eq!(h.admin.n(), 7);
@@ -770,7 +745,7 @@ mod tests {
         let mut rng = det_rng(227);
         let ids: Vec<u64> = (0..400).map(|_| rng.gen()).collect();
         h.admin.store_synthetic(&ids).await.unwrap();
-        let (addr, _node) = spawn_extra_node_with(5, 1e6, 0.0, &spec, Backend::auto()).await.unwrap();
+        let (addr, _node) = spawn_extra_node_with(5, 1e6, 0.0, &spec).await.unwrap();
         let id = h.admin.add_node(addr).await.unwrap();
         let out = h
             .client
@@ -861,7 +836,6 @@ mod tests {
             p: 2,
             overhead_s: 0.0,
             transport: spec,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.unwrap();
@@ -959,7 +933,6 @@ mod tests {
             p: 2,
             overhead_s: 0.0,
             transport: spec,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.unwrap();
@@ -992,7 +965,6 @@ mod tests {
             p: 2,
             overhead_s: 0.0,
             transport: spec,
-            backend: Backend::auto(),
             fault_gates: false,
         };
         let h = spawn_cluster(cfg).await.unwrap();
@@ -1138,10 +1110,7 @@ mod tests {
         h.admin.store_synthetic(&ids).await.unwrap();
         let mut rec = Reconciler::new(h.admin.clone(), DesiredTopology::new(3, 3));
         for id in 3..6 {
-            let (addr, _node) =
-                spawn_extra_node_with(id, 1e6, 0.0, &spec, Backend::auto())
-                    .await
-                    .unwrap();
+            let (addr, _node) = spawn_extra_node_with(id, 1e6, 0.0, &spec).await.unwrap();
             rec.add_spare(addr);
         }
         rec.set_desired(DesiredTopology::new(6, 3));

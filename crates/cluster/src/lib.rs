@@ -14,10 +14,10 @@
 //! handles to one shared state:
 //!
 //! * [`client::QueryClient`] — the **data plane**: [`client::QueryBuilder`]
-//!   (deadline, harvest target, `pq`, scheduler options, hedging, crypto
-//!   backend) returning a [`client::QueryStream`] that yields per-sub-query
-//!   partial results as they land and resolves early once the harvest
-//!   target or deadline is hit;
+//!   (deadline, harvest target, `pq`, scheduler options, hedging, retries,
+//!   admission) returning a [`client::QueryStream`] that yields
+//!   per-sub-query partial results as they land and resolves early once
+//!   the harvest target or deadline is hit;
 //! * [`admin::Admin`] — the **control plane**: repartitioning (`set_p`,
 //!   §4.5), membership (`add_node`/`remove_node`/`kill_node`, §4.3–4.4),
 //!   balancing (§4.6), backfill, ingest and the §4.8.3 backup-front-end
@@ -88,7 +88,6 @@ pub use harness::{spawn_cluster, ClusterConfig, ClusterHandle};
 pub use node::{DataNode, NodeConfig};
 pub use proto::{read_frame, write_frame, Frame, Msg, QueryBody, WireTrapdoor};
 pub use reconcile::{DesiredTopology, ObservedTopology, Plan, Reconciler, Step};
-pub use roar_crypto::sha1::Backend;
 pub use transport::{
     Adaptive, AdaptiveConfig, AimdWindow, CongestionPolicy, CrossTrafficSpec, DatagramConfig,
     DatagramEndpoint, FixedRto, LossPolicy, LossSpec, NetGate, NodeConn, NodeLink, Pacer,

@@ -46,10 +46,6 @@ pub struct NodeConfig {
     /// Extra fixed per-sub-query overhead in seconds (thread start, parse …
     /// — the overhead that makes large p expensive, §2).
     pub overhead_s: f64,
-    /// SHA-1 lane engine the PPS sub-query matcher sweeps with — part of
-    /// the node's execution profile, so a fleet can mix pinned-scalar
-    /// canaries with auto-detected SIMD nodes.
-    pub backend: Backend,
 }
 
 /// Shared mutable node state.
@@ -312,9 +308,9 @@ impl DataNode {
                 window_start,
                 window_end,
                 body,
-                backend,
+                backend: _,
             } => {
-                self.execute_subquery(query_id, window_start, window_end, body, backend)
+                self.execute_subquery(query_id, window_start, window_end, body)
                     .await
             }
             other => Msg::Error {
@@ -329,7 +325,6 @@ impl DataNode {
         window_start: u64,
         window_end: u64,
         body: QueryBody,
-        backend_override: Option<Backend>,
     ) -> Msg {
         let window = Window::new(window_start, window_end);
         let started = Instant::now();
@@ -432,20 +427,18 @@ impl DataNode {
                 };
                 let corpus = TaskCorpus::snapshot(store, &window);
                 let scanned = corpus.len() as u64;
-                // per-query canary knob: honour the client's requested lane
-                // engine when this CPU has it, else keep the node's own
-                let backend = match backend_override {
-                    Some(b) if b.available() => b,
-                    _ => self.cfg.backend,
-                };
                 // hand the sub-query to the matcher pool: CPU-bound work
                 // stays off the reactor, and resident sub-queries share
-                // lane-packed PRF sweeps instead of a thread each
+                // lane-packed PRF sweeps instead of a thread each. The lane
+                // engine is the process's, whatever the request's
+                // (reserved) `backend` field says.
                 let (tx, rx) = tokio::sync::oneshot::channel();
-                self.matchers()
-                    .submit(QueryTask::new(query, corpus, backend), move |res| {
+                self.matchers().submit(
+                    QueryTask::new(query, corpus, Backend::auto()),
+                    move |res| {
                         let _ = tx.send(res);
-                    });
+                    },
+                );
                 match rx.await {
                     Ok(res) => Msg::SubQueryResult {
                         query_id,
@@ -556,7 +549,6 @@ mod tests {
             id: 0,
             speed,
             overhead_s,
-            backend: Backend::auto(),
         }));
         let (tx, rx) = tokio::sync::oneshot::channel();
         let n2 = Arc::clone(&node);
@@ -728,6 +720,69 @@ mod tests {
             Msg::SubQueryResult { matches, .. } => assert_eq!(matches, vec![rec_id]),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `SubQuery::backend` is a reserved wire field: the node sweeps with
+    /// its own engine whatever the request names, so a pinned-scalar
+    /// request and an unpinned one over the same window answer alike.
+    #[tokio::test]
+    async fn subquery_backend_field_is_ignored() {
+        use roar_pps::metadata::{FileMeta, MetaEncryptor};
+        use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+        let (addr, _node) = start_node(1e6).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let enc = MetaEncryptor::with_points(b"pin", vec![1], vec![1]);
+        let mut rng = roar_util::det_rng(208);
+        let recs: Vec<_> = (0..60)
+            .map(|i| {
+                let meta = FileMeta {
+                    path: format!("/p/f{i}"),
+                    keywords: vec![format!("kw{}", i % 3)],
+                    size: 1,
+                    mtime: 1,
+                };
+                enc.encrypt(&mut rng, &meta)
+            })
+            .collect();
+        let store = Msg::Store {
+            records: recs.iter().map(WireRecord::from_record).collect(),
+            synthetic_ids: vec![],
+        };
+        assert_eq!(rpc(&mut s, 1, store).await, Msg::Ok);
+        let q =
+            QueryCompiler::new(&enc).compile(&[Predicate::Keyword("kw1".into())], Combiner::And);
+        let trapdoors: Vec<_> = (q.trapdoors.iter())
+            .map(crate::proto::WireTrapdoor::from_trapdoor)
+            .collect();
+        let mut replies = Vec::new();
+        for (id, backend) in [(2, Some(Backend::Scalar)), (3, None)] {
+            let sub = Msg::SubQuery {
+                query_id: id,
+                window_start: u64::MAX / 4,
+                window_end: u64::MAX / 4 * 3,
+                body: QueryBody::Pps {
+                    trapdoors: trapdoors.clone(),
+                    conjunctive: true,
+                },
+                backend,
+            };
+            match rpc(&mut s, id, sub).await {
+                Msg::SubQueryResult {
+                    mut matches,
+                    scanned,
+                    ..
+                } => {
+                    matches.sort_unstable();
+                    replies.push((matches, scanned));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(
+            !replies[0].0.is_empty() && replies[0].1 < 60,
+            "a real window"
+        );
+        assert_eq!(replies[0], replies[1]);
     }
 
     #[tokio::test]

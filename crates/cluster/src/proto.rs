@@ -139,7 +139,7 @@ mod wire {
 use roar_crypto::sha1::Backend;
 use wire::Reader;
 
-/// Wire tag for an optional SHA-1 lane backend (0 = node default).
+/// Wire tag of the reserved `SubQuery::backend` field (0 = none).
 fn put_backend(out: &mut Vec<u8>, b: &Option<Backend>) {
     wire::put_u8(
         out,
@@ -329,10 +329,10 @@ fn get_records(r: &mut Reader<'_>) -> Option<Vec<WireRecord>> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Front-end → node: execute a sub-query over `(window_start,
-    /// window_end]` (equal values = full ring). `backend` optionally pins
-    /// the SHA-1 lane engine for this sub-query (client canary/ablation
-    /// knob); `None` means the node's own configured engine, and a node
-    /// whose CPU lacks the requested engine falls back to its own.
+    /// window_end]` (equal values = full ring). `backend` is reserved:
+    /// still encoded and validated (an unknown tag fails decode) because
+    /// the frozen benchmark builds it, but a node ignores its value and
+    /// sweeps with `Backend::auto()`; benchmark revision 2 removes it.
     SubQuery {
         query_id: u64,
         window_start: u64,

@@ -17,7 +17,6 @@ use roar_cluster::proto::{
     read_frame, write_frame, Frame, Msg, QueryBody, WireRecord, WireTrapdoor,
 };
 use roar_cluster::transport::Handler;
-use roar_crypto::sha1::Backend;
 use roar_pps::metadata::{record_clone_count, FileMeta, MetaEncryptor};
 use roar_pps::query::{Combiner, Predicate, QueryCompiler};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +28,6 @@ fn node() -> Arc<DataNode> {
         id: 0,
         speed: 1e6,
         overhead_s: 0.0,
-        backend: Backend::auto(),
     }))
 }
 
@@ -59,12 +57,7 @@ async fn rpc(stream: &mut TcpStream, id: u64, body: Msg) -> Msg {
 
 #[tokio::test]
 async fn subqueries_do_not_clone_stored_records() {
-    let node = Arc::new(DataNode::new(NodeConfig {
-        id: 0,
-        speed: 1e6,
-        overhead_s: 0.0,
-        backend: Backend::auto(),
-    }));
+    let node = node();
     let (tx, rx) = tokio::sync::oneshot::channel();
     let n2 = Arc::clone(&node);
     tokio::spawn(async move {

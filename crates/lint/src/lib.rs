@@ -17,9 +17,8 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check_file, code_lines, Config, Finding, SourceFile};
+pub use rules::{check_file, code_lines, Finding, SourceFile};
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Directories (workspace-relative) that are scanned for `.rs` files.
@@ -67,29 +66,6 @@ fn collect_rs_files(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Load `crates/lint/unwrap_allowlist.txt`: `<path> <budget>` per line,
-/// `#` comments. A missing file means every budget is 0.
-pub fn load_allowlist(root: &Path) -> HashMap<String, u32> {
-    let mut budgets = HashMap::new();
-    let path = root.join("crates/lint/unwrap_allowlist.txt");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return budgets;
-    };
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(p), Some(n)) = (parts.next(), parts.next()) {
-            if let Ok(n) = n.parse::<u32>() {
-                budgets.insert(p.to_string(), n);
-            }
-        }
-    }
-    budgets
-}
-
 /// Every scanned `.rs` file under `root`, lexed, in path order.
 fn workspace_files(root: &Path) -> Vec<SourceFile> {
     let mut rel_paths = Vec::new();
@@ -111,11 +87,8 @@ fn workspace_files(root: &Path) -> Vec<SourceFile> {
 /// Scan the whole workspace under `root`. Returns all findings plus the
 /// number of files checked.
 pub fn check_workspace(root: &Path) -> (Vec<Finding>, usize) {
-    let cfg = Config {
-        unwrap_budgets: load_allowlist(root),
-    };
     let files = workspace_files(root);
-    let mut findings: Vec<Finding> = files.iter().flat_map(|f| check_file(f, &cfg)).collect();
+    let mut findings: Vec<Finding> = files.iter().flat_map(check_file).collect();
     findings.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     (findings, files.len())
 }

@@ -49,7 +49,7 @@ fn main() -> ExitCode {
                 }
             };
             let checked = roar_lint::SourceFile::new(virt, src);
-            let findings = roar_lint::check_file(&checked, &roar_lint::Config::default());
+            let findings = roar_lint::check_file(&checked);
             report(findings, 1)
         }
         Some("--loc") => match enclosing_workspace() {

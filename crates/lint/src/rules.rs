@@ -10,14 +10,13 @@
 //! | `ordering-needs-comment` | every atomic `Ordering::` argument outside `crates/shims` carries an `// ORDERING:` justification |
 //! | `no-thread-spawn` | `thread::spawn` only inside `crates/shims` (PR 8 thread-budget invariant; fixed named pools use `thread::Builder`, model tests use `loom::thread::spawn`) |
 //! | `no-wall-clock-in-reconcile` | no `SystemTime` / `Instant::now` in `reconcile.rs` planning (PR 6 determinism invariant) |
-//! | `no-unwrap-in-request-path` | `unwrap()`/`expect()` banned in `cluster/src/transport/*` and `client.rs`, ratcheted by a checked-in allowlist |
+//! | `no-unwrap-in-request-path` | `unwrap()`/`expect()` banned in `cluster/src/transport/*` and `client.rs` |
 //! | `no-json-by-hand` | no `push_str(&format!(…))` and no `format!("{{…")` in `crates/bench/src`: artifacts are built as a `roar_util::Json` and rendered once |
 //!
 //! Code under `#[cfg(test)]` / `#[test]` is exempt from every rule except
 //! `unsafe-needs-safety` (an unsound test is still unsound).
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::HashMap;
 
 /// One source file, lexed and ready to check. `path` is workspace-relative
 /// with forward slashes — the rules scope themselves by it.
@@ -59,22 +58,15 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Engine configuration: the unwrap-ratchet budgets keyed by
-/// workspace-relative path (absent = 0).
-#[derive(Default)]
-pub struct Config {
-    pub unwrap_budgets: HashMap<String, u32>,
-}
-
 /// Run every rule over one file.
-pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
+pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let test_mask = cfg_test_mask(file);
     let mut findings = Vec::new();
     rule_unsafe_needs_safety(file, &mut findings);
     rule_ordering_needs_comment(file, &test_mask, &mut findings);
     rule_no_thread_spawn(file, &test_mask, &mut findings);
     rule_no_wall_clock_in_reconcile(file, &test_mask, &mut findings);
-    rule_no_unwrap_in_request_path(file, &test_mask, cfg, &mut findings);
+    rule_no_unwrap_in_request_path(file, &test_mask, &mut findings);
     rule_no_json_by_hand(file, &test_mask, &mut findings);
     findings
 }
@@ -483,14 +475,12 @@ fn unwrap_rule_applies(path: &str) -> bool {
 fn rule_no_unwrap_in_request_path(
     file: &SourceFile,
     test_mask: &[bool],
-    cfg: &Config,
     findings: &mut Vec<Finding>,
 ) {
     if !unwrap_rule_applies(&file.path) {
         return;
     }
     let toks = &file.tokens;
-    let mut sites: Vec<(u32, u32, &str)> = Vec::new();
     for i in 0..toks.len() {
         if test_mask[i] || toks[i].kind != TokenKind::Ident {
             continue;
@@ -502,37 +492,16 @@ fn rule_no_unwrap_in_request_path(
         let prev_dot = i > 0 && toks[i - 1].is_punct('.');
         let next_paren = next_code(toks, i + 1).is_some_and(|j| toks[j].is_punct('('));
         if prev_dot && next_paren {
-            sites.push((toks[i].line, toks[i].col, name));
-        }
-    }
-    let budget = cfg.unwrap_budgets.get(&file.path).copied().unwrap_or(0);
-    let actual = sites.len() as u32;
-    if actual > budget {
-        for (line, col, name) in &sites {
             findings.push(Finding {
                 rule: "no-unwrap-in-request-path",
                 path: file.path.clone(),
-                line: *line,
-                col: *col,
+                line: toks[i].line,
+                col: toks[i].col,
                 message: format!(
-                    "`{}()` in a request path ({} site(s), allowlist budget {}): return a typed \
-                     RpcError/AdminError instead",
-                    name, actual, budget
+                    "`{name}()` in a request path: return a typed RpcError/AdminError instead"
                 ),
             });
         }
-    } else if actual < budget {
-        findings.push(Finding {
-            rule: "no-unwrap-in-request-path",
-            path: file.path.clone(),
-            line: 1,
-            col: 1,
-            message: format!(
-                "unwrap allowlist budget is {} but only {} site(s) remain: shrink the budget in \
-                 crates/lint/unwrap_allowlist.txt (the ratchet only turns one way)",
-                budget, actual
-            ),
-        });
     }
 }
 

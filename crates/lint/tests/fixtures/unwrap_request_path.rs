@@ -1,6 +1,6 @@
-//! `no-unwrap-in-request-path` fixture: two sites; `unwrap_or` and
-//! `#[cfg(test)]` code are exempt. The harness checks all three budget
-//! cases: over, exact, and a stale (too-large) ratchet.
+//! `no-unwrap-in-request-path` fixture: two sites, both reported;
+//! `unwrap_or` and `#[cfg(test)]` code are exempt. Under a path outside
+//! the request path the rule reports nothing.
 
 pub fn take(v: Option<u32>) -> u32 {
     v.unwrap()

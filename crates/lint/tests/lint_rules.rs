@@ -7,7 +7,7 @@
 //! excluded from workspace scans (`SKIP_PREFIXES` in the lint crate): the
 //! files exist to be caught here, not by `cargo run -p roar-lint`.
 
-use roar_lint::{check_file, Config, Finding, SourceFile};
+use roar_lint::{check_file, Finding, SourceFile};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -27,7 +27,7 @@ fn spans(findings: &[Finding]) -> Vec<(&'static str, u32, u32)> {
 #[test]
 fn unsafe_without_safety_comment_is_reported() {
     let file = fixture("unsafe_missing_safety.rs", "crates/core/src/fixture.rs");
-    let findings = check_file(&file, &Config::default());
+    let findings = check_file(&file);
     assert_eq!(
         spans(&findings),
         vec![
@@ -40,7 +40,7 @@ fn unsafe_without_safety_comment_is_reported() {
 #[test]
 fn ordering_without_comment_is_reported() {
     let file = fixture("ordering_missing.rs", "crates/cluster/src/fixture.rs");
-    let findings = check_file(&file, &Config::default());
+    let findings = check_file(&file);
     // the justified fetch_add, the cmp::Ordering return type, and the
     // #[cfg(test)] store are all exempt; only the bare load remains
     assert_eq!(spans(&findings), vec![("ordering-needs-comment", 9, 12)]);
@@ -50,7 +50,7 @@ fn ordering_without_comment_is_reported() {
 #[test]
 fn thread_spawn_outside_shims_is_reported() {
     let file = fixture("thread_spawn.rs", "crates/cluster/src/fixture.rs");
-    let findings = check_file(&file, &Config::default());
+    let findings = check_file(&file);
     // thread::Builder and the #[cfg(test)] spawn are exempt
     assert_eq!(spans(&findings), vec![("no-thread-spawn", 5, 10)]);
 }
@@ -58,7 +58,7 @@ fn thread_spawn_outside_shims_is_reported() {
 #[test]
 fn wall_clock_in_reconcile_is_reported() {
     let file = fixture("wall_clock_reconcile.rs", "crates/cluster/src/reconcile.rs");
-    let findings = check_file(&file, &Config::default());
+    let findings = check_file(&file);
     assert_eq!(
         spans(&findings),
         vec![
@@ -73,17 +73,17 @@ fn wall_clock_in_reconcile_is_reported() {
 fn wall_clock_rule_is_scoped_to_reconcile() {
     // the same source under any other path is outside the rule's scope
     let file = fixture("wall_clock_reconcile.rs", "crates/cluster/src/frontend.rs");
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
-fn unwrap_over_budget_reports_every_site() {
+fn unwrap_in_request_path_reports_every_site() {
     let file = fixture(
         "unwrap_request_path.rs",
         "crates/cluster/src/transport/fixture.rs",
     );
-    let findings = check_file(&file, &Config::default());
-    // budget 0: both sites reported; unwrap_or and the test unwrap are not
+    let findings = check_file(&file);
+    // both sites reported; unwrap_or and the test unwrap are not
     assert_eq!(
         spans(&findings),
         vec![
@@ -94,29 +94,15 @@ fn unwrap_over_budget_reports_every_site() {
 }
 
 #[test]
-fn unwrap_at_budget_is_clean_and_stale_budget_trips_the_ratchet() {
-    let path = "crates/cluster/src/transport/fixture.rs";
-    let file = fixture("unwrap_request_path.rs", path);
-    let budget = |n: u32| Config {
-        unwrap_budgets: HashMap::from([(path.to_string(), n)]),
-    };
-    assert!(check_file(&file, &budget(2)).is_empty());
-    // budget 3 > 2 actual sites: the ratchet demands the budget shrink
-    let findings = check_file(&file, &budget(3));
-    assert_eq!(spans(&findings), vec![("no-unwrap-in-request-path", 1, 1)]);
-    assert!(findings[0].message.contains("ratchet"));
-}
-
-#[test]
 fn unwrap_rule_is_scoped_to_request_paths() {
     let file = fixture("unwrap_request_path.rs", "crates/cluster/src/frontend.rs");
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
 fn json_by_hand_in_the_bench_crate_is_reported() {
     let file = fixture("json_by_hand.rs", "crates/bench/src/fixture.rs");
-    let findings = check_file(&file, &Config::default());
+    let findings = check_file(&file);
     // the literal push_str, the plain-text format! and the test are exempt
     assert_eq!(
         spans(&findings),
@@ -130,7 +116,7 @@ fn json_by_hand_in_the_bench_crate_is_reported() {
     // the same source anywhere else (e.g. the benchmark/ report writer's
     // neighbours, a text table in util) is outside the rule's scope
     let file = fixture("json_by_hand.rs", "crates/util/src/report.rs");
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
@@ -138,14 +124,14 @@ fn shims_are_exempt_from_ordering_and_spawn_rules() {
     let src = "pub fn park(s: &AtomicU8) {\n    s.store(1, Ordering::SeqCst);\n    \
                std::thread::spawn(|| {});\n}\n";
     let file = SourceFile::new("crates/shims/tokio/src/reactor.rs", src);
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
 fn loom_model_threads_are_exempt_from_the_spawn_rule() {
     let src = "pub fn model_body() {\n    let h = loom::thread::spawn(|| {});\n    h.join();\n}\n";
     let file = SourceFile::new("crates/cluster/tests/loom_fixture.rs", src);
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
@@ -153,7 +139,7 @@ fn trailing_comment_on_the_same_line_justifies() {
     let src = "pub fn publish(s: &AtomicU8) {\n    \
                s.store(1, Ordering::Release); // ORDERING: Release — publishes init\n}\n";
     let file = SourceFile::new("crates/cluster/src/fixture.rs", src);
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]
@@ -162,7 +148,7 @@ fn strings_and_comments_cannot_fool_the_rules() {
                pub fn log() {\n    \
                let _ = \"unsafe { Ordering::SeqCst }; std::thread::spawn; x.unwrap()\";\n}\n";
     let file = SourceFile::new("crates/cluster/src/transport/fixture.rs", src);
-    assert!(check_file(&file, &Config::default()).is_empty());
+    assert!(check_file(&file).is_empty());
 }
 
 #[test]

@@ -98,7 +98,7 @@ impl QueryOutcome {
     }
 }
 
-/// The matching engine.
+/// The matching engine; its matchers sweep with [`Backend::auto`].
 pub struct Engine {
     /// Matching (consumer) threads; the paper uses one per core.
     pub threads: usize,
@@ -108,8 +108,6 @@ pub struct Engine {
     pub batch: usize,
     /// Trace sampling interval in records (paper instruments every 1000).
     pub trace_every: usize,
-    /// SHA-1 lane engine the consumer threads' matchers sweep with.
-    pub backend: Backend,
 }
 
 impl Default for Engine {
@@ -119,7 +117,6 @@ impl Default for Engine {
             profile: EngineProfile::lm(),
             batch: 256,
             trace_every: 1000,
-            backend: Backend::auto(),
         }
     }
 }
@@ -132,13 +129,6 @@ impl Engine {
             profile,
             ..Default::default()
         }
-    }
-
-    /// Pin the SHA-1 lane engine (builder style); [`Engine::new`] defaults
-    /// to the process-wide [`Backend::auto`] choice.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Execute `query` against `records`, streaming them through the
@@ -198,13 +188,11 @@ impl Engine {
                 let rx = rx.clone();
                 let consumed_total = Arc::clone(&consumed_total);
                 let trace_every = self.trace_every;
-                let backend = self.backend;
                 handles.push(scope.spawn(move || {
                     let mut local_matches = Vec::new();
                     let mut local_trace: Vec<(f64, usize)> = Vec::new();
                     let mut scratch = MatchScratch::new();
-                    let mut matcher =
-                        Matcher::new(query.trapdoors.len(), true).with_backend(backend);
+                    let mut matcher = Matcher::new(query.trapdoors.len(), true);
                     while let Ok(chunk) = rx.recv() {
                         matcher.match_batch(query, chunk, &mut scratch, &mut local_matches);
                         // ORDERING: Relaxed — shared progress counter for
@@ -356,7 +344,6 @@ mod tests {
             profile: EngineProfile::none(),
             batch: 128,
             trace_every: 500,
-            ..Default::default()
         };
         let out = engine.run_query(&recs, None, &needle_query(&enc));
         assert!(!out.produce_trace.is_empty());

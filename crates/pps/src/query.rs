@@ -1031,12 +1031,16 @@ mod tests {
     /// not the match *sequence*, not the PRF count, not the decided order or
     /// the statistics it was decided from — for 1–3 predicates, both
     /// combiners, corpora that end before, on and after the sample boundary,
-    /// chunkings that split the sample across calls, on every backend.
+    /// chunkings that split the sample across calls, a whole-corpus scan
+    /// that crosses several chunk boundaries, on every backend.
     #[test]
     fn sample_sweeps_equal_record_at_a_time_sample() {
+        // the whole-corpus case scans in chunks of this many records; the
+        // property is about crossing chunk boundaries, not their size
+        const CHUNK: usize = 256;
         let enc = test_encryptor();
         let mut rng = det_rng(170);
-        let docs: Vec<EncryptedMetadata> = (0..2 * MATCH_CHUNK + 277)
+        let docs: Vec<EncryptedMetadata> = (0..3 * CHUNK + 133)
             .map(|i| {
                 let mut keywords = vec!["the".to_string()];
                 if i % 3 == 0 {
@@ -1083,14 +1087,14 @@ mod tests {
                         };
                         assert_eq!(want.2.as_deref(), Some(&decided[..]));
                     }
-                    // 0 = the whole corpus in one scan of MATCH_CHUNK chunks
+                    // 0 = the whole corpus in one scan of CHUNK-record chunks
                     for per_call in [0, 100, 97] {
                         for &backend in &backends {
                             let mut m = Matcher::new(n, true).with_backend(backend);
                             let mut s = MatchScratch::new();
                             let mut got = Vec::new();
                             if per_call == 0 {
-                                m.scan(&q, docs, MATCH_CHUNK, &mut s, &mut got);
+                                m.scan(&q, docs, CHUNK, &mut s, &mut got);
                             } else {
                                 for chunk in docs.chunks(per_call) {
                                     m.match_batch(&q, chunk, &mut s, &mut got);

@@ -1,5 +1,5 @@
 //! Offline stand-in for `tokio`, providing exactly the surface this
-//! workspace uses: a runtime with `block_on`/`spawn`/`spawn_blocking`,
+//! workspace uses: a runtime with `block_on`/`spawn`,
 //! `net::{TcpListener, TcpStream, UdpSocket}`, `io` read/write traits plus
 //! `duplex`, `sync::{oneshot, watch, Mutex}`, `time::{sleep, timeout}`, and
 //! the `select!`/`pin!`/`#[tokio::main]`/`#[tokio::test]` macros.
@@ -14,9 +14,8 @@
 //! rather than a poll-loop tick. The thread count is a constant (one
 //! reactor plus `reactor::worker_count()` workers) regardless of how many
 //! tasks, connections or timers exist — which lets one process simulate
-//! 512-node clusters. `spawn_blocking` still dedicates a real thread per
-//! call, and `block_on` still drives its future on the calling thread with
-//! a parker (reactor and workers deliver its wakes by unparking).
+//! 512-node clusters. `block_on` drives its future on the calling thread
+//! with a parker (reactor and workers deliver its wakes by unparking).
 
 pub use tokio_macros::{main, test};
 
@@ -87,8 +86,8 @@ pub mod runtime {
     }
 
     /// The shim runtime. Single flavor: all tasks share the reactor's
-    /// worker pool, so "multi thread" is trivially true and builder knobs
-    /// are accepted and ignored.
+    /// worker pool, sized once per process (`ROAR_RT_WORKERS`), so "multi
+    /// thread" is trivially true and the builder takes no knobs.
     #[derive(Debug)]
     pub struct Runtime {
         _priv: (),
@@ -112,14 +111,6 @@ pub mod runtime {
     impl Builder {
         pub fn new_multi_thread() -> Builder {
             Builder { _priv: () }
-        }
-
-        pub fn new_current_thread() -> Builder {
-            Builder { _priv: () }
-        }
-
-        pub fn worker_threads(self, _n: usize) -> Builder {
-            self
         }
 
         pub fn enable_all(self) -> Builder {
@@ -230,28 +221,6 @@ pub mod task {
             .await;
             finish(&state2, res);
         }));
-        JoinHandle { state }
-    }
-
-    /// Run a blocking closure on its own thread.
-    pub fn spawn_blocking<F, T>(f: F) -> JoinHandle<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let state = Arc::new(Mutex::new(JoinState {
-            result: None,
-            waker: None,
-        }));
-        let state2 = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("tokio-shim-blocking".into())
-            .spawn(move || {
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                    .map_err(|_| JoinError { _priv: () });
-                finish(&state2, res);
-            })
-            .expect("spawn blocking thread");
         JoinHandle { state }
     }
 }

@@ -13,9 +13,7 @@
 //! that).
 //!
 //! The thread budget is fixed: 1 reactor + [`worker_count`] workers,
-//! however many tasks, sockets and timers exist. Only
-//! [`crate::task::spawn_blocking`] still takes a real thread per call —
-//! that is its contract.
+//! however many tasks, sockets and timers exist.
 
 use std::collections::HashMap;
 use std::future::Future;

@@ -6,8 +6,8 @@
 
 use rand::Rng;
 use roar::cluster::{
-    spawn_cluster, Backend, ClusterConfig, HedgePolicy, QueryBody, SchedOpts, SubStatus,
-    TransportSpec, WireTrapdoor,
+    spawn_cluster, ClusterConfig, HedgePolicy, QueryBody, SchedOpts, SubStatus, TransportSpec,
+    WireTrapdoor,
 };
 use roar::pps::metadata::{FileMeta, MetaEncryptor};
 use roar::pps::query::{Combiner, Predicate, QueryCompiler};
@@ -218,7 +218,6 @@ async fn balance_step_keeps_queries_exact() {
         p: 2,
         overhead_s: 0.0,
         transport: default_spec(),
-        backend: Backend::auto(),
         fault_gates: false,
     };
     let h = spawn_cluster(cfg).await.unwrap();
