@@ -146,15 +146,8 @@ impl Admin {
     /// How many records the backend says a node's coverage under `ring`
     /// requires — the expected side of the observer's completeness check.
     pub fn expected_records(&self, ring: &RoarRing, node: usize) -> u64 {
-        let ids = self
-            .core
-            .backend
-            .synthetic_matching(&mut |id| ring.stores(node, id));
-        let recs = self
-            .core
-            .backend
-            .records_matching(&mut |id| ring.stores(node, id));
-        (ids.len() + recs.len()) as u64
+        let coverage = ring.coverage(node);
+        coverage.map_or(0, |cov| self.core.backend.window_len(&cov)) as u64
     }
 
     /// How many records (PPS + synthetic) a node currently holds — the

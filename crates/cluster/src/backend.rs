@@ -4,160 +4,175 @@
 //! front-end reads from it whenever placement changes require data movement
 //! — join downloads (§4.3), neighbour growth after a removal (§4.4), arc
 //! extensions when `p` decreases (§4.5) and backfill after balancing
-//! (§4.6). [`BackendStore`] isolates exactly that read/append contract so
-//! the control plane ([`crate::admin::Admin`]) never names a storage
-//! implementation; [`MemoryBackend`] is the in-process stand-in the harness
-//! and tests run on.
+//! (§4.6).
+//!
+//! [`MemoryBackend`] holds that copy in the format a data node holds its
+//! own share in: a [`MetadataStore`] of immutable columnar runs for the
+//! PPS records and an ascending, unique list of synthetic ids. An append
+//! follows the node's rules — a replica re-push is dropped, a record
+//! stored again under a new nonce replaces the old one — so the backend
+//! counts an id once however often it was stored. It is read by window:
+//! what node X must hold under ring R is `R.coverage(X)`, and the records,
+//! ids and count inside it come from [`Window::index_ranges`] over each
+//! run and over the id list.
 
+use crate::node::merge_sorted;
 use parking_lot::Mutex;
-use roar_pps::EncryptedMetadata;
+use roar_core::ring::Window;
+use roar_pps::store::Run;
+use roar_pps::{EncryptedMetadata, MetadataStore};
 use std::sync::Arc;
 
-/// The durable corpus copy the control plane repartitions from.
-///
-/// Implementations must be cheap to `append_*` (the live update stream goes
-/// through here before fan-out to replicas) and able to produce filtered
-/// snapshots for placement-driven downloads. Filters receive the object id
-/// — placement is always by id, never by payload.
-pub trait BackendStore: Send + Sync + 'static {
-    /// Record synthetic ids (Definition 8 workloads).
-    fn append_synthetic(&self, ids: &[u64]);
-
-    /// Record encrypted PPS metadata records.
-    fn append_records(&self, records: &[EncryptedMetadata]);
-
-    /// Snapshot of every synthetic id matching `keep`.
-    fn synthetic_matching(&self, keep: &mut dyn FnMut(u64) -> bool) -> Vec<u64>;
-
-    /// Snapshot of every record whose id matches `keep`.
-    fn records_matching(&self, keep: &mut dyn FnMut(u64) -> bool) -> Vec<EncryptedMetadata>;
-
-    /// Immutable epoch snapshot of *all* records, shared rather than
-    /// copied where the implementation can manage it — callers window or
-    /// filter the view themselves (e.g. as a
-    /// [`roar_pps::TaskCorpus::Records`] corpus). The default materialises
-    /// a copy; [`MemoryBackend`] hands out its live `Arc` for free.
-    fn records_snapshot(&self) -> Arc<Vec<EncryptedMetadata>> {
-        Arc::new(self.records_matching(&mut |_| true))
-    }
-
-    /// Total objects stored (synthetic + records).
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// In-memory [`BackendStore`]: two mutex-guarded vectors, the moral
-/// equivalent of the thesis testbed's NFS mount for a single-machine
-/// cluster.
+/// The in-process corpus copy the control plane repartitions from.
 #[derive(Default)]
 pub struct MemoryBackend {
+    /// Appended under the lock; readers clone the run list and let go.
+    records: Mutex<MetadataStore>,
+    /// Synthetic-mode records (Definition 8): bare ids, ascending, unique.
     synthetic: Mutex<Vec<u64>>,
-    /// Kept behind an `Arc` so [`BackendStore::records_snapshot`] is a
-    /// refcount bump; appends copy-on-write only while a snapshot is out.
-    records: Mutex<Arc<Vec<EncryptedMetadata>>>,
 }
 
 impl MemoryBackend {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl BackendStore for MemoryBackend {
-    fn append_synthetic(&self, ids: &[u64]) {
-        self.synthetic.lock().extend_from_slice(ids);
+    /// Record encrypted PPS metadata records: one run, built outside the
+    /// lock, appended by the store's rules.
+    pub fn append_records(&self, records: &[EncryptedMetadata]) {
+        let batch = Arc::new(Run::from_records(records));
+        self.records.lock().append(batch);
     }
 
-    fn append_records(&self, records: &[EncryptedMetadata]) {
-        Arc::make_mut(&mut *self.records.lock()).extend_from_slice(records);
+    /// Record synthetic ids; an id already held is kept once.
+    pub fn append_synthetic(&self, ids: &[u64]) {
+        let mut add = ids.to_vec();
+        add.sort_unstable();
+        add.dedup();
+        merge_sorted(&mut self.synthetic.lock(), &add);
     }
 
-    fn synthetic_matching(&self, keep: &mut dyn FnMut(u64) -> bool) -> Vec<u64> {
-        self.synthetic
-            .lock()
-            .iter()
-            .copied()
-            .filter(|&id| keep(id))
-            .collect()
+    /// The records inside `w`, materialised as rows for the wire.
+    pub fn window_records(&self, w: &Window) -> Vec<EncryptedMetadata> {
+        self.records().window_records(w)
     }
 
-    fn records_matching(&self, keep: &mut dyn FnMut(u64) -> bool) -> Vec<EncryptedMetadata> {
-        self.records
-            .lock()
-            .iter()
-            .filter(|r| keep(r.id))
-            .cloned()
-            .collect()
+    /// The synthetic ids inside `w`.
+    pub fn window_synthetic(&self, w: &Window) -> Vec<u64> {
+        let ids = self.synthetic.lock();
+        let ranges = w.index_ranges(&ids);
+        ranges.flat_map(|r| ids[r].iter().copied()).collect()
     }
 
-    fn records_snapshot(&self) -> Arc<Vec<EncryptedMetadata>> {
-        Arc::clone(&self.records.lock())
+    /// How many objects (records and synthetic ids) lie inside `w`.
+    pub fn window_len(&self, w: &Window) -> usize {
+        let records = self.records();
+        let runs = records.runs().iter().map(|run| run.ids());
+        let synthetic = self.synthetic.lock();
+        std::iter::once(synthetic.as_slice())
+            .chain(runs)
+            .flat_map(|ids| w.index_ranges(ids))
+            .map(|r| r.len())
+            .sum()
     }
 
-    fn len(&self) -> usize {
-        self.synthetic.lock().len() + self.records.lock().len()
+    /// The record store as it stands: a clone of the run list.
+    fn records(&self) -> MetadataStore {
+        self.records.lock().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roar_pps::metadata::{FileMeta, MetaEncryptor};
+
+    /// Wrapped, full, plain and empty windows.
+    fn windows() -> [Window; 5] {
+        [
+            Window::full(7),
+            Window::new(u64::MAX / 2, u64::MAX / 4),
+            Window::new(u64::MAX / 4, u64::MAX / 2),
+            Window::new(15, 25),
+            Window::new(11, 12),
+        ]
+    }
+
+    fn records(n: u64) -> Vec<EncryptedMetadata> {
+        let enc = MetaEncryptor::with_points(b"k", vec![1], vec![1]);
+        let mut rng = roar_util::det_rng(9);
+        let meta = |i| FileMeta {
+            path: format!("/f{i}"),
+            keywords: vec![format!("w{i}")],
+            size: i,
+            mtime: 1,
+        };
+        (0..n).map(|i| enc.encrypt(&mut rng, &meta(i))).collect()
+    }
 
     #[test]
     fn append_and_filter_synthetic() {
         let b = MemoryBackend::new();
-        b.append_synthetic(&[1, 2, 3]);
-        b.append_synthetic(&[10, 20]);
-        assert_eq!(b.len(), 5);
-        assert!(!b.is_empty());
-        let odd = b.synthetic_matching(&mut |id| id % 2 == 1);
-        assert_eq!(odd, vec![1, 3]);
-        let all = b.synthetic_matching(&mut |_| true);
-        assert_eq!(all, vec![1, 2, 3, 10, 20]);
+        b.append_synthetic(&[30, 1, 20]);
+        b.append_synthetic(&[20, 10, 30, 10]); // a re-push and a new id
+        let full = Window::full(0);
+        assert_eq!(b.window_synthetic(&full), vec![1, 10, 20, 30]);
+        assert_eq!(b.window_len(&full), 4, "a re-stored id counts once");
+        assert_eq!(b.window_synthetic(&Window::new(5, 20)), vec![10, 20]);
+        // a wrapped window lists its high slice first
+        assert_eq!(b.window_synthetic(&Window::new(15, 5)), vec![20, 30, 1]);
     }
 
     #[test]
     fn records_filter_by_id() {
-        use roar_pps::metadata::{FileMeta, MetaEncryptor};
-        let enc = MetaEncryptor::with_points(b"k", vec![1], vec![1]);
-        let mut rng = roar_util::det_rng(9);
         let b = MemoryBackend::new();
-        let recs: Vec<EncryptedMetadata> = (0..4)
-            .map(|i| {
-                enc.encrypt(
-                    &mut rng,
-                    &FileMeta {
-                        path: format!("/f{i}"),
-                        keywords: vec![format!("w{i}")],
-                        size: i,
-                        mtime: 1,
-                    },
-                )
-            })
-            .collect();
+        let recs = records(40);
         b.append_records(&recs);
-        let target = recs[2].id;
-        let got = b.records_matching(&mut |id| id == target);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].id, target);
-        assert_eq!(b.records_matching(&mut |_| true).len(), 4);
+        b.append_records(&recs[10..30]); // a retried batch
+        let full = Window::full(0);
+        assert_eq!(b.window_len(&full), 40, "a re-push is idempotent");
+        // one record again under a new nonce: it replaces the old version
+        let mut newer = recs[3].clone();
+        newer.body.nonce ^= 1;
+        b.append_records(std::slice::from_ref(&newer));
+        assert_eq!(b.window_len(&full), 40);
+        let one = Window::new(newer.id.wrapping_sub(1), newer.id);
+        assert_eq!(b.window_records(&one), vec![newer]);
+    }
 
-        // epoch snapshots are shared, not copied, and survive later appends
-        let snap = b.records_snapshot();
-        assert_eq!(snap.len(), 4);
-        b.append_records(&recs[..1]);
-        assert_eq!(snap.len(), 4, "snapshot is immutable");
-        assert_eq!(b.records_snapshot().len(), 5);
+    #[test]
+    fn window_len_is_the_selection_length() {
+        let b = MemoryBackend::new();
+        let recs = records(60);
+        for batch in recs.chunks(7) {
+            b.append_records(batch);
+        }
+        let ids: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        b.append_synthetic(&ids);
+        for w in windows() {
+            let rows = b.window_records(&w);
+            let synthetic = b.window_synthetic(&w);
+            assert_eq!(b.window_len(&w), rows.len() + synthetic.len(), "{w:?}");
+            let inside = |id: &u64| w.contains(*id);
+            assert_eq!(rows.len(), recs.iter().map(|r| r.id).filter(inside).count());
+            assert_eq!(synthetic.len(), ids.iter().filter(|id| inside(id)).count());
+            assert!(rows
+                .iter()
+                .map(|r| r.id)
+                .chain(synthetic)
+                .all(|id| inside(&id)));
+        }
     }
 
     #[test]
     fn empty_backend() {
         let b = MemoryBackend::new();
-        assert!(b.is_empty());
-        assert!(b.synthetic_matching(&mut |_| true).is_empty());
-        assert!(b.records_matching(&mut |_| true).is_empty());
+        for w in windows() {
+            assert_eq!(b.window_len(&w), 0);
+            assert!(b.window_records(&w).is_empty());
+            assert!(b.window_synthetic(&w).is_empty());
+        }
     }
 }

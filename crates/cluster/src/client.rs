@@ -18,7 +18,6 @@
 
 use crate::admin::Admin;
 use crate::admission::AdmissionController;
-use crate::backend::{BackendStore, MemoryBackend};
 use crate::frontend::{ClusterCore, QueryOutput, SchedOpts, SubOutcome};
 use crate::proto::QueryBody;
 use crate::transport::{RpcError, Transport, TransportSpec};
@@ -51,25 +50,7 @@ pub async fn connect_with(
     default_speed: f64,
     transport: Arc<dyn Transport>,
 ) -> std::io::Result<(QueryClient, Admin)> {
-    connect_with_backend(
-        addrs,
-        p,
-        default_speed,
-        transport,
-        Arc::new(MemoryBackend::new()),
-    )
-    .await
-}
-
-/// [`connect_with`] with an explicit [`BackendStore`] implementation.
-pub async fn connect_with_backend(
-    addrs: &[SocketAddr],
-    p: usize,
-    default_speed: f64,
-    transport: Arc<dyn Transport>,
-    backend: Arc<dyn BackendStore>,
-) -> std::io::Result<(QueryClient, Admin)> {
-    let core = ClusterCore::connect_with(addrs, p, default_speed, transport, backend).await?;
+    let core = ClusterCore::connect_with(addrs, p, default_speed, transport).await?;
     Ok((
         QueryClient {
             core: Arc::clone(&core),

@@ -16,7 +16,7 @@
 //! level instead of one `pub async fn` pile.
 
 use crate::admin::AdminError;
-use crate::backend::BackendStore;
+use crate::backend::MemoryBackend;
 use crate::proto::{Msg, QueryBody, WireRecord};
 use crate::transport::{NodeLink, Transport};
 use parking_lot::{Mutex, RwLock};
@@ -132,8 +132,8 @@ pub struct ClusterCore {
     pub(crate) stats: RwLock<ServerStats>,
     pub(crate) reconfig: Mutex<Reconfig>,
     /// Backend copy of everything stored, for join/repartition downloads
-    /// (the paper's NFS store, §4.1) — behind the [`BackendStore`] trait.
-    pub(crate) backend: Arc<dyn BackendStore>,
+    /// (the paper's NFS store, §4.1), read by coverage window.
+    pub(crate) backend: MemoryBackend,
     pub(crate) timeout: Duration,
     epoch: Instant,
     query_seq: AtomicU64,
@@ -145,7 +145,6 @@ impl ClusterCore {
         p: usize,
         default_speed: f64,
         transport: Arc<dyn Transport>,
-        backend: Arc<dyn BackendStore>,
     ) -> std::io::Result<Arc<Self>> {
         let mut conns = Vec::with_capacity(addrs.len());
         for &a in addrs {
@@ -158,7 +157,7 @@ impl ClusterCore {
             ring: RwLock::new(RoarRing::new(RingMap::uniform(&nodes), p)),
             stats: RwLock::new(ServerStats::new(addrs.len(), default_speed, 0.2)),
             reconfig: Mutex::new(Reconfig::new(p)),
-            backend,
+            backend: MemoryBackend::new(),
             timeout: Duration::from_secs(5),
             epoch: Instant::now(),
             query_seq: AtomicU64::new(1),
@@ -562,14 +561,15 @@ impl ClusterCore {
     /// later [`Self::backfill`] (or the reconciler) heals survivors.
     pub(crate) async fn push_coverages(&self) -> Result<(), AdminError> {
         let ring = self.ring_snapshot();
-        for i in 0..ring.n() {
-            let entry = ring.map().entries()[i];
+        for entry in ring.map().entries() {
             if !self.stats.read().is_alive(entry.node) {
                 continue;
             }
             // clamped: a range spanning ≥ 1 − 1/p of the ring covers it all,
             // sent as the start == end full window
-            let cov = ring.map().coverage_at(i, ring.l());
+            let Some(cov) = ring.coverage(entry.node) else {
+                continue;
+            };
             self.control_rpc(
                 "set_coverage",
                 entry.node,
@@ -608,13 +608,12 @@ impl ClusterCore {
         ring: &RoarRing,
         node: usize,
     ) -> Result<(), AdminError> {
-        let ids = self
-            .backend
-            .synthetic_matching(&mut |id| ring.stores(node, id));
-        let recs: Vec<WireRecord> = self
-            .backend
-            .records_matching(&mut |id| ring.stores(node, id))
-            .iter()
+        let Some(cov) = ring.coverage(node) else {
+            return Ok(());
+        };
+        let ids = self.backend.window_synthetic(&cov);
+        // the rows are a temporary: gone before the push goes out
+        let recs: Vec<WireRecord> = (self.backend.window_records(&cov).iter())
             .map(WireRecord::from_record)
             .collect();
         if ids.is_empty() && recs.is_empty() {
@@ -686,7 +685,6 @@ impl Drop for ClusterCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemoryBackend;
     use crate::transport::TransportSpec;
 
     /// `Admin::set_p`'s decrease path, frozen between its last
@@ -702,15 +700,9 @@ mod tests {
         let addrs: Vec<SocketAddr> = (0..4)
             .map(|i| SocketAddr::from(([127, 0, 0, 1], 40_000 + i)))
             .collect();
-        let core = ClusterCore::connect_with(
-            &addrs,
-            3,
-            1e6,
-            TransportSpec::udp().build(),
-            Arc::new(MemoryBackend::new()),
-        )
-        .await
-        .expect("connect");
+        let core = ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build())
+            .await
+            .expect("connect");
         {
             let mut reconfig = core.reconfig.lock();
             reconfig.begin(2, 0..addrs.len());

@@ -1205,4 +1205,44 @@ mod tests {
             .await;
         assert_eq!((out.harvest, out.scanned), (1.0, 200));
     }
+
+    /// An id stored again is held once by the backend as by the nodes: a
+    /// batch stored twice (a caller retrying after `RetriesExhausted`) and
+    /// one record stored again under a new nonce leave what the backend
+    /// expects of each node equal to what the node holds, so the reconciler
+    /// finds the cluster converged instead of planning `Backfill` until it
+    /// stalls. The counts do not depend on the transport: TCP only.
+    #[tokio::test]
+    async fn restored_ids_leave_the_reconciler_converged_over_tcp() {
+        use roar_pps::metadata::{FileMeta, MetaEncryptor};
+        let h = spawn_cluster(ClusterConfig::uniform(4, 1e6, 2))
+            .await
+            .unwrap();
+        let enc = MetaEncryptor::with_points(b"again", vec![1], vec![1]);
+        let mut rng = det_rng(244);
+        let meta = |i: u64| FileMeta {
+            path: format!("/again/f{i}"),
+            keywords: vec![format!("w{i}")],
+            size: i,
+            mtime: 1,
+        };
+        let records: Vec<_> = (0..60).map(|i| enc.encrypt(&mut rng, &meta(i))).collect();
+        let ids: Vec<u64> = (0..200).map(|_| rng.gen()).collect();
+        for _ in 0..2 {
+            h.admin.store_records(&records).await.unwrap();
+            h.admin.store_synthetic(&ids).await.unwrap();
+        }
+        let mut newer = records[7].clone();
+        newer.body.nonce ^= 1;
+        h.admin.store_records(&[newer]).await.unwrap();
+
+        let mut rec = Reconciler::new(h.admin.clone(), DesiredTopology::new(4, 2));
+        let ticks = rec.run_to_convergence(8).await.expect("converges");
+        assert_eq!(ticks, 0, "converged as stored: nothing planned");
+        let ring = h.admin.ring();
+        for node in 0..4 {
+            let held = h.admin.node_record_count(node).await.unwrap();
+            assert_eq!(held, h.admin.expected_records(&ring, node), "node {node}");
+        }
+    }
 }

@@ -22,9 +22,9 @@
 //!   §4.5), membership (`add_node`/`remove_node`/`kill_node`, §4.3–4.4),
 //!   balancing (§4.6), backfill, ingest and the §4.8.3 backup-front-end
 //!   discovery calls;
-//! * [`backend::BackendStore`] — the backend filer (§4.1) the control
-//!   plane repartitions from; [`backend::MemoryBackend`] is the in-process
-//!   implementation.
+//! * [`backend::MemoryBackend`] — the backend filer (§4.1) the control
+//!   plane repartitions from, held as the nodes hold their share (columnar
+//!   runs and a sorted id list) and read by coverage window.
 //!
 //! Transport is **pluggable** ([`transport`]): every RPC — sub-query
 //! dispatch, store pushes, control calls, forwarding chains — crosses the
@@ -77,10 +77,10 @@ pub mod transport;
 
 pub use admin::{Admin, AdminError};
 pub use admission::{AdmissionController, AdmissionStats, SloConfig};
-pub use backend::{BackendStore, MemoryBackend};
+pub use backend::MemoryBackend;
 pub use client::{
-    connect, connect_backup, connect_backup_with, connect_with, connect_with_backend, HedgePolicy,
-    PartialResult, QueryBuilder, QueryClient, QueryStream, SubStatus,
+    connect, connect_backup, connect_backup_with, connect_with, HedgePolicy, PartialResult,
+    QueryBuilder, QueryClient, QueryStream, SubStatus,
 };
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
 pub use frontend::{QueryOutput, SchedOpts};

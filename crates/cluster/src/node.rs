@@ -96,7 +96,7 @@ fn refused() -> Msg {
 /// Merge ascending, unique `add` into ascending, unique `ids`: O(n + b),
 /// and nothing at all for an empty batch. An id on both sides (a replica
 /// re-push) is kept once.
-fn merge_sorted(ids: &mut Vec<u64>, add: &[u64]) {
+pub(crate) fn merge_sorted(ids: &mut Vec<u64>, add: &[u64]) {
     if add.is_empty() {
         return;
     }
@@ -116,12 +116,8 @@ fn merge_sorted(ids: &mut Vec<u64>, add: &[u64]) {
 /// Drop the ids outside `keep` from ascending `ids`: what stays is one
 /// index range per interval of the window.
 fn retain_sorted(ids: &mut Vec<u64>, keep: &Window) {
-    let slice = |(lo, hi): (u64, u64)| {
-        let from = ids.partition_point(|&id| id < lo);
-        &ids[from..ids.partition_point(|&id| id <= hi)]
-    };
     // ascending: a wrapped window's low slice comes second
-    let mut kept: Vec<&[u64]> = keep.intervals().map(slice).collect();
+    let mut kept: Vec<&[u64]> = keep.index_ranges(ids).map(|r| &ids[r]).collect();
     kept.reverse();
     *ids = kept.concat();
 }
@@ -349,11 +345,8 @@ impl DataNode {
                     if !st.covers(&window) {
                         return refused();
                     }
-                    let scanned = st
-                        .synthetic_ids
-                        .iter()
-                        .filter(|&&id| window.contains(id))
-                        .count() as u64;
+                    let ranges = window.index_ranges(&st.synthetic_ids);
+                    let scanned = ranges.map(|r| r.len()).sum::<usize>() as u64;
                     let proc = std::time::Duration::from_secs_f64(
                         scanned as f64 * st.slow_factor / self.cfg.speed,
                     );

@@ -514,7 +514,6 @@ pub struct DatagramEndpoint<P: CongestionPolicy> {
     served: Mutex<ServedCache>,
     reasm: Mutex<Reassembler>,
     loss: LossPolicy,
-    shutdown_tx: tokio::sync::watch::Sender<bool>,
 }
 
 impl<P: CongestionPolicy> DatagramEndpoint<P> {
@@ -537,7 +536,6 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
             cfg.jitter
         );
         let sock = UdpSocket::bind(addr).await?;
-        let (shutdown_tx, _) = tokio::sync::watch::channel(false);
         Ok(Arc::new(DatagramEndpoint {
             sock: Arc::new(sock),
             policy: P::new(&cfg),
@@ -547,7 +545,6 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
             served: Mutex::new(ServedCache::new(cfg.dedup_entries)),
             reasm: Mutex::new(Reassembler::new(cfg.dedup_entries)),
             loss,
-            shutdown_tx,
         }))
     }
 
@@ -558,12 +555,6 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
     /// The congestion policy's live state (observability).
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Stop a [`Self::serve_fn`] receive loop (idempotent). In-flight
-    /// `request` calls fail at their deadlines.
-    pub fn shutdown(&self) {
-        let _ = self.shutdown_tx.send(true);
     }
 
     /// Number of requests currently awaiting responses (observability and
@@ -756,15 +747,6 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
                 }
             }
         })
-    }
-
-    /// Convenience: serve with a synchronous closure until
-    /// [`Self::shutdown`] (tests, probes, the client endpoint).
-    pub fn serve_fn<F>(self: &Arc<Self>, f: F) -> tokio::task::JoinHandle<()>
-    where
-        F: Fn(Msg) -> Msg + Send + Sync + 'static,
-    {
-        self.serve(Arc::new(FnHandler(f)), self.shutdown_tx.subscribe())
     }
 
     /// Answer a request the at-most-once table already knows: re-send the
@@ -975,9 +957,18 @@ impl<P: CongestionPolicy> BoundServer for DatagramServer<P> {
     }
 }
 
-/// Client link: one peer as seen through a shared [`DatagramEndpoint`].
-struct DatagramLink<P: CongestionPolicy> {
+/// A transport's client endpoint and the one shutdown signal of its
+/// receive loop (acks and responses come in through it). The transport and
+/// every link share it, so the loop runs until [`Transport::shutdown`] or
+/// until the transport and its last link are gone.
+struct ClientEndpoint<P: CongestionPolicy> {
     ep: Arc<DatagramEndpoint<P>>,
+    stop: tokio::sync::watch::Sender<bool>,
+}
+
+/// Client link: one peer as seen through the shared client endpoint.
+struct DatagramLink<P: CongestionPolicy> {
+    client: Arc<ClientEndpoint<P>>,
     peer: SocketAddr,
 }
 
@@ -992,7 +983,8 @@ impl<P: CongestionPolicy> NodeLink for DatagramLink<P> {
 
     fn rpc<'a>(&'a self, msg: Msg, timeout: Duration) -> BoxFuture<'a, Result<Msg, RpcError>> {
         Box::pin(async move {
-            self.ep
+            self.client
+                .ep
                 .request(self.peer, msg, timeout)
                 .await
                 .map_err(|e| match e {
@@ -1010,7 +1002,7 @@ pub struct DatagramTransport<P: CongestionPolicy> {
     cfg: DatagramConfig<P::Config>,
     client_loss: LossSpec,
     server_loss: LossSpec,
-    client: Mutex<Option<Arc<DatagramEndpoint<P>>>>,
+    client: Mutex<Option<Arc<ClientEndpoint<P>>>>,
 }
 
 impl<P: CongestionPolicy> DatagramTransport<P> {
@@ -1027,9 +1019,9 @@ impl<P: CongestionPolicy> DatagramTransport<P> {
         }
     }
 
-    async fn client_ep(&self) -> std::io::Result<Arc<DatagramEndpoint<P>>> {
-        if let Some(ep) = self.client.lock().clone() {
-            return Ok(ep);
+    async fn client_ep(&self) -> std::io::Result<Arc<ClientEndpoint<P>>> {
+        if let Some(client) = self.client.lock().clone() {
+            return Ok(client);
         }
         let ep =
             DatagramEndpoint::bind_with("127.0.0.1:0", self.cfg, self.client_loss.build()).await?;
@@ -1037,13 +1029,15 @@ impl<P: CongestionPolicy> DatagramTransport<P> {
         if let Some(existing) = guard.clone() {
             return Ok(existing); // lost the bind race; fresh ep just drops
         }
-        // the client endpoint still runs a receive loop (for acks and
-        // responses); inbound requests are a protocol error
-        ep.serve_fn(|m: Msg| Msg::Error {
+        // inbound requests are a protocol error on the client endpoint
+        let refuse = FnHandler(|m: Msg| Msg::Error {
             what: format!("client endpoint cannot serve {m:?}"),
         });
-        *guard = Some(Arc::clone(&ep));
-        Ok(ep)
+        let (stop, stopped) = tokio::sync::watch::channel(false);
+        ep.serve(Arc::new(refuse), stopped);
+        let client = Arc::new(ClientEndpoint { ep, stop });
+        *guard = Some(Arc::clone(&client));
+        Ok(client)
     }
 }
 
@@ -1065,14 +1059,14 @@ impl<P: CongestionPolicy> Transport for DatagramTransport<P> {
         addr: SocketAddr,
     ) -> BoxFuture<'a, std::io::Result<Arc<dyn NodeLink>>> {
         Box::pin(async move {
-            let ep = self.client_ep().await?;
-            Ok(Arc::new(DatagramLink { ep, peer: addr }) as Arc<dyn NodeLink>)
+            let client = self.client_ep().await?;
+            Ok(Arc::new(DatagramLink { client, peer: addr }) as Arc<dyn NodeLink>)
         })
     }
 
     fn shutdown(&self) {
-        if let Some(ep) = self.client.lock().take() {
-            ep.shutdown();
+        if let Some(client) = self.client.lock().take() {
+            let _ = client.stop.send(true);
         }
     }
 }
@@ -1150,12 +1144,35 @@ mod tests {
 
     type Endpoint<P> = Arc<DatagramEndpoint<P>>;
 
-    async fn bind<P: CongestionPolicy>(
+    /// An endpoint and the shutdown signals of the receive loops it needs
+    /// (its own; a client's also its server's): they run while it lives.
+    struct Serving<P: CongestionPolicy> {
+        ep: Endpoint<P>,
+        stops: Vec<tokio::sync::watch::Sender<bool>>,
+    }
+
+    impl<P: CongestionPolicy> std::ops::Deref for Serving<P> {
+        type Target = Endpoint<P>;
+
+        fn deref(&self) -> &Endpoint<P> {
+            &self.ep
+        }
+    }
+
+    /// Bind an endpoint under `cfg` and run its receive loop with `handler`.
+    async fn serving<P: CongestionPolicy>(
         cfg: DatagramConfig<P::Config>,
         loss: LossPolicy,
-    ) -> Endpoint<P> {
+        handler: Arc<dyn Handler>,
+    ) -> Serving<P> {
         let ep = DatagramEndpoint::bind_with("127.0.0.1:0", cfg, loss).await;
-        ep.expect("bind")
+        let ep = ep.expect("bind");
+        let (stop, stopped) = tokio::sync::watch::channel(false);
+        ep.serve(handler, stopped);
+        Serving {
+            ep,
+            stops: vec![stop],
+        }
     }
 
     /// A client (receive loop running) and the address of a server that
@@ -1166,18 +1183,17 @@ mod tests {
         client_loss: LossPolicy,
         server_loss: LossPolicy,
         handler: Arc<dyn Handler>,
-    ) -> (Endpoint<P>, SocketAddr) {
-        let server = bind::<P>(cfg, server_loss).await;
-        server.serve(handler, server.shutdown_tx.subscribe());
-        let client = bind::<P>(cfg, client_loss).await;
-        client.serve_fn(echo);
-        (client, server.local_addr().expect("addr"))
+    ) -> (Serving<P>, SocketAddr) {
+        let server = serving::<P>(cfg, server_loss, handler).await;
+        let mut client = serving::<P>(cfg, client_loss, echoing()).await;
+        client.stops.extend(server.stops);
+        (client, server.ep.local_addr().expect("addr"))
     }
 
     async fn pair<P: CongestionPolicy>(
         cfg: DatagramConfig<P::Config>,
         handler: Arc<dyn Handler>,
-    ) -> (Endpoint<P>, SocketAddr) {
+    ) -> (Serving<P>, SocketAddr) {
         lossy_pair(cfg, LossPolicy::None, LossPolicy::None, handler).await
     }
 
@@ -1319,8 +1335,7 @@ mod tests {
                 max_attempts: 3,
                 ..P::with_rto(2 * MS)
             };
-            let client = bind::<P>(cfg, LossPolicy::None).await;
-            client.serve_fn(echo);
+            let client = serving::<P>(cfg, LossPolicy::None, echoing()).await;
             let t0 = Instant::now();
             let err = ping(&client, dead_addr().await, OVERALL).await;
             assert_eq!(err, Err(RequestError::TimedOut), "no one home");
@@ -1390,7 +1405,7 @@ mod tests {
             // a retransmitted request id must not re-execute; the cached
             // reply is re-sent instead
             let runs = Arc::new(AtomicUsize::new(0));
-            let (_, addr) = pair::<P>(P::with_rto(5 * MS), counting(&runs, 0)).await;
+            let (_serving, addr) = pair::<P>(P::with_rto(5 * MS), counting(&runs, 0)).await;
             let raw = UdpSocket::bind("127.0.0.1:0").await.unwrap();
             let req = encode_datagram(KIND_REQUEST, 7, 0, 1, &Msg::Ping.encode());
             let mut buf = [0u8; 2048];
@@ -1490,15 +1505,14 @@ mod tests {
                 max_datagram: 1,
                 ..cfg
             };
-            let server = bind::<P>(server_cfg, LossPolicy::None).await;
             let runs = Arc::new(AtomicUsize::new(0));
             let r2 = Arc::clone(&runs);
-            server.serve_fn(move |_| {
+            let oversized = Arc::new(FnHandler(move |_| {
                 r2.fetch_add(1, Ordering::SeqCst);
                 big("r", 70_000)
-            });
-            let client = bind::<P>(cfg, LossPolicy::None).await;
-            client.serve_fn(echo);
+            }));
+            let server = serving::<P>(server_cfg, LossPolicy::None, oversized).await;
+            let client = serving::<P>(cfg, LossPolicy::None, echoing()).await;
             let addr = server.local_addr().expect("addr");
             let err = ping(&client, addr, 100 * MS).await;
             assert_eq!(err, Err(RequestError::TimedOut), "no reply can arrive");
@@ -1626,8 +1640,7 @@ mod tests {
                 ..AdaptiveConfig::default()
             })
         };
-        let client = bind::<Adaptive>(cfg, LossPolicy::None).await;
-        client.serve_fn(echo);
+        let client = serving::<Adaptive>(cfg, LossPolicy::None, echoing()).await;
         let dead = dead_addr().await;
         let t0 = Instant::now();
         let err = ping(&client, dead, OVERALL).await;

@@ -6,12 +6,15 @@
 //! The same holds on the write side: a `Store` beside a live snapshot
 //! builds the next store from the snapshot's own runs — every run it does
 //! not replace is shared, none is copied — and swaps it in whole, so a
-//! snapshot sees a batch entirely or not at all.
+//! snapshot sees a batch entirely or not at all. The front-end's backend
+//! copy is the same store: ingest through `Admin` and the re-push a `set_p`
+//! decrease makes from it copy no record either.
 //!
 //! This lives in its own integration binary so the process-wide clone
 //! counter ([`roar_pps::metadata::record_clone_count`]) sees no traffic
 //! from unrelated tests.
 
+use roar_cluster::harness::{spawn_cluster, ClusterConfig};
 use roar_cluster::node::{DataNode, NodeConfig};
 use roar_cluster::proto::{
     read_frame, write_frame, Frame, Msg, QueryBody, WireRecord, WireTrapdoor,
@@ -171,6 +174,42 @@ async fn store_beside_live_snapshot_shares_runs() {
         assert!(shared, "a run the batch left alone was copied");
     }
     assert_eq!(live.runs().len(), 3, "the batch is a run of its own");
+}
+
+/// `Admin::store_records` appends to the backend as a run and a `set_p`
+/// decrease re-pushes each node's longer arc from the backend's columns:
+/// neither clones a record (at the parent the backend cloned every stored
+/// record into its row vector, and every pushed one out of it).
+#[tokio::test]
+async fn admin_store_and_set_p_decrease_clone_no_record() {
+    let h = spawn_cluster(ClusterConfig::uniform(4, 1e6, 4))
+        .await
+        .unwrap();
+    let enc = MetaEncryptor::with_points(b"backend", vec![1], vec![1]);
+    let mut rng = roar_util::det_rng(4343);
+    let meta = |i: u64| FileMeta {
+        path: format!("/b/f{i}"),
+        keywords: vec![format!("w{i}")],
+        size: 1,
+        mtime: 1,
+    };
+    let recs: Vec<_> = (0..100).map(|i| enc.encrypt(&mut rng, &meta(i))).collect();
+
+    let before = record_clone_count();
+    h.admin.store_records(&recs).await.unwrap();
+    assert_eq!(record_clone_count(), before, "store_records cloned records");
+    h.admin.set_p(2).await.unwrap();
+    assert_eq!(
+        record_clone_count(),
+        before,
+        "a set_p decrease cloned records"
+    );
+    // the decrease did push: every node holds its longer arc
+    let ring = h.admin.ring();
+    for node in 0..4 {
+        let held = h.admin.node_record_count(node).await.unwrap();
+        assert_eq!(held, h.admin.expected_records(&ring, node), "node {node}");
+    }
 }
 
 /// Snapshot isolation under a free-running writer: a reader thread takes

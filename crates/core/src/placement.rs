@@ -123,16 +123,17 @@ impl RoarRing {
         self.map.replicas(obj, self.l())
     }
 
+    /// What `node` holds under this ring: the ids whose replication arc
+    /// meets its range, `(start − L, end − 1]`, clamped to the full ring
+    /// (always so at `p = 1` or on a single-node ring). `None` off the ring.
+    pub fn coverage(&self, node: NodeId) -> Option<Window> {
+        let (s, e) = self.map.range_of(node)?;
+        Some(coverage_window(s, e, self.l()))
+    }
+
     /// Does `node` store `obj` under the current placement?
     pub fn stores(&self, node: NodeId, obj: RingPos) -> bool {
-        // node stores obj iff obj ∈ coverage = (start − L, end − 1]
-        let Some((s, e)) = self.map.range_of(node) else {
-            return false;
-        };
-        if self.n() == 1 || self.p == 1 {
-            return true;
-        }
-        coverage_window(s, e, self.l()).contains(obj)
+        self.coverage(node).is_some_and(|cov| cov.contains(obj))
     }
 
     /// Plan a query: `pq` equidistant points from `seed`, one sub-query per
@@ -170,14 +171,8 @@ impl RoarRing {
     /// object in the window must have a replica on the node. Used by tests,
     /// the range-adjustment optimiser and the failure fall-back.
     pub fn window_executable_by(&self, window: &Window, node: NodeId) -> bool {
-        if self.n() == 1 || self.p == 1 {
-            return self.map.range_of(node).is_some();
-        }
-        let Some((s, e)) = self.map.range_of(node) else {
-            return false;
-        };
-        let coverage = coverage_window(s, e, self.l());
-        window.subset_of(&coverage)
+        self.coverage(node)
+            .is_some_and(|cov| window.subset_of(&cov))
     }
 
     /// Expected number of objects stored on the node at entry `i`, out of

@@ -23,6 +23,8 @@
 //!   over-partitioning, the failure fall-back splits of §4.4 and the range
 //!   adjustments of §4.8.2.
 
+use std::ops::Range;
+
 /// A position on the unit ring, in 1/2⁶⁴ units.
 pub type RingPos = u64;
 
@@ -154,9 +156,7 @@ impl Window {
 
     /// The window as closed id intervals `[lo, hi]` that do not wrap: one,
     /// or — for a window across position 0 — the high slice `[start + 1,
-    /// MAX]` followed by the low slice `[0, end]`. Over ids kept in
-    /// ascending order each interval is one index range
-    /// (`partition_point`), which is how stores select a window.
+    /// MAX]` followed by the low slice `[0, end]`.
     pub fn intervals(&self) -> impl Iterator<Item = (RingPos, RingPos)> {
         let (lo, hi) = (self.start.wrapping_add(1), self.end);
         let [first, second] = if self.is_full() {
@@ -167,6 +167,16 @@ impl Window {
             [Some((lo, RingPos::MAX)), Some((0, hi))]
         };
         first.into_iter().chain(second)
+    }
+
+    /// Where the window cuts the ascending id list `ids`: per interval of
+    /// [`intervals`](Self::intervals), in that order, the index range of
+    /// the ids inside it (possibly empty). Every store selects, counts and
+    /// trims a window through this one binary search.
+    pub fn index_ranges<'a>(&self, ids: &'a [RingPos]) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.intervals().map(move |(lo, hi)| {
+            ids.partition_point(|&id| id < lo)..ids.partition_point(|&id| id <= hi)
+        })
     }
 
     /// Is `self` contained in `other` (both as subsets of the ring)?
@@ -399,6 +409,36 @@ mod tests {
             let ws = windows_of_points(&pts);
             let hits = ws.iter().filter(|w| w.contains(obj)).count();
             prop_assert_eq!(hits, 1);
+        }
+
+        #[test]
+        fn prop_index_ranges_agree_with_contains(
+            set in proptest::collection::btree_set(any::<u64>(), 0..48),
+            s: u64,
+            e: u64,
+            a: usize,
+            b: usize,
+            mode in 0u8..6
+        ) {
+            let mut set = set;
+            if mode >= 3 {
+                set.extend([0, 1, u64::MAX - 1, u64::MAX]); // ids at the wrap
+            }
+            let ids: Vec<u64> = set.into_iter().collect();
+            // endpoints on stored ids put the open start and the closed end
+            // on a record
+            let at = |k: usize| ids[k % ids.len()];
+            let w = match mode % 3 {
+                0 => Window::new(s, e),
+                1 if !ids.is_empty() => Window::new(at(a), at(b)),
+                _ => Window::full(s),
+            };
+            let ranges: Vec<Range<usize>> = w.index_ranges(&ids).collect();
+            prop_assert_eq!(ranges.len(), w.intervals().count());
+            let mut got: Vec<u64> = ranges.iter().flat_map(|r| ids[r.clone()].to_vec()).collect();
+            let want: Vec<u64> = ids.iter().copied().filter(|&id| w.contains(id)).collect();
+            got.sort_unstable();
+            prop_assert_eq!(got, want, "{:?} over {:?}", w, ids);
         }
 
         #[test]

@@ -12,7 +12,7 @@
 //! (its range merges into its predecessor), and moving a boundary (the local
 //! load-balancing of §4.6).
 
-use crate::ring::{coverage_window, dist_cw, RingPos, Window, FULL};
+use crate::ring::{dist_cw, RingPos, Window, FULL};
 use roar_dr::ServerId;
 
 /// A node identifier — shared with `roar_dr::ServerId` so schedulers and
@@ -276,17 +276,6 @@ impl RingMap {
             assert_eq!(total, FULL, "ranges must tile the ring exactly");
         }
     }
-
-    /// The coverage window of entry `i` for replication-arc length `l`: the
-    /// set of object ids this node holds a replica of, namely
-    /// `(start − l, end)` expressed as the window `(start − l, end − 1]`,
-    /// clamped to the full ring when `range + l` spans it entirely.
-    /// Any sub-query window that is a subset of this may be executed by the
-    /// node (the validity rule behind §4.8.2's range adjustment).
-    pub fn coverage_at(&self, i: usize, l: u64) -> Window {
-        let (s, e) = self.range_at(i);
-        coverage_window(s, e, l)
-    }
 }
 
 #[cfg(test)]
@@ -409,9 +398,8 @@ mod tests {
 
     #[test]
     fn coverage_contains_own_range_objects() {
-        let m = map4();
-        let l = 120u64;
-        let cov = m.coverage_at(1, l); // node 1: [100,200), coverage (100-120, 199]
+        let (s, e) = map4().range_at(1); // node 1: [100,200)
+        let cov = crate::ring::coverage_window(s, e, 120); // (100-120, 199]
         assert!(cov.contains(150));
         assert!(cov.contains(50)); // object at 50 has arc [50,170) ∋ node range
         assert!(!cov.contains(200));

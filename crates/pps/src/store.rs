@@ -29,12 +29,13 @@
 //!
 //! Ids are `u64` ring positions, so a ROAR sub-query's match window
 //! `(start, end]` maps to at most two contiguous index ranges per run
-//! (wrap-around), found by `partition_point`.
+//! (wrap-around), found by [`Window::index_ranges`].
 
 use crate::bloom_kw::BloomMetadata;
 use crate::metadata::EncryptedMetadata;
 use roar_core::ring::Window;
 use roar_crypto::bloom::BloomFilter;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Runs of at least this many records are sealed: the tiered rule never
@@ -198,13 +199,6 @@ impl Run {
         out
     }
 
-    /// Index range of the ids in `[lo, hi]`.
-    fn index_range(&self, (lo, hi): (u64, u64)) -> (usize, usize) {
-        let a = self.ids.partition_point(|&id| id < lo);
-        let b = self.ids.partition_point(|&id| id <= hi);
-        (a, b)
-    }
-
     /// Record `i` materialised as a row.
     fn record(&self, i: usize) -> EncryptedMetadata {
         let (a, b) = (self.word_start(i), self.word_start(i + 1));
@@ -266,8 +260,12 @@ fn intersect(a: &[u64], b: &[u64], found: &mut dyn FnMut(usize, usize)) {
     let (Some(&lo), Some(&hi)) = (a.first(), a.last()) else {
         return;
     };
-    let mut from = b.partition_point(|&id| id < lo);
-    let to = b.partition_point(|&id| id <= hi);
+    // the window (lo − 1, hi] is the id interval [lo, hi]: one range
+    let span = Window::new(lo.wrapping_sub(1), hi).index_ranges(b).next();
+    let Range {
+        start: mut from,
+        end: to,
+    } = span.unwrap_or_default();
     for (i, id) in a.iter().enumerate() {
         if from == to {
             return;
@@ -398,10 +396,11 @@ impl MetadataStore {
     /// that holds any of it. An `Arc` snapshot of the store plus these
     /// ranges is a complete corpus view, with no per-query record copy.
     pub fn window_ranges(&self, w: &Window) -> Vec<RunRange> {
+        let mut cuts: Vec<_> = self.runs.iter().map(|r| w.index_ranges(&r.ids)).collect();
         let mut out = Vec::new();
-        for interval in w.intervals() {
-            for (run, r) in self.runs.iter().enumerate() {
-                let (start, end) = r.index_range(interval);
+        for _ in w.intervals() {
+            for (run, cut) in cuts.iter_mut().enumerate() {
+                let Range { start, end } = cut.next().unwrap_or_default();
                 if start < end {
                     out.push(RunRange { run, start, end });
                 }
@@ -432,15 +431,14 @@ impl MetadataStore {
         let before = self.len();
         for slot in &mut self.runs {
             // ascending id order: the low wrap-around slice comes first
-            let mut kept: Vec<(usize, usize)> =
-                keep.intervals().map(|iv| slot.index_range(iv)).collect();
-            kept.sort_unstable();
-            let records: usize = kept.iter().map(|&(a, b)| b - a).sum();
+            let mut kept: Vec<Range<usize>> = keep.index_ranges(&slot.ids).collect();
+            kept.sort_unstable_by_key(|r| r.start);
+            let records: usize = kept.iter().map(Range::len).sum();
             if records < slot.len() {
-                let words = kept.iter().map(|&(a, b)| slot.words(a, b));
+                let words = kept.iter().map(|r| slot.words(r.start, r.end));
                 let mut cut = Run::with_capacity(records, words.sum());
-                for (a, b) in kept {
-                    cut.push_range(slot, a, b);
+                for r in kept {
+                    cut.push_range(slot, r.start, r.end);
                 }
                 *slot = Arc::new(cut);
             }
