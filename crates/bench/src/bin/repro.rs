@@ -9,6 +9,10 @@
 //!   repro benches                  run every row of the bench table —
 //!                                  the one command that regenerates every
 //!                                  BENCH_*.json and then checks them
+//!   repro pair `<parent-bin>` `<change-bin>` --workload W [--seeds 13..22]
+//!              [--seconds 24] [--out DIR]
+//!                                  paired runs of two roar-benchmark
+//!                                  builds (see [`pair`])
 //!   --quick                        reduced workloads (smoke/CI); leaves
 //!                                  committed artifacts untouched
 //!   --scenario S / --transport T   run one slice of a bench's matrix
@@ -27,8 +31,8 @@
 //! process exit non-zero (after the remaining rows have run).
 
 use roar_bench::{
-    capacity, churn, congestion, incast, node_concurrency, pps_bench, registry, scale, schema,
-    tail, trajectory, ungated, Filters, Scale,
+    capacity, churn, congestion, incast, node_concurrency, pair, pps_bench, registry, scale,
+    schema, tail, trajectory, ungated, Filters, Scale,
 };
 use roar_crypto::sha1::Backend;
 use roar_util::Json;
@@ -121,7 +125,7 @@ fn benches() -> Vec<Bench> {
         row(
             "bench_node_concurrency",
             Snapshot("BENCH_node_concurrency.json"),
-            "cross-query batched node execution vs thread-per-query at 1/8/64 resident; fails if 64-resident < 1-resident throughput, or (full) < 1.5x the baseline",
+            "the node's matcher pool (one inline sub-query per worker) vs thread-per-query at 1/8/64 resident; fails if 64-resident < 1-resident throughput, or (full) < 1.5x the baseline",
             node_concurrency::run,
             node_concurrency::gate,
         ),
@@ -221,6 +225,9 @@ fn axis(args: &[String], flag: &str, names: &[&str]) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("pair") {
+        std::process::exit(pair::main(&args[1..]));
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let append: Option<u32> = flag_value(&args, "--append").map(|v| {
@@ -279,7 +286,8 @@ fn main() {
         }
         println!(
             "\nrun: repro <id|bench> ... | repro all | repro benches   \
-             [--quick] [--scenario S] [--transport T] [--backend B] [--append N]"
+             [--quick] [--scenario S] [--transport T] [--backend B] [--append N]\n     \
+             repro pair <parent-bin> <change-bin> --workload W [--seeds 13..22] [--seconds 24] [--out DIR]"
         );
         return;
     }

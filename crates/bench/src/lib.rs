@@ -25,6 +25,7 @@ pub mod congestion;
 pub mod driver;
 pub mod incast;
 pub mod node_concurrency;
+pub mod pair;
 pub mod pps_bench;
 pub mod scale;
 pub mod schema;

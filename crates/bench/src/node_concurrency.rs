@@ -1,5 +1,4 @@
-//! Cross-query batched node execution benchmark
-//! (`BENCH_node_concurrency.json`).
+//! Node matcher-pool benchmark (`BENCH_node_concurrency.json`).
 //!
 //! Measures aggregate matching throughput (records/s across all resident
 //! sub-queries) at 1 / 8 / 64 concurrently resident sub-queries, per
@@ -10,15 +9,15 @@
 //!   rows out of the shared store *under the state lock*
 //!   ([`MetadataStore::window_records`] — figure apparatus, like this
 //!   path) and then running sequential [`match_corpus_with`];
-//! * `batched` — the [`BatchEngine`] path the node now runs: every
-//!   sub-query becomes a resumable [`QueryTask`] over one shared zero-copy
-//!   `Arc` snapshot, a fixed worker pool drains the probe queue, and MAC
-//!   sweeps pack lanes *across* queries (ragged survivor tails from
-//!   different sub-queries fill the same SIMD lane group).
+//! * `batched` — the pooled inline path the node now runs: every
+//!   sub-query becomes a [`QueryTask`] over one shared zero-copy `Arc`
+//!   snapshot, and a fixed [`BatchEngine`] pool runs the tasks inline, one
+//!   per worker at a time. (The key keeps the name of the engine that
+//!   once packed lanes across queries here.)
 //!
 //! Invoked as `repro bench_node_concurrency [--quick]`. The full run
 //! writes `BENCH_node_concurrency.json`; both scales enforce the smoke
-//! gate (aggregate 64-query throughput must beat 1-query throughput —
+//! gate (aggregate 64-query throughput must reach 1-query throughput —
 //! residency may never cost throughput) and the full run additionally
 //! enforces the ≥ 1.5× batched-vs-baseline floor at 64 resident queries
 //! on the best available backend.
@@ -99,9 +98,8 @@ impl Fixture {
         (resident * self.n) as f64 / best
     }
 
-    /// The batched path: every resident sub-query is a [`QueryTask`] over
-    /// one shared zero-copy snapshot, drained by a fixed worker pool with
-    /// MAC sweeps lane-packed across queries.
+    /// The pooled path: every resident sub-query is a [`QueryTask`] over
+    /// one shared zero-copy snapshot, run inline by a fixed worker pool.
     fn measure_batched(&self, backend: Backend, resident: usize) -> f64 {
         let store = Arc::new(MetadataStore::from_records(&self.records));
         let engine = BatchEngine::new(self.workers);
@@ -155,8 +153,8 @@ impl Fixture {
 /// Headline members, both on the auto-detected (widest available) backend
 /// `best_backend`: `speedup_64` — batched vs baseline aggregate rec/s at 64
 /// resident sub-queries — and `batched_scaling_64_vs_1` — batched rec/s at
-/// 64 resident vs 1 resident; > 1 means residency adds throughput (lane
-/// packing, worker-pool parallelism) instead of costing it.
+/// 64 resident vs 1 resident; > 1 means residency adds throughput (the
+/// worker pool's parallelism) instead of costing it.
 pub fn run(scale: Scale, _: &Filters) -> Result<Json, String> {
     let fx = Fixture::new(scale);
     let backends: Vec<Backend> = match scale {
@@ -198,7 +196,7 @@ pub fn run(scale: Scale, _: &Filters) -> Result<Json, String> {
 /// The smoke gate (every scale): piling 64 resident sub-queries onto the
 /// engine must not reduce aggregate throughput below the single-query
 /// rate. The full-scale acceptance floor adds: at 64 resident on the best
-/// backend, batching must beat the old thread-per-query clone-under-lock
+/// backend, the pool must beat the old thread-per-query clone-under-lock
 /// path by [`SPEEDUP_FLOOR`].
 pub fn gate(doc: &Json, scale: Scale) -> Result<(), String> {
     let scaling = number(doc, &["batched_scaling_64_vs_1"])?;

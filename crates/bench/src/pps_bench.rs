@@ -46,14 +46,14 @@
 //! Invoked as `repro bench_pps [--quick] [--backend scalar|sse2|avx2|avx512|auto]`;
 //! writes `BENCH_pps.json` into the working directory. The committed copy at
 //! the repository root is the point-zero baseline of the bench trajectory.
-//! `repro bench_pps_backends` runs the batched path, the nonce sweep (one
-//! key; key runs) and one trapdoor preparation once per available backend
+//! `repro bench_pps_backends` runs the batched path, the nonce sweep and
+//! one trapdoor preparation once per available backend
 //! and renders the comparison table committed under `results/`.
 
 use crate::{Filters, Scale};
 use roar_core::ring::Window;
 use roar_crypto::bloom::BloomParams;
-use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
+use roar_crypto::hmac::HmacKey;
 use roar_crypto::sha1::{Backend, Sha1Lanes, Staged, MAX_LANES};
 use roar_pps::bloom_kw::{BloomKeywordScheme, PrfCounter, MAX_R};
 use roar_pps::metadata::MetaEncryptor;
@@ -89,10 +89,6 @@ pub const FILTER_VS_MAC_CEILING: f64 = 0.4;
 /// Nonces per pass of the nonce-sweep measurement (the frozen benchmark's
 /// `crypto.mac_per_s` probe size).
 const MAC_NONCES: usize = 65_536;
-
-/// Length of a key run in the keyed measurement — about what one resident
-/// sub-query stages per sweep.
-const MAC_RUN: usize = 300;
 
 /// One measured path.
 struct PathResult {
@@ -327,33 +323,28 @@ impl Fixture {
     }
 }
 
-/// The nonce-sweep measurement's inputs: [`MAC_NONCES`] nonces, cut into
-/// one run or into runs of [`MAC_RUN`] cycling five keys.
+/// The nonce-sweep measurement's inputs: one key, [`MAC_NONCES`] nonces.
 struct MacFixture {
+    key: HmacKey,
     nonces: Vec<[u8; 8]>,
-    one_key: Vec<(HmacKey, usize)>,
-    key_runs: Vec<(HmacKey, usize)>,
 }
 
 impl MacFixture {
     fn new() -> Self {
-        let keys: Vec<HmacKey> = (0..5u8).map(|i| HmacKey::new(&[i; 20])).collect();
         MacFixture {
+            key: HmacKey::new(&[0; 20]),
             nonces: (0..MAC_NONCES as u64)
                 .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes())
-                .collect(),
-            one_key: vec![(keys[0], MAC_NONCES)],
-            key_runs: (0..MAC_NONCES.div_ceil(MAC_RUN))
-                .map(|r| (keys[r % 5], MAC_RUN.min(MAC_NONCES - r * MAC_RUN)))
                 .collect(),
         }
     }
 
-    /// MAC prefixes per second of `runs` swept on `engine`.
-    fn mac_per_s(&self, engine: &dyn Sha1Lanes, runs: &[(HmacKey, usize)], repeats: usize) -> f64 {
+    /// MAC prefixes per second of the sweep on `engine`.
+    fn mac_per_s(&self, engine: &dyn Sha1Lanes, repeats: usize) -> f64 {
         let mut out = vec![0u64; MAC_NONCES];
         let (per_s, _, _) = best_of(repeats, MAC_NONCES, || {
-            mac_u64_nonce_runs(engine, black_box(runs), black_box(&self.nonces), &mut out);
+            let key = black_box(self.key);
+            key.mac_u64_nonces_on(engine, black_box(&self.nonces), &mut out);
             (0, black_box(&out)[0])
         });
         per_s
@@ -378,8 +369,8 @@ fn measure_prepare_us(backend: Backend, query: &CompiledQuery, repeats: usize) -
 fn mac_block(backend: Backend, repeats: usize) -> Json {
     let engine = backend.engine();
     let fx = MacFixture::new();
-    let fused = fx.mac_per_s(engine, &fx.one_key, repeats);
-    let staged = fx.mac_per_s(&Staged(engine), &fx.one_key, repeats);
+    let fused = fx.mac_per_s(engine, repeats);
+    let staged = fx.mac_per_s(&Staged(engine), repeats);
     Json::obj([
         ("lanes", engine.lanes().into()),
         ("mac_per_s", Json::rounded(fused, 0)),
@@ -471,9 +462,8 @@ pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
             BackendRow {
                 backend,
                 batched_rps: fx.measure_batched(backend).records_per_s,
-                mac_per_s: macs.mac_per_s(engine, &macs.one_key, fx.repeats),
-                key_runs_mac_per_s: macs.mac_per_s(engine, &macs.key_runs, fx.repeats),
-                staged_mac_per_s: macs.mac_per_s(&Staged(engine), &macs.one_key, fx.repeats),
+                mac_per_s: macs.mac_per_s(engine, fx.repeats),
+                staged_mac_per_s: macs.mac_per_s(&Staged(engine), fx.repeats),
                 prepare_us: measure_prepare_us(backend, &fx.query, fx.repeats),
             }
         })
@@ -495,10 +485,6 @@ pub fn run_backends(scale: Scale, _: &Filters) -> Result<Json, String> {
             ),
             ("mac_per_s", Json::rounded(row.mac_per_s, 0)),
             (
-                "key_runs_mac_per_s",
-                Json::rounded(row.key_runs_mac_per_s, 0),
-            ),
-            (
                 "vs_staged",
                 Json::rounded(row.mac_per_s / row.staged_mac_per_s, 2),
             ),
@@ -518,7 +504,6 @@ struct BackendRow {
     backend: Backend,
     batched_rps: f64,
     mac_per_s: f64,
-    key_runs_mac_per_s: f64,
     staged_mac_per_s: f64,
     prepare_us: f64,
 }
@@ -531,8 +516,7 @@ fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[BackendRow]) -> Str
         "batched rec/s",
         "vs scalar backend",
         "vs one-shot reference",
-        "MAC/s (one key)",
-        "MAC/s (key runs)",
+        "MAC/s",
         "vs staged",
         "prepare r=17 (us)",
     ]);
@@ -545,7 +529,6 @@ fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[BackendRow]) -> Str
             format!("{:.2}x", row.batched_rps / base),
             format!("{:.2}x", row.batched_rps / reference_rps),
             format!("{:.0}", row.mac_per_s),
-            format!("{:.0}", row.key_runs_mac_per_s),
             format!("{:.2}x", row.mac_per_s / row.staged_mac_per_s),
             format!("{:.2}", row.prepare_us),
         ]);
@@ -554,7 +537,7 @@ fn render_backends(fx: &Fixture, reference_rps: f64, rows: &[BackendRow]) -> Str
         "PPS batched matching throughput by SHA-1 backend\n\
          ({} records, 50 keywords/doc, fp 1e-5, r = 17, best of {}; \
          one-shot reference {:.0} rec/s;\n\
-         MAC/s: the nonce sweep over {MAC_NONCES} nonces, key runs of {MAC_RUN} over five keys, \
+         MAC/s: the nonce sweep over {MAC_NONCES} nonces under one key, \
          'vs staged' against the same engine's compress-staged default)\n\n{}",
         fx.n,
         fx.repeats,

@@ -7,10 +7,10 @@
 //! any node-side coordination (§4.2).
 //!
 //! PPS sub-queries run on the node's *matcher pool*, a fixed set of worker
-//! threads ([`roar_pps::BatchEngine`]) that batch PRF sweeps across every
-//! resident sub-query: a flash crowd of Q requests shares lane-packed
-//! sweeps and one immutable `Arc` corpus snapshot instead of spawning Q
-//! blocking threads and cloning Q windows.
+//! threads ([`roar_pps::BatchEngine`]), each running one sub-query at a
+//! time: a flash crowd of Q requests queues for the pool and scans one
+//! immutable `Arc` corpus snapshot instead of spawning Q blocking threads
+//! and cloning Q windows.
 //!
 //! The store is a persistent value ([`MetadataStore`]: a list of immutable
 //! columnar runs behind `Arc`s). A writer — `Store`, `SetCoverage` — builds
@@ -30,8 +30,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Matcher-pool width: the node-wide bound on concurrent PPS matching
-/// threads. Small and fixed — excess sub-queries queue in the engine and
-/// join the next batched round rather than spawning threads.
+/// threads. Small and fixed — excess sub-queries queue in the engine until
+/// a worker is free rather than spawning threads.
 fn matcher_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
 }
@@ -421,9 +421,9 @@ impl DataNode {
                 let corpus = TaskCorpus::snapshot(store, &window);
                 let scanned = corpus.len() as u64;
                 // hand the sub-query to the matcher pool: CPU-bound work
-                // stays off the reactor, and resident sub-queries share
-                // lane-packed PRF sweeps instead of a thread each. The lane
-                // engine is the process's, whatever the request's
+                // stays off the reactor, and a crowd of sub-queries queues
+                // for a fixed set of threads instead of a thread each. The
+                // lane engine is the process's, whatever the request's
                 // (reserved) `backend` field says.
                 let (tx, rx) = tokio::sync::oneshot::channel();
                 self.matchers().submit(

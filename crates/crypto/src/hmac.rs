@@ -23,20 +23,15 @@
 //!
 //! **The nonce sweep.** The PPS scan path has one MAC shape — the `u64`
 //! prefix of the MAC of a fixed 8-byte record nonce — and one loop
-//! computing it, [`mac_u64_nonce_runs`]: `nonces` is cut into consecutive
-//! *key runs* `(key, len)`, and lane groups of the [`Sha1Lanes`] engine
-//! (16 on AVX-512) are filled straight across run boundaries. The boundary
-//! to the engine is **a lane group of nonces in, prefixes out**
-//! ([`Sha1Lanes::mac_nonce_group`]): the sweep hands it the group's key
-//! midstates already transposed ([`LaneStates`] — broadcast once per run,
-//! filled lane by lane only for a group that straddles two runs) and
+//! computing it, [`HmacKey::mac_u64_nonces_with`]: one key, many nonces,
+//! cut into lane groups of the [`Sha1Lanes`] engine (16 on AVX-512). The
+//! boundary to the engine is **a lane group of nonces in, prefixes out**
+//! ([`Sha1Lanes::mac_nonce_group`]): the sweep broadcasts the key's
+//! midstates into every lane once ([`LaneStates`]) and hands the engine
 //! slices of the caller's own nonce and output buffers; padding, the two
 //! compressions and the hand-over of the inner digest all happen inside
 //! the engine's kernel, in registers. A ragged tail goes through a
 //! `MAX_LANES`-entry stack copy, so an engine only ever sees whole groups.
-//! [`HmacKey::mac_u64_nonces_with`] (the inline drivers of the survivor
-//! pipeline) is the one-run case; a node's matcher workers pass one run
-//! per resident sub-query.
 //!
 //! **Key preparation** rides the lanes too: [`HmacKey::prepare`] pushes the
 //! `K ⊕ ipad` / `K ⊕ opad` blocks of many keys — a trapdoor's `r`
@@ -175,16 +170,46 @@ impl HmacKey {
         state_prefix(&self.mac_state(msg))
     }
 
-    /// The nonce sweep with this key in every lane: `u64` MAC prefixes of
-    /// fixed 8-byte messages (record nonces). What the survivor pipeline's
-    /// inline drivers call once per trapdoor component; each full lane
-    /// group costs exactly 2 multi-lane compressions — the §5.7
-    /// "2 compressions per codeword" arithmetic divided by the lane width.
+    /// The nonce sweep — the scan path's one MAC loop: `out[i]` becomes the
+    /// `u64` MAC prefix of the fixed 8-byte message `nonces[i]` (a record
+    /// nonce) under this key. The survivor pipeline calls it once per
+    /// trapdoor component; each full lane group costs exactly 2 multi-lane
+    /// compressions — the §5.7 "2 compressions per codeword" arithmetic
+    /// divided by the lane width.
+    ///
+    /// The engine reads nonces from, and writes prefixes to, the caller's
+    /// slices directly; only a tail shorter than a group is copied through
+    /// the stack. `out` past `nonces.len()` is left untouched. Bit-identical
+    /// to [`mac_u64`](Self::mac_u64) per element by construction and by the
+    /// `sha1_lanes_props` suite.
     ///
     /// # Panics
     /// Panics when `out` is shorter than `nonces`.
     pub fn mac_u64_nonces_with(&self, backend: Backend, nonces: &[[u8; 8]], out: &mut [u64]) {
-        mac_u64_nonce_runs(backend.engine(), &[(*self, nonces.len())], nonces, out);
+        self.mac_u64_nonces_on(backend.engine(), nonces, out);
+    }
+
+    /// [`mac_u64_nonces_with`](Self::mac_u64_nonces_with) on any lane
+    /// engine — a test double or the [`Staged`](crate::sha1::Staged)
+    /// reference, for the suites and benches that hold the fused kernels
+    /// to it.
+    pub fn mac_u64_nonces_on(&self, engine: &dyn Sha1Lanes, nonces: &[[u8; 8]], out: &mut [u64]) {
+        assert!(out.len() >= nonces.len(), "output buffer too small");
+        let lanes = engine.lanes();
+        let inner: LaneStates = self.inner_mid.map(|w| [w; MAX_LANES]);
+        let outer: LaneStates = self.outer_mid.map(|w| [w; MAX_LANES]);
+        let whole = nonces.len() - nonces.len() % lanes;
+        for start in (0..whole).step_by(lanes) {
+            engine.mac_nonce_group(&inner, &outer, &nonces[start..], &mut out[start..]);
+        }
+        let rest = &nonces[whole..];
+        if !rest.is_empty() {
+            let mut tail = [[0u8; 8]; MAX_LANES];
+            let mut macs = [0u64; MAX_LANES];
+            tail[..rest.len()].copy_from_slice(rest);
+            engine.mac_nonce_group(&inner, &outer, &tail, &mut macs);
+            out[whole..nonces.len()].copy_from_slice(&macs[..rest.len()]);
+        }
     }
 
     /// Prepare many keys at once on the lane engine: slot `i` of the result
@@ -228,84 +253,6 @@ impl HmacKey {
             }
         }
         out
-    }
-}
-
-/// The nonce sweep — the scan path's one MAC loop: `nonces` is the
-/// concatenation of the key runs `runs`, each `(key, len)` covering the
-/// next `len` nonces, and `out[i]` becomes the `u64` MAC prefix of
-/// `nonces[i]` under its run's key. This is what lets a node pack probe
-/// work from many concurrent sub-queries (different trapdoors, different
-/// component keys) into full-width lane groups instead of running each
-/// query's sweep ragged: a group is filled across run boundaries.
-///
-/// A lane's midstate is per-lane SIMD state, so the engine's kernel does
-/// not care whether neighbouring lanes resume the same key or different
-/// ones. A group inside one run reuses that run's broadcast midstates; a
-/// group that straddles runs (or the ragged tail) has its midstates filled
-/// lane by lane. The engine reads nonces from, and writes prefixes to, the
-/// caller's slices directly; only a tail shorter than a group is copied
-/// through the stack. `out` past `nonces.len()` is left untouched.
-///
-/// Bit-identical to `key.mac_u64(&nonces[i])` per element by construction
-/// and by the `sha1_lanes_props` suite.
-///
-/// # Panics
-/// Panics when the run lengths do not add up to `nonces.len()`, or when
-/// `out` is shorter than `nonces`.
-pub fn mac_u64_nonce_runs(
-    engine: &dyn Sha1Lanes,
-    runs: &[(HmacKey, usize)],
-    nonces: &[[u8; 8]],
-    out: &mut [u64],
-) {
-    assert!(out.len() >= nonces.len(), "output buffer too small");
-    let covered: usize = runs.iter().map(|&(_, len)| len).sum();
-    assert_eq!(
-        covered,
-        nonces.len(),
-        "key runs cover {covered} of {} nonces",
-        nonces.len()
-    );
-    let lanes = engine.lanes();
-    let mut inner: LaneStates = [[0; MAX_LANES]; 5];
-    let mut outer: LaneStates = [[0; MAX_LANES]; 5];
-    // the run the next lane belongs to, how much of it is left, and whether
-    // every lane of `inner`/`outer` already holds its key
-    let (mut run, mut left, mut whole) = (0, runs.first().map_or(0, |r| r.1), false);
-    for start in (0..nonces.len()).step_by(lanes) {
-        let group = lanes.min(nonces.len() - start);
-        let mut lane = 0;
-        while lane < group {
-            while left == 0 {
-                run += 1;
-                (left, whole) = (runs[run].1, false);
-            }
-            let key = &runs[run].0;
-            let take = left.min(lanes - lane);
-            if !(whole && take == lanes) {
-                for w in 0..5 {
-                    for l in lane..lane + take {
-                        inner[w][l] = key.inner_mid[w];
-                        outer[w][l] = key.outer_mid[w];
-                    }
-                }
-            }
-            whole = take == lanes;
-            left -= take;
-            lane += take;
-        }
-        // lanes past a ragged tail keep whatever they held: their outputs
-        // are dropped
-        if group == lanes {
-            engine.mac_nonce_group(&inner, &outer, &nonces[start..], &mut out[start..]);
-        } else {
-            let mut tail = [[0u8; 8]; MAX_LANES];
-            let mut macs = [0u64; MAX_LANES];
-            tail[..group].copy_from_slice(&nonces[start..]);
-            engine.mac_nonce_group(&inner, &outer, &tail, &mut macs);
-            out[start..start + group].copy_from_slice(&macs[..group]);
-        }
     }
 }
 
@@ -408,41 +355,6 @@ mod tests {
             key.mac_u64(b"msg"),
             u64::from_be_bytes(d[..8].try_into().unwrap())
         );
-    }
-
-    /// The run sweep with a different key in every lane must agree with
-    /// per-key scalar MACs on every backend, including ragged group tails.
-    #[test]
-    fn nonce_runs_of_one_match_reference_on_all_backends() {
-        let runs: Vec<(HmacKey, usize)> = (0..13u64)
-            .map(|i| (HmacKey::new(format!("query-key-{i}").as_bytes()), 1))
-            .collect();
-        let nonces: Vec<[u8; 8]> = (0..13u64)
-            .map(|i| (i.wrapping_mul(0x9e3779b97f4a7c15)).to_be_bytes())
-            .collect();
-        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
-            for take in 1..=nonces.len() {
-                let mut out = vec![0u64; take];
-                mac_u64_nonce_runs(backend.engine(), &runs[..take], &nonces[..take], &mut out);
-                for i in 0..take {
-                    assert_eq!(
-                        out[i],
-                        runs[i].0.mac_u64(&nonces[i]),
-                        "{} batch of {take}, lane {i}",
-                        backend.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "key runs cover 3 of 1 nonces")]
-    fn run_sweep_rejects_mismatched_lengths() {
-        let runs = [(HmacKey::new(b"a"), 1), (HmacKey::new(b"b"), 2)];
-        let nonces = [[0u8; 8]];
-        let mut out = [0u64; 2];
-        mac_u64_nonce_runs(Backend::Scalar.engine(), &runs, &nonces, &mut out);
     }
 
     /// Lane-prepared keys are the scalar-prepared keys, at every count

@@ -4,15 +4,15 @@
 //!
 //! * at the compression-function level, on arbitrary states and blocks and
 //!   on the from-the-IV pad-block shape key preparation feeds it;
-//! * through the nonce sweep and its fused per-engine kernels: every group
-//!   size around the lane width, one key, key runs that straddle lane
-//!   groups, a different key in every lane — against scalar
-//!   [`HmacKey::mac_u64`] per element and against the same engine held to
-//!   the `compress`-staged default ([`Staged`]);
+//! * through the nonce sweep and its fused per-engine kernels
+//!   ([`HmacKey::mac_u64_nonces_with`]): every group size around the lane
+//!   width, the known answer in every lane position, the ragged tail —
+//!   against scalar [`HmacKey::mac_u64`] per element and against the same
+//!   engine held to the `compress`-staged default ([`Staged`]);
 //! * through lane-prepared keys ([`HmacKey::prepare`]).
 
 use proptest::prelude::*;
-use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
+use roar_crypto::hmac::HmacKey;
 use roar_crypto::sha1::{Backend, LaneStates, Sha1Lanes, Staged, MAX_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -26,22 +26,12 @@ fn nonces(n: usize) -> Vec<[u8; 8]> {
         .collect()
 }
 
-/// Cut `n` nonces into runs of `len` cycling over `keys`.
-fn runs_of(keys: &[HmacKey], len: usize, n: usize) -> Vec<(HmacKey, usize)> {
-    (0..n.div_ceil(len))
-        .map(|r| (keys[r % keys.len()], len.min(n - r * len)))
-        .collect()
-}
-
-/// `runs` over `nonces` on `engine` equals the scalar MAC per element, and
-/// the same engine's staged default.
-fn assert_sweep(engine: &'static dyn Sha1Lanes, runs: &[(HmacKey, usize)], nonces: &[[u8; 8]]) {
+/// `key`'s sweep over `nonces` on `engine` equals the scalar MAC per
+/// element, and the same engine's staged default.
+fn assert_sweep(engine: &'static dyn Sha1Lanes, key: HmacKey, nonces: &[[u8; 8]]) {
     let mut got = vec![0u64; nonces.len()];
-    mac_u64_nonce_runs(engine, runs, nonces, &mut got);
-    let keys = runs
-        .iter()
-        .flat_map(|&(key, len)| std::iter::repeat_n(key, len));
-    for (i, (key, nonce)) in keys.zip(nonces).enumerate() {
+    key.mac_u64_nonces_on(engine, nonces, &mut got);
+    for (i, nonce) in nonces.iter().enumerate() {
         assert_eq!(
             got[i],
             key.mac_u64(nonce),
@@ -51,7 +41,7 @@ fn assert_sweep(engine: &'static dyn Sha1Lanes, runs: &[(HmacKey, usize)], nonce
         );
     }
     let mut staged = vec![0u64; nonces.len()];
-    mac_u64_nonce_runs(&Staged(engine), runs, nonces, &mut staged);
+    key.mac_u64_nonces_on(&Staged(engine), nonces, &mut staged);
     assert_eq!(got, staged, "{} fused vs staged", engine.name());
 }
 
@@ -70,66 +60,47 @@ fn engines_report_sane_lane_counts() {
 }
 
 /// The nonce sweep (the PPS survivor hot path) at every size around the
-/// lane width, under every key arrangement the scan path produces.
+/// lane width, through the backend entry the scan path calls and through
+/// the engine entry.
 #[test]
-fn nonce_sweep_sizes_and_key_runs() {
-    let keys: Vec<HmacKey> = (0..5)
-        .map(|i| HmacKey::new(format!("xq-key-{i}").as_bytes()))
-        .collect();
+fn nonce_sweep_sizes_equal_scalar_and_staged() {
+    let key = HmacKey::new(b"xq-key");
     for backend in available_backends() {
         let engine = backend.engine();
         let lanes = engine.lanes();
         for n in [0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 5, 1000] {
             let nonces = nonces(n);
-            // one key: the inline drivers
-            assert_sweep(engine, &[(keys[0], n)], &nonces);
+            assert_sweep(engine, key, &nonces);
             let mut out = vec![0u64; n];
-            keys[0].mac_u64_nonces_with(backend, &nonces, &mut out);
-            let want: Vec<u64> = nonces.iter().map(|x| keys[0].mac_u64(x)).collect();
-            assert_eq!(out, want, "{} one key, {n}", backend.name());
-            // runs that straddle lane groups, runs far longer than one
-            assert_sweep(engine, &runs_of(&keys, 7, n), &nonces);
-            assert_sweep(engine, &runs_of(&keys, 300, n), &nonces);
-            // a different key every lane
-            let each: Vec<(HmacKey, usize)> = (0..n)
-                .map(|i| (HmacKey::new(format!("lane-key-{i}").as_bytes()), 1))
-                .collect();
-            assert_sweep(engine, &each, &nonces);
+            key.mac_u64_nonces_with(backend, &nonces, &mut out);
+            let want: Vec<u64> = nonces.iter().map(|x| key.mac_u64(x)).collect();
+            assert_eq!(out, want, "{} {n}", backend.name());
         }
     }
 }
 
-/// Empty runs are skipped wherever they fall.
-#[test]
-fn empty_runs_are_skipped() {
-    let (a, b) = (HmacKey::new(b"a"), HmacKey::new(b"b"));
-    for backend in available_backends() {
-        let lanes = backend.engine().lanes();
-        let runs = [(a, 0), (b, lanes + 2), (a, 0), (a, 0), (a, 3), (b, 0)];
-        assert_sweep(backend.engine(), &runs, &nonces(lanes + 5));
-    }
-}
-
 /// RFC 2202 case 1 is itself an 8-byte message: `"Hi There"` under
-/// `0x0b × 20`. The known answer must come out of every lane position.
+/// `0x0b × 20`. The known answer must come out of every lane position,
+/// with decoy nonces in every other lane.
 #[test]
 fn rfc2202_case1_in_every_lane() {
     let key = HmacKey::new(&[0x0b; 20]);
-    let decoy = HmacKey::new(b"every other lane");
     for backend in available_backends() {
-        let engine = backend.engine();
-        let lanes = engine.lanes();
+        let lanes = backend.engine().lanes();
         for at in 0..lanes {
             let mut nonces = nonces(lanes);
             nonces[at] = *b"Hi There";
-            let mut runs = vec![(decoy, 1); lanes];
-            runs[at] = (key, 1);
             let mut out = vec![0u64; lanes];
-            mac_u64_nonce_runs(engine, &runs, &nonces, &mut out);
+            key.mac_u64_nonces_with(backend, &nonces, &mut out);
             assert_eq!(
                 out[at],
                 0xb617_3186_5505_7264,
                 "{} lane {at}",
+                backend.name()
+            );
+            assert!(
+                (0..lanes).all(|l| l == at || out[l] == key.mac_u64(&nonces[l])),
+                "{} decoys around lane {at}",
                 backend.name()
             );
         }
@@ -217,7 +188,7 @@ fn ragged_tail_is_served_from_the_stack_copy() {
             // elements behind its start, so only the copy is that long)
             let nonces = nonces(n);
             let mut out = vec![0u64; n];
-            mac_u64_nonce_runs(&checked, &[(key, n)], &nonces, &mut out);
+            key.mac_u64_nonces_on(&checked, &nonces, &mut out);
             for (nonce, got) in nonces.iter().zip(&out) {
                 assert_eq!(*got, key.mac_u64(nonce), "{} {n}", backend.name());
             }
@@ -296,25 +267,6 @@ proptest! {
                 engine.compress(&mut got, &blocks);
                 prop_assert_eq!(&got, &want, "backend {}", backend.name());
             }
-        }
-    }
-
-    /// Random keys, random nonces, random run lengths: the sweep equals the
-    /// scalar MAC per element on every backend.
-    #[test]
-    fn random_key_runs_equal_scalar(
-        runs in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 0..80), 0usize..40), 1..12),
-        seed: u64,
-    ) {
-        let runs: Vec<(HmacKey, usize)> =
-            runs.iter().map(|(key, len)| (HmacKey::new(key), *len)).collect();
-        let n: usize = runs.iter().map(|r| r.1).sum();
-        let nonces: Vec<[u8; 8]> = (0..n as u64)
-            .map(|i| (seed ^ i).wrapping_mul(0x9e3779b97f4a7c15).to_be_bytes())
-            .collect();
-        for backend in available_backends() {
-            assert_sweep(backend.engine(), &runs, &nonces);
         }
     }
 }

@@ -32,16 +32,15 @@
 //!   code: the record-at-a-time reference ([`query::Matcher::matches`])
 //!   and the one survivor pipeline every batch path advances.
 //!
-//! The pipeline suspends wherever it needs MACs; its three drivers differ
-//! only in who computes them:
-//! * [`query::Matcher::match_batch`] — inline, one caller-supplied chunk;
-//! * [`engine::match_corpus`] / [`QueryTask::run_inline`] — inline, a whole
-//!   corpus in fixed chunks (the sequential form and the benchmark's
-//!   oracle);
-//! * [`xbatch`]'s [`BatchEngine`] — a fixed matcher-worker pool advancing
-//!   many resident sub-queries and answering their staged sweeps together,
-//!   lane groups packed across queries, over zero-copy `Arc` snapshots of
-//!   the store's runs. What a cluster node runs.
+//! The pipeline suspends wherever it needs MACs, and its two drivers
+//! compute them on the spot, through the single-key lane sweep:
+//! * [`query::Matcher::match_batch`] — one caller-supplied chunk;
+//! * [`engine::match_corpus`] / [`QueryTask::run_inline`] — a whole corpus
+//!   in fixed chunks (the sequential form and the benchmark's oracle).
+//!
+//! [`xbatch`]'s [`BatchEngine`] is the cluster node's matcher pool: a fixed
+//! set of worker threads, each running one [`QueryTask`] at a time over a
+//! zero-copy `Arc` snapshot of the store's runs.
 //!
 //! Paper-figure apparatus:
 //! * [`engine`] — the §5.6.3 producer/consumer engine (I/O thread feeding

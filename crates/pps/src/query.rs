@@ -8,7 +8,7 @@
 //! for OR (succeed fast). §5.7.1 shows this makes query delay independent
 //! of wildcard terms like "the" — the effect `sec5_7_1` reproduces.
 //!
-//! **One survivor pipeline, three drivers.** [`Matcher`] compiles each
+//! **One survivor pipeline, two drivers.** [`Matcher`] compiles each
 //! trapdoor into a [`PreparedTrapdoor`] (cached HMAC midstates) on first
 //! use and matches in two ways:
 //!
@@ -57,18 +57,17 @@
 //! list without branching on the bit.
 //!
 //! The machine *suspends* wherever it needs MACs — it stages (component
-//! key, survivor nonces) and returns — and that is the only thing its
-//! drivers differ in: **who computes the staged MACs.**
+//! key, survivor nonces) and returns — and its drivers compute the staged
+//! sweep on the spot, through the single-key lane sweep
+//! ([`HmacKey::mac_u64_nonces_with`](roar_crypto::hmac::HmacKey::mac_u64_nonces_with))
+//! on the matcher's [`Backend`], then filter by it:
 //!
-//! 1. [`Matcher::match_batch`] drives it inline over one caller-supplied
-//!    chunk through the single-key lane sweep
-//!    ([`HmacKey::mac_u64_nonces_with`]) on the matcher's [`Backend`].
+//! 1. [`Matcher::match_batch`] over one caller-supplied chunk;
 //! 2. [`match_corpus_with`](crate::engine::match_corpus_with) and
-//!    [`QueryTask::run_inline`](crate::xbatch::QueryTask::run_inline) drive
-//!    it inline the same way over a whole corpus, segment by segment.
-//! 3. [`BatchEngine`](crate::xbatch::BatchEngine) workers drive many
-//!    resident scans at once and compute all their staged sweeps in one
-//!    keyed lane sweep, lane groups packed across sub-queries.
+//!    [`QueryTask::run_inline`](crate::xbatch::QueryTask::run_inline) over
+//!    a whole corpus, segment by segment. A node's
+//!    [`BatchEngine`](crate::xbatch::BatchEngine) workers run the latter,
+//!    one sub-query at a time each.
 //!
 //! A MAC depends only on its own (key, nonce), so every driver yields the
 //! same match set and PRF count by construction.
@@ -77,7 +76,6 @@ use crate::bloom_kw::{PreparedTrapdoor, PrfCounter, Trapdoor};
 use crate::metadata::{Attr, EncryptedMetadata, MetaEncryptor};
 use crate::numeric::Cmp;
 use crate::store::Columns;
-use roar_crypto::hmac::HmacKey;
 use roar_crypto::sha1::Backend;
 
 /// The §5.6.5 sample size for selectivity estimation.
@@ -261,14 +259,14 @@ enum Phase {
 
 /// Why [`Matcher::advance`] returned.
 pub(crate) enum Step {
-    /// A MAC sweep is staged ([`Matcher::job`]); deliver its MAC prefixes
-    /// through [`Matcher::complete`] before advancing again.
+    /// A MAC sweep is staged; run [`Matcher::mac_inline`] and
+    /// [`Matcher::complete_inline`] before advancing again.
     NeedMacs,
     /// The scan is over.
     Finished,
 }
 
-/// The working state of one matching thread (or one resident sub-query):
+/// The working state of one matching thread (or one sub-query's task):
 /// its PRF-count shard plus everything the survivor pipeline keeps between
 /// steps — position in the scan, survivor buffers, the staged sweep.
 /// Buffers are allocated once and reused across chunks and scans, so
@@ -304,8 +302,7 @@ pub struct MatchScratch {
     pre: Vec<u32>,
     /// The filter stage's bit positions, one per survivor.
     positions: Vec<u32>,
-    /// The staged sweep: the survivors' nonces, and (inline drivers only)
-    /// their MAC prefixes.
+    /// The staged sweep: the survivors' nonces and their MAC prefixes.
     nonces: Vec<[u8; 8]>,
     macs: Vec<u64>,
 }
@@ -355,7 +352,7 @@ pub struct Matcher {
     /// matcher with a *different* query rebuilds rather than silently
     /// matching against stale keys.
     prepared_for: Option<u64>,
-    /// SHA-1 lane engine the inline drivers sweep with.
+    /// SHA-1 lane engine the staged sweeps run on.
     backend: Backend,
 }
 
@@ -554,24 +551,29 @@ impl Matcher {
         }
     }
 
-    /// The inline drivers' MAC stage: compute the staged sweep's prefixes
-    /// on the calling thread, through the single-key lane sweep, into the
-    /// scratch's own buffer.
+    /// The MAC stage: compute the staged sweep — one component key over
+    /// the current survivors' nonces — through the single-key lane sweep,
+    /// into the scratch's own buffer.
     pub(crate) fn mac_inline(&self, s: &mut MatchScratch) {
-        let mut macs = std::mem::take(&mut s.macs);
-        macs.clear();
-        macs.resize(s.nonces.len(), 0);
-        let (key, nonces) = self.job(s);
-        key.mac_u64_nonces_with(self.backend, nonces, &mut macs);
-        s.macs = macs;
+        let key = self.prepared[self.predicate(s)].component_key(s.comp_k);
+        s.macs.clear();
+        s.macs.resize(s.nonces.len(), 0);
+        key.mac_u64_nonces_with(self.backend, &s.nonces, &mut s.macs);
     }
 
-    /// The inline drivers' filter stage: [`complete`](Self::complete) with
-    /// the prefixes [`mac_inline`](Self::mac_inline) left in the scratch.
+    /// The filter stage: filter the survivors by the component's codeword
+    /// bits, read from the prefixes [`mac_inline`](Self::mac_inline) left
+    /// in the scratch, and move on to the next component.
     pub(crate) fn complete_inline<C: Corpus + ?Sized>(&mut self, corpus: &C, s: &mut MatchScratch) {
-        let macs = std::mem::take(&mut s.macs);
-        self.complete(corpus, s, &macs);
-        s.macs = macs;
+        let p = self.predicate(s);
+        self.prepared[p].component_filter(
+            s.comp_k,
+            (corpus, s.base),
+            (&mut s.survivors, &s.macs),
+            &mut s.positions,
+            &mut s.prf_calls,
+        );
+        s.comp_k += 1;
     }
 
     /// The survivor pipeline: advance the scan begun with
@@ -692,32 +694,6 @@ impl Matcher {
             return s.pred_k;
         }
         self.order.as_ref().expect("order decided")[s.pred_k]
-    }
-
-    /// The staged sweep: one component key, the current survivors' nonces.
-    pub(crate) fn job<'s>(&self, s: &'s MatchScratch) -> (HmacKey, &'s [[u8; 8]]) {
-        let key = self.prepared[self.predicate(s)].component_key(s.comp_k);
-        (key, &s.nonces)
-    }
-
-    /// Deliver the staged sweep's MAC prefixes (`macs[i]` belongs to nonce
-    /// `i` of [`job`](Self::job)): filter the survivors by the component's
-    /// codeword bits and move on to the next component.
-    pub(crate) fn complete<C: Corpus + ?Sized>(
-        &mut self,
-        corpus: &C,
-        s: &mut MatchScratch,
-        macs: &[u64],
-    ) {
-        let p = self.predicate(s);
-        self.prepared[p].component_filter(
-            s.comp_k,
-            (corpus, s.base),
-            (&mut s.survivors, macs),
-            &mut s.positions,
-            &mut s.prf_calls,
-        );
-        s.comp_k += 1;
     }
 
     /// The decided order, if sampling has completed.

@@ -1,44 +1,36 @@
-//! The cross-query driver of the survivor pipeline: a fixed pool of
-//! matcher workers drains resident sub-queries through shared PRF lane
-//! sweeps.
+//! The node's matcher pool: a fixed set of worker threads, each running
+//! one sub-query's scan of the survivor pipeline at a time.
 //!
-//! Running one sub-query at a time leaves SIMD lanes idle whenever its
-//! survivor list runs ragged, and a thread per request turns a flash crowd
-//! of Q sub-queries into Q threads and Q corpus copies. The survivor
-//! pipeline ([`crate::query`]) already suspends wherever it needs MACs, so
-//! this module only has to hold many scans at once and answer them
-//! together:
+//! A thread per request turns a flash crowd of Q sub-queries into Q threads
+//! and Q corpus copies; this module bounds both:
 //!
 //! * A [`QueryTask`] is one sub-query's scan: its query, its [`Matcher`]
 //!   and [`MatchScratch`], its corpus view and the segment of it under
-//!   scan, its matches so far. It has no control flow of its own —
-//!   stepping it advances the one pipeline over the open segment, in
-//!   chunks of 4096 records, and moves on to the next segment when that
-//!   one is done. [`QueryTask::run_inline`] runs it to completion on the
-//!   calling thread (the inline driver, single-key sweeps).
-//! * A [`BatchEngine`] owns a small fixed pool of worker threads. Each
-//!   round, a worker advances every resident task to its next staged
-//!   sweep, concatenates the sweeps — one key run each — into one flat run
-//!   sweep per SHA-1 backend ([`mac_u64_nonce_runs`]), and hands each task
-//!   its slice of the MAC prefixes. Lane groups of the underlying engine (16 on
-//!   AVX-512) are packed *across* sub-queries: one query's ragged tail
-//!   shares a compression call with the next query's head, with per-lane
-//!   key midstates carrying query provenance.
+//!   scan, its matches so far. [`QueryTask::run_inline`] runs it to
+//!   completion on the calling thread — segment by segment, in chunks of
+//!   4096 records, every staged MAC sweep through the single-key lane sweep.
+//! * A [`BatchEngine`] owns a small fixed pool of worker threads draining
+//!   one queue: a worker pops a task, runs it inline, hands its result to
+//!   the task's completion, and repeats.
 //! * A [`TaskCorpus`] is a zero-copy corpus view: an `Arc` epoch snapshot
 //!   of a [`MetadataStore`] plus the window's index ranges into its runs
 //!   ([`MetadataStore::window_ranges`]) — columns, one segment per range —
 //!   or a shared `Arc` record vector — rows, one segment. The view owns
 //!   the nonces (a run keeps them as the MAC kernel reads them); a task
-//!   copies its survivors' into its staging buffer, the engine
-//!   concatenates those. No per-sub-query record clone, under any lock or
-//!   otherwise.
+//!   copies its survivors' into its staging buffer. No per-sub-query record
+//!   clone, under any lock or otherwise.
+//!
+//! **No lane packing across sub-queries.** Packing the staged sweeps of
+//! all resident tasks into one keyed lane sweep, one query's ragged tail
+//! sharing a compression call with the next one's head, saves 0.3–1.8 % of
+//! lane groups on the benchmark's four workloads (AVX-512, 16 lanes): a
+//! node almost never holds four sub-queries at once, and a lone
+//! sub-query's sweeps already fill 82–97 % of their lanes.
 //!
 //! **Parity.** Chunking, sampling, predicate/component order and reorder
-//! timing all happen inside the pipeline, which cannot tell who computes
-//! its MACs, and a MAC value depends only on its own (key, nonce) lane.
-//! Packing lanes across queries therefore changes *nothing* observable per
-//! query: `tests/xbatch_parity.rs` holds match sets and PRF counts
-//! bit-identical to sequential
+//! timing all happen inside the pipeline, and a task's scan does not depend
+//! on which worker runs it: `tests/xbatch_parity.rs` holds match sets and
+//! PRF counts through the engine bit-identical to sequential
 //! [`match_corpus_with`](crate::engine::match_corpus_with) per query, per
 //! backend.
 
@@ -48,7 +40,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use roar_core::ring::Window;
-use roar_crypto::hmac::{mac_u64_nonce_runs, HmacKey};
 use roar_crypto::sha1::Backend;
 
 use crate::metadata::EncryptedMetadata;
@@ -129,10 +120,10 @@ pub struct TaskResult {
     pub prf_calls: u64,
 }
 
-/// One resident sub-query: a scan of the survivor pipeline over its corpus
-/// view, segment by segment. Drive with `step()`/`complete()` (the
-/// [`BatchEngine`] does) or [`run_inline`](Self::run_inline); either way
-/// the match set and the PRF count are those of sequential
+/// One sub-query: a scan of the survivor pipeline over its corpus view,
+/// segment by segment. [`run_inline`](Self::run_inline) drives it, on the
+/// calling thread or on a [`BatchEngine`] worker; either way the match set
+/// and the PRF count are those of sequential
 /// [`match_corpus_with`](crate::engine::match_corpus_with) on the same
 /// records in the same order.
 pub struct QueryTask {
@@ -164,11 +155,6 @@ impl QueryTask {
         task
     }
 
-    /// The SHA-1 lane backend this task's sweeps must run on.
-    pub fn backend(&self) -> Backend {
-        self.matcher.backend()
-    }
-
     /// Start the scan of segment `self.segment`, if there is one.
     fn open_segment(&mut self) {
         if self.segment < self.corpus.segments() {
@@ -178,7 +164,7 @@ impl QueryTask {
     }
 
     /// Advance until the next MAC sweep is staged or the task finishes.
-    pub(crate) fn step(&mut self) -> Step {
+    fn step(&mut self) -> Step {
         while self.segment < self.corpus.segments() {
             let (matcher, scratch) = (&mut self.matcher, &mut self.scratch);
             let step = with_segment!(self, c => matcher.advance(&self.query, c, scratch, &mut self.matches));
@@ -189,18 +175,6 @@ impl QueryTask {
             self.open_segment();
         }
         Step::Finished
-    }
-
-    /// The staged MAC job: one key, the current survivors' nonces.
-    pub(crate) fn job(&self) -> (HmacKey, &[[u8; 8]]) {
-        self.matcher.job(&self.scratch)
-    }
-
-    /// Deliver the staged job's MAC prefixes (`macs[i]` belongs to nonce
-    /// `i` of the job).
-    pub(crate) fn complete(&mut self, macs: &[u64]) {
-        let (matcher, scratch) = (&mut self.matcher, &mut self.scratch);
-        with_segment!(self, c => matcher.complete(c, scratch, macs));
     }
 
     fn complete_inline(&mut self) {
@@ -215,8 +189,7 @@ impl QueryTask {
         }
     }
 
-    /// Run the task to completion on the calling thread through the inline
-    /// driver (single-key sweeps, lane-packed within the task only).
+    /// Run the task to completion on the calling thread.
     pub fn run_inline(mut self) -> TaskResult {
         while let Step::NeedMacs = self.step() {
             self.matcher.mac_inline(&mut self.scratch);
@@ -263,7 +236,6 @@ struct Admission {
 struct Shared {
     queue: Mutex<Admission>,
     cv: Condvar,
-    n_workers: usize,
 }
 
 /// Completion handle for [`BatchEngine::submit_handle`].
@@ -280,13 +252,9 @@ impl TaskHandle {
 
 /// The per-node matcher pool: a fixed number of worker threads (the
 /// concurrency bound — a flash crowd of sub-queries queues here instead of
-/// spawning a thread per request) draining a shared admission queue.
-///
-/// Each worker owns a disjoint resident set of tasks and loops rounds:
-/// advance every task to its next MAC job, pack all jobs into one flat
-/// per-lane-keyed sweep per backend, demux, repeat. Tasks admitted
-/// mid-flight join at the next round boundary. Dropping the engine drains
-/// remaining work, then joins the workers.
+/// spawning a thread per request) draining a shared queue, one task per
+/// worker at a time, each run inline. Dropping the engine drains remaining
+/// work, then joins the workers.
 pub struct BatchEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -295,7 +263,6 @@ pub struct BatchEngine {
 
 impl BatchEngine {
     pub fn new(n_workers: usize) -> Self {
-        let n_workers = n_workers.max(1);
         // a per-engine thread-name prefix, so a process hosting several
         // engines (a test binary, a multi-node harness) can attribute
         // matcher threads to their engine; kept short because the kernel
@@ -313,9 +280,8 @@ impl BatchEngine {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            n_workers,
         });
-        let workers = (0..n_workers)
+        let workers = (0..n_workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -333,7 +299,7 @@ impl BatchEngine {
 
     /// The fixed worker count — the matcher concurrency bound.
     pub fn workers(&self) -> usize {
-        self.shared.n_workers
+        self.workers.len()
     }
 
     /// This engine's worker-thread name prefix (every worker is named
@@ -350,7 +316,7 @@ impl BatchEngine {
             done: Box::new(done),
         });
         drop(q);
-        self.shared.cv.notify_all();
+        self.shared.cv.notify_one();
     }
 
     /// Enqueue a task and return a handle to wait on.
@@ -365,10 +331,11 @@ impl BatchEngine {
 
 impl Drop for BatchEngine {
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("engine queue poisoned");
-            q.shutdown = true;
-        }
+        self.shared
+            .queue
+            .lock()
+            .expect("engine queue poisoned")
+            .shutdown = true;
         self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -376,96 +343,25 @@ impl Drop for BatchEngine {
     }
 }
 
+/// Run queued tasks, one at a time, until shutdown finds the queue empty.
 fn worker_loop(shared: &Shared) {
-    let mut active: Vec<Pending> = Vec::new();
-    // flat sweep buffers, one per backend (indexed as `Backend::ALL`),
-    // reused across rounds
-    let mut sweeps: [Sweep; Backend::ALL.len()] = Default::default();
-    let mut macs: Vec<u64> = Vec::new();
-    loop {
-        // admission: take a fair share of pending work (every worker is
-        // woken on submit); block only when this worker has nothing at all
-        {
-            let mut q = shared.queue.lock().expect("engine queue poisoned");
-            loop {
-                let share = q.pending.len().div_ceil(shared.n_workers).max(1);
-                for _ in 0..share {
-                    match q.pending.pop_front() {
-                        Some(p) => active.push(p),
-                        None => break,
-                    }
-                }
-                if !active.is_empty() {
-                    break;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.cv.wait(q).expect("engine queue poisoned");
-            }
-        }
-        // advance every resident task to its next sweep; completions fire
-        // here, on the worker thread
-        let mut i = 0;
-        while i < active.len() {
-            match active[i].task.step() {
-                Step::NeedMacs => i += 1,
-                Step::Finished => {
-                    let p = active.swap_remove(i);
-                    (p.done)(p.task.into_result());
-                }
-            }
-        }
-        if active.is_empty() {
-            continue;
-        }
-        // one flat run sweep per backend in use: jobs concatenate, each a
-        // key run; lane groups pack across task boundaries, per-lane key
-        // midstates carry provenance
-        for sweep in sweeps.iter_mut() {
-            sweep.clear();
-        }
-        for (ti, p) in active.iter().enumerate() {
-            // (`Backend::ALL` lists the variants in declaration order)
-            let sweep = &mut sweeps[p.task.backend() as usize];
-            let (key, ns) = p.task.job();
-            sweep.tasks.push(ti);
-            sweep.runs.push((key, ns.len()));
-            sweep.nonces.extend_from_slice(ns);
-        }
-        for (backend, sweep) in Backend::ALL.into_iter().zip(&sweeps) {
-            if sweep.tasks.is_empty() {
-                continue;
-            }
-            macs.clear();
-            macs.resize(sweep.nonces.len(), 0);
-            mac_u64_nonce_runs(backend.engine(), &sweep.runs, &sweep.nonces, &mut macs);
-            let mut rest = &macs[..];
-            for (&ti, &(_, len)) in sweep.tasks.iter().zip(&sweep.runs) {
-                let (mine, others) = rest.split_at(len);
-                active[ti].task.complete(mine);
-                rest = others;
-            }
-        }
+    while let Some(p) = next_task(shared) {
+        (p.done)(p.task.run_inline());
     }
 }
 
-/// One backend's share of a round: the staged jobs of the tasks pinned to
-/// it, concatenated.
-#[derive(Default)]
-struct Sweep {
-    /// The tasks (indices into the resident set), in job order.
-    tasks: Vec<usize>,
-    /// One key run per job.
-    runs: Vec<(HmacKey, usize)>,
-    nonces: Vec<[u8; 8]>,
-}
-
-impl Sweep {
-    fn clear(&mut self) {
-        self.tasks.clear();
-        self.runs.clear();
-        self.nonces.clear();
+/// The next queued task, blocking while the queue is empty; `None` once
+/// shutdown is raised and nothing is left.
+fn next_task(shared: &Shared) -> Option<Pending> {
+    let mut q = shared.queue.lock().expect("engine queue poisoned");
+    loop {
+        if let Some(p) = q.pending.pop_front() {
+            return Some(p);
+        }
+        if q.shutdown {
+            return None;
+        }
+        q = shared.cv.wait(q).expect("engine queue poisoned");
     }
 }
 

@@ -1,20 +1,27 @@
-//! Model-checked port of the `BatchEngine` admission/drain protocol
+//! Model-checked port of the `BatchEngine` drain protocol
 //! (`src/xbatch.rs`): the `Mutex<Admission> + Condvar` handshake between
-//! `submit`, the worker's fair-share take, and `Drop`'s
-//! shutdown-notify-join sequence.
+//! `submit` (push, `notify_one`), the workers' pop-one loop, and `Drop`'s
+//! shutdown-`notify_all`-join sequence, with two workers.
 //!
 //! The property under check is **no stranded task**: after the engine is
-//! dropped, every submitted task has completed — the worker must drain
-//! `pending` to empty before honouring `shutdown`. The deliberately-broken
-//! variant checks `shutdown` *before* draining (a classic
-//! shutdown-races-submit bug) and the checker finds the schedule where
-//! submitted work is abandoned.
+//! dropped, every submitted task has completed — a worker must drain
+//! `pending` to empty before honouring `shutdown`, and a `notify_one` that
+//! lands while a worker is busy, or before it first waits, must not leave a
+//! task behind. The deliberately-broken variant checks `shutdown` *before*
+//! draining (a classic shutdown-races-submit bug) and the checker finds the
+//! schedule where submitted work is abandoned.
 //!
-//! The model keeps the real control flow — admission loop, blocking only
-//! when the local batch is empty, `notify_all` on submit and on shutdown —
-//! and abstracts the matcher sweep to a completion counter.
+//! The model keeps the real control flow — pop one task, block only when
+//! the queue is empty, exit only on shutdown with an empty queue — and
+//! abstracts the matcher scan to a per-worker completion count, returned
+//! to the dropping thread. The first worker races every submit and the
+//! shutdown; the second is a late starter that enters its loop once
+//! shutdown is raised, on the dropping thread before it joins. (The
+//! checker explores schedules exhaustively, without partial-order
+//! reduction: two workers spawned ahead of the submits exceed its
+//! 1 M-schedule budget already for one task, where this shape takes
+//! thousands.)
 
-use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,8 +29,6 @@ use std::sync::Arc;
 struct Shared {
     queue: Mutex<Admission>,
     cv: Condvar,
-    n_workers: usize,
-    completed: AtomicUsize,
 }
 
 struct Admission {
@@ -31,67 +36,44 @@ struct Admission {
     shutdown: bool,
 }
 
-/// `worker_loop`, admission and drain only: take a fair share of pending
-/// work, block only when holding nothing, exit on shutdown with an empty
-/// queue.
-fn worker_loop(shared: &Shared) {
-    let mut active: Vec<usize> = Vec::new();
+/// `worker_loop` / `next_task`: pop one task, block only while the queue
+/// is empty, exit on shutdown with an empty queue. Returns the tasks run.
+fn worker_loop(shared: &Shared) -> usize {
+    let mut completed = 0;
     loop {
         {
             let mut q = shared.queue.lock();
             loop {
-                let share = q.pending.len().div_ceil(shared.n_workers).max(1);
-                for _ in 0..share {
-                    match q.pending.pop_front() {
-                        Some(p) => active.push(p),
-                        None => break,
-                    }
-                }
-                if !active.is_empty() {
+                if q.pending.pop_front().is_some() {
                     break;
                 }
                 if q.shutdown {
-                    return;
+                    return completed;
                 }
                 q = shared.cv.wait(q);
             }
         }
-        for _task in active.drain(..) {
-            // ORDERING: SeqCst — the loom shim is SC-only; the argument is
-            // accepted for API fidelity and ignored
-            shared.completed.fetch_add(1, Ordering::SeqCst);
-        }
+        completed += 1;
     }
 }
 
 /// Broken worker: honours shutdown before draining pending work.
-fn worker_loop_shutdown_first(shared: &Shared) {
-    let mut active: Vec<usize> = Vec::new();
+fn worker_loop_shutdown_first(shared: &Shared) -> usize {
+    let mut completed = 0;
     loop {
         {
             let mut q = shared.queue.lock();
             loop {
                 if q.shutdown {
-                    return; // BUG (deliberate): pending work abandoned
+                    return completed; // BUG (deliberate): pending work abandoned
                 }
-                let share = q.pending.len().div_ceil(shared.n_workers).max(1);
-                for _ in 0..share {
-                    match q.pending.pop_front() {
-                        Some(p) => active.push(p),
-                        None => break,
-                    }
-                }
-                if !active.is_empty() {
+                if q.pending.pop_front().is_some() {
                     break;
                 }
                 q = shared.cv.wait(q);
             }
         }
-        for _task in active.drain(..) {
-            // ORDERING: SeqCst — the loom shim is SC-only; the argument is
-            // accepted for API fidelity and ignored
-            shared.completed.fetch_add(1, Ordering::SeqCst);
-        }
+        completed += 1;
     }
 }
 
@@ -102,47 +84,44 @@ fn new_shared() -> Arc<Shared> {
             shutdown: false,
         }),
         cv: Condvar::new(),
-        n_workers: 1,
-        completed: AtomicUsize::new(0),
     })
 }
 
-/// `BatchEngine::submit`: push and wake every worker.
+/// `BatchEngine::submit`: push and wake one worker.
 fn submit(shared: &Shared, task: usize) {
     let mut q = shared.queue.lock();
     q.pending.push_back(task);
     drop(q);
-    shared.cv.notify_all();
+    shared.cv.notify_one();
 }
 
-/// `BatchEngine::drop`: raise shutdown, wake everyone, join.
-fn shutdown_and_join(shared: &Shared, worker: loom::thread::JoinHandle<()>) {
-    {
-        let mut q = shared.queue.lock();
-        q.shutdown = true;
+/// Spawn the first worker, submit `submitted` tasks, drop the engine —
+/// raise shutdown and wake everyone, run the late second worker, join;
+/// returns the tasks the two workers ran.
+fn run_engine(worker: fn(&Shared) -> usize, submitted: usize) -> usize {
+    let shared = new_shared();
+    let s2 = Arc::clone(&shared);
+    let first = loom::thread::spawn(move || worker(&s2));
+    for task in 0..submitted {
+        submit(&shared, task);
     }
+    shared.queue.lock().shutdown = true;
     shared.cv.notify_all();
-    worker.join();
+    let late = worker(&shared);
+    late + first.join()
 }
 
 #[test]
 fn drop_never_strands_a_submitted_task() {
     const SUBMITTED: usize = 2;
     let stats = loom::model(|| {
-        let shared = new_shared();
-        let s2 = Arc::clone(&shared);
-        let worker = loom::thread::spawn(move || worker_loop(&s2));
-        for task in 0..SUBMITTED {
-            submit(&shared, task);
-        }
-        shutdown_and_join(&shared, worker);
         // every submitted task completed, no matter how the submits, the
-        // worker's takes, and the shutdown interleaved
-        assert_eq!(shared.completed.load(Ordering::SeqCst), SUBMITTED);
+        // pops, the single wake-ups and the shutdown interleaved
+        assert_eq!(run_engine(worker_loop, SUBMITTED), SUBMITTED);
     });
     assert!(
-        stats.schedules >= 2,
-        "submit/drain/shutdown races need several schedules, got {}",
+        stats.schedules >= 1_000,
+        "submit/drain/shutdown races need thousands of schedules, got {}",
         stats.schedules
     );
 }
@@ -151,16 +130,10 @@ fn drop_never_strands_a_submitted_task() {
 fn checking_shutdown_before_draining_strands_tasks() {
     const SUBMITTED: usize = 2;
     let msg = loom::check_expect_failure(|| {
-        let shared = new_shared();
-        let s2 = Arc::clone(&shared);
-        let worker = loom::thread::spawn(move || worker_loop_shutdown_first(&s2));
-        for task in 0..SUBMITTED {
-            submit(&shared, task);
-        }
-        shutdown_and_join(&shared, worker);
-        assert_eq!(shared.completed.load(Ordering::SeqCst), SUBMITTED);
+        assert_eq!(run_engine(worker_loop_shutdown_first, SUBMITTED), SUBMITTED);
     });
     // the exhibited schedule: both submits land, shutdown is raised, and
-    // only then does the worker wake — it exits with work still queued
+    // only then does the first worker wake — both exit with work still
+    // queued
     assert!(msg.contains("assertion"), "unexpected failure: {msg}");
 }
