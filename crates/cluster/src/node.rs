@@ -6,11 +6,16 @@
 //! so `pq > p` over-partitioning and failure-split sub-queries work without
 //! any node-side coordination (§4.2).
 //!
-//! PPS sub-queries run on the node's *matcher pool*, a fixed set of worker
+//! A PPS sub-query scans one immutable `Arc` snapshot of the store — no
+//! window is cloned. A window of at most one matcher chunk
+//! ([`MATCH_CHUNK`] records: a high-`p` sub-query's whole scan) is matched
+//! on the runtime worker serving the request, under one of the process's
+//! few *matching slots*: a crowd of them waits for a slot without holding
+//! a worker, so the runtime's timers and receive loops keep running. A
+//! longer one goes to the node's *matcher pool*, a fixed set of worker
 //! threads ([`roar_pps::BatchEngine`]), each running one sub-query at a
-//! time: a flash crowd of Q requests queues for the pool and scans one
-//! immutable `Arc` corpus snapshot instead of spawning Q blocking threads
-//! and cloning Q windows.
+//! time: a flash crowd of Q long scans queues for the pool instead of
+//! spawning Q blocking threads.
 //!
 //! The store is a persistent value ([`MetadataStore`]: a list of immutable
 //! columnar runs behind `Arc`s). A writer — `Store`, `SetCoverage` — builds
@@ -24,17 +29,25 @@ use crate::transport::{BoxFuture, Handler, Transport, TransportSpec};
 use parking_lot::Mutex;
 use roar_core::ring::Window;
 use roar_crypto::sha1::Backend;
-use roar_pps::query::{Combiner, CompiledQuery};
+use roar_pps::query::{Combiner, CompiledQuery, MATCH_CHUNK};
 use roar_pps::{BatchEngine, MetadataStore, QueryTask, TaskCorpus};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 use std::time::Instant;
 
-/// Matcher-pool width: the node-wide bound on concurrent PPS matching
-/// threads. Small and fixed — excess sub-queries queue in the engine until
-/// a worker is free rather than spawning threads.
+/// Matcher-pool width: the node-wide bound on concurrent multi-chunk PPS
+/// scans. Small and fixed — excess sub-queries queue in the engine until a
+/// worker is free rather than spawning threads.
 fn matcher_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
 }
+
+/// The process's matching slots: a one-chunk scan holds one while it runs
+/// on a runtime worker. There are half as many as the runtime has workers,
+/// which every node in the process shares, so however many such scans
+/// queue, the other half of the workers keep the timers and receive loops
+/// going.
+static MATCH_SLOTS: LazyLock<tokio::sync::Semaphore> =
+    LazyLock::new(|| tokio::sync::Semaphore::new((tokio::runtime::worker_threads() / 2).max(1)));
 
 /// Static node configuration.
 #[derive(Debug, Clone)]
@@ -131,7 +144,8 @@ pub struct DataNode {
     /// The transport this node serves on — also used to reach the ring
     /// successor for §4.1 store forwarding.
     transport: Mutex<Option<Arc<dyn Transport>>>,
-    /// Lazily-started matcher pool (synthetic-only nodes never start it).
+    /// Lazily-started matcher pool (a node that never scans more than one
+    /// chunk never starts it).
     matchers: OnceLock<BatchEngine>,
 }
 
@@ -161,10 +175,11 @@ impl DataNode {
             .get_or_init(|| BatchEngine::new(matcher_workers()))
     }
 
-    /// Width of the matcher pool — the fixed bound on concurrent PPS
-    /// matching threads, however many sub-queries are resident.
+    /// Width of the matcher pool — the fixed bound on concurrent
+    /// multi-chunk PPS scans, however many sub-queries are resident. Asking
+    /// does not start the pool.
     pub fn matcher_pool_width(&self) -> usize {
-        self.matchers().workers()
+        matcher_workers()
     }
 
     /// Bind and serve over TCP (the default transport) until `Shutdown` is
@@ -379,9 +394,9 @@ impl DataNode {
                     };
                 };
                 // validate wire-supplied bounds *before* matching: the
-                // batched matcher asserts r ≤ MAX_R per trapdoor and ≤ 64
+                // matcher asserts r ≤ MAX_R per trapdoor and ≤ 64
                 // predicates; a malformed front-end must get a clean
-                // refusal, not a worker panic
+                // refusal, not a panic on whichever thread matches
                 if tds.is_empty() || tds.len() > 64 {
                     return Msg::Error {
                         what: format!("unsupported predicate count {}", tds.len()),
@@ -420,28 +435,39 @@ impl DataNode {
                 };
                 let corpus = TaskCorpus::snapshot(store, &window);
                 let scanned = corpus.len() as u64;
-                // hand the sub-query to the matcher pool: CPU-bound work
-                // stays off the reactor, and a crowd of sub-queries queues
-                // for a fixed set of threads instead of a thread each. The
-                // lane engine is the process's, whatever the request's
-                // (reserved) `backend` field says.
-                let (tx, rx) = tokio::sync::oneshot::channel();
-                self.matchers().submit(
-                    QueryTask::new(query, corpus, Backend::auto()),
-                    move |res| {
+                // the lane engine is the process's, whatever the request's
+                // (reserved) `backend` field says
+                let task = QueryTask::new(query, corpus, Backend::auto());
+                // at most one chunk (tens to a few hundred µs) runs here, on
+                // the worker serving the request, under a matching slot: the
+                // pool would add a queue push and two cross-thread wake-ups
+                // to it. A longer scan goes to the pool, where a crowd
+                // queues for a fixed set of threads (`scan_heavy`'s
+                // 30 000-record scans measured slower when run here).
+                let res = if scanned <= MATCH_CHUNK as u64 {
+                    let Ok(_slot) = MATCH_SLOTS.acquire().await else {
+                        return Msg::Error {
+                            what: "matching slots closed".into(),
+                        };
+                    };
+                    task.run_inline()
+                } else {
+                    let (tx, rx) = tokio::sync::oneshot::channel();
+                    self.matchers().submit(task, move |res| {
                         let _ = tx.send(res);
-                    },
-                );
-                match rx.await {
-                    Ok(res) => Msg::SubQueryResult {
-                        query_id,
-                        matches: res.matches,
-                        scanned,
-                        proc_s: started.elapsed().as_secs_f64(),
-                    },
-                    Err(_) => Msg::Error {
-                        what: "matcher pool dropped the sub-query".into(),
-                    },
+                    });
+                    let Ok(res) = rx.await else {
+                        return Msg::Error {
+                            what: "matcher pool dropped the sub-query".into(),
+                        };
+                    };
+                    res
+                };
+                Msg::SubQueryResult {
+                    query_id,
+                    matches: res.matches,
+                    scanned,
+                    proc_s: started.elapsed().as_secs_f64(),
                 }
             }
         }
@@ -549,6 +575,19 @@ mod tests {
             let _ = n2.serve(tx).await;
         });
         (rx.await.unwrap(), node)
+    }
+
+    /// `n` records whose filters have no bit set: each costs the matcher
+    /// one MAC and matches nothing — scan length, cheaply.
+    fn blank_records(rng: &mut impl rand::Rng, n: usize) -> Vec<WireRecord> {
+        (0..n)
+            .map(|_| WireRecord {
+                id: rng.gen(),
+                nonce: rng.gen(),
+                filter: vec![0; 8],
+                filter_bits: 64,
+            })
+            .collect()
     }
 
     async fn rpc(stream: &mut TcpStream, id: u64, body: Msg) -> Msg {
@@ -810,8 +849,8 @@ mod tests {
     }
 
     /// A zero-bit Bloom filter from the wire must be refused at the door:
-    /// once stored, the next PPS sub-query over it takes a remainder by zero
-    /// on a matcher worker, which kills that worker for good.
+    /// once stored, every PPS sub-query over it takes a remainder by zero
+    /// in its scan and panics instead of answering.
     #[tokio::test]
     async fn zero_bit_filter_refused_and_matchers_survive() {
         use roar_pps::metadata::MetaEncryptor;
@@ -987,10 +1026,10 @@ mod tests {
         assert!(cut(Window::new(11, 12)).is_empty());
     }
 
-    /// A flash crowd of PPS sub-queries must all complete correctly
-    /// through the fixed matcher pool — no thread per request. The pool
-    /// width is the concurrency bound; the batched engine queues and
-    /// lane-packs everything beyond it.
+    /// A flash crowd of multi-chunk PPS sub-queries must all complete
+    /// correctly through the fixed matcher pool — no thread per request.
+    /// The pool width is the concurrency bound; the engine queues
+    /// everything beyond it.
     #[tokio::test]
     async fn pps_flash_crowd_bounded_by_matcher_pool() {
         use roar_pps::metadata::{FileMeta, MetaEncryptor};
@@ -1012,11 +1051,15 @@ mod tests {
                 )
             })
             .collect();
+        // blank records past one chunk, so every sub-query is a pool scan
+        let records = (recs.iter().map(WireRecord::from_record))
+            .chain(blank_records(&mut rng, MATCH_CHUNK))
+            .collect();
         rpc(
             &mut s,
             1,
             Msg::Store {
-                records: recs.iter().map(WireRecord::from_record).collect(),
+                records,
                 synthetic_ids: vec![],
             },
         )
@@ -1069,6 +1112,7 @@ mod tests {
             assert_eq!(got, want, "query {query_id}");
             seen += 1;
         }
+        assert!(node.matchers.get().is_some(), "the crowd went to the pool");
         // the pool is the bound: a fixed handful of workers, not 32 threads
         assert!(
             node.matcher_pool_width() <= 4,
@@ -1103,6 +1147,124 @@ mod tests {
             "{matcher_threads} matcher threads alive after a 32-query crowd \
              (pool width {})",
             node.matcher_pool_width()
+        );
+    }
+
+    /// A sub-query of at most one chunk is matched on the runtime worker
+    /// serving it, under a matching slot: a crowd of them over full, plain
+    /// and wrapped windows answers each with the oracle's matches, never
+    /// starts the pool, and leaves the runtime's timers firing on time —
+    /// the crowd never holds every worker.
+    #[tokio::test]
+    async fn one_chunk_crowd_keeps_timers_on_time() {
+        use roar_pps::metadata::{FileMeta, MetaEncryptor};
+        use roar_pps::query::{Combiner, Predicate, QueryCompiler};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        let (addr, node) = start_node(1e6).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let enc = MetaEncryptor::with_points(b"chunk", vec![1], vec![1]);
+        let mut rng = roar_util::det_rng(209);
+        let recs: Vec<_> = (0..24)
+            .map(|i| {
+                let meta = FileMeta {
+                    path: format!("/k/f{i}"),
+                    keywords: vec![format!("kw{}", i % 3)],
+                    size: 1,
+                    mtime: 1,
+                };
+                enc.encrypt(&mut rng, &meta)
+            })
+            .collect();
+        // blank records up to exactly one chunk: every scan is as long as
+        // a one-chunk scan gets
+        let store = Msg::Store {
+            records: (recs.iter().map(WireRecord::from_record))
+                .chain(blank_records(&mut rng, MATCH_CHUNK - recs.len()))
+                .collect(),
+            synthetic_ids: vec![],
+        };
+        assert_eq!(rpc(&mut s, 1, store).await, Msg::Ok);
+        // a timer-driven probe beside the crowd: its worst lateness
+        let tick = Duration::from_millis(2);
+        let done = Arc::new(AtomicBool::new(false));
+        let probe = tokio::spawn({
+            let done = Arc::clone(&done);
+            async move {
+                let mut worst = Duration::ZERO;
+                while !done.load(Ordering::Relaxed) {
+                    let t = Instant::now();
+                    tokio::time::sleep(tick).await;
+                    worst = worst.max(t.elapsed().saturating_sub(tick));
+                }
+                worst
+            }
+        });
+        let windows = [
+            Window::new(0, 0),
+            Window::new(u64::MAX / 4, u64::MAX / 4 * 3),
+            Window::new(u64::MAX / 2, u64::MAX / 4),
+        ];
+        let window = |id: u64| windows[id as usize % 3];
+        let qc = QueryCompiler::new(&enc);
+        let crowd = Instant::now();
+        // 64 concurrent sub-queries multiplexed on one connection
+        for id in 0..64u64 {
+            let q = qc.compile(
+                &[Predicate::Keyword(format!("kw{}", id % 3))],
+                Combiner::And,
+            );
+            let sub = Msg::SubQuery {
+                query_id: id,
+                window_start: window(id).start,
+                window_end: window(id).end,
+                body: QueryBody::Pps {
+                    trapdoors: (q.trapdoors.iter())
+                        .map(crate::proto::WireTrapdoor::from_trapdoor)
+                        .collect(),
+                    conjunctive: true,
+                },
+                backend: None,
+            };
+            write_frame(
+                &mut s,
+                &Frame {
+                    id: 2 + id,
+                    body: sub,
+                },
+            )
+            .await
+            .unwrap();
+        }
+        for _ in 0..64 {
+            let f = read_frame(&mut s).await.unwrap().unwrap();
+            let Msg::SubQueryResult {
+                query_id,
+                mut matches,
+                ..
+            } = f.body
+            else {
+                panic!("unexpected reply {:?}", f.body);
+            };
+            let w = window(query_id);
+            let mut want: Vec<u64> = (recs.iter().enumerate())
+                .filter(|&(i, r)| i as u64 % 3 == query_id % 3 && w.contains(r.id))
+                .map(|(_, r)| r.id)
+                .collect();
+            matches.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(matches, want, "sub-query {query_id}");
+        }
+        let crowd = crowd.elapsed();
+        done.store(true, Ordering::Relaxed);
+        let late = probe.await.unwrap();
+        assert!(
+            late < crowd / 4,
+            "a {tick:?} timer fired {late:?} late during a {crowd:?} crowd"
+        );
+        assert!(
+            node.matchers.get().is_none(),
+            "a one-chunk scan started the pool"
         );
     }
 

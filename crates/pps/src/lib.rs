@@ -38,9 +38,10 @@
 //! * [`engine::match_corpus`] / [`QueryTask::run_inline`] — a whole corpus
 //!   in fixed chunks (the sequential form and the benchmark's oracle).
 //!
-//! [`xbatch`]'s [`BatchEngine`] is the cluster node's matcher pool: a fixed
-//! set of worker threads, each running one [`QueryTask`] at a time over a
-//! zero-copy `Arc` snapshot of the store's runs.
+//! [`xbatch`]'s [`BatchEngine`] is the cluster node's matcher pool for
+//! scans longer than one chunk: a fixed set of worker threads, each running
+//! one [`QueryTask`] at a time over a zero-copy `Arc` snapshot of the
+//! store's runs. A node runs a shorter scan inline where it serves it.
 //!
 //! Paper-figure apparatus:
 //! * [`engine`] — the §5.6.3 producer/consumer engine (I/O thread feeding

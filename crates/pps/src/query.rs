@@ -50,7 +50,7 @@
 //! every filter in one slab), or a `[EncryptedMetadata]`, read through a
 //! thin row adapter; the corpus owns the nonces, the pipeline copies the
 //! survivors' into its staging buffer. A whole-corpus driver cuts each
-//! segment into chunks of `MATCH_CHUNK` (4096) records — a sealed run is
+//! segment into chunks of [`MATCH_CHUNK`] (4096) records — a sealed run is
 //! one chunk, and no chunk straddles two segments. The filter stage
 //! (`PreparedTrapdoor::component_filter`) first turns every MAC of a sweep
 //! into a bit position and prefetches its word, then compacts the survivor
@@ -65,9 +65,9 @@
 //! 1. [`Matcher::match_batch`] over one caller-supplied chunk;
 //! 2. [`match_corpus_with`](crate::engine::match_corpus_with) and
 //!    [`QueryTask::run_inline`](crate::xbatch::QueryTask::run_inline) over
-//!    a whole corpus, segment by segment. A node's
-//!    [`BatchEngine`](crate::xbatch::BatchEngine) workers run the latter,
-//!    one sub-query at a time each.
+//!    a whole corpus, segment by segment. A node runs the latter on the
+//!    runtime worker serving a sub-query of at most one chunk, and on a
+//!    [`BatchEngine`](crate::xbatch::BatchEngine) worker otherwise.
 //!
 //! A MAC depends only on its own (key, nonce), so every driver yields the
 //! same match set and PRF count by construction.
@@ -87,7 +87,7 @@ pub const SELECTIVITY_SAMPLES: usize = 225;
 /// ragged sweeps are paid once per 4096 records. Chunk boundaries are
 /// observable through probe-order adaptation timing, so every whole-corpus
 /// driver uses this one value.
-pub(crate) const MATCH_CHUNK: usize = crate::store::RUN_CAP;
+pub const MATCH_CHUNK: usize = crate::store::RUN_CAP;
 
 /// What the survivor pipeline scans: one *segment* — records addressable by
 /// position, read a column at a time. A whole-corpus driver scans its

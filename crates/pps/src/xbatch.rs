@@ -11,7 +11,9 @@
 //!   4096 records, every staged MAC sweep through the single-key lane sweep.
 //! * A [`BatchEngine`] owns a small fixed pool of worker threads draining
 //!   one queue: a worker pops a task, runs it inline, hands its result to
-//!   the task's completion, and repeats.
+//!   the task's completion, and repeats. A node sends it only scans longer
+//!   than one chunk ([`MATCH_CHUNK`]); a shorter one runs where the request
+//!   is served, without the trip to a worker and back.
 //! * A [`TaskCorpus`] is a zero-copy corpus view: an `Arc` epoch snapshot
 //!   of a [`MetadataStore`] plus the window's index ranges into its runs
 //!   ([`MetadataStore::window_ranges`]) — columns, one segment per range —

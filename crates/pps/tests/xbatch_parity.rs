@@ -1,7 +1,6 @@
-//! Cross-query batched execution parity: running many sub-queries
-//! *concurrently* through the [`BatchEngine`] — lanes packed across
-//! queries, MAC sweeps shared — must be bit-identical to running each
-//! query alone through sequential
+//! Matcher-pool parity: running many sub-queries *concurrently* through the
+//! [`BatchEngine`] must be bit-identical to running each query alone
+//! through sequential
 //! [`match_corpus_with`](roar_pps::engine::match_corpus_with):
 //!
 //! * identical match sets (sorted), per query;

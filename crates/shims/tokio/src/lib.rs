@@ -1,7 +1,7 @@
 //! Offline stand-in for `tokio`, providing exactly the surface this
 //! workspace uses: a runtime with `block_on`/`spawn`,
 //! `net::{TcpListener, TcpStream, UdpSocket}`, `io` read/write traits plus
-//! `duplex`, `sync::{oneshot, watch, Mutex}`, `time::{sleep, timeout}`, and
+//! `duplex`, `sync::{oneshot, watch, Mutex, Semaphore}`, `time::{sleep, timeout}`, and
 //! the `select!`/`pin!`/`#[tokio::main]`/`#[tokio::test]` macros.
 //!
 //! Execution model: an **event-driven reactor** (the private `reactor`
@@ -76,6 +76,12 @@ pub mod runtime {
     /// zero-cost-when-idle property against it.
     pub fn reactor_wakeups() -> u64 {
         crate::reactor::handle().wakeup_count()
+    }
+
+    /// How many worker threads run the process's tasks (8, or
+    /// `ROAR_RT_WORKERS`).
+    pub fn worker_threads() -> usize {
+        crate::reactor::worker_count()
     }
 
     /// Deadlines currently on the timer wheel (test hook: a satisfied
@@ -745,6 +751,158 @@ pub mod sync {
     }
 
     pub use async_mutex::{Mutex, MutexGuard};
+
+    mod semaphore {
+        use std::collections::VecDeque;
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::sync::Mutex as StdMutex;
+        use std::task::{Context, Poll, Waker};
+
+        /// The semaphore was closed. The shim never closes one; the type
+        /// keeps `acquire`'s signature the real crate's.
+        #[derive(Debug, PartialEq, Eq)]
+        pub struct AcquireError(());
+
+        impl std::fmt::Display for AcquireError {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(f, "semaphore closed")
+            }
+        }
+
+        impl std::error::Error for AcquireError {}
+
+        struct Waiter {
+            id: u64,
+            waker: Waker,
+            /// A released permit was handed to this waiter; its next poll
+            /// takes it.
+            granted: bool,
+        }
+
+        struct State {
+            permits: usize,
+            next_id: u64,
+            waiters: VecDeque<Waiter>,
+        }
+
+        impl State {
+            /// Give a permit back: to the oldest waiter not yet granted
+            /// one, or to the free count when nobody waits.
+            fn release(&mut self) {
+                match self.waiters.iter_mut().find(|w| !w.granted) {
+                    Some(w) => {
+                        w.granted = true;
+                        w.waker.wake_by_ref();
+                    }
+                    None => self.permits += 1,
+                }
+            }
+
+            /// Take waiter `id` off the queue; whether it held a grant.
+            fn dequeue(&mut self, id: u64) -> bool {
+                let at = self.waiters.iter().position(|w| w.id == id);
+                at.and_then(|at| self.waiters.remove(at))
+                    .is_some_and(|w| w.granted)
+            }
+        }
+
+        /// A counting semaphore served first come, first served: a released
+        /// permit goes straight to the oldest waiting `acquire`, so a stream
+        /// of new arrivals cannot overtake it.
+        pub struct Semaphore {
+            state: StdMutex<State>,
+        }
+
+        impl Semaphore {
+            pub fn new(permits: usize) -> Self {
+                Semaphore {
+                    state: StdMutex::new(State {
+                        permits,
+                        next_id: 0,
+                        waiters: VecDeque::new(),
+                    }),
+                }
+            }
+
+            pub fn available_permits(&self) -> usize {
+                self.state.lock().expect("semaphore state").permits
+            }
+
+            /// Wait for a permit; it is returned when the permit drops.
+            /// Dropping a waiting `acquire` leaves the queue (passing on a
+            /// permit it was already handed).
+            pub fn acquire(&self) -> Acquire<'_> {
+                Acquire {
+                    sem: self,
+                    id: None,
+                }
+            }
+        }
+
+        pub struct Acquire<'a> {
+            sem: &'a Semaphore,
+            /// This acquire's place in the queue, once it had to wait.
+            id: Option<u64>,
+        }
+
+        impl<'a> Future for Acquire<'a> {
+            type Output = Result<SemaphorePermit<'a>, AcquireError>;
+
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+                let sem = self.sem;
+                let mut st = sem.state.lock().expect("semaphore state");
+                match self.id {
+                    None if st.permits > 0 && st.waiters.is_empty() => st.permits -= 1,
+                    None => {
+                        let id = st.next_id;
+                        st.next_id += 1;
+                        st.waiters.push_back(Waiter {
+                            id,
+                            waker: cx.waker().clone(),
+                            granted: false,
+                        });
+                        self.id = Some(id);
+                        return Poll::Pending;
+                    }
+                    Some(id) => {
+                        let w = st.waiters.iter_mut().find(|w| w.id == id);
+                        let w = w.expect("a waiting acquire is queued");
+                        if !w.granted {
+                            w.waker.clone_from(cx.waker());
+                            return Poll::Pending;
+                        }
+                        st.dequeue(id);
+                        self.id = None;
+                    }
+                }
+                Poll::Ready(Ok(SemaphorePermit { sem }))
+            }
+        }
+
+        impl Drop for Acquire<'_> {
+            fn drop(&mut self) {
+                if let Some(id) = self.id {
+                    let mut st = self.sem.state.lock().expect("semaphore state");
+                    if st.dequeue(id) {
+                        st.release();
+                    }
+                }
+            }
+        }
+
+        pub struct SemaphorePermit<'a> {
+            sem: &'a Semaphore,
+        }
+
+        impl Drop for SemaphorePermit<'_> {
+            fn drop(&mut self) {
+                self.sem.state.lock().expect("semaphore state").release();
+            }
+        }
+    }
+
+    pub use semaphore::{Acquire, AcquireError, Semaphore, SemaphorePermit};
 }
 
 pub mod io;
