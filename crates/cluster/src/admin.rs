@@ -1,10 +1,11 @@
 //! The control-plane handle: membership, repartitioning, balancing,
 //! backfill and discovery.
 //!
-//! Everything that mutates cluster-wide state — the ring, the committed
-//! partitioning level, node membership, the backend corpus — lives here,
-//! split off from the query path so operators (and operator tooling) get a
-//! typed surface that cannot be confused with per-query knobs. The
+//! Everything that mutates cluster-wide state — the ring and the
+//! partitioning level it holds, node membership, the backend corpus —
+//! lives here, split off from the query path so operators (and operator
+//! tooling) get a typed surface that cannot be confused with per-query
+//! knobs. The
 //! [`Admin`] handle shares its [`ClusterCore`] with the
 //! [`QueryClient`](crate::client::QueryClient) it was connected with, so
 //! control actions take effect on the very next query.
@@ -25,9 +26,9 @@ use crate::frontend::{ClusterCore, SchedOpts};
 use crate::proto::{Msg, QueryBody, WireRecord};
 use crate::transport::RpcError;
 use roar_core::placement::RoarRing;
-use roar_core::reconfig::Reconfig;
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,6 +56,9 @@ pub enum AdminError {
     /// A non-retryable failure (e.g. the initial connect of
     /// [`Admin::add_node`]).
     Rpc { op: &'static str, err: RpcError },
+    /// [`Admin::set_p`] was called while an earlier decrease is still in
+    /// flight; [`Admin::abort_repartition`] clears it.
+    RepartitionInFlight,
 }
 
 impl std::fmt::Display for AdminError {
@@ -70,6 +74,9 @@ impl std::fmt::Display for AdminError {
                 "control op {op:?} to node {node} failed after {attempts} attempts (last: {last:?})"
             ),
             AdminError::Rpc { op, err } => write!(f, "control op {op:?} failed: {err:?}"),
+            AdminError::RepartitionInFlight => {
+                write!(f, "set_p refused: an earlier decrease is still in flight")
+            }
         }
     }
 }
@@ -90,19 +97,21 @@ impl Admin {
         self.core.n()
     }
 
-    /// The committed partitioning level.
+    /// The partitioning level queries are planned with: the ring's `p`.
+    /// During a §4.5 decrease it stays at the old, larger level until
+    /// every node holds its longer arc.
     pub fn p(&self) -> usize {
         self.core.p()
     }
 
-    /// The pq queries must use right now (§4.5 safety rule).
-    pub fn safe_pq(&self) -> usize {
-        self.core.safe_pq()
-    }
-
-    /// Is a repartitioning transition in flight?
+    /// Is a §4.5 decrease in flight (begun, not yet committed or aborted)?
+    /// [`Self::discover_p`] and [`Self::discover_p_by_probing`] clear it
+    /// too: they adopt the level the nodes hold.
     pub fn reconfig_in_flight(&self) -> bool {
-        self.core.reconfig.lock().in_flight()
+        // ORDERING: Relaxed — the flag publishes no data; `set_p` tests
+        // and sets it under the ring's write lock, which orders it against
+        // the `p` it guards
+        self.core.repartitioning.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the serving ring.
@@ -295,59 +304,69 @@ impl Admin {
 
     // ---- repartitioning (§4.5) ----------------------------------------
 
-    /// Change the partitioning level following the §4.5 protocol. For
-    /// decreases (more replication) the extra records are pushed from the
-    /// backend and the committed level only changes after every node
-    /// confirms; queries remain correct throughout.
+    /// Change the partitioning level following the §4.5 protocol. An
+    /// increase is safe at once: the ring's `p` rises, then nodes trim
+    /// their coverages. A decrease (more replication) marks itself in
+    /// flight and pushes every node the records of its longer arc from the
+    /// backend; only then does the ring's `p` drop, so queries remain
+    /// correct throughout.
     ///
     /// A decrease that hits a dead node fails with
     /// [`AdminError::RetriesExhausted`] and leaves the transition **in
-    /// flight** (queries stay safe on the old, larger `pq`); the caller —
-    /// typically the [`crate::reconcile::Reconciler`] — aborts it and
-    /// re-plans against the surviving membership.
+    /// flight** with the ring's `p` unchanged (queries stay safe on the
+    /// old, larger `p`); the caller — typically the
+    /// [`crate::reconcile::Reconciler`] — aborts it and re-plans against
+    /// the surviving membership. Until then every `set_p` fails with
+    /// [`AdminError::RepartitionInFlight`].
+    ///
+    /// `set_p`, [`Self::add_node`], [`Self::remove_node`] and
+    /// [`Self::balance_step`] run one at a time: each waits for the one in
+    /// progress, so no download is planned against a ring that changes
+    /// before it lands.
     pub async fn set_p(&self, new_p: usize) -> Result<(), AdminError> {
-        let old_p = self.p();
-        if new_p == old_p {
-            return Ok(());
-        }
-        let nodes: Vec<usize> = (0..self.n()).collect();
-        if new_p > old_p {
-            // increase p: switch immediately, then tell nodes to shrink
-            self.core
-                .reconfig
-                .lock()
-                .begin(new_p, nodes.iter().copied());
-            self.core.ring.write().set_p(new_p);
-            self.core.push_coverages().await?;
-            return Ok(());
-        }
-        // decrease p: push extended replicas first
-        self.core
-            .reconfig
-            .lock()
-            .begin(new_p, nodes.iter().copied());
-        {
-            // build the post-transition ring to compute new coverage
-            let mut new_ring = self.core.ring_snapshot();
-            new_ring.set_p(new_p);
-            for node in nodes {
-                self.core.push_node_coverage_data(&new_ring, node).await?;
-                self.core.reconfig.lock().confirm(node);
+        let _control = self.core.control.lock().await;
+        let decrease = {
+            let mut ring = self.core.ring.write();
+            if self.reconfig_in_flight() {
+                return Err(AdminError::RepartitionInFlight);
             }
+            if new_p == ring.p() {
+                return Ok(());
+            }
+            if new_p > ring.p() {
+                // increase p: switch immediately, then tell nodes to shrink
+                ring.set_p(new_p);
+                None
+            } else {
+                // ORDERING: Relaxed — under the ring's write lock
+                self.core.repartitioning.store(true, Ordering::Relaxed);
+                let mut target = ring.clone();
+                target.set_p(new_p);
+                Some(target)
+            }
+        };
+        if let Some(target) = decrease {
+            // decrease p: push extended replicas first
+            for node in 0..self.n() {
+                self.core.push_node_coverage_data(&target, node).await?;
+            }
+            let mut ring = self.core.ring.write();
+            ring.set_p(new_p);
+            // ORDERING: Relaxed — under the ring's write lock
+            self.core.repartitioning.store(false, Ordering::Relaxed);
         }
-        self.core.ring.write().set_p(new_p);
-        // widen the recorded coverages to the new (longer) arcs — nodes use
-        // them to answer §4.8.3 coverage probes and to refuse under-covered
-        // sub-queries
-        self.core.push_coverages().await?;
-        Ok(())
+        // trim (increase) or widen (decrease) the recorded coverages —
+        // nodes use them to answer §4.8.3 coverage probes and to refuse
+        // under-covered sub-queries
+        self.core.push_coverages().await
     }
 
     /// Abort an in-flight decrease (§4.5: load spiked again before commit).
-    /// Safe because queries were still using the old, larger pq; a later
+    /// Safe because the ring's `p` was never lowered; a later
     /// [`Self::set_p`] starts from a clean slate.
     pub fn abort_repartition(&self) {
-        self.core.reconfig.lock().abort();
+        // ORDERING: Relaxed — the flag publishes no data
+        self.core.repartitioning.store(false, Ordering::Relaxed);
     }
 
     /// Re-push from the backend whatever each node's coverage now requires
@@ -362,6 +381,7 @@ impl Admin {
     /// ranges using current speed estimates, then push new coverages and
     /// backfill data.
     pub async fn balance_step(&self) -> Result<usize, AdminError> {
+        let _control = self.core.control.lock().await;
         let moved = {
             let stats = self.core.stats.read();
             let speeds: Vec<f64> = (0..self.n()).map(|i| stats.speed_estimate(i)).collect();
@@ -411,6 +431,7 @@ impl Admin {
     /// range, so queries never see a window nobody covers. Returns the new
     /// node's id.
     pub async fn add_node(&self, addr: SocketAddr) -> Result<usize, AdminError> {
+        let _control = self.core.control.lock().await;
         let conn = self
             .core
             .transport
@@ -466,7 +487,7 @@ impl Admin {
         // download phase: push the new node everything its coverage needs
         self.core.push_node_coverage_data(&new_ring, new_id).await?;
         // take over: swap the ring, then trim everyone's coverage
-        *self.core.ring.write() = new_ring;
+        self.core.swap_membership(new_ring);
         self.core.push_coverages().await?;
         Ok(new_id)
     }
@@ -480,6 +501,7 @@ impl Admin {
     /// survivors' downloads still run, only the final shutdown courtesy
     /// call is skipped.
     pub async fn remove_node(&self, node: usize) -> Result<(), AdminError> {
+        let _control = self.core.control.lock().await;
         let new_ring = {
             let ring = self.core.ring_snapshot();
             assert!(
@@ -504,7 +526,7 @@ impl Admin {
             }
             self.core.push_node_coverage_data(&new_ring, nid).await?;
         }
-        *self.core.ring.write() = new_ring;
+        self.core.swap_membership(new_ring);
         self.core.push_coverages().await?;
         // now the departing node may go (skip the courtesy call if it is
         // already dead)
@@ -562,8 +584,7 @@ impl Admin {
         // smallest p whose window 1/p fits into every node's L
         let full: u128 = 1 << 64;
         let p = (full.div_ceil(min_l) as usize).clamp(1, self.n());
-        *self.core.reconfig.lock() = Reconfig::new(p);
-        self.core.ring.write().set_p(p);
+        self.core.reset_p(p);
         Ok(p)
     }
 
@@ -585,10 +606,7 @@ impl Admin {
         let mut hi = n; // p = n "will always work"
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            {
-                *self.core.reconfig.lock() = Reconfig::new(mid);
-                self.core.ring.write().set_p(mid);
-            }
+            self.core.reset_p(mid);
             let out = crate::client::QueryClient {
                 core: Arc::clone(&self.core),
             }
@@ -598,8 +616,7 @@ impl Admin {
             .await;
             if out.lost > 0 {
                 // restore the always-safe level before surfacing the error
-                *self.core.reconfig.lock() = Reconfig::new(n);
-                self.core.ring.write().set_p(n);
+                self.core.reset_p(n);
                 return Err(out.rpc_error.unwrap_or(RpcError::Timeout));
             }
             if out.harvest >= 1.0 {
@@ -608,8 +625,7 @@ impl Admin {
                 lo = mid + 1;
             }
         }
-        *self.core.reconfig.lock() = Reconfig::new(hi);
-        self.core.ring.write().set_p(hi);
+        self.core.reset_p(hi);
         Ok(hi)
     }
 }

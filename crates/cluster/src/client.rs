@@ -186,14 +186,11 @@ impl QueryClient {
         self.core.n()
     }
 
-    /// The committed partitioning level.
+    /// The partitioning level queries are planned with: the ring's `p`
+    /// (§4.5 keeps it at the old, larger level while a decrease is in
+    /// flight).
     pub fn p(&self) -> usize {
         self.core.p()
-    }
-
-    /// The pq the front-end must use right now (§4.5 safety rule).
-    pub fn safe_pq(&self) -> usize {
-        self.core.safe_pq()
     }
 }
 
@@ -293,7 +290,7 @@ impl QueryBuilder {
         if let Some(ctrl) = &self.admission {
             // §4.8.2 auto-tuning: only knobs the caller left unset
             if sched.pq.is_none() {
-                sched.pq = ctrl.recommended_pq(self.core.safe_pq(), self.core.n());
+                sched.pq = ctrl.recommended_pq(self.core.p(), self.core.n());
             }
             if hedge.is_none() {
                 hedge = ctrl.recommended_hedge_delay().map(HedgePolicy::after);

@@ -1,6 +1,6 @@
 //! Front-end internals shared by the typed API handles (§4.8): the
-//! scheduling/dispatch machinery, live server statistics, the membership
-//! and reconfiguration state, and the backend-store handle.
+//! scheduling/dispatch machinery, live server statistics, the ring (which
+//! alone holds the partitioning level), and the backend-store handle.
 //!
 //! This module is the engine room; the public surface is split by plane:
 //!
@@ -19,16 +19,15 @@ use crate::admin::AdminError;
 use crate::backend::MemoryBackend;
 use crate::proto::{Msg, QueryBody, WireRecord};
 use crate::transport::{NodeLink, Transport};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use roar_core::failover;
 use roar_core::placement::{QueryPlan, RoarRing, SubQuery};
-use roar_core::reconfig::Reconfig;
 use roar_core::ringmap::RingMap;
 use roar_core::sched::schedule_sweep;
 use roar_core::stats::ServerStats;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,8 +47,8 @@ pub struct SchedOpts {
     pub adjust_sweeps: usize,
     /// Max sub-query splits (0 disables).
     pub max_splits: usize,
-    /// Query partitioning level override (`pq ≥ p`); `None` uses the safe
-    /// minimum from the reconfiguration state.
+    /// Query partitioning level override (`pq ≥ p`); `None` uses the
+    /// ring's `p`.
     pub pq: Option<usize>,
 }
 
@@ -128,9 +127,19 @@ pub struct ClusterCore {
     /// The transport every link was (and future links will be) built from.
     pub(crate) transport: Arc<dyn Transport>,
     pub(crate) conns: RwLock<Vec<Arc<dyn NodeLink>>>,
+    /// Membership and the partitioning level `p`: the one copy of `p`.
     pub(crate) ring: RwLock<RoarRing>,
     pub(crate) stats: RwLock<ServerStats>,
-    pub(crate) reconfig: Mutex<Reconfig>,
+    /// A §4.5 decrease is in flight: set (under the ring's write lock)
+    /// before its downloads, cleared when it lowers the ring's `p` or is
+    /// aborted. Queries never read it; they plan against the ring's `p`,
+    /// which stays at the old, larger level until the downloads are done.
+    pub(crate) repartitioning: AtomicBool,
+    /// Serializes the ring edits that download before they land —
+    /// `set_p`, `add_node`, `remove_node`, `balance_step` — so none
+    /// installs a ring whose data was pushed against a ring another edit
+    /// has since changed. Queries never take it.
+    pub(crate) control: tokio::sync::Mutex<()>,
     /// Backend copy of everything stored, for join/repartition downloads
     /// (the paper's NFS store, §4.1), read by coverage window.
     pub(crate) backend: MemoryBackend,
@@ -156,7 +165,8 @@ impl ClusterCore {
             conns: RwLock::new(conns),
             ring: RwLock::new(RoarRing::new(RingMap::uniform(&nodes), p)),
             stats: RwLock::new(ServerStats::new(addrs.len(), default_speed, 0.2)),
-            reconfig: Mutex::new(Reconfig::new(p)),
+            repartitioning: AtomicBool::new(false),
+            control: tokio::sync::Mutex::new(()),
             backend: MemoryBackend::new(),
             timeout: Duration::from_secs(5),
             epoch: Instant::now(),
@@ -179,12 +189,29 @@ impl ClusterCore {
     }
 
     pub(crate) fn p(&self) -> usize {
-        self.reconfig.lock().committed_p()
+        self.ring.read().p()
     }
 
-    /// The pq the front-end must use right now (§4.5 safety rule).
-    pub(crate) fn safe_pq(&self) -> usize {
-        self.reconfig.lock().safe_pq()
+    /// Install a membership edit made against an earlier ring snapshot,
+    /// whose `p` is the level the edit's downloads were made for. The ring
+    /// keeps the larger of that and its current `p`: a later increase
+    /// stays (longer arcs serve its shorter windows), a later decrease is
+    /// dropped (the downloads never held its longer arcs). `control`
+    /// keeps `set_p` out of that window; `discover_p*` does not take it.
+    pub(crate) fn swap_membership(&self, edited: RoarRing) {
+        let mut ring = self.ring.write();
+        let p = ring.p().max(edited.p());
+        *ring = edited;
+        ring.set_p(p);
+    }
+
+    /// Discovery's write: adopt `p` outright and drop any in-flight
+    /// decrease mark — the level now comes from what the nodes hold.
+    pub(crate) fn reset_p(&self, p: usize) {
+        let mut ring = self.ring.write();
+        ring.set_p(p);
+        // ORDERING: Relaxed — under the ring's write lock
+        self.repartitioning.store(false, Ordering::Relaxed);
     }
 
     pub(crate) fn speed_estimates(&self) -> Vec<f64> {
@@ -216,13 +243,8 @@ impl ClusterCore {
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_mul(0x9E3779B97F4A7C15);
         let ring = self.ring_snapshot();
-        // the ring and the safe pq live under separate locks, and a §4.5
-        // decrease lowers the safe pq (last node confirmed) before it
-        // commits the smaller p to the ring: a plan is made against *this*
-        // snapshot, so its own p is a floor too (a larger pq is always
-        // correct)
-        let safe_pq = self.safe_pq();
-        let pq = opts.pq.unwrap_or(safe_pq).max(safe_pq).max(ring.p());
+        // a smaller override is clamped up: a larger pq is always correct
+        let pq = opts.pq.unwrap_or(ring.p()).max(ring.p());
         let mut plan = {
             let mut st = self.stats.write();
             st.set_now(self.now());
@@ -687,42 +709,63 @@ mod tests {
     use super::*;
     use crate::transport::TransportSpec;
 
-    /// `Admin::set_p`'s decrease path, frozen between its last
-    /// `reconfig.confirm(node)` and `ring.write().set_p(new_p)`: every
-    /// node has confirmed (so the safe pq already dropped to the new p)
-    /// but the ring still carries the old one. A query planned in that
-    /// gap must plan against the snapshot's own p, not die on
-    /// `schedule_sweep`'s `pq ≥ p` assertion.
-    #[tokio::test]
-    async fn plan_query_survives_the_confirmed_but_uncommitted_gap() {
-        // datagram links need no live peer to connect: no node is spawned
-        // and nothing is sent — planning is pure front-end state
+    /// A front end over four unreachable datagram addresses at `p = 3`:
+    /// datagram links need no live peer to connect, no node is spawned and
+    /// nothing is sent — planning and ring edits are pure front-end state.
+    async fn offline_core() -> Arc<ClusterCore> {
         let addrs: Vec<SocketAddr> = (0..4)
             .map(|i| SocketAddr::from(([127, 0, 0, 1], 40_000 + i)))
             .collect();
-        let core = ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build())
+        ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build())
             .await
-            .expect("connect");
-        {
-            let mut reconfig = core.reconfig.lock();
-            reconfig.begin(2, 0..addrs.len());
-            for node in 0..addrs.len() {
-                reconfig.confirm(node);
-            }
-        }
-        assert_eq!((core.safe_pq(), core.ring_snapshot().p()), (2, 3));
+            .expect("connect")
+    }
 
-        let (ring, plan) = core.plan_query(&SchedOpts::default());
-        assert_eq!(ring.p(), 3, "the plan's own snapshot");
-        assert_eq!(plan.subs.len(), 3, "pq clamped up to the snapshot's p");
-        // an explicit smaller override is clamped the same way
+    /// A plan never uses a `pq` below the `p` of the snapshot it plans
+    /// against: a smaller override is clamped up. With `p` in the ring
+    /// alone, a §4.5 decrease has no confirmed-but-uncommitted state a plan
+    /// could read.
+    #[tokio::test]
+    async fn plan_query_survives_the_confirmed_but_uncommitted_gap() {
+        let core = offline_core().await;
         let opts = SchedOpts {
             pq: Some(1),
             ..SchedOpts::default()
         };
-        assert_eq!(core.plan_query(&opts).1.subs.len(), 3);
-        // once the ring commits, the smaller p takes effect
+        let (ring, plan) = core.plan_query(&opts);
+        assert_eq!(ring.p(), 3, "the plan's own snapshot");
+        assert_eq!(plan.subs.len(), 3, "pq clamped up to the snapshot's p");
         core.ring.write().set_p(2);
-        assert_eq!(core.plan_query(&SchedOpts::default()).1.subs.len(), 2);
+        assert_eq!(core.plan_query(&opts).1.subs.len(), 2);
+    }
+
+    /// `add_node` and `remove_node` edit a snapshot while they download,
+    /// then swap it in. An increase committed after the snapshot survives
+    /// the swap: the downloads' longer arcs serve its shorter windows.
+    #[tokio::test]
+    async fn membership_swap_keeps_a_p_committed_after_its_snapshot() {
+        let core = offline_core().await;
+        let mut edited = core.ring_snapshot();
+        core.ring.write().set_p(4);
+        edited.map_mut().remove(3);
+        core.swap_membership(edited);
+        let ring = core.ring_snapshot();
+        assert_eq!(ring.n(), 3, "the membership edit landed");
+        assert_eq!(ring.p(), 4, "the later increase survived the swap");
+    }
+
+    /// A decrease committed after the snapshot would need longer arcs than
+    /// the swap's downloads hold: the ring never drops below the
+    /// snapshot's `p`.
+    #[tokio::test]
+    async fn membership_swap_never_drops_below_its_snapshots_p() {
+        let core = offline_core().await;
+        let mut edited = core.ring_snapshot();
+        core.ring.write().set_p(2);
+        edited.map_mut().remove(3);
+        core.swap_membership(edited);
+        let ring = core.ring_snapshot();
+        assert_eq!(ring.n(), 3, "the membership edit landed");
+        assert_eq!(ring.p(), 3, "the snapshot's p, not the later decrease");
     }
 }

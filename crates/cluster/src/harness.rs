@@ -567,7 +567,7 @@ mod tests {
         assert!(!h.admin.reconfig_in_flight());
         assert_eq!(h.admin.p(), 3, "abort never moves the committed level");
         h.admin.set_p(2).await.unwrap();
-        assert_eq!((h.admin.p(), h.admin.safe_pq()), (2, 2));
+        assert_eq!(h.admin.p(), 2);
         let out = h
             .client
             .query(QueryBody::Synthetic)
@@ -575,6 +575,49 @@ mod tests {
             .run()
             .await;
         assert_eq!(out.scanned, 300, "exact after abort + fresh decrease");
+    }
+
+    async fn answers_stay_exact_while_p_moves(spec: TransportSpec) {
+        // §4.5 under load: a closed query loop runs beside ten set_p
+        // toggles (2 → 3 → 2 …), and at least one query completes between
+        // two toggles. A query whose window a coverage push refused
+        // re-plans on the fresh ring; every answer is whole and
+        // exactly-once.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 2).with_transport(spec))
+            .await
+            .unwrap();
+        let mut rng = det_rng(244);
+        let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (answered, mut answered_rx) = tokio::sync::watch::channel(());
+        let looper = {
+            let (client, stop) = (h.client.clone(), Arc::clone(&stop));
+            tokio::spawn(async move {
+                let mut outs = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    let q = client.query(QueryBody::Synthetic);
+                    outs.push(q.retry_on_partial(4, Duration::from_millis(5)).run().await);
+                    let _ = answered.send(());
+                }
+                outs
+            })
+        };
+        for _ in 0..5 {
+            for p in [3, 2] {
+                h.admin.set_p(p).await.unwrap();
+                answered_rx.changed().await.unwrap();
+            }
+        }
+        stop.store(true, Ordering::Release);
+        let outs = looper.await.unwrap();
+        assert!(outs.len() >= 10, "the loop ran beside the toggles");
+        for out in &outs {
+            assert_eq!(out.harvest, 1.0, "whole answer while p moves");
+            assert_eq!(out.scanned, 300, "exactly-once while p moves");
+        }
+        assert_eq!((h.admin.p(), h.admin.reconfig_in_flight()), (2, false));
     }
 
     async fn backup_frontend_discovers_p_from_coverage(spec: TransportSpec) {
@@ -714,6 +757,30 @@ mod tests {
             .map(|(_, f)| f)
             .unwrap();
         assert!(frac > 0.0, "new node owns ring range");
+    }
+
+    async fn join_beside_a_decrease_stays_exact(spec: TransportSpec) {
+        // a §4.3 join and a §4.5 decrease started together: whichever runs
+        // second downloads against the ring the first one left, so the
+        // decrease is not lost and the joiner holds its p = 2 arc
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 3).with_transport(spec.clone()))
+            .await
+            .unwrap();
+        let mut rng = det_rng(245);
+        let ids: Vec<u64> = (0..900).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        let (addr, _new_node) = spawn_extra_node_with(6, 1e6, 0.0, &spec).await.unwrap();
+        let decrease = {
+            let admin = h.admin.clone();
+            tokio::spawn(async move { admin.set_p(2).await })
+        };
+        h.admin.add_node(addr).await.unwrap();
+        decrease.await.unwrap().unwrap();
+        assert_eq!((h.admin.n(), h.admin.p()), (7, 2));
+        let out = h.client.query(QueryBody::Synthetic).run().await;
+        assert_eq!((out.refused, out.lost), (0, 0));
+        assert_eq!(out.harvest, 1.0);
+        assert_eq!(out.scanned, 900, "exactly-once after join beside decrease");
     }
 
     async fn controlled_removal_keeps_queries_exact(spec: TransportSpec) {
@@ -1081,6 +1148,11 @@ mod tests {
         assert!(
             h.admin.reconfig_in_flight(),
             "stalled decrease stays in flight (queries keep the old pq)"
+        );
+        assert_eq!(
+            h.admin.set_p(2).await,
+            Err(AdminError::RepartitionInFlight),
+            "a second set_p waits for the abort instead of panicking"
         );
         let mut rec = Reconciler::new(h.admin.clone(), DesiredTopology::new(4, 2));
         rec.run_to_convergence(16).await.expect("heals");

@@ -54,10 +54,6 @@ pub struct DesiredTopology {
     pub n: usize,
     /// Partitioning level.
     pub p: usize,
-    /// Advisory over-partitioning for clients (`pq ≥ p`, §4.2); the
-    /// reconciler does not act on it — query builders read it via
-    /// [`DesiredTopology::suggested_pq`].
-    pub pq: Option<usize>,
     /// Desired replication factor `r = n/p`. When set it overrides `p`:
     /// the planner targets `p ≈ n / replication` (clamped to `[1, n]`),
     /// so "keep three replicas" survives `n` changing.
@@ -70,7 +66,6 @@ impl DesiredTopology {
         DesiredTopology {
             n,
             p,
-            pq: None,
             replication: None,
         }
     }
@@ -82,12 +77,6 @@ impl DesiredTopology {
         self
     }
 
-    /// Advisory client-side over-partitioning (builder style).
-    pub fn with_pq(mut self, pq: usize) -> Self {
-        self.pq = Some(pq);
-        self
-    }
-
     /// The partitioning level the planner drives toward: `p`, unless a
     /// replication factor is set, in which case `round(n / r)`.
     pub fn target_p(&self) -> usize {
@@ -95,12 +84,6 @@ impl DesiredTopology {
             Some(r) => ((self.n as f64 / r).round() as usize).clamp(1, self.n),
             None => self.p.min(self.n),
         }
-    }
-
-    /// The pq clients should query with: the explicit `pq` if set (floored
-    /// at the target p), else the target p itself.
-    pub fn suggested_pq(&self) -> usize {
-        self.pq.unwrap_or(0).max(self.target_p())
     }
 }
 

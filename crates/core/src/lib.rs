@@ -12,9 +12,8 @@
 //! |--------|-------|----------|
 //! | [`ring`] | §4, §4.2 | continuous ID space, query points, match windows |
 //! | [`ringmap`] | §4, §4.3/4.4 | node range assignment, join/leave/boundary moves |
-//! | [`placement`] | §4.1–4.2 | replication arcs, query planning, `pq > p` dedup |
+//! | [`placement`] | §4.1–4.2, §4.5 | replication arcs, query planning, `pq > p` dedup, the partitioning level |
 //! | [`failover`] | §4.4 | sub-query splitting around failed nodes |
-//! | [`reconfig`] | §4.5 | safe on-the-fly `p`/`r` transitions |
 //! | [`balance`] | §4.6, §4.9 | proportional-range load balancing |
 //! | [`multiring`] | §4.7 | multiple sliding windows (k rings) |
 //! | [`sched`] | §4.8.1 | Algorithm 1 and its straw-man/randomised rivals |
@@ -55,7 +54,6 @@ pub mod failover;
 pub mod membership;
 pub mod multiring;
 pub mod placement;
-pub mod reconfig;
 pub mod ring;
 pub mod ringmap;
 pub mod sched;
@@ -68,7 +66,6 @@ pub use failover::{reroute_plan, FailoverError};
 pub use membership::Membership;
 pub use multiring::{MultiRing, MultiRingScheduler};
 pub use placement::{QueryPlan, RoarRing, SubQuery};
-pub use reconfig::Reconfig;
 pub use ring::{RingPos, Window};
 pub use ringmap::{NodeId, RingMap};
 pub use sched::{schedule_sweep, RoarScheduler, Strategy};

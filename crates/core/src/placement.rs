@@ -90,9 +90,10 @@ impl RoarRing {
         self.p
     }
 
-    /// Change the partitioning level. Callers must follow the §4.5
-    /// transition protocol (see [`crate::reconfig`]) before lowering the
-    /// level used for live queries.
+    /// Change the partitioning level. A ring that serves live queries is
+    /// the one home of `p`, so lowering it must follow §4.5: every node
+    /// first downloads its longer arc, and only then does `p` drop
+    /// (`roar_cluster::Admin::set_p` does this).
     pub fn set_p(&mut self, p: usize) {
         assert!(p >= 1);
         self.p = p;
