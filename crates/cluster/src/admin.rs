@@ -108,10 +108,10 @@ impl Admin {
     /// [`Self::discover_p`] and [`Self::discover_p_by_probing`] clear it
     /// too: they adopt the level the nodes hold.
     pub fn reconfig_in_flight(&self) -> bool {
-        // ORDERING: Relaxed — the flag publishes no data; `set_p` tests
+        // ORDERING: Relaxed — the mark publishes no data; `set_p` tests
         // and sets it under the ring's write lock, which orders it against
         // the `p` it guards
-        self.core.repartitioning.load(Ordering::Relaxed)
+        self.core.target_p.load(Ordering::Relaxed) != 0
     }
 
     /// Snapshot of the serving ring.
@@ -203,10 +203,12 @@ impl Admin {
     // ---- ingest (backend + replica fan-out) ---------------------------
 
     /// Store synthetic ids on their replica sets (and remember them in the
-    /// backend).
+    /// backend). While a decrease is in flight the replica sets are those
+    /// of its target level, so the write reaches every node whose longer
+    /// arc holds it.
     pub async fn store_synthetic(&self, ids: &[u64]) -> Result<(), AdminError> {
         self.core.backend.append_synthetic(ids);
-        let ring = self.core.ring_snapshot();
+        let ring = self.core.store_ring();
         let mut per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)> = HashMap::new();
         for &id in ids {
             for node in ring.replicas(id) {
@@ -216,13 +218,14 @@ impl Admin {
         self.core.push_store_batches(per_node).await
     }
 
-    /// Store encrypted PPS records on their replica sets.
+    /// Store encrypted PPS records on their replica sets, placed as
+    /// [`Self::store_synthetic`] places ids.
     pub async fn store_records(
         &self,
         records: &[roar_pps::EncryptedMetadata],
     ) -> Result<(), AdminError> {
         self.core.backend.append_records(records);
-        let ring = self.core.ring_snapshot();
+        let ring = self.core.store_ring();
         let mut per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)> = HashMap::new();
         for r in records {
             for node in ring.replicas(r.id) {
@@ -263,7 +266,7 @@ impl Admin {
     /// unreachable replicas — the survivors keep the arc queryable.
     pub async fn store_synthetic_p2p(&self, ids: &[u64]) -> Result<(), AdminError> {
         self.core.backend.append_synthetic(ids);
-        let ring = self.core.ring_snapshot();
+        let ring = self.core.store_ring();
         // batch by (first replica, chain length): one chain per batch
         let mut batches: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
         for &id in ids {
@@ -307,9 +310,14 @@ impl Admin {
     /// Change the partitioning level following the §4.5 protocol. An
     /// increase is safe at once: the ring's `p` rises, then nodes trim
     /// their coverages. A decrease (more replication) marks itself in
-    /// flight and pushes every node the records of its longer arc from the
-    /// backend; only then does the ring's `p` drop, so queries remain
-    /// correct throughout.
+    /// flight and pushes each node, from the backend, only what its longer
+    /// arc adds — the extension its old coverage lacks; only then does the
+    /// ring's `p` drop, so queries remain correct throughout. Writes made
+    /// meanwhile are placed at the target level and reach the extensions
+    /// too. A write a node missed while it was believed dead is not
+    /// re-delivered: that is [`Self::backfill`]'s job, which the
+    /// [`crate::reconcile::Reconciler`] plans when a node's record count
+    /// falls short.
     ///
     /// A decrease that hits a dead node fails with
     /// [`AdminError::RetriesExhausted`] and leaves the transition **in
@@ -339,21 +347,19 @@ impl Admin {
                 None
             } else {
                 // ORDERING: Relaxed — under the ring's write lock
-                self.core.repartitioning.store(true, Ordering::Relaxed);
+                self.core.target_p.store(new_p, Ordering::Relaxed);
                 let mut target = ring.clone();
                 target.set_p(new_p);
-                Some(target)
+                Some((ring.clone(), target))
             }
         };
-        if let Some(target) = decrease {
-            // decrease p: push extended replicas first
-            for node in 0..self.n() {
-                self.core.push_node_coverage_data(&target, node).await?;
-            }
+        if let Some((old, target)) = decrease {
+            // decrease p: push the arc extensions first
+            self.core.push_gains(Some(&old), &target, false).await?;
             let mut ring = self.core.ring.write();
             ring.set_p(new_p);
             // ORDERING: Relaxed — under the ring's write lock
-            self.core.repartitioning.store(false, Ordering::Relaxed);
+            self.core.target_p.store(0, Ordering::Relaxed);
         }
         // trim (increase) or widen (decrease) the recorded coverages —
         // nodes use them to answer §4.8.3 coverage probes and to refuse
@@ -365,12 +371,14 @@ impl Admin {
     /// Safe because the ring's `p` was never lowered; a later
     /// [`Self::set_p`] starts from a clean slate.
     pub fn abort_repartition(&self) {
-        // ORDERING: Relaxed — the flag publishes no data
-        self.core.repartitioning.store(false, Ordering::Relaxed);
+        // ORDERING: Relaxed — the mark publishes no data
+        self.core.target_p.store(0, Ordering::Relaxed);
     }
 
-    /// Re-push from the backend whatever each node's coverage now requires
-    /// (nodes dedupe by id on insert).
+    /// Re-push from the backend each live node's whole coverage (nodes
+    /// dedupe by id on insert): the explicit heal for writes a node missed,
+    /// which placement changes, shipping only what coverages gain, do not
+    /// re-deliver.
     pub async fn backfill(&self) -> Result<(), AdminError> {
         self.core.backfill().await
     }
@@ -378,17 +386,19 @@ impl Admin {
     // ---- balancing (§4.6) ---------------------------------------------
 
     /// One §4.6 balancing round: move boundaries toward load-proportional
-    /// ranges using current speed estimates, then push new coverages and
-    /// backfill data.
+    /// ranges using current speed estimates on a copy of the ring, push
+    /// each live node what its coverage gains by the move, then install the
+    /// moved ring and push the new coverages. A node whose range shrank
+    /// downloads nothing.
     pub async fn balance_step(&self) -> Result<usize, AdminError> {
         let _control = self.core.control.lock().await;
+        let old = self.core.ring_snapshot();
+        let mut moved_ring = old.clone();
         let moved = {
             let stats = self.core.stats.read();
             let speeds: Vec<f64> = (0..self.n()).map(|i| stats.speed_estimate(i)).collect();
             drop(stats);
-            let mut ring = self.core.ring.write();
-            let map = ring.map_mut();
-            let snapshot = map.clone();
+            let snapshot = old.map();
             let load = move |n: usize| {
                 let i = snapshot
                     .entries()
@@ -398,14 +408,15 @@ impl Admin {
                 snapshot.fraction_at(i) / speeds[n]
             };
             roar_core::balance::balance_step(
-                map,
+                moved_ring.map_mut(),
                 &roar_core::balance::BalanceConfig::default(),
                 &load,
                 &|_| false,
             )
         };
         if moved > 0 {
-            self.core.backfill().await?;
+            self.core.push_gains(Some(&old), &moved_ring, true).await?;
+            self.core.swap_membership(moved_ring);
             self.core.push_coverages().await?;
         }
         Ok(moved)
@@ -457,8 +468,9 @@ impl Admin {
         // alone — so the widest such range is split unconditionally;
         // otherwise the hottest entry (largest range per unit of estimated
         // speed) is picked as usual.
+        let old = self.core.ring_snapshot();
         let new_ring = {
-            let ring = self.core.ring_snapshot();
+            let ring = &old;
             let st = self.core.stats.read();
             let widest = (0..ring.n())
                 .max_by_key(|&i| {
@@ -484,8 +496,9 @@ impl Admin {
             new_ring.map_mut().insert_half(new_id, hot);
             new_ring
         };
-        // download phase: push the new node everything its coverage needs
-        self.core.push_node_coverage_data(&new_ring, new_id).await?;
+        // download phase: the new node is on no earlier ring, so it gets
+        // its whole coverage; every other coverage only shrank
+        self.core.push_gains(Some(&old), &new_ring, false).await?;
         // take over: swap the ring, then trim everyone's coverage
         self.core.swap_membership(new_ring);
         self.core.push_coverages().await?;
@@ -496,36 +509,28 @@ impl Admin {
     /// controlled manner by informing its neighbours that its load is now
     /// infinite. The two neighbours will grow their ranges into the range of
     /// the node to be removed by downloading the additional data needed."
-    /// The departing node is shut down only after its neighbours cover its
-    /// range. Removing an already-dead node is the failure-heal path: the
-    /// survivors' downloads still run, only the final shutdown courtesy
-    /// call is skipped.
+    /// The range merges into the predecessor's, so only that heir's
+    /// coverage grows: it alone is sent a `Store`, holding the records its
+    /// coverage gains; every other survivor gets no download. The departing
+    /// node is shut down only after the heir covers its range. Removing an
+    /// already-dead node is the failure-heal path: the heir's download still
+    /// runs, only the final shutdown courtesy call is skipped. Writes a
+    /// survivor missed are not re-delivered — that is [`Self::backfill`]'s
+    /// job.
     pub async fn remove_node(&self, node: usize) -> Result<(), AdminError> {
         let _control = self.core.control.lock().await;
-        let new_ring = {
-            let ring = self.core.ring_snapshot();
-            assert!(
-                ring.map().range_of(node).is_some(),
-                "node {node} not on the ring"
-            );
-            assert!(
-                ring.n() > self.p(),
-                "removing would leave fewer nodes than p"
-            );
-            let mut new_ring = ring.clone();
-            new_ring.map_mut().remove(node);
-            new_ring
-        };
-        // neighbours (and only they) gained range: backfill everyone whose
-        // coverage grew, from the backend — skipping members currently
-        // believed dead, so one corpse cannot wedge the removal of another
-        for i in 0..new_ring.n() {
-            let nid = new_ring.map().entries()[i].node;
-            if !self.node_alive(nid) {
-                continue;
-            }
-            self.core.push_node_coverage_data(&new_ring, nid).await?;
-        }
+        let old = self.core.ring_snapshot();
+        assert!(
+            old.map().range_of(node).is_some(),
+            "node {node} not on the ring"
+        );
+        assert!(old.n() > old.p(), "removing would leave fewer nodes than p");
+        let mut new_ring = old.clone();
+        new_ring.map_mut().remove(node);
+        // the heir (and only it) gained range: push what its coverage
+        // gained, from the backend — skipping members currently believed
+        // dead, so one corpse cannot wedge the removal of another
+        self.core.push_gains(Some(&old), &new_ring, true).await?;
         self.core.swap_membership(new_ring);
         self.core.push_coverages().await?;
         // now the departing node may go (skip the courtesy call if it is

@@ -2,9 +2,11 @@
 //!
 //! The paper keeps a full copy of the corpus on a backend filesystem; the
 //! front-end reads from it whenever placement changes require data movement
-//! — join downloads (§4.3), neighbour growth after a removal (§4.4), arc
-//! extensions when `p` decreases (§4.5) and backfill after balancing
-//! (§4.6).
+//! — join downloads (§4.3), the heir's growth after a removal (§4.4), arc
+//! extensions when `p` decreases (§4.5) and the ranges a balancing round
+//! moves (§4.6). Each reads only what a node's coverage gains, the
+//! [`Window::minus`] of its new and old coverage; backfill, the explicit
+//! heal for writes a node missed, reads its whole coverage.
 //!
 //! [`MemoryBackend`] holds that copy in the format a data node holds its
 //! own share in: a [`MetadataStore`] of immutable columnar runs for the

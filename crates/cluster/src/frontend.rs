@@ -22,12 +22,13 @@ use crate::transport::{NodeLink, Transport};
 use parking_lot::RwLock;
 use roar_core::failover;
 use roar_core::placement::{QueryPlan, RoarRing, SubQuery};
+use roar_core::ring::Window;
 use roar_core::ringmap::RingMap;
 use roar_core::sched::schedule_sweep;
 use roar_core::stats::ServerStats;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,11 +131,13 @@ pub struct ClusterCore {
     /// Membership and the partitioning level `p`: the one copy of `p`.
     pub(crate) ring: RwLock<RoarRing>,
     pub(crate) stats: RwLock<ServerStats>,
-    /// A §4.5 decrease is in flight: set (under the ring's write lock)
-    /// before its downloads, cleared when it lowers the ring's `p` or is
-    /// aborted. Queries never read it; they plan against the ring's `p`,
-    /// which stays at the old, larger level until the downloads are done.
-    pub(crate) repartitioning: AtomicBool,
+    /// The level a §4.5 decrease in flight moves to, 0 when none is: set
+    /// under the ring's write lock before the decrease reads the backend,
+    /// cleared when it lowers the ring's `p` or is aborted. Queries never
+    /// read it; they plan against the ring's `p`, which stays at the old,
+    /// larger level until the downloads are done. Writes read it with the
+    /// ring ([`Self::store_ring`]).
+    pub(crate) target_p: AtomicUsize,
     /// Serializes the ring edits that download before they land —
     /// `set_p`, `add_node`, `remove_node`, `balance_step` — so none
     /// installs a ring whose data was pushed against a ring another edit
@@ -165,7 +168,7 @@ impl ClusterCore {
             conns: RwLock::new(conns),
             ring: RwLock::new(RoarRing::new(RingMap::uniform(&nodes), p)),
             stats: RwLock::new(ServerStats::new(addrs.len(), default_speed, 0.2)),
-            repartitioning: AtomicBool::new(false),
+            target_p: AtomicUsize::new(0),
             control: tokio::sync::Mutex::new(()),
             backend: MemoryBackend::new(),
             timeout: Duration::from_secs(5),
@@ -192,6 +195,26 @@ impl ClusterCore {
         self.ring.read().p()
     }
 
+    /// The ring writes place their replicas by: the serving ring, at the
+    /// target level while a decrease is in flight — whose arcs contain the
+    /// old ones, so a write lands on every node that will serve it.
+    ///
+    /// Read under the ring's read lock, after the caller appended to the
+    /// backend. The decrease marks itself under the write lock before it
+    /// reads the backend, so a write either sees the mark or is in the
+    /// backend when the decrease reads each node's extension.
+    pub(crate) fn store_ring(&self) -> RoarRing {
+        let ring = self.ring.read();
+        let mut placed = ring.clone();
+        // ORDERING: Relaxed — under the ring's read lock; `set_p` writes
+        // it under the write lock
+        match self.target_p.load(Ordering::Relaxed) {
+            0 => {}
+            target => placed.set_p(target),
+        }
+        placed
+    }
+
     /// Install a membership edit made against an earlier ring snapshot,
     /// whose `p` is the level the edit's downloads were made for. The ring
     /// keeps the larger of that and its current `p`: a later increase
@@ -211,7 +234,7 @@ impl ClusterCore {
         let mut ring = self.ring.write();
         ring.set_p(p);
         // ORDERING: Relaxed — under the ring's write lock
-        self.repartitioning.store(false, Ordering::Relaxed);
+        self.target_p.store(0, Ordering::Relaxed);
     }
 
     pub(crate) fn speed_estimates(&self) -> Vec<f64> {
@@ -611,46 +634,55 @@ impl ClusterCore {
     /// [`Self::push_coverages`].
     pub(crate) async fn backfill(&self) -> Result<(), AdminError> {
         let ring = self.ring_snapshot();
-        for i in 0..ring.n() {
-            let node = ring.map().entries()[i].node;
-            if !self.stats.read().is_alive(node) {
-                continue;
-            }
-            self.push_node_coverage_data(&ring, node).await?;
-        }
+        self.push_gains(None, &ring, true).await?;
         Ok(())
     }
 
-    /// Push `node` everything a given ring says it must store (a no-op rpc
-    /// is skipped when the backend has nothing for it). Does **not** skip
-    /// dead nodes: callers that need the push to land (repartition
-    /// confirmation, join downloads) must see the failure.
-    pub(crate) async fn push_node_coverage_data(
+    /// Push every node on `to` what its coverage there gains over `from`:
+    /// the set difference of the two coverage windows, read from the
+    /// backend, in one `Store` — the whole coverage when `from` is `None`
+    /// or does not hold the node. A node that gains nothing gets no RPC.
+    /// With `skip_dead`, nodes believed dead are skipped; without it, a
+    /// push that must land (a decrease, a join download) fails on them.
+    /// Returns `(node, objects shipped)` per `Store` sent, in ring order.
+    pub(crate) async fn push_gains(
         &self,
-        ring: &RoarRing,
-        node: usize,
-    ) -> Result<(), AdminError> {
-        let Some(cov) = ring.coverage(node) else {
-            return Ok(());
-        };
-        let ids = self.backend.window_synthetic(&cov);
-        // the rows are a temporary: gone before the push goes out
-        let recs: Vec<WireRecord> = (self.backend.window_records(&cov).iter())
-            .map(WireRecord::from_record)
-            .collect();
-        if ids.is_empty() && recs.is_empty() {
-            return Ok(());
-        }
-        self.control_rpc(
-            "store",
-            node,
-            Msg::Store {
+        from: Option<&RoarRing>,
+        to: &RoarRing,
+        skip_dead: bool,
+    ) -> Result<Vec<(usize, usize)>, AdminError> {
+        let mut shipped = Vec::new();
+        for entry in to.map().entries() {
+            let node = entry.node;
+            if skip_dead && !self.stats.read().is_alive(node) {
+                continue;
+            }
+            let Some(cov) = to.coverage(node) else {
+                continue;
+            };
+            let gain: Vec<Window> = match from.and_then(|r| r.coverage(node)) {
+                Some(old) => cov.minus(&old).collect(),
+                None => vec![cov],
+            };
+            let ids: Vec<u64> = (gain.iter())
+                .flat_map(|w| self.backend.window_synthetic(w))
+                .collect();
+            // the rows are a temporary: gone before the push goes out
+            let recs: Vec<WireRecord> = (gain.iter())
+                .flat_map(|w| self.backend.window_records(w))
+                .map(|r| WireRecord::from_record(&r))
+                .collect();
+            if ids.is_empty() && recs.is_empty() {
+                continue;
+            }
+            shipped.push((node, ids.len() + recs.len()));
+            let store = Msg::Store {
                 records: recs,
                 synthetic_ids: ids,
-            },
-        )
-        .await?;
-        Ok(())
+            };
+            self.control_rpc("store", node, store).await?;
+        }
+        Ok(shipped)
     }
 
     /// Per-node replica push used by the store operations. Replicas
@@ -707,7 +739,10 @@ impl Drop for ClusterCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{spawn_cluster, spawn_extra_node, ClusterConfig, ClusterHandle};
     use crate::transport::TransportSpec;
+    use rand::Rng;
+    use roar_util::det_rng;
 
     /// A front end over four unreachable datagram addresses at `p = 3`:
     /// datagram links need no live peer to connect, no node is spawned and
@@ -719,6 +754,116 @@ mod tests {
         ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build())
             .await
             .expect("connect")
+    }
+
+    /// A live six-node TCP cluster at `p = 3` holding 600 synthetic ids,
+    /// plus 300 more that only the backend holds: writes every node missed,
+    /// which a push of whole coverages would deliver and a push of gains
+    /// delivers only inside the gains.
+    async fn cluster_with_missed_writes() -> ClusterHandle {
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 3))
+            .await
+            .expect("spawn");
+        let mut rng = det_rng(41);
+        let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.expect("store");
+        let missed: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+        h.admin.core.backend.append_synthetic(&missed);
+        h
+    }
+
+    /// What `node`'s coverage gains from `from` to `to`, counted in the
+    /// backend.
+    fn gain_len(core: &ClusterCore, from: &RoarRing, to: &RoarRing, node: usize) -> u64 {
+        let cov = |r: &RoarRing| r.coverage(node).expect("on the ring");
+        let gain = cov(to).minus(&cov(from));
+        gain.map(|w| core.backend.window_len(&w) as u64).sum()
+    }
+
+    fn counts(h: &ClusterHandle) -> Vec<u64> {
+        h.nodes.iter().map(|n| n.record_count()).collect()
+    }
+
+    /// A 3 → 2 decrease on six nodes ships each node its arc extension,
+    /// 1/2 − 1/3 = 1/6 of the ring, instead of its whole 2/3-ring arc: the
+    /// six extensions tile the ring, so the push ships the corpus once
+    /// instead of four times over.
+    #[tokio::test]
+    async fn a_decrease_ships_the_arc_extension_alone() {
+        let h = cluster_with_missed_writes().await;
+        let core = &h.admin.core;
+        let old = core.ring_snapshot();
+        let mut target = old.clone();
+        target.set_p(2);
+        let shipped = core.push_gains(Some(&old), &target, false).await.unwrap();
+        assert_eq!(shipped.len(), 6, "every node gains an extension");
+        for &(node, n) in &shipped {
+            assert_eq!(n as u64, gain_len(core, &old, &target, node), "node {node}");
+            let whole = h.admin.expected_records(&target, node);
+            assert!(3 * n < whole as usize, "node {node}: {n} of its {whole}");
+        }
+        let total: usize = shipped.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, 900, "the extensions tile the ring");
+    }
+
+    /// `set_p` itself ships only the gain: a write a node missed inside
+    /// its old arc stays missing — `backfill`, the explicit heal, delivers
+    /// it.
+    #[tokio::test]
+    async fn set_p_leaves_missed_writes_to_backfill() {
+        let h = cluster_with_missed_writes().await;
+        let (old, before) = (h.admin.ring(), counts(&h));
+        h.admin.set_p(2).await.unwrap();
+        let ring = h.admin.ring();
+        for (node, &held) in counts(&h).iter().enumerate() {
+            let gained = gain_len(&h.admin.core, &old, &ring, node);
+            assert_eq!(held, before[node] + gained, "node {node}");
+            assert!(held < h.admin.expected_records(&ring, node), "node {node}");
+        }
+        h.admin.backfill().await.unwrap();
+        for (node, &held) in counts(&h).iter().enumerate() {
+            assert_eq!(held, h.admin.expected_records(&ring, node), "node {node}");
+        }
+    }
+
+    /// A removal grows one range, the departing node's predecessor's: only
+    /// that heir is sent a `Store`, and only its gain. Every other count
+    /// stays as it was, and the push over the removal's two rings sends
+    /// one RPC, to the heir.
+    #[tokio::test]
+    async fn remove_node_ships_only_to_the_heir() {
+        let h = cluster_with_missed_writes().await;
+        let core = &h.admin.core;
+        let (old, before) = (h.admin.ring(), counts(&h));
+        h.admin.remove_node(2).await.unwrap();
+        let ring = h.admin.ring();
+        let after = counts(&h);
+        let heir = 1;
+        let gained = |node| gain_len(core, &old, &ring, node);
+        assert!(gained(heir) > 0);
+        for node in [0, 1, 3, 4, 5] {
+            let gained = if node == heir { gained(node) } else { 0 };
+            assert_eq!(after[node], before[node] + gained, "node {node}");
+        }
+        let shipped = core.push_gains(Some(&old), &ring, true).await.unwrap();
+        assert_eq!(shipped, vec![(heir, gained(heir) as usize)]);
+    }
+
+    /// A joiner is on no earlier ring: it downloads its whole coverage,
+    /// missed writes included, and no other node is sent anything.
+    #[tokio::test]
+    async fn add_node_ships_the_joiners_whole_coverage() {
+        let h = cluster_with_missed_writes().await;
+        let before = counts(&h);
+        let (addr, joiner) = spawn_extra_node(6, 1e6, 0.0).await.unwrap();
+        let id = h.admin.add_node(addr).await.unwrap();
+        let ring = h.admin.ring();
+        assert_eq!(joiner.record_count(), h.admin.expected_records(&ring, id));
+        assert!(joiner.record_count() > 0);
+        // the split node trims to its shorter arc; nobody gains a record
+        for (node, &held) in counts(&h).iter().enumerate() {
+            assert!(held <= before[node], "node {node} downloaded");
+        }
     }
 
     /// A plan never uses a `pq` below the `p` of the snapshot it plans

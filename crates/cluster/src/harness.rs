@@ -1278,6 +1278,62 @@ mod tests {
         assert_eq!((out.harvest, out.scanned), (1.0, 200));
     }
 
+    /// A write made while a §4.5 decrease is in flight reaches the nodes
+    /// whose extension was already pushed: stores place it at the target
+    /// level. Node 5's gate holds the decrease open after nodes 0–4 hold
+    /// their extensions; 100 ids node 5 will not cover are stored then.
+    /// Placed at the old level, they would miss the extensions, and after
+    /// the commit those nodes would answer their wider windows short at
+    /// harvest 1.0. Datagram-only: the gate is a loss-injection hook.
+    mod writes_beside_a_decrease_reach_the_extension {
+        use super::*;
+
+        async fn run(spec: TransportSpec) {
+            let cfg = ClusterConfig::uniform(6, 1e6, 3).with_transport(spec);
+            let h = spawn_cluster(cfg.with_fault_gates()).await.unwrap();
+            let mut rng = det_rng(246);
+            let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+            h.admin.store_synthetic(&ids).await.unwrap();
+            let mut target = h.admin.ring();
+            target.set_p(2);
+            let gate = h.gates[5].clone().expect("fault gates");
+            gate.close();
+            let decrease = {
+                let admin = h.admin.clone();
+                tokio::spawn(async move { admin.set_p(2).await })
+            };
+            for node in 0..5 {
+                let expected = h.admin.expected_records(&target, node);
+                while h.nodes[node].record_count() != expected {
+                    tokio::time::sleep(Duration::from_millis(1)).await;
+                }
+            }
+            assert!(h.admin.reconfig_in_flight(), "node 5 holds it open");
+            let more: Vec<u64> = std::iter::repeat_with(|| rng.gen())
+                .filter(|&id| !target.stores(5, id))
+                .take(100)
+                .collect();
+            h.admin.store_synthetic(&more).await.unwrap();
+            gate.open();
+            decrease.await.unwrap().unwrap();
+            let ring = h.admin.ring();
+            assert_eq!(ring.p(), 2);
+            for (node, held) in h.nodes.iter().map(|n| n.record_count()).enumerate() {
+                assert_eq!(held, h.admin.expected_records(&ring, node), "node {node}");
+            }
+        }
+
+        #[tokio::test]
+        async fn udp() {
+            run(udp_spec()).await
+        }
+
+        #[tokio::test]
+        async fn ccudp() {
+            run(ccudp_spec()).await
+        }
+    }
+
     /// An id stored again is held once by the backend as by the nodes: a
     /// batch stored twice (a caller retrying after `RetriesExhausted`) and
     /// one record stored again under a new nonce leave what the backend

@@ -216,13 +216,16 @@ async fn admin_store_and_set_p_decrease_clone_no_record() {
 /// snapshots as fast as it can while batches (and the merges they trigger)
 /// land; every snapshot holds each batch whole or not at all, and a batch
 /// once seen stays. Sequentially: a snapshot taken before a store sees none
-/// of it, one taken after sees all of it.
+/// of it, one taken after sees all of it. The writer starts only once the
+/// reader has taken its first snapshot, so on a fast machine the batches
+/// cannot all land before the reader runs.
 #[tokio::test]
 async fn snapshots_never_observe_half_a_batch() {
     const BATCHES: u64 = 150;
     const BATCH: u64 = 40;
     let node = node();
     let done = Arc::new(AtomicBool::new(false));
+    let (started, reader_started) = std::sync::mpsc::channel();
     let reader = {
         let (node, done) = (Arc::clone(&node), Arc::clone(&done));
         std::thread::spawn(move || {
@@ -242,10 +245,14 @@ async fn snapshots_never_observe_half_a_batch() {
                 assert!(seen >= seen_before, "a stored batch disappeared");
                 seen_before = seen;
                 snapshots += 1;
+                if snapshots == 1 {
+                    started.send(()).expect("the writer waits for it");
+                }
             }
             snapshots
         })
     };
+    reader_started.recv().expect("the reader took a snapshot");
     for batch in 0..BATCHES {
         let before = node.store_snapshot();
         assert_eq!(

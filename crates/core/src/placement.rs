@@ -213,6 +213,28 @@ mod tests {
         RoarRing::new(RingMap::uniform(&(0..n).collect::<Vec<_>>()), p)
     }
 
+    /// An increase shortens every arc and an unchanged ring keeps it: a
+    /// node gains nothing either way. The decrease back gains the arc's
+    /// extension alone, the one window before its old start.
+    #[test]
+    fn an_increase_or_an_unchanged_ring_gains_nothing() {
+        for p in 1..=5 {
+            let (lower, higher) = (ring(6, p), ring(6, p + 1));
+            for node in 0..6 {
+                let cov = |r: &RoarRing| r.coverage(node).expect("on the ring");
+                assert_eq!(cov(&lower).minus(&cov(&lower)).count(), 0);
+                assert_eq!(cov(&higher).minus(&cov(&lower)).count(), 0, "p {p}");
+                let gain: Vec<Window> = cov(&lower).minus(&cov(&higher)).collect();
+                let extension = if p == 1 {
+                    Window::new(cov(&higher).end, cov(&higher).start)
+                } else {
+                    Window::new(cov(&lower).start, cov(&higher).start)
+                };
+                assert_eq!(gain, vec![extension], "p {p} node {node}");
+            }
+        }
+    }
+
     #[test]
     fn plan_has_pq_subqueries_partitioning_ring() {
         let r = ring(12, 4);

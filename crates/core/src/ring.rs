@@ -191,6 +191,36 @@ impl Window {
         shift + self.len() <= other.len()
     }
 
+    /// The part of `self` outside `other`, as at most two windows in
+    /// clockwise order from `self.start` — what a node must download when
+    /// its coverage grows from `other` to `self`. Empty when `self` is a
+    /// subset of `other`; full windows count as the whole ring whatever
+    /// their anchor.
+    pub fn minus(&self, other: &Window) -> impl Iterator<Item = Window> {
+        let s = self.start;
+        let pieces: [Option<Window>; 2] = if other.is_full() {
+            [None, None]
+        } else if self.is_full() {
+            [Some(Window::new(other.end, other.start)), None]
+        } else {
+            // offsets clockwise from `s`: self is [1, n] and other is
+            // [d + 1, d + m], which runs past FULL back to 1 when it covers
+            // `s` (offset FULL is `s` itself; n < FULL here)
+            let (n, d, m) = (self.len(), dist_cw(s, other.start) as u128, other.len());
+            let piece = |lo: u128, hi: u128| {
+                (lo <= hi).then(|| {
+                    Window::new(s.wrapping_add((lo - 1) as u64), s.wrapping_add(hi as u64))
+                })
+            };
+            if d + m <= FULL {
+                [piece(1, n.min(d)), piece(d + m + 1, n)]
+            } else {
+                [piece(d + m - FULL + 1, n.min(d)), None]
+            }
+        };
+        pieces.into_iter().flatten()
+    }
+
     /// Split at `mid ∈ (start, end)`, returning `((start, mid], (mid, end])`.
     ///
     /// # Panics
@@ -337,6 +367,26 @@ mod tests {
     }
 
     #[test]
+    fn minus_cuts_at_most_two_windows() {
+        let minus = |a: Window, b: Window| a.minus(&b).collect::<Vec<_>>();
+        let w = Window::new(10, 100);
+        assert_eq!(minus(w, Window::new(50, 100)), vec![Window::new(10, 50)]);
+        assert_eq!(
+            minus(w, Window::new(20, 30)),
+            vec![Window::new(10, 20), Window::new(30, 100)]
+        );
+        assert_eq!(minus(w, Window::new(200, 300)), vec![w], "disjoint");
+        assert_eq!(minus(w, Window::full(3)), vec![]);
+        assert_eq!(minus(Window::full(3), w), vec![Window::new(100, 10)]);
+        // the other window wraps over self.start
+        let wrapped = Window::new(u64::MAX - 5, 10);
+        assert_eq!(
+            minus(wrapped, Window::new(u64::MAX - 10, 0)),
+            vec![Window::new(0, 10)]
+        );
+    }
+
+    #[test]
     fn window_contains_basics() {
         let w = Window::new(10, 20);
         assert!(!w.contains(10)); // open at start
@@ -439,6 +489,47 @@ mod tests {
             let want: Vec<u64> = ids.iter().copied().filter(|&id| w.contains(id)).collect();
             got.sort_unstable();
             prop_assert_eq!(got, want, "{:?} over {:?}", w, ids);
+        }
+
+        #[test]
+        fn prop_minus_is_the_set_difference(
+            s1: u64,
+            e1: u64,
+            p1 in 1usize..=16,
+            s2: u64,
+            e2: u64,
+            p2 in 1usize..=16,
+            short in 1u64..1 << 40,
+            mode in 0u8..6,
+            points in proptest::collection::vec(any::<u64>(), 16)
+        ) {
+            // old and new coverage arcs: unrelated, the same range at
+            // another p, one range grown at its start, zero-length ranges
+            // (full coverage), and short ranges a few units apart
+            let (e1, s2, e2) = match mode {
+                1 => (e1, s1, e1),
+                2 => (e1, s2, e1),
+                3 => (s1, s2, e2),
+                4 => (e1, s2, s2),
+                5 => (s1.wrapping_add(short), s1.wrapping_add(e2 % 8), s1.wrapping_add(short + s2 % 8)),
+                _ => (e1, s2, e2),
+            };
+            let old = coverage_window(s1, e1, arc_len(p1));
+            let new = coverage_window(s2, e2, arc_len(p2));
+            let gain: Vec<Window> = new.minus(&old).collect();
+            prop_assert!(gain.len() <= 2, "{:?} minus {:?} = {:?}", new, old, gain);
+            let edges = [old, new].into_iter().chain(gain.iter().copied());
+            let edges = edges.flat_map(|w| [w.start, w.end]);
+            let near = edges.flat_map(|x| [x.wrapping_sub(1), x, x.wrapping_add(1)]);
+            for x in points.into_iter().chain(near) {
+                let gained = gain.iter().any(|w| w.contains(x));
+                prop_assert!(!(gained && old.contains(x)), "gain meets old at {}", x);
+                prop_assert!(!gained || new.contains(x), "gain outside new at {}", x);
+                prop_assert!(
+                    !new.contains(x) || old.contains(x) || gained,
+                    "{:?} minus {:?} = {:?} misses {}", new, old, gain, x
+                );
+            }
         }
 
         #[test]
