@@ -261,9 +261,10 @@ impl Admin {
     /// nodes forward along the ring ("push the data item to the first
     /// server, and then forward it from server to server around the ring",
     /// §4.1). With rack-contiguous ring order the forwarding hops stay
-    /// intra-rack (§4.9.2). Falls back to direct per-replica pushes for any
-    /// batch whose chain breaks (e.g. a dead node mid-arc), skipping
-    /// unreachable replicas — the survivors keep the arc queryable.
+    /// intra-rack (§4.9.2). Falls back to direct pushes for any batch whose
+    /// chain breaks (e.g. a dead node mid-arc): one `Store` per replica
+    /// node, skipping nodes believed dead — the survivors keep the arc
+    /// queryable.
     pub async fn store_synthetic_p2p(&self, ids: &[u64]) -> Result<(), AdminError> {
         self.core.backend.append_synthetic(ids);
         let ring = self.core.store_ring();
@@ -273,6 +274,8 @@ impl Admin {
             let chain = ring.replicas(id);
             batches.entry((chain[0], chain.len())).or_default().push(id);
         }
+        // ids whose chain broke, grouped per replica node
+        let mut direct: HashMap<usize, Vec<u64>> = HashMap::new();
         for ((first, chain_len), batch) in batches {
             let msg = Msg::StoreForward {
                 records: vec![],
@@ -284,23 +287,25 @@ impl Admin {
                 Ok(Msg::Ok)
             );
             if !ok {
-                // chain broke: push directly to every replica we can reach
                 for &id in &batch {
                     for node in ring.replicas(id) {
-                        let _ = self
-                            .core
-                            .conn(node)
-                            .rpc(
-                                Msg::Store {
-                                    records: vec![],
-                                    synthetic_ids: vec![id],
-                                },
-                                self.core.timeout,
-                            )
-                            .await;
+                        direct.entry(node).or_default().push(id);
                     }
                 }
             }
+        }
+        // chain broke: one direct push per live replica node; a node that
+        // still fails is tolerated — the backend holds the write for
+        // `backfill`
+        for (node, synthetic_ids) in direct {
+            if !self.node_alive(node) {
+                continue;
+            }
+            let msg = Msg::Store {
+                records: vec![],
+                synthetic_ids,
+            };
+            let _ = self.core.conn(node).rpc(msg, self.core.timeout).await;
         }
         Ok(())
     }

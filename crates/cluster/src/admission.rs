@@ -22,9 +22,8 @@
 //! SLO is a tail), and relaxes back toward the target when there is
 //! headroom. The same observations drive the §4.8.2 knob advice:
 //! [`AdmissionController::recommended_hedge_delay`] (hedge at observed
-//! p90) and [`AdmissionController::recommended_pq`] /
-//! [`AdmissionController::recommended_p`] (over-partition when the tail is
-//! out of SLO).
+//! p90) and [`AdmissionController::recommended_pq`] (over-partition when
+//! the tail is out of SLO).
 //!
 //! Wire-up: [`crate::client::QueryBuilder::admission`] attaches a
 //! controller to a query; the builder plans first, consults the
@@ -240,21 +239,6 @@ impl AdmissionController {
         }
     }
 
-    /// Repartitioning advice for the control plane (§4.5): the committed
-    /// `p` scaled by how far the observed p99 overshoots the target,
-    /// clamped to the fleet. Unlike [`Self::recommended_pq`] this is a
-    /// cluster-wide, data-moving operation — the controller only advises;
-    /// the operator (or a reconciler policy) calls `Admin::set_p`.
-    pub fn recommended_p(&self, p: usize, n: usize) -> Option<usize> {
-        let p99 = self.observed_quantile(99.0)?;
-        let target = self.slo.target_p99.as_secs_f64();
-        if p99 <= target {
-            return None;
-        }
-        let scaled = ((p as f64) * (p99 / target)).ceil() as usize;
-        Some(scaled.clamp(p + 1, n)).filter(|&s| s != p)
-    }
-
     /// Snapshot the books.
     pub fn snapshot(&self) -> AdmissionStats {
         let g = self.inner.lock();
@@ -376,19 +360,14 @@ mod tests {
         }
         let hedge = c.recommended_hedge_delay().expect("enough samples");
         assert!((hedge.as_secs_f64() - 0.5).abs() < 0.05);
-        // out of SLO: widen pq, advise a higher p
+        // out of SLO: widen pq
         assert_eq!(c.recommended_pq(4, 16), Some(6));
         assert_eq!(c.recommended_pq(16, 16), None, "no headroom");
-        let p = c
-            .recommended_p(4, 64)
-            .expect("overshoot advises repartition");
-        assert!(p > 4 && p <= 64, "{p}");
         // in SLO: no advice
         let calm = ctrl(100);
         for _ in 0..TUNE_EVERY {
             calm.observe(0.01);
         }
         assert_eq!(calm.recommended_pq(4, 16), None);
-        assert_eq!(calm.recommended_p(4, 16), None);
     }
 }

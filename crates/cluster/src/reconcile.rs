@@ -48,42 +48,24 @@ use std::collections::BTreeSet;
 use std::net::SocketAddr;
 
 /// The topology an operator wants: plain data, no handles.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesiredTopology {
     /// Ring size (serving nodes).
     pub n: usize,
     /// Partitioning level.
     pub p: usize,
-    /// Desired replication factor `r = n/p`. When set it overrides `p`:
-    /// the planner targets `p ≈ n / replication` (clamped to `[1, n]`),
-    /// so "keep three replicas" survives `n` changing.
-    pub replication: Option<f64>,
 }
 
 impl DesiredTopology {
     pub fn new(n: usize, p: usize) -> Self {
         assert!(n >= 1 && p >= 1 && p <= n, "need 1 ≤ p ≤ n");
-        DesiredTopology {
-            n,
-            p,
-            replication: None,
-        }
+        DesiredTopology { n, p }
     }
 
-    /// Target a replication factor instead of a fixed `p` (builder style).
-    pub fn with_replication(mut self, r: f64) -> Self {
-        assert!(r >= 1.0 && r.is_finite());
-        self.replication = Some(r);
-        self
-    }
-
-    /// The partitioning level the planner drives toward: `p`, unless a
-    /// replication factor is set, in which case `round(n / r)`.
+    /// The partitioning level the planner drives toward: `p`, clamped to
+    /// the ring size.
     pub fn target_p(&self) -> usize {
-        match self.replication {
-            Some(r) => ((self.n as f64 / r).round() as usize).clamp(1, self.n),
-            None => self.p.min(self.n),
-        }
+        self.p.min(self.n)
     }
 }
 

@@ -20,7 +20,6 @@
 //! | [`adjust`] | §4.8.2 | range adjustment optimisation |
 //! | [`split`] | §4.8.2 | dynamic sub-query splitting optimisation |
 //! | [`stats`] | §4.8 | live per-node speed/queue estimation (EWMA) |
-//! | [`membership`] | §4.9 | membership server: hot-spot insertion, ring on/off |
 //!
 //! Everything here is pure, synchronous and deterministic: the networked
 //! deployment lives in `roar-cluster`, the delay simulator in `roar-sim`,
@@ -51,7 +50,6 @@
 pub mod adjust;
 pub mod balance;
 pub mod failover;
-pub mod membership;
 pub mod multiring;
 pub mod placement;
 pub mod ring;
@@ -63,7 +61,6 @@ pub mod stats;
 pub use adjust::adjust_plan;
 pub use balance::{balance_step, BalanceConfig};
 pub use failover::{reroute_plan, FailoverError};
-pub use membership::Membership;
 pub use multiring::{MultiRing, MultiRingScheduler};
 pub use placement::{QueryPlan, RoarRing, SubQuery};
 pub use ring::{RingPos, Window};

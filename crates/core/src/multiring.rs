@@ -70,10 +70,6 @@ impl MultiRing {
         &self.rings
     }
 
-    pub fn rings_mut(&mut self) -> &mut [RoarRing] {
-        &mut self.rings
-    }
-
     pub fn p(&self) -> usize {
         self.rings[0].p()
     }

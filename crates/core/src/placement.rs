@@ -163,11 +163,6 @@ impl RoarRing {
         QueryPlan { subs, pq }
     }
 
-    /// Plan with the minimum partitioning level.
-    pub fn plan_min(&self, seed: RingPos) -> QueryPlan {
-        self.plan(seed, self.p)
-    }
-
     /// Verify that a sub-query window may be executed by a node: every
     /// object in the window must have a replica on the node. Used by tests,
     /// the range-adjustment optimiser and the failure fall-back.

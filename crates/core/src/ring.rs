@@ -75,11 +75,6 @@ pub fn query_points(seed: RingPos, pq: usize) -> Vec<RingPos> {
         .collect()
 }
 
-/// Does the replication arc `[obj, obj + len)` contain position `x`?
-pub fn arc_contains(obj: RingPos, len: u64, x: RingPos) -> bool {
-    dist_cw(obj, x) < len
-}
-
 /// The coverage window of the range `[s, e)` under replication-arc length
 /// `l`: the ids whose arc intersects the range, `(s − l, e − 1]`.
 ///

@@ -14,9 +14,9 @@
 //! * [`prf`] — the `Prf` abstraction the PPS schemes are written against.
 //! * [`prp`] — a 4-round Feistel network over HMAC-SHA1, a classic
 //!   (Luby–Rackoff) PRP construction standing in for AES as the pseudorandom
-//!   permutation `E_K(·)` of the Dictionary scheme.
+//!   permutation `E_K(·)`.
 //! * [`stream`] — counter-mode stream "encryption" from the PRF, standing in
-//!   for AES-CTR when examples encrypt file bodies.
+//!   for the AES-CTR the thesis encrypts file bodies with.
 //! * [`bloom`] — the Bloom filter with the paper's parameterisation (r = 17
 //!   hashes for a 1-in-100,000 false-positive rate, ~25 bits/element).
 //! * [`circuit`] — boolean-circuit IR with predicate constructors, the query

@@ -1,21 +1,19 @@
 //! The PRF abstraction the PPS schemes are written against.
 //!
 //! Definition 7 and the scheme listings (§5.5) use a pseudorandom function
-//! family `{F_K}`. We expose a trait so schemes are testable against both the
-//! real HMAC-SHA1 PRF and (in unit tests) a counting wrapper that verifies
-//! the paper's cost model — e.g. "on average 2.5 SHA-1 applications per
-//! metadata" when matching Bloom keyword filters (§5.7).
+//! family `{F_K}`; [`HmacPrf`] is the HMAC-SHA1 instance every scheme
+//! keys. PRF applications per metadata — the paper's cost model (§5.7) —
+//! are counted where matching happens, by the Bloom scheme's `PrfCounter`.
 
 use crate::hmac::{hmac_sha1, HmacKey};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A pseudorandom function from arbitrary bytes to 20-byte outputs.
 pub trait Prf: Send + Sync {
     /// Evaluate `F_K(msg)` for this instance's key.
     fn eval(&self, msg: &[u8]) -> [u8; 20];
 
-    /// Evaluate and truncate to a `u64` (big-endian prefix). Convenient for
-    /// index derivation (Dictionary scheme) and Bloom bit positions.
+    /// Evaluate and truncate to a `u64` (big-endian prefix), e.g. for
+    /// Bloom bit positions.
     fn eval_u64(&self, msg: &[u8]) -> u64 {
         let d = self.eval(msg);
         u64::from_be_bytes(d[..8].try_into().expect("digest ≥ 8 bytes"))
@@ -43,66 +41,19 @@ impl HmacPrf {
     }
 
     /// Derive an independent sub-PRF — used where the paper draws several
-    /// keys `k_1..k_r` (Bloom keyword scheme) or the `(K1, K2)` pair of the
-    /// Dictionary scheme. Standard domain-separation derivation.
+    /// keys `k_1..k_r` (Bloom keyword scheme). Standard domain-separation
+    /// derivation.
     pub fn derive(&self, label: &[u8]) -> HmacPrf {
         let mut input = Vec::with_capacity(label.len() + 7);
         input.extend_from_slice(b"derive:");
         input.extend_from_slice(label);
         Self::new(&hmac_sha1(&self.key, &input))
     }
-
-    /// The precomputed-midstate key (for callers that want the raw
-    /// allocation-free MAC interface).
-    pub fn hmac_key(&self) -> &HmacKey {
-        &self.cached
-    }
 }
 
 impl Prf for HmacPrf {
     fn eval(&self, msg: &[u8]) -> [u8; 20] {
         self.cached.mac(msg)
-    }
-}
-
-/// A PRF wrapper that counts invocations.
-///
-/// The PPS cost model is expressed in PRF (SHA-1) applications per metadata;
-/// the engine uses this wrapper to report the same numbers the thesis does
-/// (§5.7: ~2.5 applications/metadata for non-matching queries, 17 for
-/// matching ones).
-pub struct CountingPrf<P: Prf> {
-    inner: P,
-    calls: AtomicU64,
-}
-
-impl<P: Prf> CountingPrf<P> {
-    pub fn new(inner: P) -> Self {
-        CountingPrf {
-            inner,
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    pub fn calls(&self) -> u64 {
-        // ORDERING: Relaxed — instrumentation counter read; no other memory
-        // is synchronised through it
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        // ORDERING: Relaxed — instrumentation counter reset; callers
-        // serialise reset-vs-measure phases themselves
-        self.calls.store(0, Ordering::Relaxed);
-    }
-}
-
-impl<P: Prf> Prf for CountingPrf<P> {
-    fn eval(&self, msg: &[u8]) -> [u8; 20] {
-        // ORDERING: Relaxed — instrumentation counter bump; count matters,
-        // ordering does not
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.eval(msg)
     }
 }
 
@@ -140,17 +91,6 @@ mod tests {
         let d = f.eval(b"msg");
         let expect = u64::from_be_bytes(d[..8].try_into().unwrap());
         assert_eq!(f.eval_u64(b"msg"), expect);
-    }
-
-    #[test]
-    fn counting_wrapper_counts() {
-        let f = CountingPrf::new(HmacPrf::new(b"k"));
-        assert_eq!(f.calls(), 0);
-        let _ = f.eval(b"a");
-        let _ = f.eval_u64(b"b");
-        assert_eq!(f.calls(), 2);
-        f.reset();
-        assert_eq!(f.calls(), 0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Pseudorandom permutation via a Feistel network over HMAC-SHA1.
 //!
-//! The Dictionary keyword scheme (§5.5.2, after Chang et al.) shuffles the
-//! dictionary with a pseudorandom permutation `E_K1`; the thesis instantiates
-//! it with AES-128. AES is unavailable in the offline crate set, so we use
-//! the classic Luby–Rackoff result: a 4-round Feistel network with
-//! pseudorandom round functions is a strong pseudorandom permutation. Rounds
-//! use independent HMAC-SHA1 PRFs derived from the key.
+//! The PPS primitives (§5.4.1) include a pseudorandom permutation `E_K`,
+//! which the thesis instantiates with AES-128 (its Dictionary keyword
+//! scheme, §5.5.2, shuffles the dictionary with it). AES is unavailable in
+//! the offline crate set, so we use the classic Luby–Rackoff result: a
+//! 4-round Feistel network with pseudorandom round functions is a strong
+//! pseudorandom permutation. Rounds use independent HMAC-SHA1 PRFs derived
+//! from the key.
 //!
 //! The permutation acts on a configurable domain `[0, 2^bits)` with even
 //! `bits ≤ 62`. To permute an arbitrary-size dictionary of `n` entries we use

@@ -1,11 +1,9 @@
 //! Counter-mode keystream from the PRF — the stand-in for AES-CTR.
 //!
 //! The thesis encrypts file bodies with 128-bit AES (§5.6) before attaching
-//! PPS metadata. Examples in this repo that store "file contents" use this
-//! PRF-counter construction instead; it has the same interface (key + nonce →
-//! keystream XOR) and, being built on a PRF, the same security argument as
-//! CTR mode. Dictionary-scheme metadata blinding (`G_{r_i}(rnd)` in §5.5.2)
-//! also uses it.
+//! PPS metadata. This PRF-counter construction stands in for it; it has the
+//! same interface (key + nonce → keystream XOR) and, being built on a PRF,
+//! the same security argument as CTR mode.
 
 use crate::prf::{HmacPrf, Prf};
 

@@ -40,11 +40,6 @@ impl RackLayout {
         self.rack_of[s]
     }
 
-    /// Number of servers in the layout.
-    pub fn n_servers(&self) -> usize {
-        self.rack_of.len()
-    }
-
     /// The servers of one rack, in ring order — a correlated-failure
     /// injector crashes exactly this set.
     pub fn servers_in_rack(&self, rack: usize) -> Vec<ServerId> {

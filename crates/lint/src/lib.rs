@@ -19,6 +19,7 @@ pub mod rules;
 
 pub use rules::{check_file, code_lines, Finding, SourceFile};
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Directories (workspace-relative) that are scanned for `.rs` files.
@@ -96,27 +97,36 @@ pub fn check_workspace(root: &Path) -> (Vec<Finding>, usize) {
 /// Path prefixes `--loc` always reports beside the per-crate rows.
 const LOC_PREFIXES: &[&str] = &["crates/cluster/src/transport"];
 
+/// The crate whose compile set `--loc` reports as the system.
+const SYSTEM_CRATE: &str = "roar-cluster";
+
+/// Row key of the facade crate at the workspace root.
+const ROOT_CRATE: &str = "(root crate)";
+
 /// The `--loc` report: non-test, non-comment Rust lines ([`code_lines`])
 /// under every crate's `src/` (one row per crate, keyed by the crate
 /// directory; `tests/`, `benches/` and `examples/` are test code and never
 /// count), then one row per path prefix in `LOC_PREFIXES` and `extra`,
-/// then the total over all crates. A report, not a rule: nothing here can
-/// fail the lint.
+/// then the system total — `SYSTEM_CRATE` and the workspace crates it
+/// depends on, read from the Cargo manifests — and the total over all
+/// crates. A report, not a rule: nothing here can fail the lint.
 pub fn loc_report(root: &Path, extra: &[String]) -> Vec<(String, usize)> {
     let counted: Vec<(String, usize)> = workspace_files(root)
         .iter()
         .filter(|f| f.path.starts_with("src/") || f.path.contains("/src/"))
         .map(|f| (f.path.clone(), code_lines(f)))
         .collect();
-    let mut per_crate = std::collections::BTreeMap::<String, usize>::new();
+    let mut per_crate = BTreeMap::<String, usize>::new();
     for (path, n) in &counted {
         let krate = match path.find("/src/") {
             Some(at) => &path[..at],
-            None => "(root crate)",
+            None => ROOT_CRATE,
         };
         *per_crate.entry(krate.to_string()).or_default() += n;
     }
     let total = per_crate.values().sum();
+    let system_crates = system_crates(root, per_crate.keys());
+    let system = system_crates.iter().map(|k| per_crate[k]).sum();
     let mut rows: Vec<(String, usize)> = per_crate.into_iter().collect();
     for prefix in LOC_PREFIXES
         .iter()
@@ -130,6 +140,65 @@ pub fn loc_report(root: &Path, extra: &[String]) -> Vec<(String, usize)> {
             .sum();
         rows.push((prefix.to_string(), n));
     }
+    rows.push((
+        format!("total (system: {SYSTEM_CRATE} and its deps)"),
+        system,
+    ));
     rows.push(("total (all crates)".to_string(), total));
     rows
+}
+
+/// The row keys of [`SYSTEM_CRATE`] and, transitively, every workspace
+/// crate a `[dependencies]` table names — what building it compiles.
+/// Dev- and build-dependencies do not ship with it.
+fn system_crates<'a>(root: &Path, crates: impl Iterator<Item = &'a String>) -> BTreeSet<String> {
+    let mut by_name = HashMap::new();
+    for key in crates {
+        let dir = if key == ROOT_CRATE {
+            root.to_path_buf()
+        } else {
+            root.join(key)
+        };
+        let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        if let (Some(name), deps) = manifest_deps(&text) {
+            by_name.insert(name, (key.clone(), deps));
+        }
+    }
+    let mut system = BTreeSet::new();
+    let mut todo = vec![SYSTEM_CRATE.to_string()];
+    while let Some(name) = todo.pop() {
+        if let Some((key, deps)) = by_name.get(&name) {
+            if system.insert(key.clone()) {
+                todo.extend(deps.iter().cloned());
+            }
+        }
+    }
+    system
+}
+
+/// A manifest's `[package]` name and the keys of its `[dependencies]`
+/// table — enough TOML for manifests that keep one key per line.
+fn manifest_deps(text: &str) -> (Option<String>, Vec<String>) {
+    let mut section = "";
+    let mut name = None;
+    let mut deps = Vec::new();
+    for line in text.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+        if line.starts_with('[') {
+            section = line.trim_matches(|c| c == '[' || c == ']');
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        // `name.workspace = true` declares the same key as `name = …`
+        let key = key.split('.').next().unwrap_or(key).trim();
+        match section {
+            "package" if key == "name" => name = Some(value.trim().trim_matches('"').to_string()),
+            "dependencies" => deps.push(key.to_string()),
+            _ => {}
+        }
+    }
+    (name, deps)
 }

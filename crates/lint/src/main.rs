@@ -15,8 +15,9 @@
 //! *as if* they sat on an in-scope path.
 //!
 //! `--loc` is a report, not a check: non-test, non-comment Rust lines per
-//! crate, for `crates/cluster/src/transport`, and for every extra path
-//! prefix named — the one command the line counts quoted in CHANGES.md and
+//! crate, for `crates/cluster/src/transport`, for every extra path prefix
+//! named, for the system (`roar-cluster` and its workspace dependencies)
+//! and in total — the one command the line counts quoted in CHANGES.md and
 //! ROADMAP.md come from. It always exits 0.
 
 use std::path::PathBuf;

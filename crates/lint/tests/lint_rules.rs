@@ -190,6 +190,53 @@ fn loc_report_rows_add_up() {
 }
 
 #[test]
+fn loc_report_system_row_follows_the_manifests() {
+    // two crates, `roar-cluster` depending on `roar-core`, under a facade
+    // root crate that depends on the cluster and that the cluster names
+    // only as a dev-dependency: the system is the two crates, not the root
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("loc_system_fixture");
+    let files = [
+        (
+            "Cargo.toml",
+            "[workspace]\nmembers = [\"crates/cluster\", \"crates/core\"]\n\n\
+             [package]\nname = \"facade\"\n\n\
+             [dependencies]\nroar-cluster = { path = \"crates/cluster\" }\n",
+        ),
+        ("src/lib.rs", "pub fn facade() {}\n"),
+        (
+            "crates/cluster/Cargo.toml",
+            "[package]\nname = \"roar-cluster\"\n\n[lib]\nname = \"roar_cluster\"\n\n\
+             [dependencies]\nroar-core.workspace = true\n\n\
+             [dev-dependencies]\nfacade = { path = \"../..\" }\n",
+        ),
+        (
+            "crates/cluster/src/lib.rs",
+            "pub fn serve() -> u32 {\n    roar_core::one()\n}\n\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+        ),
+        (
+            "crates/core/Cargo.toml",
+            "[package]\nname = \"roar-core\"\n\n[dependencies]\n",
+        ),
+        (
+            "crates/core/src/lib.rs",
+            "pub fn one() -> u32 {\n    1\n}\n",
+        ),
+    ];
+    for (path, text) in files {
+        let path = root.join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+    let rows: HashMap<String, usize> = roar_lint::loc_report(&root, &[]).into_iter().collect();
+    assert_eq!(rows["(root crate)"], 1);
+    assert_eq!(rows["crates/cluster"], 3);
+    assert_eq!(rows["crates/core"], 3);
+    assert_eq!(rows["total (system: roar-cluster and its deps)"], 6);
+    assert_eq!(rows["total (all crates)"], 7);
+}
+
+#[test]
 fn the_workspace_itself_is_clean() {
     let root = roar_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the lint crate");

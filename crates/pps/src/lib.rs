@@ -8,12 +8,10 @@
 //! parallelises in the thesis's Chapter 7 evaluation.
 //!
 //! Scheme implementations (§5.5):
-//! * [`equal`] — equality matching (Song et al.'s first step).
-//! * [`bloom_kw`] — Bloom-filter keyword matching (Goh).
-//! * [`dict_kw`] — dictionary keyword matching (Chang & Mitzenmacher).
-//! * [`numeric`] — the thesis's novel inequality/range constructions over
-//!   reference points and multi-granularity partitions.
-//! * [`ranked`] — ranked queries via rank-bucket keywords (§5.5.4).
+//! * [`bloom_kw`] — Bloom-filter keyword matching (Goh), the one keyword
+//!   scheme every attribute is matched with (§5.6.4).
+//! * [`numeric`] — the reference-point grids of the thesis's inequality
+//!   construction; [`metadata`] turns them into `size`/`date` words.
 //! * [`pairs`] — two-keyword conjunctive queries via pair pre-combination
 //!   (§5.5.2 "Beyond Single Keyword Queries").
 //! * [`generic`] — arbitrary boolean-circuit queries via Yao garbled
@@ -53,16 +51,13 @@
 
 pub mod bandwidth;
 pub mod bloom_kw;
-pub mod dict_kw;
 pub mod engine;
-pub mod equal;
 pub mod filtering;
 pub mod generic;
 pub mod metadata;
 pub mod numeric;
 pub mod pairs;
 pub mod query;
-pub mod ranked;
 pub mod simdisk;
 pub mod store;
 pub mod xbatch;

@@ -311,4 +311,75 @@ mod tests {
             &c
         ));
     }
+
+    /// §5.5.3, "suppose all queries can be expressed exactly": on both
+    /// grids, a size or date query at a reference point is served by that
+    /// point, and its trapdoor splits records exactly there — `>p` holds
+    /// for `p + 1`, `<p` for `p` itself. Every point's `>`/`<` trapdoor is
+    /// matched against records on both sides of a spread of points, so
+    /// `words_of` and `query_numeric` must agree on the comparison at each
+    /// one. Off the grid, a query takes the nearer neighbouring point.
+    #[test]
+    fn numeric_queries_split_exactly_at_every_reference_point() {
+        const SAMPLES: usize = 5;
+        let c = PrfCounter::new();
+        let mut rng = det_rng(158);
+        for enc in [
+            MetaEncryptor::new(b"user-key"),
+            MetaEncryptor::paper_grid(b"user-key"),
+        ] {
+            let ladders = [
+                (Attr::Size, enc.size_points.clone()),
+                (Attr::Mtime, enc.date_points.clone()),
+            ];
+            let mut queries = Vec::new();
+            for (attr, points) in &ladders {
+                for &p in points {
+                    for cmp in [Cmp::Greater, Cmp::Less] {
+                        let (td, used) = enc.query_numeric(*attr, cmp, p);
+                        assert_eq!(used, p, "{attr:?} {cmp:?} at reference point {p}");
+                        queries.push((*attr, cmp, p, td));
+                    }
+                }
+                for pair in points.windows(2) {
+                    let (a, b) = (pair[0], pair[1]);
+                    for v in [a + 1, b - 1] {
+                        let nearer = if v - a <= b - v { a } else { b };
+                        assert_eq!(enc.query_numeric(*attr, Cmp::Greater, v).1, nearer);
+                    }
+                }
+                let last = *points.last().unwrap();
+                assert_eq!(enc.query_numeric(*attr, Cmp::Less, 0).1, points[0]);
+                assert_eq!(enc.query_numeric(*attr, Cmp::Less, last * 2).1, last);
+            }
+            let sample = |points: &[u64], k: usize| points[k * (points.len() - 1) / (SAMPLES - 1)];
+            for k in 0..SAMPLES {
+                for above in [0, 1] {
+                    let meta = FileMeta {
+                        path: String::new(),
+                        keywords: vec![],
+                        size: sample(&ladders[0].1, k) + above,
+                        mtime: sample(&ladders[1].1, k) + above,
+                    };
+                    let m = enc.encrypt(&mut rng, &meta);
+                    for (attr, cmp, p, td) in &queries {
+                        let v = if *attr == Attr::Size {
+                            meta.size
+                        } else {
+                            meta.mtime
+                        };
+                        let want = match cmp {
+                            Cmp::Greater => v > *p,
+                            Cmp::Less => v <= *p,
+                        };
+                        assert_eq!(
+                            MetaEncryptor::matches(&m, td, &c),
+                            want,
+                            "{attr:?} {cmp:?} {p} against value {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -1,23 +1,16 @@
-//! Numeric matching (§5.5.3) — the thesis's novel constructions.
+//! Numeric matching (§5.5.3): the reference points of the thesis's
+//! inequality construction.
 //!
-//! **Inequality**: agree on `l` reference points `p_1 … p_l`; the dictionary
-//! is `{ ">p_i", "<p_i" }`. A metadata value lists every inequality it
+//! Agree on `l` reference points `p_1 … p_l`; the dictionary is
+//! `{ ">p_i", "<p_i" }`. A metadata value lists every inequality it
 //! satisfies; a query is approximated by the nearest reference point. The
 //! thesis's exponentially spaced reference points ("1, 2, …, 10, 20, …,
 //! 100, 200, …") give ~100 points over 4-byte integers with precision
 //! proportional to magnitude.
 //!
-//! **Range**: build `m` partitions of the domain with different subset
-//! sizes and offsets; the dictionary word for value `v` in partition `x`,
-//! subset `y` is `"x,y"`. A range query is approximated by the single
-//! best-fitting subset — sending multiple subsets would leak more than
-//! necessary (§5.5.3).
-//!
-//! Both reduce to keyword matching, so they are generic over the underlying
-//! keyword scheme; we instantiate with the Bloom scheme as the thesis does.
-
-use crate::bloom_kw::{BloomKeywordScheme, BloomMetadata, PrfCounter, Trapdoor};
-use rand::Rng;
+//! The construction reduces to keyword matching, so the words live in the
+//! one stacked keyword space of [`crate::metadata::MetaEncryptor`]
+//! (`size>p`, `date<p`), matched by the Bloom scheme as the thesis does.
 
 /// Exponentially spaced reference points over `[1, limit]`:
 /// `1..10, 20..100, 200..1000, …` (the §5.5.3 scheme).
@@ -87,197 +80,9 @@ pub enum Cmp {
     Less,
 }
 
-/// The Inequality scheme: metadata words are every satisfied inequality,
-/// queries are the nearest reference point's inequality word.
-pub struct InequalityScheme {
-    kw: BloomKeywordScheme,
-    points: Vec<u64>,
-    /// Attribute label baked into the words so several numeric attributes
-    /// can share one keyword space (§5.6.4).
-    attr: String,
-}
-
-impl InequalityScheme {
-    pub fn new(key: &[u8], attr: &str, points: Vec<u64>) -> Self {
-        assert!(!points.is_empty());
-        // each metadata contains one word per reference point
-        let kw = BloomKeywordScheme::new(key, points.len(), 1e-5);
-        InequalityScheme {
-            kw,
-            points,
-            attr: attr.to_string(),
-        }
-    }
-
-    pub fn points(&self) -> &[u64] {
-        &self.points
-    }
-
-    fn word(&self, cmp: Cmp, point: u64) -> String {
-        match cmp {
-            Cmp::Greater => format!("{}>{point}", self.attr),
-            Cmp::Less => format!("{}<{point}", self.attr),
-        }
-    }
-
-    /// The inequality words satisfied by value `v` (one per reference
-    /// point).
-    pub fn metadata_words(&self, v: u64) -> Vec<String> {
-        self.points
-            .iter()
-            .map(|&p| {
-                if v > p {
-                    self.word(Cmp::Greater, p)
-                } else {
-                    self.word(Cmp::Less, p)
-                }
-            })
-            .collect()
-    }
-
-    /// `EncryptMetadata`.
-    pub fn encrypt_metadata<R: Rng>(&self, rng: &mut R, v: u64) -> BloomMetadata {
-        let words = self.metadata_words(v);
-        let refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        self.kw.encrypt_metadata(rng, &refs)
-    }
-
-    /// `EncryptQuery`: approximate `cmp value` by the nearest reference
-    /// point. Returns the trapdoor and the point actually used (so callers
-    /// can report approximation error).
-    pub fn encrypt_query(&self, cmp: Cmp, value: u64) -> (Trapdoor, u64) {
-        let p = nearest_point(&self.points, value);
-        (self.kw.trapdoor(&self.word(cmp, p)), p)
-    }
-
-    pub fn matches(meta: &BloomMetadata, td: &Trapdoor, counter: &PrfCounter) -> bool {
-        BloomKeywordScheme::matches(meta, td, counter)
-    }
-}
-
-/// One partition of the numeric domain into equal subsets with an offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// Subset width.
-    pub width: u64,
-    /// Starting offset of the first subset.
-    pub offset: u64,
-}
-
-impl Partition {
-    /// Subset index containing `v`.
-    pub fn subset_of(&self, v: u64) -> u64 {
-        v.saturating_sub(self.offset) / self.width
-    }
-
-    /// Bounds `[lo, hi)` of subset `y`.
-    pub fn bounds(&self, y: u64) -> (u64, u64) {
-        (
-            self.offset + y * self.width,
-            self.offset + (y + 1) * self.width,
-        )
-    }
-}
-
-/// The Range scheme: `m` partitions with different widths/offsets; a range
-/// query is approximated by the single best subset across all partitions.
-pub struct RangeScheme {
-    kw: BloomKeywordScheme,
-    partitions: Vec<Partition>,
-    attr: String,
-}
-
-impl RangeScheme {
-    pub fn new(key: &[u8], attr: &str, partitions: Vec<Partition>) -> Self {
-        assert!(!partitions.is_empty());
-        assert!(partitions.iter().all(|p| p.width > 0));
-        let kw = BloomKeywordScheme::new(key, partitions.len(), 1e-5);
-        RangeScheme {
-            kw,
-            partitions,
-            attr: attr.to_string(),
-        }
-    }
-
-    /// Power-of-two widths from `min_width` up to `max_width`, two offsets
-    /// each (0 and width/2) — a practical default when query sizes are
-    /// unknown (§5.5.3 suggests tuning to the query distribution).
-    pub fn dyadic(key: &[u8], attr: &str, min_width: u64, max_width: u64) -> Self {
-        assert!(min_width >= 2 && min_width <= max_width);
-        let mut parts = Vec::new();
-        let mut w = min_width;
-        while w <= max_width {
-            parts.push(Partition {
-                width: w,
-                offset: 0,
-            });
-            parts.push(Partition {
-                width: w,
-                offset: w / 2,
-            });
-            match w.checked_mul(2) {
-                Some(next) => w = next,
-                None => break,
-            }
-        }
-        Self::new(key, attr, parts)
-    }
-
-    fn word(&self, partition_idx: usize, subset: u64) -> String {
-        format!("{}:{partition_idx},{subset}", self.attr)
-    }
-
-    /// Words for value `v`: its subset in every partition.
-    pub fn metadata_words(&self, v: u64) -> Vec<String> {
-        self.partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| self.word(i, p.subset_of(v)))
-            .collect()
-    }
-
-    pub fn encrypt_metadata<R: Rng>(&self, rng: &mut R, v: u64) -> BloomMetadata {
-        let words = self.metadata_words(v);
-        let refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        self.kw.encrypt_metadata(rng, &refs)
-    }
-
-    /// Best single-subset approximation of `[lb, ub]`: minimise
-    /// `|lb − a| + |ub − b|` over all subsets (the §5.5.3 criterion).
-    /// Returns `(partition index, subset index, (a, b))`.
-    pub fn approximate(&self, lb: u64, ub: u64) -> (usize, u64, (u64, u64)) {
-        assert!(lb <= ub);
-        let mut best: Option<(u128, usize, u64, (u64, u64))> = None;
-        for (i, p) in self.partitions.iter().enumerate() {
-            // candidate subsets: those containing lb, ub and the midpoint
-            for probe in [lb, ub, lb / 2 + ub / 2] {
-                let y = p.subset_of(probe);
-                let (a, b) = p.bounds(y);
-                let err = (lb.abs_diff(a) as u128) + (ub.abs_diff(b) as u128);
-                if best.is_none_or(|(e, ..)| err < e) {
-                    best = Some((err, i, y, (a, b)));
-                }
-            }
-        }
-        let (_, i, y, bounds) = best.expect("non-empty partitions");
-        (i, y, bounds)
-    }
-
-    /// `EncryptQuery` for `[lb, ub]`; also returns the subset bounds used.
-    pub fn encrypt_query(&self, lb: u64, ub: u64) -> (Trapdoor, (u64, u64)) {
-        let (i, y, bounds) = self.approximate(lb, ub);
-        (self.kw.trapdoor(&self.word(i, y)), bounds)
-    }
-
-    pub fn matches(meta: &BloomMetadata, td: &Trapdoor, counter: &PrfCounter) -> bool {
-        BloomKeywordScheme::matches(meta, td, counter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roar_util::det_rng;
 
     #[test]
     fn exponential_points_match_paper() {
@@ -300,37 +105,52 @@ mod tests {
         assert_eq!(nearest_point(&pts, 70), 100);
     }
 
+    // The inequality words are served by `MetaEncryptor` (`size>p`,
+    // `size<p`); these pin the §5.5.3 construction through it.
+    use crate::bloom_kw::PrfCounter;
+    use crate::metadata::{Attr, FileMeta, MetaEncryptor};
+    use roar_util::det_rng;
+
+    fn sized(size: u64) -> FileMeta {
+        FileMeta {
+            path: String::new(),
+            keywords: vec![],
+            size,
+            mtime: 1,
+        }
+    }
+
     #[test]
     fn inequality_exact_at_reference_points() {
         // §5.5.3: "suppose all queries can be expressed exactly" — at
         // reference points matching must be perfect
         let pts = exponential_reference_points(1000);
-        let s = InequalityScheme::new(b"key", "size", pts.clone());
+        let s = MetaEncryptor::with_points(b"key", pts, vec![1]);
         let mut rng = det_rng(131);
         let c = PrfCounter::new();
         for &p in &[10u64, 100, 500] {
-            let (gt, used) = s.encrypt_query(Cmp::Greater, p);
+            let (gt, used) = s.query_numeric(Attr::Size, Cmp::Greater, p);
             assert_eq!(used, p, "reference point must be used exactly");
-            let above = s.encrypt_metadata(&mut rng, p + 1);
-            let below = s.encrypt_metadata(&mut rng, p.saturating_sub(1));
-            assert!(InequalityScheme::matches(&above, &gt, &c));
-            assert!(!InequalityScheme::matches(&below, &gt, &c));
+            let above = s.encrypt(&mut rng, &sized(p + 1));
+            let below = s.encrypt(&mut rng, &sized(p.saturating_sub(1)));
+            assert!(MetaEncryptor::matches(&above, &gt, &c));
+            assert!(!MetaEncryptor::matches(&below, &gt, &c));
         }
     }
 
     #[test]
     fn inequality_less_than() {
-        let s = InequalityScheme::new(b"key", "size", vec![10, 100, 1000]);
+        let s = MetaEncryptor::with_points(b"key", vec![10, 100, 1000], vec![1]);
         let mut rng = det_rng(132);
         let c = PrfCounter::new();
-        let (lt100, _) = s.encrypt_query(Cmp::Less, 100);
-        assert!(InequalityScheme::matches(
-            &s.encrypt_metadata(&mut rng, 50),
+        let (lt100, _) = s.query_numeric(Attr::Size, Cmp::Less, 100);
+        assert!(MetaEncryptor::matches(
+            &s.encrypt(&mut rng, &sized(50)),
             &lt100,
             &c
         ));
-        assert!(!InequalityScheme::matches(
-            &s.encrypt_metadata(&mut rng, 150),
+        assert!(!MetaEncryptor::matches(
+            &s.encrypt(&mut rng, &sized(150)),
             &lt100,
             &c
         ));
@@ -339,62 +159,8 @@ mod tests {
     #[test]
     fn inequality_approximation_error_bounded() {
         // the paper's example: query >7 approximated by >5 can misclassify 6
-        let s = InequalityScheme::new(b"key", "v", vec![1, 5, 10]);
-        let (_, used) = s.encrypt_query(Cmp::Greater, 7);
+        let s = MetaEncryptor::with_points(b"key", vec![1, 5, 10], vec![1]);
+        let (_, used) = s.query_numeric(Attr::Size, Cmp::Greater, 7);
         assert!(used == 5 || used == 10);
-    }
-
-    #[test]
-    fn partition_subsets() {
-        let p = Partition {
-            width: 10,
-            offset: 0,
-        };
-        assert_eq!(p.subset_of(0), 0);
-        assert_eq!(p.subset_of(9), 0);
-        assert_eq!(p.subset_of(10), 1);
-        assert_eq!(p.bounds(2), (20, 30));
-        let off = Partition {
-            width: 10,
-            offset: 5,
-        };
-        assert_eq!(off.subset_of(7), 0);
-        assert_eq!(off.subset_of(15), 1);
-    }
-
-    #[test]
-    fn range_query_matches_values_in_subset() {
-        let s = RangeScheme::dyadic(b"key", "date", 4, 64);
-        let mut rng = det_rng(133);
-        let c = PrfCounter::new();
-        let (td, (a, b)) = s.encrypt_query(20, 24);
-        assert!(
-            a <= 20 && b >= 24,
-            "subset [{a},{b}) must cover-ish the query"
-        );
-        // values inside the chosen subset match
-        let inside = s.encrypt_metadata(&mut rng, (a + b) / 2);
-        assert!(RangeScheme::matches(&inside, &td, &c));
-        // values far outside do not
-        let outside = s.encrypt_metadata(&mut rng, b + 1000);
-        assert!(!RangeScheme::matches(&outside, &td, &c));
-    }
-
-    #[test]
-    fn range_approximation_prefers_tight_subset() {
-        let s = RangeScheme::dyadic(b"key", "d", 4, 1024);
-        // a narrow query should pick a narrow subset, not the 1024-wide one
-        let (_, y, (a, b)) = s.approximate(100, 104);
-        assert!(
-            b - a <= 16,
-            "subset [{a},{b}) too wide for [100,104] (y={y})"
-        );
-    }
-
-    #[test]
-    fn dyadic_partitions_cover_widths() {
-        let s = RangeScheme::dyadic(b"key", "d", 4, 64);
-        // widths 4,8,16,32,64 with two offsets each = 10 partitions
-        assert_eq!(s.partitions.len(), 10);
     }
 }

@@ -3,8 +3,8 @@
 //! "Most online services see fluctuating load with diurnal and weekly
 //! patterns. The ratio between the mean load in different parts of the day
 //! or week is 2× to 4×." The fig7_5 experiment drives ROAR's p-adaptation
-//! with this pattern and the membership server's ring on/off policy tracks
-//! it.
+//! with this pattern, and the §4.9.1 experiment's ring on/off policy
+//! tracks it.
 
 /// A sinusoidal day/night load pattern plus optional step events (flash
 /// crowds).

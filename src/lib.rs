@@ -12,7 +12,7 @@
 //! |-------|----------|
 //! | [`core`] (`roar-core`) | the ROAR algorithm: ring (the one home of `p`), placement, Algorithm 1 scheduler, failover, balancing, multi-ring |
 //! | [`dr`] (`roar-dr`) | distributed-rendezvous abstractions + PTN / SW / RAND baselines, bandwidth/delay trade-off models |
-//! | [`pps`] (`roar-pps`) | encrypted keyword/pair/numeric/ranked/generic matching and the matching engine |
+//! | [`pps`] (`roar-pps`) | encrypted keyword/pair/numeric/generic matching and the matching engine |
 //! | [`cluster`] (`roar-cluster`) | networked deployment: data nodes, front-end (+backup p discovery), live membership, p2p store forwarding, pluggable TCP / reliable-UDP transports |
 //! | [`sim`] (`roar-sim`) | discrete-event delay/availability simulator, energy + admission models |
 //! | [`workload`] (`roar-workload`) | corpora, query streams, server fleets, diurnal load |

@@ -1,9 +1,9 @@
 //! Integration: the §5.5 scheme ladder over a realistic corpus.
 //!
-//! One corpus, four schemes — Bloom keyword (§5.5.2), keyword pairs
-//! (§5.5.2 "Beyond Single Keyword Queries"), ranked buckets (§5.5.4) and
-//! garbled-circuit generic queries (§5.5.5) — every encrypted verdict
-//! checked against plaintext ground truth. This is the
+//! One corpus, three schemes — Bloom keyword (§5.5.2), keyword pairs
+//! (§5.5.2 "Beyond Single Keyword Queries") and garbled-circuit generic
+//! queries (§5.5.5) — every encrypted verdict checked against plaintext
+//! ground truth. This is the
 //! confidentiality-generality trade-off (§5.4.4) walked end to end.
 
 use roar::pps::bloom_kw::PrfCounter;
