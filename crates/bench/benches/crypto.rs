@@ -1,10 +1,9 @@
-//! Crypto substrate throughput: SHA-1, HMAC PRF, Feistel PRP, Bloom ops.
+//! Crypto substrate throughput: SHA-1, HMAC PRF, Bloom ops.
 //! The PPS cost model (§5.7) is denominated in these operations.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use roar_crypto::bloom::BloomFilter;
 use roar_crypto::prf::{HmacPrf, Prf};
-use roar_crypto::prp::FeistelPrp;
 use roar_crypto::sha1::sha1;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -22,15 +21,6 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             prf.eval(&i.to_be_bytes())
-        })
-    });
-
-    let prp = FeistelPrp::new(b"bench", 1_000_000);
-    group.bench_function("feistel_permute", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 1_000_000;
-            prp.permute(i)
         })
     });
 

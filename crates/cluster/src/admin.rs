@@ -22,13 +22,12 @@
 //! # let _ = client; Ok(()) }
 //! ```
 
-use crate::frontend::{ClusterCore, SchedOpts};
-use crate::proto::{Msg, QueryBody, WireRecord};
+use crate::frontend::{write_set, ClusterCore, SchedOpts};
+use crate::proto::{Msg, QueryBody};
 use crate::transport::RpcError;
 use roar_core::placement::RoarRing;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,8 +55,10 @@ pub enum AdminError {
     /// A non-retryable failure (e.g. the initial connect of
     /// [`Admin::add_node`]).
     Rpc { op: &'static str, err: RpcError },
-    /// [`Admin::set_p`] was called while an earlier decrease is still in
-    /// flight; [`Admin::abort_repartition`] clears it.
+    /// A placement change ([`Admin::set_p`], [`Admin::add_node`],
+    /// [`Admin::remove_node`], [`Admin::balance_step`]) was refused: an
+    /// earlier one whose push failed left its ring pending;
+    /// [`Admin::abort_repartition`] drops it.
     RepartitionInFlight,
 }
 
@@ -75,7 +76,10 @@ impl std::fmt::Display for AdminError {
             ),
             AdminError::Rpc { op, err } => write!(f, "control op {op:?} failed: {err:?}"),
             AdminError::RepartitionInFlight => {
-                write!(f, "set_p refused: an earlier decrease is still in flight")
+                write!(
+                    f,
+                    "placement change refused: an earlier one is still pending"
+                )
             }
         }
     }
@@ -97,21 +101,19 @@ impl Admin {
         self.core.n()
     }
 
-    /// The partitioning level queries are planned with: the ring's `p`.
-    /// During a §4.5 decrease it stays at the old, larger level until
-    /// every node holds its longer arc.
+    /// The partitioning level queries are planned with: the serving
+    /// ring's `p`. During a §4.5 decrease it stays at the old, larger level
+    /// until every node holds its longer arc.
     pub fn p(&self) -> usize {
         self.core.p()
     }
 
-    /// Is a §4.5 decrease in flight (begun, not yet committed or aborted)?
+    /// Is a placement change pending — its ring installed, its download
+    /// not yet committed or aborted? A failed push leaves it so.
     /// [`Self::discover_p`] and [`Self::discover_p_by_probing`] clear it
     /// too: they adopt the level the nodes hold.
     pub fn reconfig_in_flight(&self) -> bool {
-        // ORDERING: Relaxed — the mark publishes no data; `set_p` tests
-        // and sets it under the ring's write lock, which orders it against
-        // the `p` it guards
-        self.core.target_p.load(Ordering::Relaxed) != 0
+        self.core.pending.lock().is_some()
     }
 
     /// Snapshot of the serving ring.
@@ -203,19 +205,12 @@ impl Admin {
     // ---- ingest (backend + replica fan-out) ---------------------------
 
     /// Store synthetic ids on their replica sets (and remember them in the
-    /// backend). While a decrease is in flight the replica sets are those
-    /// of its target level, so the write reaches every node whose longer
-    /// arc holds it.
+    /// backend). While a placement change is pending each id also goes to
+    /// the replicas its pending ring adds, so the write reaches every node
+    /// that will serve it.
     pub async fn store_synthetic(&self, ids: &[u64]) -> Result<(), AdminError> {
         self.core.backend.append_synthetic(ids);
-        let ring = self.core.store_ring();
-        let mut per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)> = HashMap::new();
-        for &id in ids {
-            for node in ring.replicas(id) {
-                per_node.entry(node).or_default().1.push(id);
-            }
-        }
-        self.core.push_store_batches(per_node).await
+        self.core.store(&[], ids).await
     }
 
     /// Store encrypted PPS records on their replica sets, placed as
@@ -225,18 +220,7 @@ impl Admin {
         records: &[roar_pps::EncryptedMetadata],
     ) -> Result<(), AdminError> {
         self.core.backend.append_records(records);
-        let ring = self.core.store_ring();
-        let mut per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)> = HashMap::new();
-        for r in records {
-            for node in ring.replicas(r.id) {
-                per_node
-                    .entry(node)
-                    .or_default()
-                    .0
-                    .push(WireRecord::from_record(r));
-            }
-        }
-        self.core.push_store_batches(per_node).await
+        self.core.store(records, &[]).await
     }
 
     /// Tell every node its ring successor so [`Self::store_synthetic_p2p`]
@@ -261,21 +245,26 @@ impl Admin {
     /// nodes forward along the ring ("push the data item to the first
     /// server, and then forward it from server to server around the ring",
     /// §4.1). With rack-contiguous ring order the forwarding hops stay
-    /// intra-rack (§4.9.2). Falls back to direct pushes for any batch whose
-    /// chain breaks (e.g. a dead node mid-arc): one `Store` per replica
-    /// node, skipping nodes believed dead — the survivors keep the arc
-    /// queryable.
+    /// intra-rack (§4.9.2). The chain runs along the serving ring; the
+    /// replicas a pending placement change adds get a direct `Store`. Falls
+    /// back to direct pushes for any batch whose chain breaks (e.g. a dead
+    /// node mid-arc): one `Store` per replica node, skipping nodes believed
+    /// dead — the survivors keep the arc queryable.
     pub async fn store_synthetic_p2p(&self, ids: &[u64]) -> Result<(), AdminError> {
         self.core.backend.append_synthetic(ids);
-        let ring = self.core.store_ring();
-        // batch by (first replica, chain length): one chain per batch
+        let rings = self.core.write_rings();
+        let ring = &rings.0;
+        // batch by (first replica, chain length): one chain per batch;
+        // direct pushes, grouped per node, start with the pending-only ones
         let mut batches: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        let mut direct: HashMap<usize, Vec<u64>> = HashMap::new();
         for &id in ids {
             let chain = ring.replicas(id);
+            for &node in &write_set(&rings, id)[chain.len()..] {
+                direct.entry(node).or_default().push(id);
+            }
             batches.entry((chain[0], chain.len())).or_default().push(id);
         }
-        // ids whose chain broke, grouped per replica node
-        let mut direct: HashMap<usize, Vec<u64>> = HashMap::new();
         for ((first, chain_len), batch) in batches {
             let msg = Msg::StoreForward {
                 records: vec![],
@@ -294,9 +283,8 @@ impl Admin {
                 }
             }
         }
-        // chain broke: one direct push per live replica node; a node that
-        // still fails is tolerated — the backend holds the write for
-        // `backfill`
+        // one direct push per live node; a node that still fails is
+        // tolerated — the backend holds the write for `backfill`
         for (node, synthetic_ids) in direct {
             if !self.node_alive(node) {
                 continue;
@@ -312,25 +300,24 @@ impl Admin {
 
     // ---- repartitioning (§4.5) ----------------------------------------
 
-    /// Change the partitioning level following the §4.5 protocol. An
-    /// increase is safe at once: the ring's `p` rises, then nodes trim
-    /// their coverages. A decrease (more replication) marks itself in
-    /// flight and pushes each node, from the backend, only what its longer
-    /// arc adds — the extension its old coverage lacks; only then does the
-    /// ring's `p` drop, so queries remain correct throughout. Writes made
-    /// meanwhile are placed at the target level and reach the extensions
-    /// too. A write a node missed while it was believed dead is not
-    /// re-delivered: that is [`Self::backfill`]'s job, which the
-    /// [`crate::reconcile::Reconciler`] plans when a node's record count
-    /// falls short.
+    /// Change the partitioning level following the §4.5 protocol: the ring
+    /// at `new_p` becomes pending, each node is pushed, from the backend,
+    /// only what its coverage there adds — for a decrease the extension of
+    /// its longer arc, for an increase nothing — and only then does the
+    /// ring's `p` change and do the nodes widen or trim their coverages, so
+    /// queries remain correct throughout. Writes made meanwhile reach the
+    /// pending ring's replicas too. A write a node missed while it was
+    /// believed dead is not re-delivered: that is [`Self::backfill`]'s job,
+    /// which the [`crate::reconcile::Reconciler`] plans when a node's
+    /// record count falls short.
     ///
-    /// A decrease that hits a dead node fails with
-    /// [`AdminError::RetriesExhausted`] and leaves the transition **in
-    /// flight** with the ring's `p` unchanged (queries stay safe on the
-    /// old, larger `p`); the caller — typically the
+    /// A push that hits a dead node fails with
+    /// [`AdminError::RetriesExhausted`] and leaves the ring **pending**
+    /// with the serving `p` unchanged (queries stay safe on the old
+    /// level); the caller — typically the
     /// [`crate::reconcile::Reconciler`] — aborts it and re-plans against
-    /// the surviving membership. Until then every `set_p` fails with
-    /// [`AdminError::RepartitionInFlight`].
+    /// the surviving membership. Until then every placement change fails
+    /// with [`AdminError::RepartitionInFlight`].
     ///
     /// `set_p`, [`Self::add_node`], [`Self::remove_node`] and
     /// [`Self::balance_step`] run one at a time: each waits for the one in
@@ -338,46 +325,20 @@ impl Admin {
     /// before it lands.
     pub async fn set_p(&self, new_p: usize) -> Result<(), AdminError> {
         let _control = self.core.control.lock().await;
-        let decrease = {
-            let mut ring = self.core.ring.write();
-            if self.reconfig_in_flight() {
-                return Err(AdminError::RepartitionInFlight);
-            }
-            if new_p == ring.p() {
-                return Ok(());
-            }
-            if new_p > ring.p() {
-                // increase p: switch immediately, then tell nodes to shrink
-                ring.set_p(new_p);
-                None
-            } else {
-                // ORDERING: Relaxed — under the ring's write lock
-                self.core.target_p.store(new_p, Ordering::Relaxed);
-                let mut target = ring.clone();
-                target.set_p(new_p);
-                Some((ring.clone(), target))
-            }
-        };
-        if let Some((old, target)) = decrease {
-            // decrease p: push the arc extensions first
-            self.core.push_gains(Some(&old), &target, false).await?;
-            let mut ring = self.core.ring.write();
-            ring.set_p(new_p);
-            // ORDERING: Relaxed — under the ring's write lock
-            self.core.target_p.store(0, Ordering::Relaxed);
+        let old = self.core.ring_snapshot();
+        if new_p == old.p() && !self.reconfig_in_flight() {
+            return Ok(());
         }
-        // trim (increase) or widen (decrease) the recorded coverages —
-        // nodes use them to answer §4.8.3 coverage probes and to refuse
-        // under-covered sub-queries
-        self.core.push_coverages().await
+        let mut next = old.clone();
+        next.set_p(new_p);
+        self.core.move_to(&old, next, false).await
     }
 
-    /// Abort an in-flight decrease (§4.5: load spiked again before commit).
-    /// Safe because the ring's `p` was never lowered; a later
-    /// [`Self::set_p`] starts from a clean slate.
+    /// Abort a pending placement change (§4.5: load spiked again before
+    /// commit) by dropping its ring. Safe because the serving ring never
+    /// changed; a later placement change starts from a clean slate.
     pub fn abort_repartition(&self) {
-        // ORDERING: Relaxed — the mark publishes no data
-        self.core.target_p.store(0, Ordering::Relaxed);
+        *self.core.pending.lock() = None;
     }
 
     /// Re-push from the backend each live node's whole coverage (nodes
@@ -400,9 +361,7 @@ impl Admin {
         let old = self.core.ring_snapshot();
         let mut moved_ring = old.clone();
         let moved = {
-            let stats = self.core.stats.read();
-            let speeds: Vec<f64> = (0..self.n()).map(|i| stats.speed_estimate(i)).collect();
-            drop(stats);
+            let speeds = self.core.speed_estimates();
             let snapshot = old.map();
             let load = move |n: usize| {
                 let i = snapshot
@@ -420,9 +379,7 @@ impl Admin {
             )
         };
         if moved > 0 {
-            self.core.push_gains(Some(&old), &moved_ring, true).await?;
-            self.core.swap_membership(moved_ring);
-            self.core.push_coverages().await?;
+            self.core.move_to(&old, moved_ring, true).await?;
         }
         Ok(moved)
     }
@@ -448,6 +405,10 @@ impl Admin {
     /// node's id.
     pub async fn add_node(&self, addr: SocketAddr) -> Result<usize, AdminError> {
         let _control = self.core.control.lock().await;
+        // refused before its link is added, so no node is left off the ring
+        if self.reconfig_in_flight() {
+            return Err(AdminError::RepartitionInFlight);
+        }
         let conn = self
             .core
             .transport
@@ -501,12 +462,9 @@ impl Admin {
             new_ring.map_mut().insert_half(new_id, hot);
             new_ring
         };
-        // download phase: the new node is on no earlier ring, so it gets
-        // its whole coverage; every other coverage only shrank
-        self.core.push_gains(Some(&old), &new_ring, false).await?;
-        // take over: swap the ring, then trim everyone's coverage
-        self.core.swap_membership(new_ring);
-        self.core.push_coverages().await?;
+        // the new node is on no earlier ring, so it downloads its whole
+        // coverage; every other coverage only shrank
+        self.core.move_to(&old, new_ring, false).await?;
         Ok(new_id)
     }
 
@@ -532,12 +490,9 @@ impl Admin {
         assert!(old.n() > old.p(), "removing would leave fewer nodes than p");
         let mut new_ring = old.clone();
         new_ring.map_mut().remove(node);
-        // the heir (and only it) gained range: push what its coverage
-        // gained, from the backend — skipping members currently believed
-        // dead, so one corpse cannot wedge the removal of another
-        self.core.push_gains(Some(&old), &new_ring, true).await?;
-        self.core.swap_membership(new_ring);
-        self.core.push_coverages().await?;
+        // the heir (and only it) gained range — skipping members currently
+        // believed dead, so one corpse cannot wedge the removal of another
+        self.core.move_to(&old, new_ring, true).await?;
         // now the departing node may go (skip the courtesy call if it is
         // already dead)
         if self.node_alive(node) {
@@ -558,6 +513,7 @@ impl Admin {
     /// observed `L` bounds the largest window (smallest p) every node can
     /// serve. One control round-trip per node; exact, no wasted queries.
     pub async fn discover_p(&self) -> Result<usize, RpcError> {
+        let _control = self.core.control.lock().await;
         let ring = self.core.ring_snapshot();
         let mut min_l: u128 = 1 << 64; // full ring
         for i in 0..ring.n() {
@@ -585,10 +541,7 @@ impl Admin {
                 Msg::Coverage { has: false, .. } => {
                     // never trimmed: the node holds everything pushed to it
                 }
-                other => {
-                    let _ = other;
-                    return Err(RpcError::Disconnected);
-                }
+                _ => return Err(RpcError::Disconnected),
             }
         }
         // smallest p whose window 1/p fits into every node's L
@@ -611,6 +564,7 @@ impl Admin {
     /// refusal but says nothing about p), so the first RPC error aborts
     /// with `Err` instead of being silently folded into the guess.
     pub async fn discover_p_by_probing(&self) -> Result<usize, RpcError> {
+        let _control = self.core.control.lock().await;
         let n = self.n();
         let mut lo = 1usize;
         let mut hi = n; // p = n "will always work"

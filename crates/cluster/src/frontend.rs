@@ -19,16 +19,17 @@ use crate::admin::AdminError;
 use crate::backend::MemoryBackend;
 use crate::proto::{Msg, QueryBody, WireRecord};
 use crate::transport::{NodeLink, Transport};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use roar_core::failover;
 use roar_core::placement::{QueryPlan, RoarRing, SubQuery};
 use roar_core::ring::Window;
 use roar_core::ringmap::RingMap;
 use roar_core::sched::schedule_sweep;
 use roar_core::stats::ServerStats;
+use roar_pps::EncryptedMetadata;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,6 +122,22 @@ pub(crate) enum SubOutcome {
     Lost(RpcError),
 }
 
+/// The serving ring and the pending one, as a write reads them
+/// ([`ClusterCore::write_rings`]).
+pub(crate) type WriteRings = (RoarRing, Option<RoarRing>);
+
+/// Where a write of `id` goes: its replicas on the serving ring, in chain
+/// order, then those only the pending ring adds.
+pub(crate) fn write_set((serving, pending): &WriteRings, id: u64) -> Vec<usize> {
+    let mut nodes = serving.replicas(id);
+    for node in pending.iter().flat_map(|r| r.replicas(id)) {
+        if !nodes.contains(&node) {
+            nodes.push(node);
+        }
+    }
+    nodes
+}
+
 /// Shared front-end state: one per connected cluster, handed out behind an
 /// `Arc` to the [`crate::client::QueryClient`]/[`crate::admin::Admin`]
 /// pair.
@@ -131,17 +148,15 @@ pub struct ClusterCore {
     /// Membership and the partitioning level `p`: the one copy of `p`.
     pub(crate) ring: RwLock<RoarRing>,
     pub(crate) stats: RwLock<ServerStats>,
-    /// The level a §4.5 decrease in flight moves to, 0 when none is: set
-    /// under the ring's write lock before the decrease reads the backend,
-    /// cleared when it lowers the ring's `p` or is aborted. Queries never
-    /// read it; they plan against the ring's `p`, which stays at the old,
-    /// larger level until the downloads are done. Writes read it with the
-    /// ring ([`Self::store_ring`]).
-    pub(crate) target_p: AtomicUsize,
-    /// Serializes the ring edits that download before they land —
-    /// `set_p`, `add_node`, `remove_node`, `balance_step` — so none
-    /// installs a ring whose data was pushed against a ring another edit
-    /// has since changed. Queries never take it.
+    /// The ring a placement change is downloading for, `None` when none
+    /// is: installed before the download reads the backend, cleared when
+    /// it becomes the serving ring or is aborted. Queries never read it;
+    /// writes read it with the ring ([`Self::write_rings`]). Lock order:
+    /// `ring`, then `pending`.
+    pub(crate) pending: Mutex<Option<RoarRing>>,
+    /// Serializes every edit of the serving ring — `set_p`, `add_node`,
+    /// `remove_node`, `balance_step` and discovery — so each move starts
+    /// from the ring it replaces. Queries never take it.
     pub(crate) control: tokio::sync::Mutex<()>,
     /// Backend copy of everything stored, for join/repartition downloads
     /// (the paper's NFS store, §4.1), read by coverage window.
@@ -168,7 +183,7 @@ impl ClusterCore {
             conns: RwLock::new(conns),
             ring: RwLock::new(RoarRing::new(RingMap::uniform(&nodes), p)),
             stats: RwLock::new(ServerStats::new(addrs.len(), default_speed, 0.2)),
-            target_p: AtomicUsize::new(0),
+            pending: Mutex::new(None),
             control: tokio::sync::Mutex::new(()),
             backend: MemoryBackend::new(),
             timeout: Duration::from_secs(5),
@@ -195,46 +210,51 @@ impl ClusterCore {
         self.ring.read().p()
     }
 
-    /// The ring writes place their replicas by: the serving ring, at the
-    /// target level while a decrease is in flight — whose arcs contain the
-    /// old ones, so a write lands on every node that will serve it.
-    ///
-    /// Read under the ring's read lock, after the caller appended to the
-    /// backend. The decrease marks itself under the write lock before it
-    /// reads the backend, so a write either sees the mark or is in the
-    /// backend when the decrease reads each node's extension.
-    pub(crate) fn store_ring(&self) -> RoarRing {
+    /// The rings writes are placed by: the serving ring and the pending
+    /// one, read together under the ring's read lock. Call after appending
+    /// the write to the backend: a move installs its pending ring before
+    /// its download reads the backend, so a write either reaches the
+    /// pending ring's nodes or is in the backend when the download reads.
+    pub(crate) fn write_rings(&self) -> WriteRings {
         let ring = self.ring.read();
-        let mut placed = ring.clone();
-        // ORDERING: Relaxed — under the ring's read lock; `set_p` writes
-        // it under the write lock
-        match self.target_p.load(Ordering::Relaxed) {
-            0 => {}
-            target => placed.set_p(target),
-        }
-        placed
+        (ring.clone(), self.pending.lock().clone())
     }
 
-    /// Install a membership edit made against an earlier ring snapshot,
-    /// whose `p` is the level the edit's downloads were made for. The ring
-    /// keeps the larger of that and its current `p`: a later increase
-    /// stays (longer arcs serve its shorter windows), a later decrease is
-    /// dropped (the downloads never held its longer arcs). `control`
-    /// keeps `set_p` out of that window; `discover_p*` does not take it.
-    pub(crate) fn swap_membership(&self, edited: RoarRing) {
-        let mut ring = self.ring.write();
-        let p = ring.p().max(edited.p());
-        *ring = edited;
-        ring.set_p(p);
-    }
-
-    /// Discovery's write: adopt `p` outright and drop any in-flight
-    /// decrease mark — the level now comes from what the nodes hold.
+    /// Discovery's write: adopt `p` outright and drop any pending ring —
+    /// the level now comes from what the nodes hold. Under `control`.
     pub(crate) fn reset_p(&self, p: usize) {
         let mut ring = self.ring.write();
         ring.set_p(p);
-        // ORDERING: Relaxed — under the ring's write lock
-        self.target_p.store(0, Ordering::Relaxed);
+        *self.pending.lock() = None;
+    }
+
+    /// Move the cluster from `old`, the serving ring, to `next` — every
+    /// placement change (§4.3–§4.6), under `control`. Installs `next` as
+    /// pending, or refuses with [`AdminError::RepartitionInFlight`] while
+    /// another ring is; pushes each node what its coverage gains
+    /// ([`Self::push_gains`]); serves `next`; then pushes the coverages.
+    /// Queries stay on `old` until every gain has landed. If a gain push
+    /// fails, `next` stays pending and `old` serving.
+    pub(crate) async fn move_to(
+        &self,
+        old: &RoarRing,
+        next: RoarRing,
+        skip_dead: bool,
+    ) -> Result<(), AdminError> {
+        {
+            let mut pending = self.pending.lock();
+            if pending.is_some() {
+                return Err(AdminError::RepartitionInFlight);
+            }
+            *pending = Some(next.clone());
+        }
+        self.push_gains(Some(old), &next, skip_dead).await?;
+        {
+            let mut ring = self.ring.write();
+            *ring = next;
+            *self.pending.lock() = None;
+        }
+        self.push_coverages().await
     }
 
     pub(crate) fn speed_estimates(&self) -> Vec<f64> {
@@ -685,14 +705,28 @@ impl ClusterCore {
         Ok(shipped)
     }
 
-    /// Per-node replica push used by the store operations. Replicas
-    /// currently believed dead are skipped (the backend keeps the
-    /// authoritative copy; a later backfill re-pushes), so ingest survives
-    /// churn.
-    pub(crate) async fn push_store_batches(
+    /// Push writes the caller has appended to the backend to their write
+    /// sets ([`write_set`]), one `Store` per node. Replicas currently
+    /// believed dead are skipped (the backend keeps the authoritative copy;
+    /// a later backfill re-pushes), so ingest survives churn.
+    pub(crate) async fn store(
         &self,
-        per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)>,
+        records: &[EncryptedMetadata],
+        ids: &[u64],
     ) -> Result<(), AdminError> {
+        let rings = self.write_rings();
+        let mut per_node: HashMap<usize, (Vec<WireRecord>, Vec<u64>)> = HashMap::new();
+        for r in records {
+            let wire = WireRecord::from_record(r);
+            for node in write_set(&rings, r.id) {
+                per_node.entry(node).or_default().0.push(wire.clone());
+            }
+        }
+        for &id in ids {
+            for node in write_set(&rings, id) {
+                per_node.entry(node).or_default().1.push(id);
+            }
+        }
         for (node, (records, synthetic_ids)) in per_node {
             if !self.stats.read().is_alive(node) {
                 continue;
@@ -884,33 +918,82 @@ mod tests {
         assert_eq!(core.plan_query(&opts).1.subs.len(), 2);
     }
 
-    /// `add_node` and `remove_node` edit a snapshot while they download,
-    /// then swap it in. An increase committed after the snapshot survives
-    /// the swap: the downloads' longer arcs serve its shorter windows.
+    /// A move while another ring is pending is refused before it pushes
+    /// anything: no RPC goes out (the offline nodes would time out into
+    /// `RetriesExhausted`), and the serving and pending rings are as they
+    /// were.
     #[tokio::test]
-    async fn membership_swap_keeps_a_p_committed_after_its_snapshot() {
+    async fn a_move_beside_a_pending_ring_is_refused_and_sends_nothing() {
         let core = offline_core().await;
-        let mut edited = core.ring_snapshot();
-        core.ring.write().set_p(4);
-        edited.map_mut().remove(3);
-        core.swap_membership(edited);
-        let ring = core.ring_snapshot();
-        assert_eq!(ring.n(), 3, "the membership edit landed");
-        assert_eq!(ring.p(), 4, "the later increase survived the swap");
+        let old = core.ring_snapshot();
+        let mut pending = old.clone();
+        pending.set_p(2);
+        *core.pending.lock() = Some(pending.clone());
+        let mut next = old.clone();
+        next.map_mut().remove(3);
+        let refused = core.move_to(&old, next, false).await;
+        assert_eq!(refused, Err(AdminError::RepartitionInFlight));
+        assert_eq!(core.alive_snapshot(), vec![true; 4], "no RPC was tried");
+        assert_eq!(core.ring_snapshot().n(), 4, "the serving ring stands");
+        assert_eq!(core.pending.lock().as_ref().map(RoarRing::p), Some(2));
     }
 
-    /// A decrease committed after the snapshot would need longer arcs than
-    /// the swap's downloads hold: the ring never drops below the
-    /// snapshot's `p`.
+    /// `abort_repartition` drops the pending ring, and the next move is
+    /// accepted and committed.
     #[tokio::test]
-    async fn membership_swap_never_drops_below_its_snapshots_p() {
+    async fn after_an_abort_the_next_move_is_accepted() {
         let core = offline_core().await;
-        let mut edited = core.ring_snapshot();
-        core.ring.write().set_p(2);
-        edited.map_mut().remove(3);
-        core.swap_membership(edited);
-        let ring = core.ring_snapshot();
-        assert_eq!(ring.n(), 3, "the membership edit landed");
-        assert_eq!(ring.p(), 3, "the snapshot's p, not the later decrease");
+        let admin = crate::admin::Admin {
+            core: Arc::clone(&core),
+        };
+        let old = core.ring_snapshot();
+        *core.pending.lock() = Some(old.clone());
+        assert!(admin.reconfig_in_flight());
+        admin.abort_repartition();
+        assert!(!admin.reconfig_in_flight());
+        // every node believed dead: pushes that skip the dead send
+        // nothing, so the move runs to its commit offline
+        (0..4).for_each(|i| core.stats.write().on_timeout(i));
+        let mut next = old.clone();
+        next.set_p(2);
+        core.move_to(&old, next, true).await.expect("accepted");
+        assert_eq!(core.p(), 2, "the move committed");
+        assert!(!admin.reconfig_in_flight());
+    }
+
+    /// A join refused beside a pending ring adds no link: the node count
+    /// stays the ring's.
+    #[tokio::test]
+    async fn a_refused_join_adds_no_link() {
+        let core = offline_core().await;
+        let admin = crate::admin::Admin {
+            core: Arc::clone(&core),
+        };
+        *core.pending.lock() = Some(core.ring_snapshot());
+        let spare = SocketAddr::from(([127, 0, 0, 1], 40_100));
+        let refused = admin.add_node(spare).await;
+        assert_eq!(refused, Err(AdminError::RepartitionInFlight));
+        assert_eq!(admin.n(), 4);
+    }
+
+    /// While a join downloads, a write goes to its replicas on the serving
+    /// ring and to at most one more node, the joiner — which it reaches
+    /// exactly when the joiner will store the id.
+    #[tokio::test]
+    async fn a_write_beside_a_join_goes_to_at_most_one_more_replica() {
+        let core = offline_core().await;
+        let serving = core.ring_snapshot();
+        let mut joined = serving.clone();
+        joined.map_mut().insert_half(4, 1);
+        *core.pending.lock() = Some(joined.clone());
+        let rings = core.write_rings();
+        let mut rng = det_rng(47);
+        for id in (0..2000).map(|_| rng.gen::<u64>()) {
+            let nodes = write_set(&rings, id);
+            let chain = serving.replicas(id);
+            assert_eq!(nodes[..chain.len()], chain[..], "serving chain first");
+            assert!(nodes.len() <= chain.len() + 1, "id {id}: {nodes:?}");
+            assert_eq!(nodes.contains(&4), joined.stores(4, id), "id {id}");
+        }
     }
 }

@@ -187,6 +187,7 @@ mod tests {
     use crate::reconcile::{DesiredTopology, Reconciler};
     use crate::transport::{AdaptiveConfig, DatagramConfig, FixedRto, LossSpec, RpcError};
     use rand::Rng;
+    use roar_core::placement::RoarRing;
     use roar_util::det_rng;
     use std::time::Duration;
 
@@ -1278,17 +1279,160 @@ mod tests {
         assert_eq!((out.harvest, out.scanned), (1.0, 200));
     }
 
-    /// A write made while a §4.5 decrease is in flight reaches the nodes
-    /// whose extension was already pushed: stores place it at the target
-    /// level. Node 5's gate holds the decrease open after nodes 0–4 hold
-    /// their extensions; 100 ids node 5 will not cover are stored then.
-    /// Placed at the old level, they would miss the extensions, and after
-    /// the commit those nodes would answer their wider windows short at
-    /// harvest 1.0. Datagram-only: the gate is a loss-injection hook.
-    mod writes_beside_a_decrease_reach_the_extension {
-        use super::*;
+    /// Run each gate-timed scenario under the two datagram transports,
+    /// `<name>::udp` and `<name>::ccudp`: a [`NetGate`] is a
+    /// loss-injection hook, which TCP lacks.
+    macro_rules! per_datagram {
+        ($(#[$doc:meta])* async fn $name:ident($spec:ident: TransportSpec) $body:block) => {
+            $(#[$doc])*
+            mod $name {
+                use super::*;
 
-        async fn run(spec: TransportSpec) {
+                async fn run($spec: TransportSpec) $body
+
+                #[tokio::test]
+                async fn udp() {
+                    run(udp_spec()).await
+                }
+
+                #[tokio::test]
+                async fn ccudp() {
+                    run(ccudp_spec()).await
+                }
+            }
+        };
+    }
+
+    /// Poll until `node` holds `count` records.
+    async fn wait_for_count(node: &DataNode, count: u64) {
+        while node.record_count() != count {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+    }
+
+    /// Store `ids` (through the p2p chain when `p2p` is set) while the
+    /// node behind `gate` holds a placement change open, then let the
+    /// change finish. Where the write reaches the gated node, its `Store`
+    /// lands but the reply is held, so the store runs as a task: the gate
+    /// opens once the store has finished or the gated node's count has
+    /// risen.
+    async fn store_beside(
+        h: &ClusterHandle,
+        gated: &DataNode,
+        gate: &NetGate,
+        ids: Vec<u64>,
+        p2p: bool,
+    ) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let before = gated.record_count();
+        let done = Arc::new(AtomicBool::new(false));
+        let store = {
+            let (admin, done) = (h.admin.clone(), Arc::clone(&done));
+            tokio::spawn(async move {
+                let stored = match p2p {
+                    true => admin.store_synthetic_p2p(&ids).await,
+                    false => admin.store_synthetic(&ids).await,
+                };
+                done.store(true, Ordering::Release);
+                stored
+            })
+        };
+        while !done.load(Ordering::Acquire) && gated.record_count() == before {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+        gate.open();
+        store.await.unwrap().unwrap();
+    }
+
+    /// After a placement change: `gainer` holds exactly what its coverage
+    /// requires; every other node at least that (a `Store` landing after
+    /// the commit's trim leaves a node extra records, which its window
+    /// never scans); and a full query scans each of the `stored` ids once.
+    async fn assert_exact_after(
+        h: &ClusterHandle,
+        nodes: &[&DataNode],
+        gainer: usize,
+        stored: u64,
+    ) {
+        let ring = h.admin.ring();
+        for (node, dn) in nodes.iter().enumerate() {
+            let (held, expected) = (dn.record_count(), h.admin.expected_records(&ring, node));
+            match node == gainer {
+                true => assert_eq!(held, expected, "node {node} gained"),
+                false => assert!(held >= expected, "node {node}: {held} < {expected}"),
+            }
+        }
+        let out = h
+            .client
+            .query(QueryBody::Synthetic)
+            .sched(SchedOpts::default())
+            .run()
+            .await;
+        assert_eq!((out.harvest, out.refused, out.lost), (1.0, 0, 0));
+        assert_eq!(out.scanned, stored, "every stored id, once");
+    }
+
+    /// Writes made while a joiner downloads (§4.3) reach it. A six-node
+    /// cluster at `p = 3` holds 300 ids; the joiner's own gate holds the
+    /// join open once it holds its download, and 300 more ids are stored
+    /// then. Placed on the serving ring alone, the joiner's share of them
+    /// would sit on the node whose range it splits, which trims them, and
+    /// the joiner would answer its windows short at harvest 1.0.
+    async fn join_scenario(spec: TransportSpec, p2p: bool) {
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 3).with_transport(spec))
+            .await
+            .unwrap();
+        if p2p {
+            h.admin.push_successors().await.unwrap();
+        }
+        let mut rng = det_rng(247);
+        let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        let gate = NetGate::open_gate();
+        let joiner_spec = gate_transport(&h.transport, &gate).expect("datagram");
+        let (addr, joiner) = spawn_extra_node_with(6, 1e6, 0.0, &joiner_spec)
+            .await
+            .unwrap();
+        gate.close();
+        let join = {
+            let admin = h.admin.clone();
+            tokio::spawn(async move { admin.add_node(addr).await })
+        };
+        while joiner.record_count() == 0 {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+        let more: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+        store_beside(&h, &joiner, &gate, more, p2p).await;
+        assert_eq!(join.await.unwrap(), Ok(6));
+        let mut nodes: Vec<&DataNode> = h.nodes.iter().map(|n| &**n).collect();
+        nodes.push(&joiner);
+        assert_exact_after(&h, &nodes, 6, 600).await;
+    }
+
+    per_datagram! {
+        async fn writes_beside_a_join_reach_the_joiner(spec: TransportSpec) {
+            join_scenario(spec, false).await
+        }
+    }
+
+    per_datagram! {
+        /// The p2p store beside a join: the chain runs along the serving
+        /// ring, and the joiner, which the pending ring adds, gets its ids
+        /// by a direct `Store`.
+        async fn p2p_writes_beside_a_join_reach_the_joiner(spec: TransportSpec) {
+            join_scenario(spec, true).await
+        }
+    }
+
+    per_datagram! {
+        /// A write made while a §4.5 decrease is in flight reaches the nodes
+        /// whose extension was already pushed: stores place it on the
+        /// pending ring too. Node 5's gate holds the decrease open after
+        /// nodes 0–4 hold their extensions; 100 ids node 5 will not cover
+        /// are stored then. Placed at the old level, they would miss the
+        /// extensions, and after the commit those nodes would answer their
+        /// wider windows short at harvest 1.0.
+        async fn writes_beside_a_decrease_reach_the_extension(spec: TransportSpec) {
             let cfg = ClusterConfig::uniform(6, 1e6, 3).with_transport(spec);
             let h = spawn_cluster(cfg.with_fault_gates()).await.unwrap();
             let mut rng = det_rng(246);
@@ -1304,9 +1448,7 @@ mod tests {
             };
             for node in 0..5 {
                 let expected = h.admin.expected_records(&target, node);
-                while h.nodes[node].record_count() != expected {
-                    tokio::time::sleep(Duration::from_millis(1)).await;
-                }
+                wait_for_count(&h.nodes[node], expected).await;
             }
             assert!(h.admin.reconfig_in_flight(), "node 5 holds it open");
             let more: Vec<u64> = std::iter::repeat_with(|| rng.gen())
@@ -1322,15 +1464,94 @@ mod tests {
                 assert_eq!(held, h.admin.expected_records(&ring, node), "node {node}");
             }
         }
+    }
 
-        #[tokio::test]
-        async fn udp() {
-            run(udp_spec()).await
+    /// Run `change`, which moves the serving ring to `next`, hold it open
+    /// at `gainer`'s gate once `gainer` holds its download of the `stored`
+    /// ids, store 100 fresh ids inside `gainer`'s gain beside it, and check
+    /// the cluster after the change lands.
+    async fn gain_scenario<F>(
+        h: ClusterHandle,
+        next: RoarRing,
+        gainer: usize,
+        stored: &[u64],
+        change: F,
+    ) where
+        F: std::future::Future<Output = Result<(), AdminError>> + Send + 'static,
+    {
+        let old = h.admin.ring();
+        let gains = |id: u64| next.stores(gainer, id) && !old.stores(gainer, id);
+        let download = stored.iter().filter(|&&id| gains(id)).count() as u64;
+        let gate = h.gates[gainer].clone().expect("fault gates");
+        let before = h.nodes[gainer].record_count();
+        gate.close();
+        let change = tokio::spawn(change);
+        wait_for_count(&h.nodes[gainer], before + download).await;
+        let mut rng = det_rng(249);
+        let more: Vec<u64> = std::iter::repeat_with(|| rng.gen())
+            .filter(|&id| gains(id))
+            .take(100)
+            .collect();
+        store_beside(&h, &h.nodes[gainer], &gate, more, false).await;
+        change.await.unwrap().unwrap();
+        assert_eq!(h.admin.ring().map().entries(), next.map().entries());
+        let nodes: Vec<&DataNode> = h.nodes.iter().map(|n| &**n).collect();
+        assert_exact_after(&h, &nodes, gainer, stored.len() as u64 + 100).await;
+    }
+
+    per_datagram! {
+        /// Writes made while a removal's heir downloads (§4.4) reach the
+        /// heir: node 3 leaves, its predecessor 2 inherits its range, and
+        /// 100 ids inside that inheritance are stored while heir 2's gate
+        /// holds the removal open. Placed on the serving ring alone they
+        /// would sit on node 3, which leaves, and the heir would answer
+        /// short at harvest 1.0.
+        async fn writes_beside_a_removal_reach_the_heir(spec: TransportSpec) {
+            let cfg = ClusterConfig::uniform(6, 1e6, 3).with_transport(spec);
+            let h = spawn_cluster(cfg.with_fault_gates()).await.unwrap();
+            let mut rng = det_rng(250);
+            let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+            h.admin.store_synthetic(&ids).await.unwrap();
+            let mut next = h.admin.ring();
+            next.map_mut().remove(3);
+            let admin = h.admin.clone();
+            gain_scenario(h, next, 2, &ids, async move { admin.remove_node(3).await }).await
         }
+    }
 
-        #[tokio::test]
-        async fn ccudp() {
-            run(ccudp_spec()).await
+    per_datagram! {
+        /// Writes made while a §4.6 balancing step downloads reach the node
+        /// whose range grows. Heterogeneous speeds make the step move
+        /// boundaries; the moved ring is predicted with
+        /// `roar_core::balance::balance_step` on the front end's estimates,
+        /// and the node that gains most holds the step open at its gate.
+        async fn writes_beside_a_balance_step_reach_the_gainer(spec: TransportSpec) {
+            let mut cfg = ClusterConfig::uniform(6, 1e6, 3).with_transport(spec);
+            cfg.speeds = vec![800_000.0, 100_000.0, 800_000.0, 100_000.0, 800_000.0, 100_000.0];
+            let h = spawn_cluster(cfg.with_fault_gates()).await.unwrap();
+            let mut rng = det_rng(251);
+            let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+            h.admin.store_synthetic(&ids).await.unwrap();
+            for _ in 0..6 {
+                let q = h.client.query(QueryBody::Synthetic);
+                q.sched(SchedOpts::default()).pq(6).run().await;
+            }
+            let old = h.admin.ring();
+            let speeds = h.admin.speed_estimates();
+            let mut next = old.clone();
+            let load = |n: usize| {
+                let i = old.map().entries().iter().position(|e| e.node == n).unwrap();
+                old.map().fraction_at(i) / speeds[n]
+            };
+            let cfg = roar_core::balance::BalanceConfig::default();
+            let moved = roar_core::balance::balance_step(next.map_mut(), &cfg, &load, &|_| false);
+            assert!(moved > 0, "the speeds differ enough to move boundaries");
+            let gained = |n: usize| ids.iter().filter(|&&id| next.stores(n, id) && !old.stores(n, id)).count();
+            let gainer = (0..6).max_by_key(|&n| gained(n)).unwrap();
+            assert!(gained(gainer) > 0);
+            let admin = h.admin.clone();
+            let step = async move { admin.balance_step().await.map(|_| ()) };
+            gain_scenario(h, next, gainer, &ids, step).await
         }
     }
 

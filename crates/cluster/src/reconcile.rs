@@ -5,8 +5,8 @@
 //! converge instead: an operator states the **desired** topology
 //! ([`DesiredTopology`]), an observer snapshots the **observed** state
 //! ([`ObservedTopology`]) from the same primitives every §4 experiment
-//! uses (liveness probes, ring fractions, record counts, the in-flight
-//! reconfiguration flag), and a **planner** ([`plan`]) emits the minimal
+//! uses (liveness probes, ring fractions, record counts, the pending
+//! placement change flag), and a **planner** ([`plan`]) emits the minimal
 //! sequence of existing control ops that closes the gap. The
 //! [`Reconciler`] loops observe → plan → apply until the plan is empty.
 //!
@@ -25,9 +25,9 @@
 //!   re-plans; the property tests resume plans at every index and reach
 //!   the same final topology.
 //!
-//! The one stateful hazard — a repartition stalled by a node crash — is
-//! handled by planning [`Step::AbortRepartition`] *alone* whenever a
-//! transition is in flight: abort first (always safe), then re-observe
+//! The one stateful hazard — a placement change stalled by a node crash —
+//! is handled by planning [`Step::AbortRepartition`] *alone* whenever a
+//! placement change is pending: abort first (always safe), then re-observe
 //! and fix membership with full information.
 //!
 //! ```no_run
@@ -91,7 +91,8 @@ pub struct MemberState {
 pub struct ObservedTopology {
     /// Committed partitioning level.
     pub p: usize,
-    /// Is a §4.5 repartition transition in flight?
+    /// Is a placement change pending (its push failed; see
+    /// [`Admin::reconfig_in_flight`])?
     pub reconfig_in_flight: bool,
     /// Ring members, sorted by node id.
     pub members: Vec<MemberState>,
@@ -113,8 +114,8 @@ impl ObservedTopology {
 /// [`Admin`] operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// Abort an in-flight repartition (always safe; queries were still on
-    /// the old, larger `pq`).
+    /// Abort a pending placement change (always safe; queries were still
+    /// on the old ring).
     AbortRepartition,
     /// Remove a ring member (dead-member heal or scale-in).
     RemoveNode { node: usize },
@@ -149,7 +150,7 @@ impl Plan {
 /// to the minimal step sequence that converges. Step order is chosen so
 /// every prefix leaves the cluster queryable:
 ///
-/// 1. an in-flight repartition is aborted **alone** — membership changes
+/// 1. a pending placement change is aborted **alone** — membership changes
 ///    are planned only against a settled partitioning state;
 /// 2. spares join while the ring is short (fresh capacity first, so later
 ///    removals never drop below `p` members);

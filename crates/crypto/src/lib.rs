@@ -4,7 +4,8 @@
 //! a **pseudorandom function** (the paper instantiates it with SHA-1), a
 //! **pseudorandom permutation** (the paper uses AES-128) and a **Bloom
 //! filter** (Goh's keyword scheme). The offline crate set contains no crypto
-//! crates, so this crate implements the primitives from scratch:
+//! crates, so this crate implements from scratch the two that the schemes
+//! here use — the PRF and the Bloom filter — plus garbled circuits:
 //!
 //! * [`sha1`] — FIPS 180-1 SHA-1, verified against the standard test vectors,
 //!   with a lane-generic compression layer ([`sha1::Sha1Lanes`]): scalar x1,
@@ -12,11 +13,6 @@
 //!   [`sha1::Backend`].
 //! * [`hmac`] — HMAC-SHA1 (RFC 2104/2202) used as the keyed PRF `F_K(·)`.
 //! * [`prf`] — the `Prf` abstraction the PPS schemes are written against.
-//! * [`prp`] — a 4-round Feistel network over HMAC-SHA1, a classic
-//!   (Luby–Rackoff) PRP construction standing in for AES as the pseudorandom
-//!   permutation `E_K(·)`.
-//! * [`stream`] — counter-mode stream "encryption" from the PRF, standing in
-//!   for the AES-CTR the thesis encrypts file bodies with.
 //! * [`bloom`] — the Bloom filter with the paper's parameterisation (r = 17
 //!   hashes for a 1-in-100,000 false-positive rate, ~25 bits/element).
 //! * [`circuit`] — boolean-circuit IR with predicate constructors, the query
@@ -33,15 +29,11 @@ pub mod circuit;
 pub mod garble;
 pub mod hmac;
 pub mod prf;
-pub mod prp;
 pub mod sha1;
-pub mod stream;
 
 pub use bloom::BloomFilter;
 pub use circuit::{Circuit, CircuitBuilder};
 pub use garble::{GarbledQuery, Garbler, WireLabel};
 pub use hmac::hmac_sha1;
 pub use prf::{HmacPrf, Prf};
-pub use prp::FeistelPrp;
 pub use sha1::{Backend, Sha1, Sha1Lanes};
-pub use stream::xor_keystream;

@@ -16,7 +16,7 @@
 //! | [`cluster`] (`roar-cluster`) | networked deployment: data nodes, front-end (+backup p discovery), live membership, p2p store forwarding, pluggable TCP / reliable-UDP transports |
 //! | [`sim`] (`roar-sim`) | discrete-event delay/availability simulator, energy + admission models |
 //! | [`workload`] (`roar-workload`) | corpora, query streams, server fleets, diurnal load |
-//! | [`crypto`] (`roar-crypto`) | SHA-1 / HMAC PRF / Feistel PRP / Bloom filters / boolean circuits + Yao garbling |
+//! | [`crypto`] (`roar-crypto`) | SHA-1 / HMAC PRF / Bloom filters / boolean circuits + Yao garbling |
 //! | [`util`] (`roar-util`) | statistics, samplers, reporting |
 //!
 //! ## Quickstart
