@@ -337,8 +337,32 @@ impl Admin {
     /// Abort a pending placement change (§4.5: load spiked again before
     /// commit) by dropping its ring. Safe because the serving ring never
     /// changed; a later placement change starts from a clean slate.
+    ///
+    /// A joiner that ring named and the serving ring does not — a join
+    /// whose download failed — leaves with it: its link and stats slot are
+    /// dropped, so [`Self::n`] counts ring members again and the next join
+    /// reuses its id. Not while a placement change still runs: its download
+    /// may yet commit the ring that names the joiner.
     pub fn abort_repartition(&self) {
-        *self.core.pending.lock() = None;
+        let Some(pending) = self.core.pending.lock().take() else {
+            return;
+        };
+        let Ok(_control) = self.core.control.try_lock() else {
+            return;
+        };
+        let serving = self.core.ring_snapshot();
+        let on = |ring: &RoarRing, node: usize| ring.map().range_of(node).is_some();
+        let dropped = {
+            let mut conns = self.core.conns.write();
+            let joiner = conns.len() - 1;
+            let phantom = on(&pending, joiner) && !on(&serving, joiner);
+            phantom && conns.pop().is_some()
+        };
+        // the slot after the link (see `add_node`), and not under the
+        // `conns` lock: readers take `stats` first
+        if dropped {
+            self.core.stats.write().remove_last_node();
+        }
     }
 
     /// Re-push from the backend each live node's whole coverage (nodes
@@ -418,16 +442,16 @@ impl Admin {
                 op: "connect",
                 err: RpcError::Disconnected,
             })?;
+        // the stats slot before the link: readers index `stats` by
+        // `0..n()`, and `n()` counts links, so there must never be a link
+        // without its slot (`abort_repartition` removes them in reverse)
+        let sid = self.core.stats.write().add_node();
         let new_id = {
             let mut conns = self.core.conns.write();
             conns.push(conn);
             conns.len() - 1
         };
-        {
-            let mut st = self.core.stats.write();
-            let sid = st.add_node();
-            debug_assert_eq!(sid, new_id, "stats and conns must stay index-aligned");
-        }
+        debug_assert_eq!(sid, new_id, "stats and conns must stay index-aligned");
         // pick the entry to split: durability first, then load. A range
         // longer than the replication arc L under-replicates its interior —
         // objects whose whole arc fits inside one range live on that node

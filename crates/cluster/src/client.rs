@@ -358,6 +358,10 @@ impl QueryBuilder {
     /// themselves.
     pub async fn run(self) -> QueryOutput {
         let (retries, backoff) = (self.retries, self.retry_backoff);
+        if retries == 0 {
+            // one attempt: the builder (and its body) is spent, not cloned
+            return self.run_once().await;
+        }
         let attempt = QueryBuilder { retries: 0, ..self };
         let t0 = Instant::now();
         let mut out = attempt.clone().run_once().await;
@@ -373,9 +377,7 @@ impl QueryBuilder {
                 out = next;
             }
         }
-        if retries > 0 {
-            out.wall_s = t0.elapsed().as_secs_f64();
-        }
+        out.wall_s = t0.elapsed().as_secs_f64();
         out
     }
 
@@ -413,17 +415,14 @@ async fn run_one(
     index: usize,
 ) -> (usize, SubOutcome) {
     let Some(policy) = ctx.hedge else {
-        let out = ctx
-            .core
-            .run_subquery(&ctx.ring, sub, ctx.body.clone(), 0)
-            .await;
+        let out = ctx.core.run_subquery(&ctx.ring, sub, &ctx.body, 0).await;
         return (index, out);
     };
     let primary_ctx = Arc::clone(&ctx);
     let mut primary = tokio::spawn(async move {
         primary_ctx
             .core
-            .run_subquery(&primary_ctx.ring, sub, primary_ctx.body.clone(), 0)
+            .run_subquery(&primary_ctx.ring, sub, &primary_ctx.body, 0)
             .await
     });
     let settle_primary = |r: Result<SubOutcome, tokio::task::JoinError>| match r {

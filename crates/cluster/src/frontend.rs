@@ -352,15 +352,16 @@ impl ClusterCore {
     /// was never done (`proc_time` 0 leaves the speed EWMA alone). `Err` is
     /// a transport failure: no reply came, the charge still stands, and
     /// what that means for the node is the caller's call.
-    async fn dispatch_once(&self, sub: &SubQuery, body: QueryBody) -> Result<SubOutcome, RpcError> {
-        let msg = Msg::SubQuery {
-            query_id: sub.point,
-            window_start: sub.window.start,
-            window_end: sub.window.end,
-            body,
-            backend: None,
-        };
-        let reply = self.conn(sub.node).rpc(msg, self.timeout).await?;
+    /// The request is encoded once, from the borrowed body, into the link's
+    /// send buffer.
+    async fn dispatch_once(
+        &self,
+        sub: &SubQuery,
+        body: &QueryBody,
+    ) -> Result<SubOutcome, RpcError> {
+        let window = (sub.window.start, sub.window.end);
+        let encode = |out: &mut Vec<u8>| Msg::put_subquery(out, sub.point, window, body, &None);
+        let reply = self.conn(sub.node).rpc_with(&encode, self.timeout).await?;
         let (outcome, proc_s) = match reply {
             Msg::SubQueryResult {
                 matches,
@@ -398,11 +399,11 @@ impl ClusterCore {
         &'a self,
         ring: &'a RoarRing,
         sub: SubQuery,
-        body: QueryBody,
+        body: &'a QueryBody,
         depth: usize,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = SubOutcome> + Send + 'a>> {
         Box::pin(async move {
-            let err = match self.dispatch_once(&sub, body.clone()).await {
+            let err = match self.dispatch_once(&sub, body).await {
                 Ok(outcome) => return outcome,
                 Err(err) => err,
             };
@@ -427,7 +428,7 @@ impl ClusterCore {
                 // charged piece by piece, as each is sent: an early failure
                 // leaves the unsent rest off the books
                 self.note_dispatch(std::slice::from_ref(&s));
-                match self.run_subquery(ring, s, body.clone(), depth + 1).await {
+                match self.run_subquery(ring, s, body, depth + 1).await {
                     SubOutcome::Done {
                         matches: m,
                         scanned: sc,
@@ -487,7 +488,7 @@ impl ClusterCore {
             // whole-window spare: first reply wins
             let aimed = SubQuery { node: spare, ..sub };
             let (matches, scanned, proc_s) =
-                self.hedge_dispatch_once(&aimed, body, hedges_sent).await?;
+                self.hedge_dispatch_once(&aimed, &body, hedges_sent).await?;
             return Some(SubOutcome::Done {
                 matches,
                 scanned,
@@ -510,7 +511,7 @@ impl ClusterCore {
                 let body = body.clone();
                 let hedges_sent = Arc::clone(hedges_sent);
                 tokio::spawn(
-                    async move { this.hedge_dispatch_once(&piece, body, &hedges_sent).await },
+                    async move { this.hedge_dispatch_once(&piece, &body, &hedges_sent).await },
                 )
             })
             .collect();
@@ -550,7 +551,7 @@ impl ClusterCore {
     async fn hedge_dispatch_once(
         &self,
         sub: &SubQuery,
-        body: QueryBody,
+        body: &QueryBody,
         hedges_sent: &std::sync::atomic::AtomicUsize,
     ) -> Option<(Vec<u64>, u64, f64)> {
         // ORDERING: Relaxed — stats counter; no other memory is
@@ -974,6 +975,35 @@ mod tests {
         let refused = admin.add_node(spare).await;
         assert_eq!(refused, Err(AdminError::RepartitionInFlight));
         assert_eq!(admin.n(), 4);
+    }
+
+    /// A join whose download fails leaves no phantom once aborted: the
+    /// joiner's link and stats slot go with the pending ring that named
+    /// it, `n()` is the serving ring's count again, and the next join gets
+    /// the same id.
+    #[tokio::test]
+    async fn an_aborted_failed_join_leaves_no_phantom_link() {
+        let core = offline_core().await;
+        let admin = crate::admin::Admin {
+            core: Arc::clone(&core),
+        };
+        let mut rng = det_rng(49);
+        let ids: Vec<u64> = (0..64).map(|_| rng.gen()).collect();
+        core.backend.append_synthetic(&ids);
+        let spare = SocketAddr::from(([127, 0, 0, 1], 40_100));
+        for _ in 0..2 {
+            // only the joiner gains a range, and nothing listens there
+            match admin.add_node(spare).await {
+                Err(AdminError::RetriesExhausted { node, .. }) => assert_eq!(node, 4),
+                other => panic!("the join's download should fail: {other:?}"),
+            }
+            assert!(admin.reconfig_in_flight());
+            admin.abort_repartition();
+            assert!(!admin.reconfig_in_flight());
+            assert_eq!(admin.n(), core.ring_snapshot().n());
+            assert_eq!(admin.n(), 4);
+            // (the second join's id is checked against its stats slot's)
+        }
     }
 
     /// While a join downloads, a write goes to its replicas on the serving

@@ -463,7 +463,7 @@ mod tests {
         let body = QueryBody::Pps {
             trapdoors: vec![
                 WireTrapdoor {
-                    parts: vec![vec![0u8; 20]],
+                    parts: vec![[0u8; 20]],
                 };
                 65
             ],

@@ -24,7 +24,7 @@
 //! (`DataNode::update_store`); the lock is held for a pointer
 //! comparison and an assignment, whatever the batch.
 
-use crate::proto::{Msg, QueryBody, WireRecord};
+use crate::proto::{Msg, QueryBody, WireRecord, WireTrapdoor};
 use crate::transport::{BoxFuture, Handler, Transport, TransportSpec};
 use parking_lot::Mutex;
 use roar_core::ring::Window;
@@ -387,12 +387,12 @@ impl DataNode {
                 trapdoors,
                 conjunctive,
             } => {
-                let tds: Option<Vec<_>> = trapdoors.iter().map(|t| t.to_trapdoor()).collect();
-                let Some(tds) = tds else {
-                    return Msg::Error {
-                        what: "corrupt trapdoor".into(),
-                    };
-                };
+                // a part of the wrong length already failed decode; the
+                // parts move into the matcher's trapdoors uncopied
+                let tds: Vec<_> = trapdoors
+                    .into_iter()
+                    .map(WireTrapdoor::into_trapdoor)
+                    .collect();
                 // validate wire-supplied bounds *before* matching: the
                 // matcher asserts r ≤ MAX_R per trapdoor and ≤ 64
                 // predicates; a malformed front-end must get a clean
@@ -823,7 +823,7 @@ mod tests {
         let (addr, _node) = start_node(1e6).await;
         let mut s = TcpStream::connect(addr).await.unwrap();
         let huge = crate::proto::WireTrapdoor {
-            parts: vec![vec![0u8; 20]; roar_pps::bloom_kw::MAX_R + 1],
+            parts: vec![[0u8; 20]; roar_pps::bloom_kw::MAX_R + 1],
         };
         let reply = rpc(
             &mut s,
@@ -846,6 +846,49 @@ mod tests {
         }
         // the connection (and node) must still be healthy afterwards
         assert_eq!(rpc(&mut s, 2, Msg::Ping).await, Msg::Pong);
+    }
+
+    /// A frame whose body does not decode — here a sub-query whose one
+    /// trapdoor part is 3 bytes, not 20 — is answered `Msg::Error` on its
+    /// id, and the connection, with every sub-query multiplexed on it,
+    /// serves on.
+    #[tokio::test]
+    async fn corrupt_trapdoor_frame_answered_and_connection_survives() {
+        use tokio::io::AsyncWriteExt;
+        let (addr, _node) = start_node(1e6).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let good = Msg::SubQuery {
+            query_id: 1,
+            window_start: 0,
+            window_end: 0,
+            body: QueryBody::Pps {
+                trapdoors: vec![WireTrapdoor {
+                    parts: vec![[7u8; 20]],
+                }],
+                conjunctive: true,
+            },
+            backend: None,
+        }
+        .encode();
+        // the part's length prefix and bytes, cut down to 3
+        let part: Vec<u8> = [0, 0, 0, 20].into_iter().chain([7; 20]).collect();
+        let at = good.windows(24).position(|w| w == part).expect("the part");
+        let bad: Vec<u8> = (good[..at].iter().copied())
+            .chain([0, 0, 0, 3, 7, 7, 7])
+            .chain(good[at + 24..].iter().copied())
+            .collect();
+        assert!(Msg::decode(&bad).is_none());
+        let mut frame = ((8 + bad.len()) as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(&41u64.to_be_bytes());
+        frame.extend_from_slice(&bad);
+        s.write_all(&frame).await.unwrap();
+        let reply = read_frame(&mut s).await.unwrap().unwrap();
+        assert_eq!(reply.id, 41);
+        match reply.body {
+            Msg::Error { what } => assert_eq!(what, "malformed request"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert_eq!(rpc(&mut s, 42, Msg::Ping).await, Msg::Pong);
     }
 
     /// A zero-bit Bloom filter from the wire must be refused at the door:

@@ -78,6 +78,15 @@ mod wire {
             }
         }
 
+        /// Length-prefixed byte string of exactly `N` bytes, decoded in
+        /// place: a length other than `N` is malformed.
+        pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+            if self.u32()? as usize != N {
+                return None;
+            }
+            Some(self.take(N)?.try_into().expect("N bytes"))
+        }
+
         /// Length-prefixed byte string.
         pub fn bytes(&mut self) -> Option<Vec<u8>> {
             let n = self.u32()? as usize;
@@ -164,26 +173,24 @@ fn get_backend(r: &mut Reader<'_>) -> Option<Option<Backend>> {
     }
 }
 
-/// One keyword trapdoor on the wire (the r PRF images).
+/// One keyword trapdoor on the wire (the r PRF images). Each part travels
+/// as a length-prefixed byte string whose length must be 20: any other
+/// length fails [`Msg::decode`], like any other malformed field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireTrapdoor {
-    pub parts: Vec<Vec<u8>>,
+    pub parts: Vec<[u8; 20]>,
 }
 
 impl WireTrapdoor {
     pub fn from_trapdoor(td: &roar_pps::bloom_kw::Trapdoor) -> Self {
         WireTrapdoor {
-            parts: td.parts.iter().map(|p| p.to_vec()).collect(),
+            parts: td.parts.clone(),
         }
     }
 
-    pub fn to_trapdoor(&self) -> Option<roar_pps::bloom_kw::Trapdoor> {
-        let parts: Option<Vec<[u8; 20]>> = self
-            .parts
-            .iter()
-            .map(|p| p.as_slice().try_into().ok())
-            .collect();
-        Some(roar_pps::bloom_kw::Trapdoor { parts: parts? })
+    /// The matcher's trapdoor: the decoded parts move over, uncopied.
+    pub fn into_trapdoor(self) -> roar_pps::bloom_kw::Trapdoor {
+        roar_pps::bloom_kw::Trapdoor { parts: self.parts }
     }
 
     fn put(&self, out: &mut Vec<u8>) {
@@ -197,7 +204,7 @@ impl WireTrapdoor {
         let n = r.u32()? as usize;
         let mut parts = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            parts.push(r.bytes()?);
+            parts.push(r.array()?);
         }
         Some(WireTrapdoor { parts })
     }
@@ -425,6 +432,25 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// Append the encoding of a `Msg::SubQuery` over a borrowed body: the
+    /// front end sends one body to every sub-query of a query without
+    /// building (or cloning into) a `Msg` per sub-query. The bytes are
+    /// `Msg::SubQuery`'s.
+    pub fn put_subquery(
+        out: &mut Vec<u8>,
+        query_id: u64,
+        (window_start, window_end): (u64, u64),
+        body: &QueryBody,
+        backend: &Option<Backend>,
+    ) {
+        wire::put_u8(out, 0);
+        wire::put_u64(out, query_id);
+        wire::put_u64(out, window_start);
+        wire::put_u64(out, window_end);
+        body.put(out);
+        put_backend(out, backend);
+    }
+
     /// Append the tagged binary encoding of this message to `out`.
     pub fn put(&self, out: &mut Vec<u8>) {
         match self {
@@ -434,14 +460,7 @@ impl Msg {
                 window_end,
                 body,
                 backend,
-            } => {
-                wire::put_u8(out, 0);
-                wire::put_u64(out, *query_id);
-                wire::put_u64(out, *window_start);
-                wire::put_u64(out, *window_end);
-                body.put(out);
-                put_backend(out, backend);
-            }
+            } => Msg::put_subquery(out, *query_id, (*window_start, *window_end), body, backend),
             Msg::SubQueryResult {
                 query_id,
                 matches,
@@ -589,13 +608,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        wire::put_u64(&mut out, self.id);
-        self.body.put(&mut out);
-        out
-    }
-
     pub fn decode(buf: &[u8]) -> Option<Frame> {
         let mut r = Reader::new(buf);
         let id = r.u64()?;
@@ -604,22 +616,51 @@ impl Frame {
     }
 }
 
+/// Append one frame to `out`: the length prefix, written in place once
+/// `encode` has appended the body after the id. A frame over
+/// [`MAX_FRAME`] is taken back out of `out` and refused.
+pub fn put_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let at = out.len();
+    wire::put_u32(out, 0);
+    wire::put_u64(out, id);
+    encode(out);
+    let len = out.len() - at - 4;
+    if len > MAX_FRAME {
+        out.truncate(at);
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame too large: {len} bytes"),
+        ));
+    }
+    out[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
 /// Write one frame.
 pub async fn write_frame<W: AsyncWriteExt + Unpin>(
     w: &mut W,
     frame: &Frame,
 ) -> std::io::Result<()> {
-    let payload = frame.encode();
-    assert!(
-        payload.len() <= MAX_FRAME,
-        "frame too large: {} bytes",
-        payload.len()
-    );
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&payload);
+    let mut buf = Vec::new();
+    put_frame(&mut buf, frame.id, |out| frame.body.put(out))?;
     w.write_all(&buf).await?;
     w.flush().await
+}
+
+fn invalid(what: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what)
+}
+
+fn frame_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(invalid(format!("frame length {len} exceeds limit")));
+    }
+    Ok(len)
 }
 
 /// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
@@ -630,19 +671,137 @@ pub async fn read_frame<R: AsyncReadExt + Unpin>(r: &mut R) -> std::io::Result<O
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(len_buf)?];
     r.read_exact(&mut payload).await?;
-    let frame = Frame::decode(&payload).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed frame payload")
-    })?;
+    let frame = Frame::decode(&payload).ok_or_else(|| invalid("malformed frame payload".into()))?;
     Ok(Some(frame))
+}
+
+/// Bytes a [`FrameReader`] buffers: one read takes in a burst of frames up
+/// to this size; a longer frame is read into its own allocation.
+pub const FRAME_READ_BUF: usize = 4096;
+
+/// One frame off a [`FrameReader`]: its correlation id, and its body —
+/// `None` when the bytes after the id do not decode.
+pub type InboundFrame = (u64, Option<Msg>);
+
+/// The read side of a TCP connection, buffered: one `read` takes in
+/// whatever the socket holds (up to [`FRAME_READ_BUF`] bytes) and frames
+/// are decoded straight out of the buffer, so a frame costs one `recv`, not
+/// one for its length and one for its payload, and no zero-filled payload
+/// buffer. The buffer is allocated at the first read and never grows; a
+/// frame longer than it is read into an exact-size `Vec` of its own.
+///
+/// Every byte read lives in the reader between calls, so a
+/// [`next`](Self::next) dropped mid-frame loses nothing.
+pub struct FrameReader<R> {
+    r: R,
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// A frame longer than `buf`, being read: its payload and how much of
+    /// it has arrived.
+    long: Vec<u8>,
+    long_filled: usize,
+}
+
+impl<R: AsyncReadExt + Unpin> FrameReader<R> {
+    pub fn new(r: R) -> Self {
+        FrameReader {
+            r,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            long: Vec::new(),
+            long_filled: 0,
+        }
+    }
+
+    /// Are bytes of a further frame already buffered? A caller deciding
+    /// whether it may serve this frame before reading on asks this.
+    pub fn buffered(&self) -> bool {
+        self.end > self.start
+    }
+
+    /// The next frame; `Ok(None)` on clean EOF at a frame boundary. A
+    /// length over [`MAX_FRAME`], a frame too short to hold its id, EOF
+    /// inside a frame and I/O errors are `Err`: the stream is unusable.
+    pub async fn next(&mut self) -> std::io::Result<Option<InboundFrame>> {
+        std::future::poll_fn(|cx| self.poll_next(cx)).await
+    }
+
+    /// [`next`](Self::next) as a poll, for a caller that waits on the
+    /// reader beside something else.
+    pub fn poll_next(
+        &mut self,
+        cx: &mut std::task::Context<'_>,
+    ) -> std::task::Poll<std::io::Result<Option<InboundFrame>>> {
+        use std::task::Poll;
+        loop {
+            if !self.long.is_empty() {
+                while self.long_filled < self.long.len() {
+                    let filled = self.long_filled;
+                    match self.r.poll_read(cx, &mut self.long[filled..]) {
+                        Poll::Ready(Ok(0)) => return Poll::Ready(Err(eof_in_frame())),
+                        Poll::Ready(Ok(n)) => self.long_filled += n,
+                        Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                        Poll::Pending => return Poll::Pending,
+                    }
+                }
+                let long = std::mem::take(&mut self.long);
+                self.long_filled = 0;
+                return Poll::Ready(split_frame(&long).map(Some));
+            }
+            let avail = &self.buf[self.start..self.end];
+            if avail.len() >= 4 {
+                let len = frame_len(avail[..4].try_into().expect("4 bytes"))?;
+                if avail.len() >= 4 + len {
+                    let frame = split_frame(&avail[4..4 + len]);
+                    self.start += 4 + len;
+                    if self.start == self.end {
+                        (self.start, self.end) = (0, 0);
+                    }
+                    return Poll::Ready(frame.map(Some));
+                }
+                if 4 + len > FRAME_READ_BUF {
+                    let mut long = vec![0u8; len];
+                    long[..avail.len() - 4].copy_from_slice(&avail[4..]);
+                    self.long_filled = avail.len() - 4;
+                    self.long = long;
+                    (self.start, self.end) = (0, 0);
+                    continue;
+                }
+            }
+            if self.buf.is_empty() {
+                self.buf = vec![0u8; FRAME_READ_BUF];
+            }
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            let end = self.end;
+            match self.r.poll_read(cx, &mut self.buf[end..]) {
+                Poll::Ready(Ok(0)) if end == 0 => return Poll::Ready(Ok(None)),
+                Poll::Ready(Ok(0)) => return Poll::Ready(Err(eof_in_frame())),
+                Poll::Ready(Ok(n)) => self.end += n,
+                Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                Poll::Pending => return Poll::Pending,
+            }
+        }
+    }
+}
+
+fn eof_in_frame() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof inside a frame")
+}
+
+/// A frame's payload as its id and, if it decodes, its body.
+fn split_frame(payload: &[u8]) -> std::io::Result<InboundFrame> {
+    let Some((id, body)) = payload.split_first_chunk::<8>() else {
+        return Err(invalid(format!("{}-byte frame holds no id", payload.len())));
+    };
+    Ok((u64::from_be_bytes(*id), Msg::decode(body)))
 }
 
 #[cfg(test)]
@@ -711,7 +870,7 @@ mod tests {
             parts: vec![[7u8; 20], [9u8; 20]],
         };
         let wire = WireTrapdoor::from_trapdoor(&td);
-        assert_eq!(wire.to_trapdoor().unwrap(), td);
+        assert_eq!(wire.into_trapdoor(), td);
     }
 
     #[test]
@@ -744,28 +903,26 @@ mod tests {
         assert!(WireRecord::to_run(&bad).is_none());
     }
 
-    #[test]
-    fn corrupt_trapdoor_rejected() {
-        let wire = WireTrapdoor {
-            parts: vec![vec![1, 2, 3]],
-        };
-        assert!(wire.to_trapdoor().is_none());
-    }
-
-    #[test]
-    fn every_message_variant_roundtrips() {
-        let msgs = vec![
+    fn every_variant() -> Vec<Msg> {
+        vec![
             Msg::SubQuery {
                 query_id: 1,
                 window_start: 2,
                 window_end: u64::MAX,
                 body: QueryBody::Pps {
                     trapdoors: vec![WireTrapdoor {
-                        parts: vec![vec![1u8; 20], vec![2u8; 20]],
+                        parts: vec![[1u8; 20], [2u8; 20]],
                     }],
                     conjunctive: true,
                 },
                 backend: None,
+            },
+            Msg::SubQuery {
+                query_id: 3,
+                window_start: 9,
+                window_end: 9,
+                body: QueryBody::Synthetic,
+                backend: Some(Backend::Avx2),
             },
             Msg::SubQueryResult {
                 query_id: 5,
@@ -811,8 +968,42 @@ mod tests {
             },
             Msg::SetSpeedFactor { factor: 4.0 },
             Msg::SetServiceModel { serial: true },
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    /// A trapdoor part travels as a length-prefixed string whose length
+    /// must be 20: a 3-byte part fails decode, the same bytes with a
+    /// 20-byte part decode.
+    #[test]
+    fn corrupt_trapdoor_rejected() {
+        let subquery = |part: &[u8]| {
+            let mut out = Vec::new();
+            wire::put_u8(&mut out, 0);
+            for v in [1, 2, 3] {
+                wire::put_u64(&mut out, v);
+            }
+            wire::put_u8(&mut out, 0); // Pps
+            wire::put_u32(&mut out, 1); // one trapdoor
+            wire::put_u32(&mut out, 1); // of one part
+            wire::put_bytes(&mut out, part);
+            wire::put_bool(&mut out, true);
+            put_backend(&mut out, &None);
+            out
+        };
+        assert!(Msg::decode(&subquery(&[1, 2, 3])).is_none());
+        assert!(Msg::decode(&subquery(&[0; 21])).is_none());
+        match Msg::decode(&subquery(&[7; 20])) {
+            Some(Msg::SubQuery {
+                body: QueryBody::Pps { trapdoors, .. },
+                ..
+            }) => assert_eq!(trapdoors[0].parts, vec![[7u8; 20]]),
+            other => panic!("a 20-byte part did not decode: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_message_variant_roundtrips() {
+        for msg in every_variant() {
             let bytes = msg.encode();
             assert_eq!(
                 Msg::decode(&bytes),
@@ -820,6 +1011,231 @@ mod tests {
                 "roundtrip of {msg:?}"
             );
         }
+    }
+
+    /// The borrowed-body encoder writes `Msg::SubQuery`'s bytes, bare and
+    /// framed, for every body shape.
+    #[test]
+    fn borrowed_subquery_bytes_are_the_owned_messages() {
+        let mut seen = 0;
+        for msg in every_variant() {
+            let Msg::SubQuery {
+                query_id,
+                window_start,
+                window_end,
+                body,
+                backend,
+            } = &msg
+            else {
+                continue;
+            };
+            let borrowed = |out: &mut Vec<u8>| {
+                Msg::put_subquery(out, *query_id, (*window_start, *window_end), body, backend)
+            };
+            let mut bare = Vec::new();
+            borrowed(&mut bare);
+            assert_eq!(bare, msg.encode(), "{msg:?}");
+            let mut framed = Vec::new();
+            put_frame(&mut framed, 77, borrowed).unwrap();
+            let mut owned = Vec::new();
+            put_frame(&mut owned, 77, |out| msg.put(out)).unwrap();
+            assert_eq!(framed, owned, "{msg:?}");
+            assert_eq!(framed[..4], ((framed.len() - 4) as u32).to_be_bytes());
+            seen += 1;
+        }
+        assert_eq!(seen, 2, "a Pps and a Synthetic body");
+    }
+
+    /// A byte stream served in scripted pieces: each read returns at most
+    /// up to the next cut, and `Pending` (a `recv` that finds the socket
+    /// empty) where nothing has arrived yet. Counts reads.
+    struct Script {
+        data: Vec<u8>,
+        pos: usize,
+        /// Bytes that have arrived.
+        arrived: usize,
+        cuts: std::collections::VecDeque<usize>,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(data: Vec<u8>, cuts: &[usize]) -> Self {
+            Script {
+                arrived: data.len(),
+                data,
+                pos: 0,
+                cuts: cuts.iter().copied().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl tokio::io::AsyncRead for Script {
+        fn poll_read(
+            &mut self,
+            _cx: &mut std::task::Context<'_>,
+            buf: &mut [u8],
+        ) -> std::task::Poll<std::io::Result<usize>> {
+            self.reads += 1;
+            if self.pos == self.arrived && self.arrived < self.data.len() {
+                return std::task::Poll::Pending;
+            }
+            while self.cuts.front().is_some_and(|&c| c <= self.pos) {
+                self.cuts.pop_front();
+            }
+            let end = self.cuts.front().copied().unwrap_or(self.arrived);
+            let n = buf.len().min(end.min(self.arrived) - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            std::task::Poll::Ready(Ok(n))
+        }
+    }
+
+    /// Frames of every size class: tiny, typical, longer than the reader's
+    /// buffer.
+    fn sample_frames() -> Vec<Frame> {
+        let long = Msg::Store {
+            records: (0..40)
+                .map(|id| WireRecord {
+                    id,
+                    nonce: !id,
+                    filter: vec![id as u8; 120],
+                    filter_bits: 960,
+                })
+                .collect(),
+            synthetic_ids: vec![5, 6],
+        };
+        assert!(long.encode().len() > FRAME_READ_BUF);
+        let mut frames: Vec<Frame> = every_variant()
+            .into_iter()
+            .enumerate()
+            .map(|(i, body)| Frame { id: i as u64, body })
+            .collect();
+        frames.insert(3, Frame { id: 99, body: long });
+        frames
+    }
+
+    fn stream_of(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in frames {
+            put_frame(&mut out, f.id, |o| f.body.put(o)).unwrap();
+        }
+        out
+    }
+
+    async fn drain_reader(script: Script) -> (Vec<Frame>, usize) {
+        let mut reader = FrameReader::new(script);
+        let mut got = Vec::new();
+        while let Some((id, body)) = reader.next().await.unwrap() {
+            got.push(Frame {
+                id,
+                body: body.expect("decodes"),
+            });
+        }
+        (got, reader.r.reads)
+    }
+
+    #[tokio::test]
+    async fn frame_reader_reads_what_read_frame_reads() {
+        let frames = sample_frames();
+        let bytes = stream_of(&frames);
+        let mut plain = Script::new(bytes.clone(), &[]);
+        let mut expected = Vec::new();
+        while let Some(f) = read_frame(&mut plain).await.unwrap() {
+            expected.push(f);
+        }
+        assert_eq!(expected, frames);
+        // several frames per read: a burst of small frames is one read
+        let (got, reads) = drain_reader(Script::new(bytes.clone(), &[])).await;
+        assert_eq!(got, expected);
+        assert!(
+            reads < frames.len(),
+            "{reads} reads for {} frames",
+            frames.len()
+        );
+        // every split point, the long frame's included
+        for cut in 1..bytes.len() {
+            let (got, _) = drain_reader(Script::new(bytes.clone(), &[cut])).await;
+            assert_eq!(got, expected, "split at byte {cut}");
+        }
+        // one byte per read
+        let every: Vec<usize> = (1..bytes.len()).collect();
+        let (got, _) = drain_reader(Script::new(bytes, &every)).await;
+        assert_eq!(got, expected);
+    }
+
+    /// Frames arriving one at a time, each read finding the socket empty
+    /// once before its frame lands: `read_frame` spends three reads a frame
+    /// (the empty one, the length, the payload), a [`FrameReader`] two.
+    #[test]
+    fn frame_reader_spends_two_reads_a_frame() {
+        use std::future::Future;
+        let frames: Vec<Frame> = (0..8)
+            .map(|id| Frame {
+                id,
+                body: Msg::Ping,
+            })
+            .collect();
+        let bytes = stream_of(&frames);
+        let per_frame = bytes.len() / frames.len();
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let mut script = Script::new(bytes.clone(), &[]);
+        script.arrived = 0;
+        for f in &frames {
+            // nothing buffered is consumed, so a fresh call picks up after
+            // the pending one
+            assert!(std::pin::pin!(read_frame(&mut script))
+                .poll(&mut cx)
+                .is_pending());
+            script.arrived += per_frame;
+            let got = std::pin::pin!(read_frame(&mut script)).poll(&mut cx);
+            assert!(matches!(got, std::task::Poll::Ready(Ok(Some(ref g))) if g == f));
+        }
+        assert_eq!(script.reads, 3 * frames.len());
+        let mut script = Script::new(bytes, &[]);
+        script.arrived = 0;
+        let mut reader = FrameReader::new(script);
+        for f in &frames {
+            assert!(std::pin::pin!(reader.next()).poll(&mut cx).is_pending());
+            reader.r.arrived += per_frame;
+            let got = std::pin::pin!(reader.next()).poll(&mut cx);
+            assert!(
+                matches!(got, std::task::Poll::Ready(Ok(Some((id, Some(Msg::Ping))))) if id == f.id)
+            );
+        }
+        assert_eq!(reader.r.reads, 2 * frames.len());
+    }
+
+    #[tokio::test]
+    async fn frame_reader_flags_a_bad_body_and_refuses_a_bad_stream() {
+        // a body that does not decode still yields its id
+        let mut bytes = Vec::new();
+        put_frame(&mut bytes, 5, |o| o.extend_from_slice(&[200, 1, 2])).unwrap();
+        put_frame(&mut bytes, 6, |o| Msg::Ping.put(o)).unwrap();
+        let mut reader = FrameReader::new(Script::new(bytes, &[]));
+        assert_eq!(reader.next().await.unwrap(), Some((5, None)));
+        assert_eq!(reader.next().await.unwrap(), Some((6, Some(Msg::Ping))));
+        assert_eq!(reader.next().await.unwrap(), None);
+        // too short to hold an id
+        let short = [0u8, 0, 0, 3, 1, 2, 3].to_vec();
+        assert!(FrameReader::new(Script::new(short, &[]))
+            .next()
+            .await
+            .is_err());
+        // a length over MAX_FRAME
+        let huge = u32::MAX.to_be_bytes().to_vec();
+        assert!(FrameReader::new(Script::new(huge, &[]))
+            .next()
+            .await
+            .is_err());
+        // EOF inside a frame
+        let mut cut = Vec::new();
+        put_frame(&mut cut, 1, |o| Msg::Ping.put(o)).unwrap();
+        cut.pop();
+        assert!(FrameReader::new(Script::new(cut, &[]))
+            .next()
+            .await
+            .is_err());
     }
 
     #[test]

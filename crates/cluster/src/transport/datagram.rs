@@ -48,7 +48,9 @@
 //! loss never happens.
 
 use super::congestion::CongestionPolicy;
-use super::{BoundServer, BoxFuture, FnHandler, Handler, LossSpec, NodeLink, RpcError, Transport};
+use super::{
+    BoundServer, BoxFuture, Encoder, FnHandler, Handler, LossSpec, NodeLink, RpcError, Transport,
+};
 use crate::proto::Msg;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -61,6 +63,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::net::UdpSocket;
 use tokio::sync::oneshot;
+
+/// Bytes a link's request buffer starts with: a sub-query of a few
+/// trapdoors (≈ 0.5 KB for one 17-part keyword) encodes without regrowing
+/// the buffer it is (re)sent from.
+const REQUEST_BUF: usize = 1024;
 
 /// Default per-datagram payload budget. Generous for loopback; tests dial
 /// it down to exercise fragmentation.
@@ -782,6 +789,11 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
     }
 
     /// A fully reassembled request: acknowledge, then execute at most once.
+    /// A payload that does not decode is dropped unanswered (and its id
+    /// forgotten, so a clean retransmission is served): the requester's
+    /// deadline decides. The TCP server answers one with `Msg::Error`
+    /// instead, because there a dropped frame would be the only reply its
+    /// requester ever waits for.
     async fn dispatch_request(
         self: &Arc<Self>,
         peer: SocketAddr,
@@ -831,8 +843,18 @@ impl<P: CongestionPolicy> DatagramEndpoint<P> {
         msg: Msg,
         overall: Duration,
     ) -> Result<Msg, RequestError> {
+        self.request_encoded(peer, msg.encode(), overall).await
+    }
+
+    /// [`request`](Self::request) with the request already encoded: the
+    /// payload is the buffer every (re)transmission is sent from.
+    pub async fn request_encoded(
+        &self,
+        peer: SocketAddr,
+        payload: Vec<u8>,
+        overall: Duration,
+    ) -> Result<Msg, RequestError> {
         let deadline = Instant::now() + overall;
-        let payload = msg.encode();
         let budget = self.cfg.max_datagram;
         let total = fragment_count(payload.len(), budget)?;
         // requests the policy holds back wait locally instead of entering
@@ -981,11 +1003,17 @@ impl<P: CongestionPolicy> NodeLink for DatagramLink<P> {
         true // datagrams have no connection state; timeouts signal failure
     }
 
-    fn rpc<'a>(&'a self, msg: Msg, timeout: Duration) -> BoxFuture<'a, Result<Msg, RpcError>> {
+    fn rpc_with<'a>(
+        &'a self,
+        encode: &'a Encoder<'a>,
+        timeout: Duration,
+    ) -> BoxFuture<'a, Result<Msg, RpcError>> {
+        let mut payload = Vec::with_capacity(REQUEST_BUF);
+        encode(&mut payload);
         Box::pin(async move {
             self.client
                 .ep
-                .request(self.peer, msg, timeout)
+                .request_encoded(self.peer, payload, timeout)
                 .await
                 .map_err(|e| match e {
                     RequestError::TimedOut => RpcError::Timeout,

@@ -9,7 +9,9 @@
 //!   link. One instance per role (each data node owns one, the front-end
 //!   owns one), so per-endpoint state like loss injection stays private.
 //! * [`NodeLink`] — the front-end's handle to one node: a correlated
-//!   request/response exchange with a deadline ([`NodeLink::rpc`]).
+//!   request/response exchange with a deadline ([`NodeLink::rpc`], or
+//!   [`NodeLink::rpc_with`] to encode the request into the link's own
+//!   buffer).
 //! * [`BoundServer`] — a bound endpoint that can run a serve loop,
 //!   dispatching inbound messages to a [`Handler`] until shutdown.
 //!
@@ -93,9 +95,24 @@ pub trait NodeLink: Send + Sync + 'static {
     /// Is the link believed usable? (UDP has no connection state and always
     /// answers `true`; failures surface as [`RpcError::Timeout`].)
     fn is_connected(&self) -> bool;
-    /// One request-response exchange with a deadline.
-    fn rpc<'a>(&'a self, msg: Msg, timeout: Duration) -> BoxFuture<'a, Result<Msg, RpcError>>;
+    /// One request-response exchange with a deadline, the request's body
+    /// appended by `encode` straight into the link's send buffer — the
+    /// sub-query path encodes a borrowed body once, with no `Msg` built
+    /// around it. `encode` must append one [`Msg`]'s encoding.
+    fn rpc_with<'a>(
+        &'a self,
+        encode: &'a Encoder<'a>,
+        timeout: Duration,
+    ) -> BoxFuture<'a, Result<Msg, RpcError>>;
+
+    /// [`rpc_with`](Self::rpc_with) over an owned message.
+    fn rpc<'a>(&'a self, msg: Msg, timeout: Duration) -> BoxFuture<'a, Result<Msg, RpcError>> {
+        Box::pin(async move { self.rpc_with(&|out| msg.put(out), timeout).await })
+    }
 }
+
+/// Appends one request's encoding to a send buffer ([`NodeLink::rpc_with`]).
+pub type Encoder<'a> = dyn Fn(&mut Vec<u8>) + Sync + 'a;
 
 /// Server side: a bound endpoint ready to serve.
 pub trait BoundServer: Send + Sync + 'static {

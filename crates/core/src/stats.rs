@@ -135,6 +135,12 @@ impl ServerStats {
         });
         self.nodes.len() - 1
     }
+
+    /// Undo the last [`Self::add_node`]: a join that never reached a ring
+    /// gives its slot back, and the next joiner gets its id.
+    pub fn remove_last_node(&mut self) {
+        self.nodes.pop();
+    }
 }
 
 impl FinishEstimator for ServerStats {

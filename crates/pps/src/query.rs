@@ -339,8 +339,9 @@ impl MatchScratch {
 /// query is passed in), as the paper's server does.
 pub struct Matcher {
     /// Predicate evaluation order (indices into `trapdoors`), decided after
-    /// the sampling phase; `None` while still sampling.
-    order: Option<Vec<usize>>,
+    /// the sampling phase; meaningless while `decided` is false.
+    order: Vec<usize>,
+    decided: bool,
     /// Match counts per predicate over the sample.
     sample_hits: Vec<usize>,
     sampled: usize,
@@ -378,20 +379,36 @@ fn query_fingerprint(query: &CompiledQuery) -> u64 {
 
 impl Matcher {
     pub fn new(n_predicates: usize, dynamic_ordering: bool) -> Self {
-        Matcher {
-            // one predicate has one order: nothing to sample for
-            order: if dynamic_ordering && n_predicates > 1 {
-                None
-            } else {
-                Some((0..n_predicates).collect())
-            },
-            sample_hits: vec![0; n_predicates],
+        let mut m = Matcher {
+            order: Vec::new(),
+            decided: false,
+            sample_hits: Vec::new(),
             sampled: 0,
             dynamic_ordering,
             prepared: Vec::new(),
             prepared_for: None,
             backend: Backend::auto(),
+        };
+        m.renew(n_predicates);
+        m
+    }
+
+    /// Start over for a query of `n_predicates`, as [`Matcher::new`] would
+    /// (keeping the ordering mode and the lane engine), but in the buffers
+    /// this matcher already holds: no ordering, sample or prepared state
+    /// survives, and no allocation is made that the last query made.
+    pub(crate) fn renew(&mut self, n_predicates: usize) {
+        // one predicate has one order: nothing to sample for
+        self.decided = !(self.dynamic_ordering && n_predicates > 1);
+        self.order.clear();
+        if self.decided {
+            self.order.extend(0..n_predicates);
         }
+        self.sample_hits.clear();
+        self.sample_hits.resize(n_predicates, 0);
+        self.sampled = 0;
+        self.prepared.clear();
+        self.prepared_for = None;
     }
 
     /// Pin the SHA-1 lane engine the staged sweeps run on (builder style).
@@ -418,14 +435,11 @@ impl Matcher {
         if self.prepared_for.is_some() {
             // a different query: restart ordering/sampling from scratch
             // (keeping the configured lane backend)
-            *self = Matcher::new(query.trapdoors.len(), self.dynamic_ordering)
-                .with_backend(self.backend);
+            self.renew(query.trapdoors.len());
         }
-        self.prepared = query
-            .trapdoors
-            .iter()
-            .map(|td| PreparedTrapdoor::new_on(td, self.backend))
-            .collect();
+        let backend = self.backend;
+        (self.prepared)
+            .extend((query.trapdoors.iter()).map(|td| PreparedTrapdoor::new_on(td, backend)));
         self.prepared_for = Some(fp);
     }
 
@@ -452,7 +466,7 @@ impl Matcher {
         prf_calls: &mut u64,
     ) -> bool {
         self.ensure_prepared(query);
-        if self.order.is_none() {
+        if !self.decided {
             return self.sample_one(query, meta, prf_calls);
         }
         // AND is settled by its first miss, OR by its first hit
@@ -461,7 +475,7 @@ impl Matcher {
             // index per step: `prepared` needs `&mut` for its probe
             // statistics, so the order vector cannot stay borrowed across
             // the probe
-            let i = self.order.as_ref().expect("decided")[k];
+            let i = self.order[k];
             if self.prepared[i].probe(&meta.body, prf_calls) == settling {
                 return settling;
             }
@@ -500,14 +514,16 @@ impl Matcher {
     fn account_sample(&mut self, n: usize, combiner: Combiner) {
         self.sampled += n;
         if self.sampled >= SELECTIVITY_SAMPLES {
-            let mut idx: Vec<usize> = (0..self.sample_hits.len()).collect();
+            let (order, hits) = (&mut self.order, &self.sample_hits);
+            order.clear();
+            order.extend(0..hits.len());
             match combiner {
                 // AND: most selective (fewest hits) first
-                Combiner::And => idx.sort_by_key(|&i| self.sample_hits[i]),
+                Combiner::And => order.sort_by_key(|&i| hits[i]),
                 // OR: least selective (most hits) first
-                Combiner::Or => idx.sort_by_key(|&i| usize::MAX - self.sample_hits[i]),
+                Combiner::Or => order.sort_by_key(|&i| usize::MAX - hits[i]),
             }
-            self.order = Some(idx);
+            self.decided = true;
         }
     }
 
@@ -598,7 +614,7 @@ impl Matcher {
                     s.next_chunk = (s.base + s.chunk).min(s.len);
                     self.ensure_prepared(query);
                     s.open_ordered();
-                    if self.order.is_none() {
+                    if !self.decided {
                         // the head of the chunk is (the rest of) the
                         // sample; the ordered stage opens behind it
                         s.sample = (SELECTIVITY_SAMPLES - self.sampled).min(s.survivors.len());
@@ -693,12 +709,13 @@ impl Matcher {
         if s.sample > 0 {
             return s.pred_k;
         }
-        self.order.as_ref().expect("order decided")[s.pred_k]
+        debug_assert!(self.decided, "order decided");
+        self.order[s.pred_k]
     }
 
     /// The decided order, if sampling has completed.
     pub fn order(&self) -> Option<&[usize]> {
-        self.order.as_deref()
+        self.decided.then_some(&self.order[..])
     }
 }
 

@@ -113,6 +113,21 @@ macro_rules! with_segment {
     };
 }
 
+/// The longest scan whose buffers a thread keeps for its next task. A
+/// short scan's start-up is where a fresh scratch's allocations show (a
+/// 256-record window is a few sweeps); a long scan amortises them, and
+/// keeping its chunk-sized buffers (≈ 130 KB at 4 096 records) would
+/// leave that much idle on every thread that ever ran one.
+const SPARE_MAX_RECORDS: usize = MATCH_CHUNK / 4;
+
+thread_local! {
+    /// The [`MatchScratch`] and [`Matcher`] of the last short task this
+    /// thread ran ([`SPARE_MAX_RECORDS`]), handed to the next one
+    /// ([`QueryTask::start`]).
+    static SPARE: std::cell::Cell<Option<(MatchScratch, Matcher)>> =
+        const { std::cell::Cell::new(None) };
+}
+
 /// What a finished [`QueryTask`] hands back.
 #[derive(Debug)]
 pub struct TaskResult {
@@ -144,17 +159,29 @@ impl QueryTask {
             !query.trapdoors.is_empty(),
             "a query needs at least one predicate"
         );
-        let matcher = Matcher::new(query.trapdoors.len(), true).with_backend(backend);
-        let mut task = QueryTask {
+        QueryTask {
             query,
-            matcher,
+            // sized for the query when the task starts, in the buffers of
+            // the thread that runs it (no predicates: no allocation)
+            matcher: Matcher::new(0, true).with_backend(backend),
             corpus,
             segment: 0,
             scratch: MatchScratch::new(),
             matches: Vec::new(),
-        };
-        task.open_segment();
-        task
+        }
+    }
+
+    /// Take the running thread's scratch and matcher, renew the matcher for
+    /// this query and open the first segment. Their buffers are as the last
+    /// task on this thread grew them, so a run of short scans allocates
+    /// none.
+    fn start(&mut self) {
+        if let Some((scratch, matcher)) = SPARE.take() {
+            let backend = self.matcher.backend();
+            (self.scratch, self.matcher) = (scratch, matcher.with_backend(backend));
+        }
+        self.matcher.renew(self.query.trapdoors.len());
+        self.open_segment();
     }
 
     /// Start the scan of segment `self.segment`, if there is one.
@@ -184,15 +211,22 @@ impl QueryTask {
         with_segment!(self, c => matcher.complete_inline(c, scratch));
     }
 
-    fn into_result(self) -> TaskResult {
+    /// The result. After a short scan the scratch and the matcher go back
+    /// to the running thread; a long scan's buffers are freed.
+    fn into_result(mut self) -> TaskResult {
+        let prf_calls = std::mem::take(&mut self.scratch.prf_calls);
+        if self.corpus.len() <= SPARE_MAX_RECORDS {
+            SPARE.set(Some((self.scratch, self.matcher)));
+        }
         TaskResult {
             matches: self.matches,
-            prf_calls: self.scratch.prf_calls,
+            prf_calls,
         }
     }
 
     /// Run the task to completion on the calling thread.
     pub fn run_inline(mut self) -> TaskResult {
+        self.start();
         while let Step::NeedMacs = self.step() {
             self.matcher.mac_inline(&mut self.scratch);
             self.complete_inline();
@@ -206,6 +240,7 @@ impl QueryTask {
     /// bench_pps`' `stages` block); no node path reads a clock per sweep.
     pub fn run_inline_staged(mut self) -> (TaskResult, [Duration; 3]) {
         let mut stages = [Duration::ZERO; 3];
+        self.start();
         let mut mark = Instant::now();
         let mut lap = |stage: usize| {
             let now = Instant::now();

@@ -682,7 +682,21 @@ pub mod sync {
             pub fn lock(&self) -> LockFuture<'_, T> {
                 LockFuture { mutex: self }
             }
+
+            /// Take the lock if it is free, without waiting.
+            pub fn try_lock(&self) -> Result<MutexGuard<'_, T>, TryLockError> {
+                let mut st = self.state.lock().expect("mutex state");
+                if st.locked {
+                    return Err(TryLockError(()));
+                }
+                st.locked = true;
+                Ok(MutexGuard { mutex: self })
+            }
         }
+
+        /// [`Mutex::try_lock`] found the lock held.
+        #[derive(Debug)]
+        pub struct TryLockError(());
 
         pub struct LockFuture<'a, T: ?Sized> {
             mutex: &'a Mutex<T>,
@@ -750,7 +764,7 @@ pub mod sync {
         }
     }
 
-    pub use async_mutex::{Mutex, MutexGuard};
+    pub use async_mutex::{Mutex, MutexGuard, TryLockError};
 
     mod semaphore {
         use std::collections::VecDeque;
