@@ -9,10 +9,12 @@
 //! transports behind [`crate::transport`]:
 //!
 //! * over TCP, each message travels as `[u32 BE length][payload]`
-//!   ([`write_frame`]/[`read_frame`]); the [`Frame`] envelope carries a
-//!   correlation id so requests and responses multiplex freely over one
-//!   persistent connection per node (the front-end keeps a
-//!   pending-response map, §4.8's outstanding-query table);
+//!   ([`put_frame`] into a connection's buffer, [`FrameReader`] out of
+//!   one; [`write_frame`]/[`read_frame`] are the unbuffered forms); the
+//!   payload starts with a correlation id ([`Frame`]) so requests and
+//!   responses multiplex freely over one persistent connection per node
+//!   (the front-end keeps a pending-response map, §4.8's
+//!   outstanding-query table);
 //! * over UDP, the encoded bytes are split into numbered datagram
 //!   fragments and reassembled by [`crate::transport::datagram`] (correlation
 //!   and retransmission live in that module's datagram header instead).
