@@ -60,6 +60,11 @@ pub enum AdminError {
     /// earlier one whose push failed left its ring pending;
     /// [`Admin::abort_repartition`] drops it.
     RepartitionInFlight,
+    /// A placement change that would widen some node's coverage, or a
+    /// [`Admin::backfill`], was refused: this front end's backend does not
+    /// hold the corpus (a backup front end's, [`crate::connect_backup`]),
+    /// so it cannot ship what the nodes would need.
+    BackendIncomplete,
 }
 
 impl std::fmt::Display for AdminError {
@@ -81,6 +86,10 @@ impl std::fmt::Display for AdminError {
                     "placement change refused: an earlier one is still pending"
                 )
             }
+            AdminError::BackendIncomplete => write!(
+                f,
+                "refused: this front end's backend does not hold the corpus"
+            ),
         }
     }
 }
@@ -429,9 +438,14 @@ impl Admin {
     /// node's id.
     pub async fn add_node(&self, addr: SocketAddr) -> Result<usize, AdminError> {
         let _control = self.core.control.lock().await;
-        // refused before its link is added, so no node is left off the ring
+        // refused before its link is added, so no node is left off the
+        // ring; a joiner gains its whole coverage, which only a backend
+        // holding the corpus can ship
         if self.reconfig_in_flight() {
             return Err(AdminError::RepartitionInFlight);
+        }
+        if !self.core.holds_corpus {
+            return Err(AdminError::BackendIncomplete);
         }
         let conn = self
             .core
@@ -535,37 +549,21 @@ impl Admin {
     /// Learn the safe partitioning level from the nodes' coverage windows:
     /// node i's coverage starts `L` before its range, so the minimum
     /// observed `L` bounds the largest window (smallest p) every node can
-    /// serve. One control round-trip per node; exact, no wasted queries.
+    /// serve. A node that covers nothing bounds nothing: it refuses its
+    /// windows whatever `p` is. One control round-trip per node; exact, no
+    /// wasted queries.
     pub async fn discover_p(&self) -> Result<usize, RpcError> {
         let _control = self.core.control.lock().await;
         let ring = self.core.ring_snapshot();
+        let held = self.core.held_coverages(&ring).await?;
         let mut min_l: u128 = 1 << 64; // full ring
-        for i in 0..ring.n() {
-            let entry = ring.map().entries()[i];
-            let (s, _e) = ring.map().range_at(i);
-            match self
-                .core
-                .conn(entry.node)
-                .rpc(Msg::CoverageRequest, self.core.timeout)
-                .await?
-            {
-                Msg::Coverage {
-                    start,
-                    end,
-                    has: true,
-                } => {
-                    // coverage = (range_start − L, range_end − 1]; a
-                    // start == end reply is the clamped full-ring coverage
-                    // and bounds nothing
-                    if start != end {
-                        let l = s.wrapping_sub(start) as u128;
-                        min_l = min_l.min(l.max(1));
-                    }
-                }
-                Msg::Coverage { has: false, .. } => {
-                    // never trimmed: the node holds everything pushed to it
-                }
-                _ => return Err(RpcError::Disconnected),
+        for (i, cov) in held.into_iter().enumerate() {
+            // coverage = (range_start − L, range_end − 1]; the clamped
+            // full-ring coverage bounds nothing
+            if let Some(cov) = cov.filter(|c| !c.is_full()) {
+                let (s, _e) = ring.map().range_at(i);
+                let l = s.wrapping_sub(cov.start) as u128;
+                min_l = min_l.min(l.max(1));
             }
         }
         // smallest p whose window 1/p fits into every node's L

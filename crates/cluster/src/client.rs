@@ -31,9 +31,15 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-/// Connect to `addrs` (node i ↔ `addrs[i]`) with partitioning level `p`
-/// over TCP (the default transport), returning the data-plane and
-/// control-plane handles to the same cluster.
+/// Connect a primary front end — one whose backend will hold every write —
+/// to `addrs` (node i ↔ `addrs[i]`) with partitioning level `p` over TCP
+/// (the default transport), returning the data-plane and control-plane
+/// handles to the same cluster.
+///
+/// It asks every node for its coverage. A fresh cluster, where no node
+/// covers anything, is assigned the coverages of the ring at `p`; a cluster
+/// where any node covers something keeps its coverages, so a front end
+/// with a stale `p` widens nothing and gets refusals.
 pub async fn connect(
     addrs: &[SocketAddr],
     p: usize,
@@ -50,24 +56,30 @@ pub async fn connect_with(
     default_speed: f64,
     transport: Arc<dyn Transport>,
 ) -> std::io::Result<(QueryClient, Admin)> {
-    let core = ClusterCore::connect_with(addrs, p, default_speed, transport).await?;
-    Ok((
-        QueryClient {
-            core: Arc::clone(&core),
-        },
-        Admin { core },
-    ))
+    let core = ClusterCore::connect_with(addrs, p, default_speed, transport, true).await?;
+    let held = (core.held_coverages(&core.ring_snapshot()).await)
+        .map_err(|e| std::io::Error::other(format!("coverage request: {e:?}")))?;
+    if held.iter().all(Option::is_none) {
+        core.push_coverages().await.map_err(std::io::Error::other)?;
+    }
+    Ok(handles(core))
 }
 
 /// Connect a backup front-end that knows the ring topology but **not** the
 /// current p (§4.8.3). It starts at `p = n`, "which will always work", and
 /// can then learn the real value via [`Admin::discover_p`] (coverage
 /// probes) or [`Admin::discover_p_by_probing`] (guess-and-retry).
+///
+/// It sends the nodes nothing on connect. Its backend starts empty, so its
+/// [`Admin`] refuses every move that would ship data — a `set_p` decrease,
+/// a join, a removal, a balancing step that widens a coverage, and
+/// [`Admin::backfill`] — with
+/// [`AdminError::BackendIncomplete`](crate::AdminError::BackendIncomplete).
 pub async fn connect_backup(
     addrs: &[SocketAddr],
     default_speed: f64,
 ) -> std::io::Result<(QueryClient, Admin)> {
-    connect(addrs, addrs.len(), default_speed).await
+    connect_backup_with(addrs, default_speed, TransportSpec::Tcp.build()).await
 }
 
 /// [`connect_backup`] over an explicit transport.
@@ -76,7 +88,17 @@ pub async fn connect_backup_with(
     default_speed: f64,
     transport: Arc<dyn Transport>,
 ) -> std::io::Result<(QueryClient, Admin)> {
-    connect_with(addrs, addrs.len(), default_speed, transport).await
+    let core =
+        ClusterCore::connect_with(addrs, addrs.len(), default_speed, transport, false).await?;
+    Ok(handles(core))
+}
+
+/// The data-plane and control-plane handles over one front end.
+fn handles(core: Arc<ClusterCore>) -> (QueryClient, Admin) {
+    let client = QueryClient {
+        core: Arc::clone(&core),
+    };
+    (client, Admin { core })
 }
 
 /// When and how to hedge a straggling sub-query.

@@ -19,7 +19,8 @@
 //!   confirmed silent, so the fault has fully taken effect when `apply`
 //!   returns.
 //! * [`FaultKind::Restart`] — a replacement process: a **fresh** node
-//!   (new port, empty store) is spawned with the crashed node's execution
+//!   (new port, empty store, no coverage: it refuses every window until
+//!   its join assigns one) is spawned with the crashed node's execution
 //!   profile and handed to the caller as a spare for the
 //!   [`Reconciler`](crate::reconcile::Reconciler) to join; data
 //!   rehydrates from the backend during the join download, the §4.3 path.

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use roar_core::failover;
 use roar_core::placement::{QueryPlan, RoarRing, SubQuery};
 use roar_core::ring::Window;
-use roar_core::ringmap::RingMap;
+use roar_core::ringmap::{RingEntry, RingMap};
 use roar_core::sched::schedule_sweep;
 use roar_core::stats::ServerStats;
 use roar_pps::EncryptedMetadata;
@@ -138,6 +138,19 @@ pub(crate) fn write_set((serving, pending): &WriteRings, id: u64) -> Vec<usize> 
     nodes
 }
 
+/// What `node`'s coverage on `to` adds to its coverage on `from`: the
+/// whole coverage when `from` is `None` or does not hold the node, nothing
+/// when `to` does not.
+fn coverage_gain(from: Option<&RoarRing>, to: &RoarRing, node: usize) -> Vec<Window> {
+    let Some(cov) = to.coverage(node) else {
+        return Vec::new();
+    };
+    match from.and_then(|r| r.coverage(node)) {
+        Some(old) => cov.minus(&old).collect(),
+        None => vec![cov],
+    }
+}
+
 /// Shared front-end state: one per connected cluster, handed out behind an
 /// `Arc` to the [`crate::client::QueryClient`]/[`crate::admin::Admin`]
 /// pair.
@@ -161,6 +174,11 @@ pub struct ClusterCore {
     /// Backend copy of everything stored, for join/repartition downloads
     /// (the paper's NFS store, §4.1), read by coverage window.
     pub(crate) backend: MemoryBackend,
+    /// Does `backend` hold the whole corpus? A primary front end's does
+    /// (every write went through it); a backup's starts empty, so it may
+    /// make no move that ships data ([`Self::move_to`]). Fixed at
+    /// construction.
+    pub(crate) holds_corpus: bool,
     pub(crate) timeout: Duration,
     epoch: Instant,
     query_seq: AtomicU64,
@@ -172,6 +190,7 @@ impl ClusterCore {
         p: usize,
         default_speed: f64,
         transport: Arc<dyn Transport>,
+        holds_corpus: bool,
     ) -> std::io::Result<Arc<Self>> {
         let mut conns = Vec::with_capacity(addrs.len());
         for &a in addrs {
@@ -186,6 +205,7 @@ impl ClusterCore {
             pending: Mutex::new(None),
             control: tokio::sync::Mutex::new(()),
             backend: MemoryBackend::new(),
+            holds_corpus,
             timeout: Duration::from_secs(5),
             epoch: Instant::now(),
             query_seq: AtomicU64::new(1),
@@ -229,7 +249,9 @@ impl ClusterCore {
     }
 
     /// Move the cluster from `old`, the serving ring, to `next` — every
-    /// placement change (§4.3–§4.6), under `control`. Installs `next` as
+    /// placement change (§4.3–§4.6), under `control`. Refuses with
+    /// [`AdminError::BackendIncomplete`] a move that widens any coverage
+    /// when the backend does not hold the corpus. Installs `next` as
     /// pending, or refuses with [`AdminError::RepartitionInFlight`] while
     /// another ring is; pushes each node what its coverage gains
     /// ([`Self::push_gains`]); serves `next`; then pushes the coverages.
@@ -241,6 +263,10 @@ impl ClusterCore {
         next: RoarRing,
         skip_dead: bool,
     ) -> Result<(), AdminError> {
+        let gains = |e: &RingEntry| !coverage_gain(Some(old), &next, e.node).is_empty();
+        if !self.holds_corpus && next.map().entries().iter().any(gains) {
+            return Err(AdminError::BackendIncomplete);
+        }
         {
             let mut pending = self.pending.lock();
             if pending.is_some() {
@@ -620,6 +646,25 @@ impl ClusterCore {
         })
     }
 
+    /// One `CoverageRequest` per member of `ring`, in ring order: the
+    /// window each node covers, `None` for a node that covers nothing.
+    pub(crate) async fn held_coverages(
+        &self,
+        ring: &RoarRing,
+    ) -> Result<Vec<Option<Window>>, RpcError> {
+        let mut held = Vec::with_capacity(ring.n());
+        for entry in ring.map().entries() {
+            let link = self.conn(entry.node);
+            match link.rpc(Msg::CoverageRequest, self.timeout).await? {
+                Msg::Coverage { start, end, has } => {
+                    held.push(has.then(|| Window::new(start, end)))
+                }
+                _ => return Err(RpcError::Disconnected),
+            }
+        }
+        Ok(held)
+    }
+
     /// Push each node its current coverage window (dropping anything
     /// outside). Nodes currently believed dead are skipped — their stale,
     /// wider coverage only retains extra data, never wrong answers — so a
@@ -654,6 +699,9 @@ impl ClusterCore {
     /// ring members are skipped, same contract as
     /// [`Self::push_coverages`].
     pub(crate) async fn backfill(&self) -> Result<(), AdminError> {
+        if !self.holds_corpus {
+            return Err(AdminError::BackendIncomplete);
+        }
         let ring = self.ring_snapshot();
         self.push_gains(None, &ring, true).await?;
         Ok(())
@@ -678,13 +726,7 @@ impl ClusterCore {
             if skip_dead && !self.stats.read().is_alive(node) {
                 continue;
             }
-            let Some(cov) = to.coverage(node) else {
-                continue;
-            };
-            let gain: Vec<Window> = match from.and_then(|r| r.coverage(node)) {
-                Some(old) => cov.minus(&old).collect(),
-                None => vec![cov],
-            };
+            let gain = coverage_gain(from, to, node);
             let ids: Vec<u64> = (gain.iter())
                 .flat_map(|w| self.backend.window_synthetic(w))
                 .collect();
@@ -786,7 +828,7 @@ mod tests {
         let addrs: Vec<SocketAddr> = (0..4)
             .map(|i| SocketAddr::from(([127, 0, 0, 1], 40_000 + i)))
             .collect();
-        ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build())
+        ClusterCore::connect_with(&addrs, 3, 1e6, TransportSpec::udp().build(), true)
             .await
             .expect("connect")
     }

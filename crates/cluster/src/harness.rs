@@ -630,7 +630,7 @@ mod tests {
         let mut rng = det_rng(218);
         let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
         h.admin.store_synthetic(&ids).await.unwrap();
-        h.admin.set_p(4).await.unwrap(); // pushes coverages
+        h.admin.set_p(4).await.unwrap(); // a p the spawn did not set
         let (bclient, badmin) = connect_backup_with(&h.addrs, 1.0, spec.build())
             .await
             .unwrap();
@@ -678,6 +678,68 @@ mod tests {
         assert_eq!(out.scanned, 400);
     }
 
+    async fn backup_frontend_discovers_p_on_a_fresh_cluster(spec: TransportSpec) {
+        // §4.8.3 before any placement change: the primary's connect
+        // assigned the fresh nodes the spawn p's coverages, so a backup
+        // discovers that p and its answers are whole
+        let h = spawn_cluster(ClusterConfig::uniform(12, 1e6, 4).with_transport(spec.clone()))
+            .await
+            .unwrap();
+        let mut rng = det_rng(252);
+        let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        let (bclient, badmin) = connect_backup_with(&h.addrs, 1.0, spec.build())
+            .await
+            .unwrap();
+        assert_eq!(badmin.discover_p().await.unwrap(), 4, "the spawn p");
+        let out = bclient
+            .query(QueryBody::Synthetic)
+            .sched(SchedOpts::default())
+            .run()
+            .await;
+        assert_eq!((out.scanned, out.subqueries), (600, 4));
+    }
+
+    async fn backup_frontend_cannot_move_data(spec: TransportSpec) {
+        // a backup's backend is empty: a move that widens a coverage would
+        // ship nothing and then vouch for the gain, so it is refused before
+        // anything is sent. An increase only narrows, and goes through.
+        let h = spawn_cluster(ClusterConfig::uniform(12, 1e6, 3).with_transport(spec.clone()))
+            .await
+            .unwrap();
+        let mut rng = det_rng(253);
+        let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        h.admin.set_p(4).await.unwrap();
+        let (bclient, badmin) = connect_backup_with(&h.addrs, 1.0, spec.build())
+            .await
+            .unwrap();
+        assert_eq!(badmin.discover_p().await.unwrap(), 4);
+        let counts = || h.nodes.iter().map(|n| n.record_count()).collect::<Vec<_>>();
+        let before = counts();
+        assert_eq!(badmin.set_p(2).await, Err(AdminError::BackendIncomplete));
+        assert_eq!((badmin.p(), badmin.reconfig_in_flight()), (4, false));
+        let (addr, joiner) = spawn_extra_node_with(12, 1e6, 0.0, &spec).await.unwrap();
+        assert_eq!(
+            badmin.add_node(addr).await,
+            Err(AdminError::BackendIncomplete)
+        );
+        assert_eq!(badmin.n(), 12, "a refused join adds no link");
+        assert_eq!(badmin.backfill().await, Err(AdminError::BackendIncomplete));
+        assert_eq!(joiner.record_count(), 0);
+        assert_eq!(counts(), before, "a refused move sent records");
+        assert_eq!(badmin.discover_p().await.unwrap(), 4, "coverages unchanged");
+        let out = h.client.query(QueryBody::Synthetic).run().await;
+        assert_eq!((out.scanned, out.harvest, out.refused), (600, 1.0, 0));
+        badmin.set_p(6).await.unwrap();
+        let out = bclient
+            .query(QueryBody::Synthetic)
+            .sched(SchedOpts::default())
+            .run()
+            .await;
+        assert_eq!((out.scanned, out.subqueries), (600, 6));
+    }
+
     async fn under_covered_query_is_refused_not_wrong(spec: TransportSpec) {
         // a front-end using too small a p gets refusals (harvest < 1), never
         // silently partial results counted as complete
@@ -711,7 +773,7 @@ mod tests {
         let mut rng = det_rng(221);
         let ids: Vec<u64> = (0..400).map(|_| rng.gen()).collect();
         h.admin.store_synthetic(&ids).await.unwrap();
-        h.admin.set_p(4).await.unwrap(); // coverage set on every node
+        h.admin.set_p(4).await.unwrap(); // narrower coverages, smaller windows
         h.admin.kill_node(5).await;
         for _ in 0..4 {
             let out = h

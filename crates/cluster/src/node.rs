@@ -1,6 +1,10 @@
 //! A ROAR data node (§4.1, §5.6): owns a coverage window of the ring,
 //! stores replicas, executes sub-queries against its local store.
 //!
+//! A node is born covering nothing and answers only windows inside the
+//! coverage its last `SetCoverage` assigned; every other window is
+//! `Refused` (§4.8.3), whatever it happens to store.
+//!
 //! Sub-query execution honours the deduplication window carried in the
 //! request — the node only matches records with ids in `(start, end]` —
 //! so `pq > p` over-partitioning and failure-split sub-queries work without
@@ -69,6 +73,9 @@ struct NodeState {
     store: Arc<MetadataStore>,
     /// Synthetic-mode records: bare ids, ascending and unique.
     synthetic_ids: Vec<u64>,
+    /// The window the last `SetCoverage` assigned; `None` — a node's state
+    /// from birth — covers nothing. Only `SetCoverage` writes it: a
+    /// `Store` never widens what the node vouches for.
     coverage: Option<Window>,
     /// Ring successor for §4.1 peer-to-peer store forwarding.
     successor: Option<std::net::SocketAddr>,
@@ -93,9 +100,10 @@ impl NodeState {
     /// §4.8.3: "If the servers do not have enough replicas they will reply
     /// saying they haven't matched the whole query." A window wider than
     /// our coverage would silently return partial results; the caller
-    /// refuses it so the front-end can lower its guess of p and retry.
+    /// refuses it so the front-end can lower its guess of p and retry. A
+    /// node never given a coverage covers nothing.
     fn covers(&self, window: &Window) -> bool {
-        self.coverage.is_none_or(|cov| window.subset_of(&cov))
+        self.coverage.is_some_and(|cov| window.subset_of(&cov))
     }
 }
 
@@ -600,6 +608,15 @@ mod tests {
         }
     }
 
+    /// A connection to a node that has been assigned the whole ring first,
+    /// so the sub-queries a test sends over it are answered, not refused.
+    async fn connect_covering_all(addr: std::net::SocketAddr) -> TcpStream {
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let full = Msg::SetCoverage { start: 0, end: 0 };
+        assert_eq!(rpc(&mut s, u64::MAX, full).await, Msg::Ok);
+        s
+    }
+
     #[tokio::test]
     async fn ping_pong() {
         let (addr, _node) = start_node(1e6).await;
@@ -631,7 +648,7 @@ mod tests {
     #[tokio::test]
     async fn synthetic_subquery_scans_window_only() {
         let (addr, _node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         rpc(
             &mut s,
             1,
@@ -671,7 +688,7 @@ mod tests {
     #[tokio::test]
     async fn synthetic_speed_determines_latency() {
         let (addr, _node) = start_node(100.0).await; // 100 records/s
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         rpc(
             &mut s,
             1,
@@ -705,7 +722,7 @@ mod tests {
         use roar_pps::metadata::{FileMeta, MetaEncryptor};
         use roar_pps::query::{Combiner, Predicate, QueryCompiler};
         let (addr, _node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         let enc = MetaEncryptor::new(b"u");
         let mut rng = roar_util::det_rng(201);
         let rec = enc.encrypt(
@@ -762,7 +779,7 @@ mod tests {
         use roar_pps::metadata::{FileMeta, MetaEncryptor};
         use roar_pps::query::{Combiner, Predicate, QueryCompiler};
         let (addr, _node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         let enc = MetaEncryptor::with_points(b"pin", vec![1], vec![1]);
         let mut rng = roar_util::det_rng(208);
         let recs: Vec<_> = (0..60)
@@ -899,7 +916,7 @@ mod tests {
         use roar_pps::metadata::MetaEncryptor;
         use roar_pps::query::{Combiner, Predicate, QueryCompiler};
         let (addr, _node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         let reply = rpc(
             &mut s,
             1,
@@ -945,6 +962,56 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(rpc(&mut s, 3, Msg::Ping).await, Msg::Pong);
+    }
+
+    /// §4.8.3 from birth: a node never sent a `SetCoverage` vouches for no
+    /// window, and a `Store` does not change that. It refuses synthetic
+    /// and PPS sub-queries, over the whole ring and over a sliver of it,
+    /// and reports that it covers nothing.
+    #[tokio::test]
+    async fn never_covered_node_refuses_every_window() {
+        let (addr, _node) = start_node(1e6).await;
+        let mut s = TcpStream::connect(addr).await.unwrap();
+        let nothing = Msg::Coverage {
+            start: 0,
+            end: 0,
+            has: false,
+        };
+        assert_eq!(rpc(&mut s, 1, Msg::CoverageRequest).await, nothing);
+        let store = Msg::Store {
+            records: blank_records(&mut roar_util::det_rng(210), 8),
+            synthetic_ids: vec![5, 15, 25],
+        };
+        assert_eq!(rpc(&mut s, 2, store).await, Msg::Ok);
+        assert_eq!(
+            rpc(&mut s, 3, Msg::CoverageRequest).await,
+            nothing,
+            "a store assigned a coverage"
+        );
+        let pps = QueryBody::Pps {
+            trapdoors: vec![WireTrapdoor {
+                parts: vec![[7u8; 20]],
+            }],
+            conjunctive: true,
+        };
+        let mut id = 3;
+        for (start, end) in [(0, 0), (10, 20)] {
+            for body in [QueryBody::Synthetic, pps.clone()] {
+                id += 1;
+                let sub = Msg::SubQuery {
+                    query_id: id,
+                    window_start: start,
+                    window_end: end,
+                    body,
+                    backend: None,
+                };
+                let reply = rpc(&mut s, id, sub).await;
+                assert!(
+                    matches!(reply, Msg::Refused { .. }),
+                    "window ({start}, {end}] answered: {reply:?}"
+                );
+            }
+        }
     }
 
     #[tokio::test]
@@ -1078,7 +1145,7 @@ mod tests {
         use roar_pps::metadata::{FileMeta, MetaEncryptor};
         use roar_pps::query::{Combiner, Predicate, QueryCompiler};
         let (addr, node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         let enc = MetaEncryptor::with_points(b"crowd", vec![1], vec![1]);
         let mut rng = roar_util::det_rng(207);
         let recs: Vec<_> = (0..40)
@@ -1205,7 +1272,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::time::Duration;
         let (addr, node) = start_node(1e6).await;
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         let enc = MetaEncryptor::with_points(b"chunk", vec![1], vec![1]);
         let mut rng = roar_util::det_rng(209);
         let recs: Vec<_> = (0..24)
@@ -1314,7 +1381,7 @@ mod tests {
     #[tokio::test]
     async fn concurrent_requests_multiplex() {
         let (addr, _node) = start_node(50.0).await; // slow: 50 records/s
-        let mut s = TcpStream::connect(addr).await.unwrap();
+        let mut s = connect_covering_all(addr).await;
         rpc(
             &mut s,
             1,

@@ -390,8 +390,8 @@ pub enum Msg {
     /// Control: what coverage window does the node hold? (§4.8.3 — a backup
     /// front-end that does not know p learns it from these.)
     CoverageRequest,
-    /// `has = false` means no coverage was ever assigned (the node keeps
-    /// everything pushed to it and can serve any window).
+    /// `has` says whether the node covers something: `false` means no
+    /// coverage was ever assigned, so the node refuses every window.
     Coverage {
         start: u64,
         end: u64,

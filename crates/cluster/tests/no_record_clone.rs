@@ -68,6 +68,9 @@ async fn subqueries_do_not_clone_stored_records() {
     });
     let addr = rx.await.unwrap();
     let mut s = TcpStream::connect(addr).await.unwrap();
+    // a node answers only the windows it was given: give it the whole ring
+    let full = Msg::SetCoverage { start: 0, end: 0 };
+    assert_eq!(rpc(&mut s, 0, full).await, Msg::Ok);
 
     let enc = MetaEncryptor::with_points(b"noclone", vec![1], vec![1]);
     let mut rng = roar_util::det_rng(4242);
