@@ -178,14 +178,12 @@ async fn run_scenario(
     let mut done_at: Option<usize> = None;
     loop {
         let t0 = Instant::now();
-        // bounded re-plan retries smooth the unavoidable instant where a
-        // query straddles a topology transition; retry cost lands in the
-        // measured delay, not in hidden harvest loss
+        // no retry: a placement change refuses no window, and a crash
+        // costs what the §4.4 fall-back cannot repair
         let out = h
             .client
             .query(QueryBody::Synthetic)
             .sched(SchedOpts::default())
-            .retry_on_partial(2, Duration::from_millis(3))
             .run()
             .await;
         delays_ms.push(t0.elapsed().as_secs_f64() * 1e3);

@@ -127,7 +127,7 @@ impl Admin {
 
     /// Snapshot of the serving ring.
     pub fn ring(&self) -> RoarRing {
-        self.core.ring_snapshot()
+        RoarRing::clone(&self.core.ring.read())
     }
 
     /// EWMA speed estimates per node (work-fraction per second).
@@ -235,8 +235,7 @@ impl Admin {
     /// Tell every node its ring successor so [`Self::store_synthetic_p2p`]
     /// chains work. Re-push after membership or balancing changes.
     pub async fn push_successors(&self) -> Result<(), AdminError> {
-        let ring = self.core.ring_snapshot();
-        let entries = ring.map().entries().to_vec();
+        let entries = self.core.ring_snapshot().map().entries().to_vec();
         for i in 0..entries.len() {
             if !self.node_alive(entries[i].node) {
                 continue;
@@ -312,10 +311,13 @@ impl Admin {
     /// Change the partitioning level following the §4.5 protocol: the ring
     /// at `new_p` becomes pending, each node is pushed, from the backend,
     /// only what its coverage there adds — for a decrease the extension of
-    /// its longer arc, for an increase nothing — and only then does the
-    /// ring's `p` change and do the nodes widen or trim their coverages, so
-    /// queries remain correct throughout. Writes made meanwhile reach the
-    /// pending ring's replicas too. A write a node missed while it was
+    /// its longer arc, for an increase nothing. A decrease then widens
+    /// every coverage before the ring's `p` changes. An increase changes
+    /// `p` first and trims the coverages only once every query and write
+    /// placed at the old level has finished, so it returns after those do
+    /// (bounded by the front end's timeout). Either way no query is
+    /// refused a window. Writes made meanwhile reach the pending ring's
+    /// replicas too. A write a node missed while it was
     /// believed dead is not re-delivered: that is [`Self::backfill`]'s job,
     /// which the [`crate::reconcile::Reconciler`] plans when a node's
     /// record count falls short.
@@ -338,9 +340,9 @@ impl Admin {
         if new_p == old.p() && !self.reconfig_in_flight() {
             return Ok(());
         }
-        let mut next = old.clone();
+        let mut next = RoarRing::clone(&old);
         next.set_p(new_p);
-        self.core.move_to(&old, next, false).await
+        self.core.move_to(old, next, false).await
     }
 
     /// Abort a pending placement change (§4.5: load spiked again before
@@ -386,13 +388,14 @@ impl Admin {
 
     /// One §4.6 balancing round: move boundaries toward load-proportional
     /// ranges using current speed estimates on a copy of the ring, push
-    /// each live node what its coverage gains by the move, then install the
-    /// moved ring and push the new coverages. A node whose range shrank
-    /// downloads nothing.
+    /// each live node what its coverage gains by the move and widen it,
+    /// then install the moved ring, and trim the coverages that shrank once
+    /// the queries and writes placed on the old ring have finished. A node
+    /// whose range shrank downloads nothing.
     pub async fn balance_step(&self) -> Result<usize, AdminError> {
         let _control = self.core.control.lock().await;
         let old = self.core.ring_snapshot();
-        let mut moved_ring = old.clone();
+        let mut moved_ring = RoarRing::clone(&old);
         let moved = {
             let speeds = self.core.speed_estimates();
             let snapshot = old.map();
@@ -412,7 +415,7 @@ impl Admin {
             )
         };
         if moved > 0 {
-            self.core.move_to(&old, moved_ring, true).await?;
+            self.core.move_to(old, moved_ring, true).await?;
         }
         Ok(moved)
     }
@@ -496,13 +499,13 @@ impl Admin {
                     })
                     .expect("non-empty ring")
             };
-            let mut new_ring = ring.clone();
+            let mut new_ring = RoarRing::clone(ring);
             new_ring.map_mut().insert_half(new_id, hot);
             new_ring
         };
         // the new node is on no earlier ring, so it downloads its whole
         // coverage; every other coverage only shrank
-        self.core.move_to(&old, new_ring, false).await?;
+        self.core.move_to(old, new_ring, false).await?;
         Ok(new_id)
     }
 
@@ -512,10 +515,13 @@ impl Admin {
     /// the node to be removed by downloading the additional data needed."
     /// The range merges into the predecessor's, so only that heir's
     /// coverage grows: it alone is sent a `Store`, holding the records its
-    /// coverage gains; every other survivor gets no download. The departing
-    /// node is shut down only after the heir covers its range. Removing an
-    /// already-dead node is the failure-heal path: the heir's download still
-    /// runs, only the final shutdown courtesy call is skipped. Writes a
+    /// coverage gains, and a `SetCoverage`; every other survivor is sent
+    /// nothing. A live departing node is shut down only after the heir
+    /// covers its range and every query and write placed on the old ring
+    /// has finished, so none of them loses its window to the shutdown.
+    /// Removing an already-dead node is the failure-heal path: the heir's
+    /// download still runs, nothing waits, and the final shutdown courtesy
+    /// call is skipped. Writes a
     /// survivor missed are not re-delivered — that is [`Self::backfill`]'s
     /// job.
     pub async fn remove_node(&self, node: usize) -> Result<(), AdminError> {
@@ -526,11 +532,11 @@ impl Admin {
             "node {node} not on the ring"
         );
         assert!(old.n() > old.p(), "removing would leave fewer nodes than p");
-        let mut new_ring = old.clone();
+        let mut new_ring = RoarRing::clone(&old);
         new_ring.map_mut().remove(node);
         // the heir (and only it) gained range — skipping members currently
         // believed dead, so one corpse cannot wedge the removal of another
-        self.core.move_to(&old, new_ring, true).await?;
+        self.core.move_to(old, new_ring, true).await?;
         // now the departing node may go (skip the courtesy call if it is
         // already dead)
         if self.node_alive(node) {

@@ -274,9 +274,11 @@ impl QueryBuilder {
 
     /// Re-plan and re-run the whole query up to `attempts` more times when
     /// windows were refused or lost — §4.8.3's front-end retry. Each
-    /// attempt plans against a **fresh** ring snapshot, so a query that
-    /// straddled a control-plane transition (reconciler churn, `set_p`)
-    /// retries on consistent topology. Attempt `i` backs off
+    /// attempt plans against a **fresh** ring snapshot, so a query whose
+    /// node died under it, or whose windows another front end's move
+    /// narrowed, retries on the current topology. This front end's own
+    /// placement changes refuse none of its queries
+    /// ([`Admin::set_p`]). Attempt `i` backs off
     /// `backoff · (1 + i/2)` first. The reported output is the
     /// best-harvest attempt; its `wall_s` spans all attempts, so retry
     /// cost shows up in latency, never in silently lowered harvest.
@@ -414,10 +416,11 @@ type SubTask = tokio::task::JoinHandle<(usize, SubOutcome)>;
 
 /// Per-query context shared by every sub-query task (the ring snapshot the
 /// plan was made against rides along so failover and hedging see the same
-/// topology the scheduler did).
+/// topology the scheduler did, and so a move that replaces that ring waits
+/// until the last task holding it has finished).
 struct SubRunCtx {
     core: Arc<ClusterCore>,
-    ring: RoarRing,
+    ring: Arc<RoarRing>,
     body: QueryBody,
     hedge: Option<HedgePolicy>,
     hedges: Arc<AtomicUsize>,

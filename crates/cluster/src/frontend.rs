@@ -124,7 +124,7 @@ pub(crate) enum SubOutcome {
 
 /// The serving ring and the pending one, as a write reads them
 /// ([`ClusterCore::write_rings`]).
-pub(crate) type WriteRings = (RoarRing, Option<RoarRing>);
+pub(crate) type WriteRings = (Arc<RoarRing>, Option<Arc<RoarRing>>);
 
 /// Where a write of `id` goes: its replicas on the serving ring, in chain
 /// order, then those only the pending ring adds.
@@ -151,6 +151,33 @@ fn coverage_gain(from: Option<&RoarRing>, to: &RoarRing, node: usize) -> Vec<Win
     }
 }
 
+/// `SetCoverage`s to send: `(node, window)` pairs.
+type Coverages = Vec<(usize, Window)>;
+
+/// The coverages a move from `old` to `next` sets, as `(widen, narrow)`.
+/// Each node on `next` whose coverage gains is widened, before the commit,
+/// to `old ∪ new`: `new` for a pure gainer, the one arc of both for a node
+/// whose coverage also loses. Each node whose coverage loses is narrowed to
+/// `new` once `old` has drained; one whose two windows make no one arc is
+/// only narrowed. A node whose coverage stays is in neither list.
+fn coverage_steps(old: &RoarRing, next: &RoarRing) -> (Coverages, Coverages) {
+    let (mut widen, mut narrow) = (Vec::new(), Vec::new());
+    for entry in next.map().entries() {
+        let Some(new) = next.coverage(entry.node) else {
+            continue;
+        };
+        let was = old.coverage(entry.node);
+        if was.is_none_or(|w| !new.subset_of(&w)) {
+            let wide = was.map_or(Some(new), |w| w.union(&new));
+            widen.extend(wide.map(|w| (entry.node, w)));
+        }
+        if was.is_some_and(|w| !w.subset_of(&new)) {
+            narrow.push((entry.node, new));
+        }
+    }
+    (widen, narrow)
+}
+
 /// Shared front-end state: one per connected cluster, handed out behind an
 /// `Arc` to the [`crate::client::QueryClient`]/[`crate::admin::Admin`]
 /// pair.
@@ -159,14 +186,17 @@ pub struct ClusterCore {
     pub(crate) transport: Arc<dyn Transport>,
     pub(crate) conns: RwLock<Vec<Arc<dyn NodeLink>>>,
     /// Membership and the partitioning level `p`: the one copy of `p`.
-    pub(crate) ring: RwLock<RoarRing>,
+    /// Every query plan and every write holds the `Arc` it was placed by
+    /// until it finishes, so a move can tell when the ring it replaced has
+    /// drained ([`Self::move_to`]).
+    pub(crate) ring: RwLock<Arc<RoarRing>>,
     pub(crate) stats: RwLock<ServerStats>,
     /// The ring a placement change is downloading for, `None` when none
     /// is: installed before the download reads the backend, cleared when
     /// it becomes the serving ring or is aborted. Queries never read it;
     /// writes read it with the ring ([`Self::write_rings`]). Lock order:
     /// `ring`, then `pending`.
-    pub(crate) pending: Mutex<Option<RoarRing>>,
+    pub(crate) pending: Mutex<Option<Arc<RoarRing>>>,
     /// Serializes every edit of the serving ring — `set_p`, `add_node`,
     /// `remove_node`, `balance_step` and discovery — so each move starts
     /// from the ring it replaces. Queries never take it.
@@ -200,7 +230,7 @@ impl ClusterCore {
         Ok(Arc::new(ClusterCore {
             transport,
             conns: RwLock::new(conns),
-            ring: RwLock::new(RoarRing::new(RingMap::uniform(&nodes), p)),
+            ring: RwLock::new(Arc::new(RoarRing::new(RingMap::uniform(&nodes), p))),
             stats: RwLock::new(ServerStats::new(addrs.len(), default_speed, 0.2)),
             pending: Mutex::new(None),
             control: tokio::sync::Mutex::new(()),
@@ -222,8 +252,8 @@ impl ClusterCore {
         Arc::clone(&self.conns.read()[i])
     }
 
-    pub(crate) fn ring_snapshot(&self) -> RoarRing {
-        self.ring.read().clone()
+    pub(crate) fn ring_snapshot(&self) -> Arc<RoarRing> {
+        Arc::clone(&self.ring.read())
     }
 
     pub(crate) fn p(&self) -> usize {
@@ -237,50 +267,79 @@ impl ClusterCore {
     /// pending ring's nodes or is in the backend when the download reads.
     pub(crate) fn write_rings(&self) -> WriteRings {
         let ring = self.ring.read();
-        (ring.clone(), self.pending.lock().clone())
+        (Arc::clone(&ring), self.pending.lock().clone())
     }
 
     /// Discovery's write: adopt `p` outright and drop any pending ring —
     /// the level now comes from what the nodes hold. Under `control`.
     pub(crate) fn reset_p(&self, p: usize) {
         let mut ring = self.ring.write();
-        ring.set_p(p);
+        Arc::make_mut(&mut ring).set_p(p);
         *self.pending.lock() = None;
     }
 
     /// Move the cluster from `old`, the serving ring, to `next` — every
-    /// placement change (§4.3–§4.6), under `control`. Refuses with
-    /// [`AdminError::BackendIncomplete`] a move that widens any coverage
-    /// when the backend does not hold the corpus. Installs `next` as
-    /// pending, or refuses with [`AdminError::RepartitionInFlight`] while
-    /// another ring is; pushes each node what its coverage gains
-    /// ([`Self::push_gains`]); serves `next`; then pushes the coverages.
-    /// Queries stay on `old` until every gain has landed. If a gain push
-    /// fails, `next` stays pending and `old` serving.
+    /// placement change (§4.3–§4.6), under `control` — so that no node
+    /// refuses a window this front end planned (§4.5: the front end
+    /// switches only once the nodes hold the data):
+    ///
+    /// 1. refuse with [`AdminError::BackendIncomplete`] a move that widens
+    ///    any coverage when the backend does not hold the corpus; install
+    ///    `next` as pending, or refuse with
+    ///    [`AdminError::RepartitionInFlight`] while another ring is; push
+    ///    each node what its coverage gains ([`Self::push_gains`]);
+    /// 2. *widen*: each live node whose coverage gains is set to `old ∪
+    ///    new`, all of which it now holds — `new` for a pure gainer, the
+    ///    one arc of both for a node whose coverage also loses;
+    /// 3. commit: serve `next` and clear pending;
+    /// 4. *narrow*: if a live node loses coverage or leaves the ring, wait
+    ///    until `old` is unshared — every query and write placed on it has
+    ///    finished — for at most the front end's timeout, then set each
+    ///    live loser to its new coverage.
+    ///
+    /// A node whose coverage does not change is sent nothing. If a push
+    /// before the commit fails, `next` stays pending and `old` serving.
     pub(crate) async fn move_to(
         &self,
-        old: &RoarRing,
+        old: Arc<RoarRing>,
         next: RoarRing,
         skip_dead: bool,
     ) -> Result<(), AdminError> {
-        let gains = |e: &RingEntry| !coverage_gain(Some(old), &next, e.node).is_empty();
+        let gains = |e: &RingEntry| !coverage_gain(Some(&*old), &next, e.node).is_empty();
         if !self.holds_corpus && next.map().entries().iter().any(gains) {
             return Err(AdminError::BackendIncomplete);
         }
+        let next = Arc::new(next);
         {
             let mut pending = self.pending.lock();
             if pending.is_some() {
                 return Err(AdminError::RepartitionInFlight);
             }
-            *pending = Some(next.clone());
+            *pending = Some(Arc::clone(&next));
         }
-        self.push_gains(Some(old), &next, skip_dead).await?;
+        self.push_gains(Some(&*old), &next, skip_dead).await?;
+        let (widen, narrow) = coverage_steps(&old, &next);
+        let leaves = (old.map().entries().iter())
+            .any(|e| next.coverage(e.node).is_none() && self.is_alive(e.node));
+        let drain = leaves || narrow.iter().any(|&(node, _)| self.is_alive(node));
+        self.set_coverages(&widen).await?;
         {
             let mut ring = self.ring.write();
             *ring = next;
             *self.pending.lock() = None;
         }
-        self.push_coverages().await
+        if drain {
+            // past the timeout a plan on `old` is stale: its node refuses
+            // what it no longer covers, as §4.8.3 allows
+            let drained = async {
+                while Arc::strong_count(&old) > 1 {
+                    tokio::time::sleep(Duration::from_millis(1)).await;
+                }
+            };
+            let _ = tokio::time::timeout(self.timeout, drained).await;
+            self.set_coverages(&narrow).await?;
+        }
+        Ok(())
     }
 
     pub(crate) fn speed_estimates(&self) -> Vec<f64> {
@@ -290,6 +349,10 @@ impl ClusterCore {
 
     pub(crate) fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
+    }
+
+    fn is_alive(&self, node: usize) -> bool {
+        self.stats.read().is_alive(node)
     }
 
     pub(crate) fn alive_snapshot(&self) -> Vec<bool> {
@@ -304,7 +367,7 @@ impl ClusterCore {
     /// against and the plan itself; bookkeeping for the dispatch
     /// (`on_dispatch`) is the caller's to trigger via
     /// [`Self::note_dispatch`] once it commits to running the plan.
-    pub(crate) fn plan_query(&self, opts: &SchedOpts) -> (RoarRing, QueryPlan) {
+    pub(crate) fn plan_query(&self, opts: &SchedOpts) -> (Arc<RoarRing>, QueryPlan) {
         // ORDERING: Relaxed — only uniqueness of the sequence number
         // matters for the seed; nothing else is published through it
         let seed = self
@@ -665,31 +728,34 @@ impl ClusterCore {
         Ok(held)
     }
 
-    /// Push each node its current coverage window (dropping anything
-    /// outside). Nodes currently believed dead are skipped — their stale,
-    /// wider coverage only retains extra data, never wrong answers — so a
-    /// partially-failed cluster can still make control-plane progress; a
-    /// later [`Self::backfill`] (or the reconciler) heals survivors.
+    /// Push each node its coverage on the serving ring — how `connect`
+    /// covers a fresh cluster.
     pub(crate) async fn push_coverages(&self) -> Result<(), AdminError> {
         let ring = self.ring_snapshot();
-        for entry in ring.map().entries() {
-            if !self.stats.read().is_alive(entry.node) {
+        let covs: Coverages = (ring.map().entries().iter())
+            .filter_map(|e| Some((e.node, ring.coverage(e.node)?)))
+            .collect();
+        self.set_coverages(&covs).await
+    }
+
+    /// Send each `(node, window)` one `SetCoverage` (the node drops
+    /// anything outside). Nodes currently believed dead are skipped — their
+    /// stale, wider coverage only retains extra data, never wrong answers
+    /// — so a partially-failed cluster can still make control-plane
+    /// progress; a later [`Self::backfill`] (or the reconciler) heals
+    /// survivors.
+    async fn set_coverages(&self, covs: &[(usize, Window)]) -> Result<(), AdminError> {
+        for &(node, cov) in covs {
+            if !self.is_alive(node) {
                 continue;
             }
-            // clamped: a range spanning ≥ 1 − 1/p of the ring covers it all,
-            // sent as the start == end full window
-            let Some(cov) = ring.coverage(entry.node) else {
-                continue;
+            // a range spanning ≥ 1 − 1/p of the ring covers it all, sent
+            // as the start == end full window
+            let msg = Msg::SetCoverage {
+                start: cov.start,
+                end: cov.end,
             };
-            self.control_rpc(
-                "set_coverage",
-                entry.node,
-                Msg::SetCoverage {
-                    start: cov.start,
-                    end: cov.end,
-                },
-            )
-            .await?;
+            self.control_rpc("set_coverage", node, msg).await?;
         }
         Ok(())
     }
@@ -697,7 +763,7 @@ impl ClusterCore {
     /// Re-push from the backend whatever each node's coverage now requires
     /// (nodes dedupe by id on insert — see MetadataStore semantics). Dead
     /// ring members are skipped, same contract as
-    /// [`Self::push_coverages`].
+    /// [`Self::set_coverages`].
     pub(crate) async fn backfill(&self) -> Result<(), AdminError> {
         if !self.holds_corpus {
             return Err(AdminError::BackendIncomplete);
@@ -723,7 +789,7 @@ impl ClusterCore {
         let mut shipped = Vec::new();
         for entry in to.map().entries() {
             let node = entry.node;
-            if skip_dead && !self.stats.read().is_alive(node) {
+            if skip_dead && !self.is_alive(node) {
                 continue;
             }
             let gain = coverage_gain(from, to, node);
@@ -771,7 +837,7 @@ impl ClusterCore {
             }
         }
         for (node, (records, synthetic_ids)) in per_node {
-            if !self.stats.read().is_alive(node) {
+            if !self.is_alive(node) {
                 continue;
             }
             self.control_rpc(
@@ -870,7 +936,7 @@ mod tests {
         let h = cluster_with_missed_writes().await;
         let core = &h.admin.core;
         let old = core.ring_snapshot();
-        let mut target = old.clone();
+        let mut target = RoarRing::clone(&old);
         target.set_p(2);
         let shipped = core.push_gains(Some(&old), &target, false).await.unwrap();
         assert_eq!(shipped.len(), 6, "every node gains an extension");
@@ -943,6 +1009,126 @@ mod tests {
         }
     }
 
+    /// A TCP transport whose links count the `SetCoverage` requests they
+    /// send.
+    struct CountingTcp(Arc<dyn Transport>, Arc<std::sync::atomic::AtomicUsize>);
+
+    struct CountingLink(Arc<dyn NodeLink>, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl NodeLink for CountingLink {
+        fn addr(&self) -> SocketAddr {
+            self.0.addr()
+        }
+        fn is_connected(&self) -> bool {
+            self.0.is_connected()
+        }
+        fn rpc_with<'a>(
+            &'a self,
+            encode: &'a crate::transport::Encoder<'a>,
+            timeout: Duration,
+        ) -> crate::transport::BoxFuture<'a, Result<Msg, RpcError>> {
+            self.0.rpc_with(encode, timeout)
+        }
+        fn rpc<'a>(
+            &'a self,
+            msg: Msg,
+            timeout: Duration,
+        ) -> crate::transport::BoxFuture<'a, Result<Msg, RpcError>> {
+            if matches!(msg, Msg::SetCoverage { .. }) {
+                // ORDERING: Relaxed — a test counter read after the awaits
+                // that sent it
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
+            self.0.rpc(msg, timeout)
+        }
+    }
+
+    impl Transport for CountingTcp {
+        fn name(&self) -> &'static str {
+            "tcp"
+        }
+        fn bind<'a>(
+            &'a self,
+            addr: &'a str,
+        ) -> crate::transport::BoxFuture<'a, std::io::Result<Box<dyn crate::transport::BoundServer>>>
+        {
+            self.0.bind(addr)
+        }
+        fn connect<'a>(
+            &'a self,
+            addr: SocketAddr,
+        ) -> crate::transport::BoxFuture<'a, std::io::Result<Arc<dyn NodeLink>>> {
+            Box::pin(async move {
+                let link = self.0.connect(addr).await?;
+                Ok(Arc::new(CountingLink(link, Arc::clone(&self.1))) as Arc<dyn NodeLink>)
+            })
+        }
+    }
+
+    /// A move sends one `SetCoverage` to each live node whose coverage
+    /// gains and one to each whose coverage loses, and none to a node whose
+    /// coverage stays: over an increase, a decrease, a join, a removal and
+    /// a balancing step that is no more than the one per node on the new
+    /// ring that pushing every coverage after each commit sends.
+    #[tokio::test]
+    async fn a_move_sets_only_the_coverages_that_change() {
+        let speeds = [
+            800_000.0, 100_000.0, 800_000.0, 100_000.0, 800_000.0, 100_000.0,
+        ];
+        let mut addrs = Vec::new();
+        for (id, &speed) in speeds.iter().enumerate() {
+            addrs.push(spawn_extra_node(id, speed, 0.0).await.unwrap().0);
+        }
+        let sent = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let transport = Arc::new(CountingTcp(TransportSpec::Tcp.build(), Arc::clone(&sent)));
+        let core = ClusterCore::connect_with(&addrs, 2, 1.0, transport, true)
+            .await
+            .unwrap();
+        core.push_coverages().await.unwrap();
+        let admin = crate::admin::Admin {
+            core: Arc::clone(&core),
+        };
+        let client = crate::client::QueryClient {
+            core: Arc::clone(&core),
+        };
+        let mut rng = det_rng(51);
+        let ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+        admin.store_synthetic(&ids).await.unwrap();
+        // ORDERING: Relaxed — read after the awaits that counted
+        let take = || sent.swap(0, Ordering::Relaxed);
+        take();
+        let mut counts = Vec::new();
+        admin.set_p(3).await.unwrap();
+        counts.push(take());
+        admin.set_p(2).await.unwrap();
+        counts.push(take());
+        let (spare, _joiner) = spawn_extra_node(6, 800_000.0, 0.0).await.unwrap();
+        assert_eq!(admin.add_node(spare).await, Ok(6));
+        counts.push(take());
+        admin.remove_node(6).await.unwrap();
+        counts.push(take());
+        // every node loses (an increase) or gains (a decrease); the joiner
+        // and the node it splits change; the heir alone changes
+        assert_eq!(counts, [6, 6, 2, 1]);
+        for _ in 0..6 {
+            let q = client.query(QueryBody::Synthetic);
+            q.sched(SchedOpts::default()).pq(6).run().await;
+        }
+        let old = admin.ring();
+        assert!(admin.balance_step().await.unwrap() > 0, "boundaries moved");
+        let ring = admin.ring();
+        let changed = |node: usize| {
+            let (was, now) = (old.coverage(node).unwrap(), ring.coverage(node).unwrap());
+            usize::from(!now.subset_of(&was)) + usize::from(!was.subset_of(&now))
+        };
+        counts.push(take());
+        assert_eq!(counts[4], (0..6).map(changed).sum::<usize>());
+        assert!(
+            counts.iter().sum::<usize>() <= 6 + 6 + 7 + 6 + 6,
+            "{counts:?}"
+        );
+    }
+
     /// A plan never uses a `pq` below the `p` of the snapshot it plans
     /// against: a smaller override is clamped up. With `p` in the ring
     /// alone, a §4.5 decrease has no confirmed-but-uncommitted state a plan
@@ -957,7 +1143,7 @@ mod tests {
         let (ring, plan) = core.plan_query(&opts);
         assert_eq!(ring.p(), 3, "the plan's own snapshot");
         assert_eq!(plan.subs.len(), 3, "pq clamped up to the snapshot's p");
-        core.ring.write().set_p(2);
+        Arc::make_mut(&mut core.ring.write()).set_p(2);
         assert_eq!(core.plan_query(&opts).1.subs.len(), 2);
     }
 
@@ -969,16 +1155,16 @@ mod tests {
     async fn a_move_beside_a_pending_ring_is_refused_and_sends_nothing() {
         let core = offline_core().await;
         let old = core.ring_snapshot();
-        let mut pending = old.clone();
+        let mut pending = RoarRing::clone(&old);
         pending.set_p(2);
-        *core.pending.lock() = Some(pending.clone());
-        let mut next = old.clone();
+        *core.pending.lock() = Some(Arc::new(pending));
+        let mut next = RoarRing::clone(&old);
         next.map_mut().remove(3);
-        let refused = core.move_to(&old, next, false).await;
+        let refused = core.move_to(old, next, false).await;
         assert_eq!(refused, Err(AdminError::RepartitionInFlight));
         assert_eq!(core.alive_snapshot(), vec![true; 4], "no RPC was tried");
         assert_eq!(core.ring_snapshot().n(), 4, "the serving ring stands");
-        assert_eq!(core.pending.lock().as_ref().map(RoarRing::p), Some(2));
+        assert_eq!(core.pending.lock().as_ref().map(|r| r.p()), Some(2));
     }
 
     /// `abort_repartition` drops the pending ring, and the next move is
@@ -990,16 +1176,16 @@ mod tests {
             core: Arc::clone(&core),
         };
         let old = core.ring_snapshot();
-        *core.pending.lock() = Some(old.clone());
+        *core.pending.lock() = Some(Arc::clone(&old));
         assert!(admin.reconfig_in_flight());
         admin.abort_repartition();
         assert!(!admin.reconfig_in_flight());
         // every node believed dead: pushes that skip the dead send
         // nothing, so the move runs to its commit offline
         (0..4).for_each(|i| core.stats.write().on_timeout(i));
-        let mut next = old.clone();
+        let mut next = RoarRing::clone(&old);
         next.set_p(2);
-        core.move_to(&old, next, true).await.expect("accepted");
+        core.move_to(old, next, true).await.expect("accepted");
         assert_eq!(core.p(), 2, "the move committed");
         assert!(!admin.reconfig_in_flight());
     }
@@ -1055,9 +1241,9 @@ mod tests {
     async fn a_write_beside_a_join_goes_to_at_most_one_more_replica() {
         let core = offline_core().await;
         let serving = core.ring_snapshot();
-        let mut joined = serving.clone();
+        let mut joined = RoarRing::clone(&serving);
         joined.map_mut().insert_half(4, 1);
-        *core.pending.lock() = Some(joined.clone());
+        *core.pending.lock() = Some(Arc::new(joined.clone()));
         let rings = core.write_rings();
         let mut rng = det_rng(47);
         for id in (0..2000).map(|_| rng.gen::<u64>()) {

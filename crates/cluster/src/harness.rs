@@ -236,7 +236,8 @@ mod tests {
     /// Run each scenario under all three transports: `<name>::tcp`,
     /// `<name>::udp` and `<name>::ccudp` — parametrized, not duplicated.
     macro_rules! per_transport {
-        ($(async fn $name:ident($spec:ident: TransportSpec) $body:block)*) => {$(
+        ($($(#[$doc:meta])* async fn $name:ident($spec:ident: TransportSpec) $body:block)*) => {$(
+            $(#[$doc])*
             mod $name {
                 use super::*;
 
@@ -283,6 +284,21 @@ mod tests {
             assert_eq!(out.subqueries, p);
             assert_eq!((out.refused, out.lost), (0, 0));
         }
+    }
+
+    /// Six nodes at `p = 2` holding 300 ids, each node's synthetic scan
+    /// slowed `factor` times.
+    async fn slow_cluster(spec: TransportSpec, factor: f64) -> ClusterHandle {
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 2).with_transport(spec))
+            .await
+            .unwrap();
+        let mut rng = det_rng(252);
+        let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+        h.admin.store_synthetic(&ids).await.unwrap();
+        for node in 0..6 {
+            h.admin.set_speed_factor(node, factor).await.unwrap();
+        }
+        h
     }
 
     per_transport! {
@@ -580,17 +596,19 @@ mod tests {
 
     async fn answers_stay_exact_while_p_moves(spec: TransportSpec) {
         // §4.5 under load: a closed query loop runs beside ten set_p
-        // toggles (2 → 3 → 2 …), and at least one query completes between
-        // two toggles. A query whose window a coverage push refused
-        // re-plans on the fresh ring; every answer is whole and
+        // toggles (2 → 3 → 2 …) and then one join (§4.3), and at least one
+        // query completes between two moves. No query is retried: every
+        // move widens before it commits and narrows after the old ring
+        // drains, so no window is refused and every answer is whole and
         // exactly-once.
         use std::sync::atomic::{AtomicBool, Ordering};
-        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 2).with_transport(spec))
+        let h = spawn_cluster(ClusterConfig::uniform(6, 1e6, 2).with_transport(spec.clone()))
             .await
             .unwrap();
         let mut rng = det_rng(244);
         let ids: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
         h.admin.store_synthetic(&ids).await.unwrap();
+        let (addr, joiner) = spawn_extra_node_with(6, 1e6, 0.0, &spec).await.unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let (answered, mut answered_rx) = tokio::sync::watch::channel(());
         let looper = {
@@ -598,8 +616,7 @@ mod tests {
             tokio::spawn(async move {
                 let mut outs = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    let q = client.query(QueryBody::Synthetic);
-                    outs.push(q.retry_on_partial(4, Duration::from_millis(5)).run().await);
+                    outs.push(client.query(QueryBody::Synthetic).run().await);
                     let _ = answered.send(());
                 }
                 outs
@@ -611,14 +628,64 @@ mod tests {
                 answered_rx.changed().await.unwrap();
             }
         }
+        assert_eq!(h.admin.add_node(addr).await, Ok(6));
+        answered_rx.changed().await.unwrap();
         stop.store(true, Ordering::Release);
         let outs = looper.await.unwrap();
-        assert!(outs.len() >= 10, "the loop ran beside the toggles");
+        assert!(outs.len() >= 11, "the loop ran beside the moves");
         for out in &outs {
+            assert_eq!((out.refused, out.lost), (0, 0), "no window refused or lost");
             assert_eq!(out.harvest, 1.0, "whole answer while p moves");
             assert_eq!(out.scanned, 300, "exactly-once while p moves");
         }
         assert_eq!((h.admin.p(), h.admin.reconfig_in_flight()), (2, false));
+        assert!(joiner.record_count() > 0, "the joiner serves");
+    }
+
+    /// An increase waits for the queries planned at the old level: every
+    /// node answers slowly, a query is planned at `p = 2`, and `set_p(3)`
+    /// is still running well after its own RPCs are done — until the
+    /// query's slow sub-queries answer. The query is whole: no window was
+    /// narrowed under it.
+    async fn an_increase_waits_for_the_old_level_to_drain(spec: TransportSpec) {
+        // ~150 ids a window at 1e6 ids/s, slowed to ~600 ms
+        let h = slow_cluster(spec, 4000.0).await;
+        let mut stream = h.client.query(QueryBody::Synthetic).stream();
+        let mut increase = std::pin::pin!(h.admin.set_p(3));
+        let early = tokio::time::timeout(Duration::from_millis(200), &mut increase).await;
+        assert!(early.is_err(), "set_p returned beside a query at the old level");
+        increase.await.unwrap();
+        assert_eq!(h.admin.p(), 3);
+        while stream.next().await.is_some() {}
+        let out = stream.finish();
+        assert_eq!((out.harvest, out.refused, out.lost), (1.0, 0, 0));
+        assert_eq!(out.scanned, 300);
+    }
+
+    /// A live node leaves only after the queries planned on the ring that
+    /// held it have finished: its slow sub-query answers instead of timing
+    /// out into the §4.4 fall-back.
+    async fn a_leaver_answers_what_was_planned_on_it(spec: TransportSpec) {
+        let h = slow_cluster(spec, 2000.0).await;
+        let mut stream = h.client.query(QueryBody::Synthetic).stream();
+        // the leaver is a node the plan dispatched to
+        let leaver = {
+            let st = h.admin.core.stats.read();
+            (0..6).find(|&n| st.outstanding(n) > 0.0).expect("a planned node")
+        };
+        h.admin.remove_node(leaver).await.unwrap();
+        assert!(!h.admin.node_alive(leaver), "the leaver was shut down");
+        let mut partials = Vec::new();
+        while let Some(partial) = stream.next().await {
+            partials.push(partial);
+        }
+        assert!(partials.iter().any(|r| r.responder == Some(leaver)));
+        for r in &partials {
+            assert_eq!((r.status, r.extra_subs), (SubStatus::Done, 0), "{r:?}");
+        }
+        let out = stream.finish();
+        assert_eq!((out.harvest, out.refused, out.lost), (1.0, 0, 0));
+        assert_eq!(out.scanned, 300);
     }
 
     async fn backup_frontend_discovers_p_from_coverage(spec: TransportSpec) {
@@ -1406,22 +1473,18 @@ mod tests {
         store.await.unwrap().unwrap();
     }
 
-    /// After a placement change: `gainer` holds exactly what its coverage
-    /// requires; every other node at least that (a `Store` landing after
-    /// the commit's trim leaves a node extra records, which its window
-    /// never scans); and a full query scans each of the `stored` ids once.
-    async fn assert_exact_after(
-        h: &ClusterHandle,
-        nodes: &[&DataNode],
-        gainer: usize,
-        stored: u64,
-    ) {
+    /// After a placement change: every node on the ring holds exactly
+    /// what its coverage requires — a write placed on the old ring lands
+    /// before the move narrows anyone, so no node keeps records past its
+    /// coverage — and a full query scans each of the `stored` ids once. A
+    /// node that left the ring is not checked: it was shut down holding
+    /// what it had.
+    async fn assert_exact_after(h: &ClusterHandle, nodes: &[&DataNode], stored: u64) {
         let ring = h.admin.ring();
         for (node, dn) in nodes.iter().enumerate() {
-            let (held, expected) = (dn.record_count(), h.admin.expected_records(&ring, node));
-            match node == gainer {
-                true => assert_eq!(held, expected, "node {node} gained"),
-                false => assert!(held >= expected, "node {node}: {held} < {expected}"),
+            if ring.map().range_of(node).is_some() {
+                let expected = h.admin.expected_records(&ring, node);
+                assert_eq!(dn.record_count(), expected, "node {node}");
             }
         }
         let out = h
@@ -1468,7 +1531,7 @@ mod tests {
         assert_eq!(join.await.unwrap(), Ok(6));
         let mut nodes: Vec<&DataNode> = h.nodes.iter().map(|n| &**n).collect();
         nodes.push(&joiner);
-        assert_exact_after(&h, &nodes, 6, 600).await;
+        assert_exact_after(&h, &nodes, 600).await;
     }
 
     per_datagram! {
@@ -1558,7 +1621,7 @@ mod tests {
         change.await.unwrap().unwrap();
         assert_eq!(h.admin.ring().map().entries(), next.map().entries());
         let nodes: Vec<&DataNode> = h.nodes.iter().map(|n| &**n).collect();
-        assert_exact_after(&h, &nodes, gainer, stored.len() as u64 + 100).await;
+        assert_exact_after(&h, &nodes, stored.len() as u64 + 100).await;
     }
 
     per_datagram! {

@@ -1034,8 +1034,9 @@ mod tests {
         );
     }
 
-    /// §4.8.3 under a racing `SetCoverage` (every `set_p` increase sends one
-    /// to every node while old-`p` sub-queries are in flight): a sub-query
+    /// §4.8.3 under a racing `SetCoverage` (another front end's `set_p`
+    /// increase, or one whose drain timed out, narrows a node while old-`p`
+    /// sub-queries are in flight): a sub-query
     /// whose window the node stops covering while it sleeps out its
     /// overhead must be `Refused`, never answered over what is left of the
     /// window. The coverage check and the read it vouches for share one

@@ -216,6 +216,23 @@ impl Window {
         pieces.into_iter().flatten()
     }
 
+    /// The union of `self` and `other` when it is one arc — the two
+    /// overlap or touch — and `None` when a gap separates them on both
+    /// sides. Full when together they cover the ring.
+    pub fn union(&self, other: &Window) -> Option<Window> {
+        // `b` extends `a` when it starts inside `a` or at its end: offsets
+        // clockwise from `a.start`, `a` is [1, n] and `b` is [d + 1, d + m]
+        let extend = |a: &Window, b: &Window| {
+            let (n, d, m) = (a.len(), dist_cw(a.start, b.start) as u128, b.len());
+            let end = n.max(d + m);
+            (d <= n).then(|| match end >= FULL {
+                true => Window::full(a.start),
+                false => Window::new(a.start, a.start.wrapping_add(end as u64)),
+            })
+        };
+        extend(self, other).or_else(|| extend(other, self))
+    }
+
     /// Split at `mid ∈ (start, end)`, returning `((start, mid], (mid, end])`.
     ///
     /// # Panics
@@ -382,6 +399,35 @@ mod tests {
     }
 
     #[test]
+    fn union_joins_overlapping_windows_into_one_arc() {
+        let w = Window::new(10, 100);
+        assert_eq!(w.union(&Window::new(50, 200)), Some(Window::new(10, 200)));
+        assert_eq!(Window::new(50, 200).union(&w), Some(Window::new(10, 200)));
+        assert_eq!(w.union(&Window::new(20, 30)), Some(w), "a subset");
+        assert_eq!(
+            w.union(&Window::new(100, 150)),
+            Some(Window::new(10, 150)),
+            "touching"
+        );
+        assert_eq!(w.union(&Window::new(101, 150)), None, "disjoint");
+        assert_eq!(Window::new(101, 150).union(&w), None, "disjoint");
+        // wrapped across position 0, on either side
+        let wrapped = Window::new(u64::MAX - 10, 5);
+        assert_eq!(
+            wrapped.union(&Window::new(0, 50)),
+            Some(Window::new(u64::MAX - 10, 50))
+        );
+        assert_eq!(
+            Window::new(u64::MAX - 50, u64::MAX - 5).union(&wrapped),
+            Some(Window::new(u64::MAX - 50, 5))
+        );
+        // full: one full operand, or two that cover the ring between them
+        assert!(w.union(&Window::full(3)).is_some_and(|u| u.is_full()));
+        assert!(Window::full(3).union(&w).is_some_and(|u| u.is_full()));
+        assert!(w.union(&Window::new(50, 20)).is_some_and(|u| u.is_full()));
+    }
+
+    #[test]
     fn window_contains_basics() {
         let w = Window::new(10, 20);
         assert!(!w.contains(10)); // open at start
@@ -524,6 +570,31 @@ mod tests {
                     !new.contains(x) || old.contains(x) || gained,
                     "{:?} minus {:?} = {:?} misses {}", new, old, gain, x
                 );
+            }
+        }
+
+        #[test]
+        fn prop_union_is_the_set_union(
+            s1: u64,
+            e1: u64,
+            s2: u64,
+            len in 0u64..1 << 62,
+            points in proptest::collection::vec(any::<u64>(), 16)
+        ) {
+            // the second window starts anywhere or near the first one's end
+            let s2 = if len % 2 == 0 { s2 } else { e1.wrapping_add(s2 % 8).wrapping_sub(4) };
+            let (a, b) = (Window::new(s1, e1), Window::new(s2, s2.wrapping_add(len)));
+            let either = |x: u64| a.contains(x) || b.contains(x);
+            match a.union(&b) {
+                Some(u) => {
+                    let edges = [a, b, u].into_iter().flat_map(|w| [w.start, w.end]);
+                    let near = edges.flat_map(|x| [x.wrapping_sub(1), x, x.wrapping_add(1)]);
+                    for x in points.into_iter().chain(near) {
+                        prop_assert_eq!(u.contains(x), either(x), "{:?} ∪ {:?} = {:?} at {}", a, b, u, x);
+                    }
+                }
+                // a gap right after each window's end
+                None => prop_assert!(!either(a.end.wrapping_add(1)) && !either(b.end.wrapping_add(1))),
             }
         }
 
