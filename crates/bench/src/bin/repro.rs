@@ -111,7 +111,7 @@ fn benches() -> Vec<Bench> {
         row(
             "bench_churn",
             Snapshot("BENCH_churn.json"),
-            "reconciler under rolling restart / flash crowd / rack failure per transport; fails if a cell does not converge or rolling restart drops windowed harvest below 0.9",
+            "reconciler under rolling restart / flash crowd / rack failure per transport; fails if a cell does not converge or refuses a window, or rolling restart drops windowed harvest below 0.9",
             churn::run,
             churn::gate,
         ),

@@ -27,10 +27,17 @@
 //!   keeps the victims' arcs overlapping, so surviving replicas cover
 //!   every partition while the ring shrinks.
 //!
+//! Every scenario must also see no refused window at all: a move widens
+//! every gainer's coverage before its commit and narrows a loser's only
+//! after the old ring drains, so a node never refuses a window it was
+//! planned on. The windowed floor is for what a crash costs; one refused
+//! window moves a window's mean only to 0.9375, which the floor cannot
+//! see.
+//!
 //! Every fault is deterministic (seeded schedule, barriered crashes), so
 //! the committed artifact reproduces run over run. `repro bench_churn
-//! --quick` re-checks the rolling-restart harvest floor per transport as
-//! the CI `chaos-smoke` gate.
+//! --quick` re-checks the rolling-restart harvest floor and the refusals
+//! per transport as the CI `chaos-smoke` gate.
 
 use crate::driver::{block_on, synthetic_ids, transport_by_name};
 use crate::{number, Filters, Scale};
@@ -174,6 +181,7 @@ async fn run_scenario(
     // driver churns, then a settle tail after it finishes so the final
     // windows measure the converged topology
     let mut harvests: Vec<f64> = Vec::new();
+    let mut refused = 0;
     let mut delays_ms: Vec<f64> = Vec::new();
     let mut done_at: Option<usize> = None;
     loop {
@@ -188,6 +196,7 @@ async fn run_scenario(
             .await;
         delays_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         harvests.push(out.harvest);
+        refused += out.refused;
         // ORDERING: SeqCst — pairs with the driver's done-flag store above;
         // plain flag poll, no payload to acquire
         if done_at.is_none() && finished.load(std::sync::atomic::Ordering::SeqCst) {
@@ -219,6 +228,8 @@ async fn run_scenario(
         ("windows", window_means.len().into()),
         ("harvest_floor", Json::rounded(harvest_floor, 3)),
         ("mean_harvest", Json::rounded(roar_util::mean(&harvests), 3)),
+        // windows a node refused, summed over the scenario's queries
+        ("refused", refused.into()),
     ])
     .merge(Summary::from(&delays_ms).to_json("ms"))
     .merge(Json::obj([
@@ -281,9 +292,10 @@ pub fn run(scale: Scale, filters: &Filters) -> Result<Json, String> {
     })
 }
 
-/// The CI gate: every cell that ran must have converged, and every
-/// rolling-restart cell must have held the harvest floor — under live
-/// load, cycling the whole fleet costs no availability.
+/// The CI gate: every cell that ran must have converged and refused no
+/// window, and every rolling-restart cell must have held the harvest
+/// floor — under live load, cycling the whole fleet costs no
+/// availability.
 pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
     let target = number(doc, &["config", "harvest_target"])?;
     let transports = doc.get("transports").and_then(Json::as_array);
@@ -296,6 +308,10 @@ pub fn gate(doc: &Json, _: Scale) -> Result<(), String> {
             let scenario = cell.get("scenario").and_then(Json::as_str).unwrap_or("?");
             if cell.get("converged").and_then(Json::as_bool) != Some(true) {
                 return Err(format!("{name}/{scenario} failed to converge"));
+            }
+            let refused = number(cell, &["refused"])?;
+            if refused > 0.0 {
+                return Err(format!("{name}/{scenario} refused {refused} windows"));
             }
             let floor = number(cell, &["harvest_floor"])?;
             if scenario == "rolling_restart" && floor < target {
@@ -350,6 +366,11 @@ mod tests {
             "mean harvest must meet the target: {cell:?}"
         );
         assert_eq!(
+            number(cell, &["refused"]),
+            Ok(0.0),
+            "a restart refuses no window: {cell:?}"
+        );
+        assert_eq!(
             number(cell, &["final_n"]),
             number(&b, &["config", "nodes"]),
             "fleet size restored"
@@ -358,11 +379,12 @@ mod tests {
 
     #[test]
     fn gate_wants_convergence_everywhere_and_the_floor_on_rolling_restart() {
-        let doc = |scenario: &str, floor: f64, converged: bool| {
+        let doc = |scenario: &str, floor: f64, converged: bool, refused: usize| {
             let cell = Json::obj([
                 ("scenario", scenario.into()),
                 ("harvest_floor", floor.into()),
                 ("converged", converged.into()),
+                ("refused", refused.into()),
             ]);
             let tcp = Json::obj([("name", "tcp".into()), ("scenarios", Json::Arr(vec![cell]))]);
             Json::obj([
@@ -373,13 +395,17 @@ mod tests {
                 ("transports", Json::Arr(vec![tcp])),
             ])
         };
-        assert!(gate(&doc("rolling_restart", 0.95, true), Scale::Quick).is_ok());
-        assert!(gate(&doc("rolling_restart", 0.85, true), Scale::Quick).is_err());
+        assert!(gate(&doc("rolling_restart", 0.95, true, 0), Scale::Quick).is_ok());
+        assert!(gate(&doc("rolling_restart", 0.85, true, 0), Scale::Quick).is_err());
         assert!(
-            gate(&doc("rack_failure", 0.5, true), Scale::Quick).is_ok(),
+            gate(&doc("rack_failure", 0.5, true, 0), Scale::Quick).is_ok(),
             "only rolling restart pins the floor"
         );
-        assert!(gate(&doc("flash_crowd", 1.0, false), Scale::Quick).is_err());
+        assert!(gate(&doc("flash_crowd", 1.0, false, 0), Scale::Quick).is_err());
+        // one refused window leaves the floor at 0.9375: the refusal
+        // count catches it, in every scenario
+        assert!(gate(&doc("rolling_restart", 0.9375, true, 1), Scale::Quick).is_err());
+        assert!(gate(&doc("rack_failure", 1.0, true, 1), Scale::Quick).is_err());
         let empty = Json::obj([
             (
                 "config",

@@ -65,8 +65,8 @@ impl Fixture {
         Fixture {
             n,
             repeats,
-            // the node's own pool sizing: one worker per core, capped at 4
-            workers: std::thread::available_parallelism().map_or(1, |c| c.get().min(4)),
+            // the process pool's sizing: one worker per CPU
+            workers: std::thread::available_parallelism().map_or(1, |c| c.get()),
             records,
             queries,
         }

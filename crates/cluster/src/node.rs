@@ -16,10 +16,11 @@
 //! on the runtime worker serving the request, under one of the process's
 //! few *matching slots*: a crowd of them waits for a slot without holding
 //! a worker, so the runtime's timers and receive loops keep running. A
-//! longer one goes to the node's *matcher pool*, a fixed set of worker
-//! threads ([`roar_pps::BatchEngine`]), each running one sub-query at a
-//! time: a flash crowd of Q long scans queues for the pool instead of
-//! spawning Q blocking threads.
+//! longer one goes to the process's *matcher pool*, one worker thread per
+//! CPU ([`roar_pps::BatchEngine`]), each running one sub-query at a time,
+//! which every node in the process shares: a flash crowd of Q long scans,
+//! on however many nodes, queues for the CPUs instead of time-slicing
+//! them.
 //!
 //! The store is a persistent value ([`MetadataStore`]: a list of immutable
 //! columnar runs behind `Arc`s). A writer — `Store`, `SetCoverage` — builds
@@ -35,21 +36,31 @@ use roar_core::ring::Window;
 use roar_crypto::sha1::Backend;
 use roar_pps::query::{Combiner, CompiledQuery, MATCH_CHUNK};
 use roar_pps::{BatchEngine, MetadataStore, QueryTask, TaskCorpus};
-use std::sync::{Arc, LazyLock, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
-/// Matcher-pool width: the node-wide bound on concurrent multi-chunk PPS
-/// scans. Small and fixed — excess sub-queries queue in the engine until a
-/// worker is free rather than spawning threads.
-fn matcher_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+/// The process's matcher pool width: one worker per CPU the process may
+/// run on.
+fn pool_width() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
+
+/// The process's matcher pool, started by the first multi-chunk scan of
+/// any node in the process. One pool per process, sized to its CPUs: the
+/// nodes' long scans form one FIFO queue and each runs to completion on a
+/// CPU of its own (a node is a serial scanner, Definition 8), whether the
+/// process hosts one node or a whole cluster. A static is never dropped:
+/// its workers live as long as the process.
+static MATCHERS: LazyLock<BatchEngine> = LazyLock::new(|| BatchEngine::new(pool_width()));
 
 /// The process's matching slots: a one-chunk scan holds one while it runs
 /// on a runtime worker. There are half as many as the runtime has workers,
 /// which every node in the process shares, so however many such scans
 /// queue, the other half of the workers keep the timers and receive loops
-/// going.
+/// going. Sized from the runtime's workers, not from the CPUs: on 2 vCPUs,
+/// 2 slots cost `fanout_tcp`, whose scans are all one chunk, 9 % of its
+/// queries a second, and 1 slot 40 %.
 static MATCH_SLOTS: LazyLock<tokio::sync::Semaphore> =
     LazyLock::new(|| tokio::sync::Semaphore::new((tokio::runtime::worker_threads() / 2).max(1)));
 
@@ -152,9 +163,8 @@ pub struct DataNode {
     /// The transport this node serves on — also used to reach the ring
     /// successor for §4.1 store forwarding.
     transport: Mutex<Option<Arc<dyn Transport>>>,
-    /// Lazily-started matcher pool (a node that never scans more than one
-    /// chunk never starts it).
-    matchers: OnceLock<BatchEngine>,
+    /// Multi-chunk scans this node has sent to the process's matcher pool.
+    pooled_scans: AtomicU64,
 }
 
 impl DataNode {
@@ -173,21 +183,16 @@ impl DataNode {
             })),
             shutdown,
             transport: Mutex::new(None),
-            matchers: OnceLock::new(),
+            pooled_scans: AtomicU64::new(0),
         }
     }
 
-    /// The node's matcher pool, started on first use.
-    fn matchers(&self) -> &BatchEngine {
-        self.matchers
-            .get_or_init(|| BatchEngine::new(matcher_workers()))
-    }
-
-    /// Width of the matcher pool — the fixed bound on concurrent
-    /// multi-chunk PPS scans, however many sub-queries are resident. Asking
-    /// does not start the pool.
+    /// Width of the process's matcher pool, one worker per CPU — the bound
+    /// on concurrent multi-chunk PPS scans of every node in the process,
+    /// however many sub-queries are resident. Asking does not start the
+    /// pool.
     pub fn matcher_pool_width(&self) -> usize {
-        matcher_workers()
+        pool_width()
     }
 
     /// Bind and serve over TCP (the default transport) until `Shutdown` is
@@ -461,7 +466,10 @@ impl DataNode {
                     task.run_inline()
                 } else {
                     let (tx, rx) = tokio::sync::oneshot::channel();
-                    self.matchers().submit(task, move |res| {
+                    // ORDERING: Relaxed — an event counter; nothing is
+                    // published through it
+                    self.pooled_scans.fetch_add(1, Ordering::Relaxed);
+                    MATCHERS.submit(task, move |res| {
                         let _ = tx.send(res);
                     });
                     let Ok(res) = rx.await else {
@@ -1138,8 +1146,8 @@ mod tests {
     }
 
     /// A flash crowd of multi-chunk PPS sub-queries must all complete
-    /// correctly through the fixed matcher pool — no thread per request.
-    /// The pool width is the concurrency bound; the engine queues
+    /// correctly through the process's matcher pool — no thread per
+    /// request. The pool width is the concurrency bound; the engine queues
     /// everything beyond it.
     #[tokio::test]
     async fn pps_flash_crowd_bounded_by_matcher_pool() {
@@ -1223,33 +1231,23 @@ mod tests {
             assert_eq!(got, want, "query {query_id}");
             seen += 1;
         }
-        assert!(node.matchers.get().is_some(), "the crowd went to the pool");
-        // the pool is the bound: a fixed handful of workers, not 32 threads
-        assert!(
-            node.matcher_pool_width() <= 4,
-            "pool width {} should be small and fixed",
-            node.matcher_pool_width()
+        assert_eq!(
+            node.pooled_scans.load(Ordering::Relaxed),
+            32,
+            "the crowd went to the pool"
         );
-        // count only *this* node's matcher threads by exact name shape
-        // `<engine_prefix>w<digits>` — other tests' nodes host their own
-        // engines in the same process, and the runtime's reactor workers
-        // (`roar-rt-w*`) and reactor thread must never be attributed to
-        // the engine pool
-        let prefix = format!("{}w", node.matchers().thread_prefix());
-        let is_engine_worker = |name: &str| {
-            name.trim_end()
-                .strip_prefix(prefix.as_str())
-                .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
-        };
-        assert!(
-            !is_engine_worker("roar-rt-w0") && !is_engine_worker("roar-reactor"),
-            "engine prefix {prefix:?} must not capture runtime threads"
+        // the pool is the bound: one worker per CPU, not 32 threads
+        assert_eq!(
+            node.matcher_pool_width(),
+            std::thread::available_parallelism().unwrap().get()
         );
+        // the process has one matcher pool, whose workers are named
+        // `roarm-w<i>`
         let matcher_threads = std::fs::read_dir("/proc/self/task")
             .map(|tasks| {
                 tasks
                     .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-                    .filter(|name| is_engine_worker(name))
+                    .filter(|name| name.starts_with("roarm-"))
                     .count()
             })
             .unwrap_or(0);
@@ -1264,7 +1262,7 @@ mod tests {
     /// A sub-query of at most one chunk is matched on the runtime worker
     /// serving it, under a matching slot: a crowd of them over full, plain
     /// and wrapped windows answers each with the oracle's matches, never
-    /// starts the pool, and leaves the runtime's timers firing on time —
+    /// reaches the pool, and leaves the runtime's timers firing on time —
     /// the crowd never holds every worker.
     #[tokio::test]
     async fn one_chunk_crowd_keeps_timers_on_time() {
@@ -1373,9 +1371,10 @@ mod tests {
             late < crowd / 4,
             "a {tick:?} timer fired {late:?} late during a {crowd:?} crowd"
         );
-        assert!(
-            node.matchers.get().is_none(),
-            "a one-chunk scan started the pool"
+        assert_eq!(
+            node.pooled_scans.load(Ordering::Relaxed),
+            0,
+            "a one-chunk scan went to the pool"
         );
     }
 

@@ -6,7 +6,7 @@
 //! trips the budget immediately.
 //!
 //! Runs in its own process (integration test) so no other suite's
-//! matcher pools inflate the count.
+//! matcher pool inflates the count.
 
 use roar_cluster::{spawn_cluster, ClusterConfig, QueryBody};
 use roar_util::det_rng;
@@ -21,8 +21,9 @@ fn process_threads() -> usize {
 }
 
 /// 1 test main + 1 reactor + the fixed worker pool (8) + harness slack.
-/// Matcher pools are per-node but lazy — synthetic queries never start
-/// them. A thread-per-task regression lands this in the hundreds.
+/// The matcher pool is one per process, sized to its CPUs, and lazy —
+/// synthetic queries never start it. A thread-per-task regression lands
+/// this in the hundreds.
 const THREAD_BUDGET: usize = 32;
 
 #[tokio::test]

@@ -1,5 +1,6 @@
-//! The node's matcher pool: a fixed set of worker threads, each running
-//! one sub-query's scan of the survivor pipeline at a time.
+//! The matcher pool: a fixed set of worker threads, each running one
+//! sub-query's scan of the survivor pipeline at a time. A process runs one
+//! pool, sized to its CPUs, which all of its nodes share.
 //!
 //! A thread per request turns a flash crowd of Q sub-queries into Q threads
 //! and Q corpus copies; this module bounds both:
@@ -9,11 +10,14 @@
 //!   scan, its matches so far. [`QueryTask::run_inline`] runs it to
 //!   completion on the calling thread — segment by segment, in chunks of
 //!   4096 records, every staged MAC sweep through the single-key lane sweep.
-//! * A [`BatchEngine`] owns a small fixed pool of worker threads draining
-//!   one queue: a worker pops a task, runs it inline, hands its result to
-//!   the task's completion, and repeats. A node sends it only scans longer
-//!   than one chunk ([`MATCH_CHUNK`]); a shorter one runs where the request
-//!   is served, without the trip to a worker and back.
+//! * A [`BatchEngine`] owns a fixed pool of worker threads draining one
+//!   FIFO queue: a worker pops a task, runs it inline, hands its result to
+//!   the task's completion, and repeats. A node's process starts one
+//!   engine of one worker per CPU, and every node in the process sends it
+//!   its scans longer than one chunk ([`MATCH_CHUNK`]), so each scan runs
+//!   to completion on a CPU instead of sharing it by time slices with
+//!   another node's; a shorter one runs where the request is served,
+//!   without the trip to a worker and back.
 //! * A [`TaskCorpus`] is a zero-copy corpus view: an `Arc` epoch snapshot
 //!   of a [`MetadataStore`] plus the window's index ranges into its runs
 //!   ([`MetadataStore::window_ranges`]) — columns, one segment per range —
@@ -287,30 +291,18 @@ impl TaskHandle {
     }
 }
 
-/// The per-node matcher pool: a fixed number of worker threads (the
-/// concurrency bound — a flash crowd of sub-queries queues here instead of
-/// spawning a thread per request) draining a shared queue, one task per
-/// worker at a time, each run inline. Dropping the engine drains remaining
-/// work, then joins the workers.
+/// A matcher pool: a fixed number of worker threads (the concurrency
+/// bound — a flash crowd of sub-queries queues here instead of spawning a
+/// thread per request) draining a shared FIFO queue, one task per worker at
+/// a time, each run inline. Its workers are named `roarm-w<i>`. Dropping
+/// the engine drains remaining work, then joins the workers.
 pub struct BatchEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    thread_prefix: String,
 }
 
 impl BatchEngine {
     pub fn new(n_workers: usize) -> Self {
-        // a per-engine thread-name prefix, so a process hosting several
-        // engines (a test binary, a multi-node harness) can attribute
-        // matcher threads to their engine; kept short because the kernel
-        // truncates thread names to 15 bytes in /proc/*/task/*/comm
-        static ENGINE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // ORDERING: Relaxed — only uniqueness of the sequence number
-        // matters; nothing else is published through it
-        let prefix = format!(
-            "roarm-e{}",
-            ENGINE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        );
         let shared = Arc::new(Shared {
             queue: Mutex::new(Admission {
                 pending: VecDeque::new(),
@@ -322,27 +314,17 @@ impl BatchEngine {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("{prefix}w{i}"))
+                    .name(format!("roarm-w{i}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn matcher worker")
             })
             .collect();
-        BatchEngine {
-            shared,
-            workers,
-            thread_prefix: prefix,
-        }
+        BatchEngine { shared, workers }
     }
 
     /// The fixed worker count — the matcher concurrency bound.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// This engine's worker-thread name prefix (every worker is named
-    /// `<prefix>w<i>`), unique per engine within the process.
-    pub fn thread_prefix(&self) -> &str {
-        &self.thread_prefix
     }
 
     /// Enqueue a task; `done` runs on a worker thread when it completes.

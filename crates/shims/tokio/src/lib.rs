@@ -924,59 +924,36 @@ pub mod net;
 
 /// Support types for the `select!` macro expansion.
 pub mod macros_support {
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::task::{Context, Poll};
-
     pub enum Either<A, B> {
         Left(A),
         Right(B),
     }
-
-    pub struct Race2<F1: Future, F2: Future> {
-        f1: Pin<Box<F1>>,
-        f2: Pin<Box<F2>>,
-    }
-
-    impl<F1: Future, F2: Future> Unpin for Race2<F1, F2> {}
-
-    impl<F1: Future, F2: Future> Future for Race2<F1, F2> {
-        type Output = Either<F1::Output, F2::Output>;
-
-        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            if let Poll::Ready(v) = self.f1.as_mut().poll(cx) {
-                return Poll::Ready(Either::Left(v));
-            }
-            if let Poll::Ready(v) = self.f2.as_mut().poll(cx) {
-                return Poll::Ready(Either::Right(v));
-            }
-            Poll::Pending
-        }
-    }
-
-    /// Race two futures; first ready wins (left-biased on simultaneous
-    /// readiness).
-    pub fn race2<F1: Future, F2: Future>(f1: F1, f2: F2) -> Race2<F1, F2> {
-        Race2 {
-            f1: Box::pin(f1),
-            f2: Box::pin(f2),
-        }
-    }
 }
 
-/// Two-branch `select!` — the only arity this workspace uses. Branches are
-/// raced left-biased; the losing future is dropped (same cancellation
-/// semantics callers rely on from upstream tokio).
+/// Two-branch `select!` — the only arity this workspace uses. Both futures
+/// are pinned on the stack and raced left-biased; the loser is dropped
+/// before the winning branch runs (same cancellation semantics callers rely
+/// on from upstream tokio).
 #[macro_export]
 macro_rules! select {
     ($p1:pat = $e1:expr => $b1:block $p2:pat = $e2:expr => $b2:block) => {
-        match $crate::macros_support::race2($e1, $e2).await {
-            $crate::macros_support::Either::Left($p1) => $b1,
-            $crate::macros_support::Either::Right($p2) => $b2,
-        }
+        $crate::select!($p1 = $e1 => $b1, $p2 = $e2 => $b2)
     };
     ($p1:pat = $e1:expr => $b1:expr, $p2:pat = $e2:expr => $b2:expr $(,)?) => {
-        match $crate::macros_support::race2($e1, $e2).await {
+        match {
+            let mut f1 = ::std::pin::pin!($e1);
+            let mut f2 = ::std::pin::pin!($e2);
+            ::std::future::poll_fn(|cx| {
+                use $crate::macros_support::Either;
+                use ::std::future::Future;
+                use ::std::task::Poll;
+                if let Poll::Ready(v) = f1.as_mut().poll(cx) {
+                    return Poll::Ready(Either::Left(v));
+                }
+                f2.as_mut().poll(cx).map(Either::Right)
+            })
+            .await
+        } {
             $crate::macros_support::Either::Left($p1) => $b1,
             $crate::macros_support::Either::Right($p2) => $b2,
         }
